@@ -1,13 +1,14 @@
 //! E6 — exchange throughput: drives ≥ 1,000 concurrent heterogeneous
 //! sessions (all three datasets, both base models) to completion through
-//! `vfl-exchange` on the fast profile, at 1 / 4 / all-cores workers, and
-//! records sessions/sec plus cache statistics to
+//! `vfl-exchange` on the fast profile, at 1 / 4 / all-cores course tasks
+//! (the drain's concurrent course resolutions; one router runs every
+//! slice), and records sessions/sec plus cache statistics to
 //! `results/BENCH_exchange.json` so the perf trajectory accrues over PRs.
 //!
 //! Custom harness (no criterion): the unit of measurement is a whole drain
-//! of the exchange, not a micro-iteration. Every worker count gets a fresh
-//! exchange with freshly *cold* oracles, so each run pays the same real
-//! Step-3 course work and the comparison is fair.
+//! of the exchange, not a micro-iteration. Every course-task count gets a
+//! fresh exchange with freshly *cold* oracles, so each run pays the same
+//! real Step-3 course work and the comparison is fair.
 //!
 //! `EXCHANGE_BENCH_SESSIONS` overrides the session count (dev loops).
 
@@ -93,14 +94,14 @@ fn main() {
 
     let mut runs: Vec<Run> = Vec::new();
     for &workers in &worker_counts {
-        eprintln!("draining {sessions} sessions on {workers} worker(s)…");
+        eprintln!("draining {sessions} sessions on {workers} course task(s)…");
         runs.push(run_drain(&markets, &profile, sessions, workers));
     }
 
     println!("\n== E6 exchange throughput ({sessions} heterogeneous sessions) ==");
     println!(
         "{:>8} {:>10} {:>8} {:>12} {:>10} {:>10}",
-        "workers", "elapsed_s", "closed", "sessions/s", "hit_rate", "courses"
+        "tasks", "elapsed_s", "closed", "sessions/s", "hit_rate", "courses"
     );
     for run in &runs {
         println!(
@@ -121,20 +122,20 @@ fn main() {
     {
         let speedup = best.sessions_per_sec / base.sessions_per_sec;
         println!(
-            "multi-worker speedup: {:.2}x ({} workers over 1, {hw} hardware threads)",
+            "multi-task speedup: {:.2}x ({} course tasks over 1, {hw} hardware threads)",
             speedup, best.workers
         );
         if hw > 1 {
             assert!(
                 speedup > 1.0,
-                "scaling regression: {} workers ({:.1}/s) must beat 1 worker ({:.1}/s) on {hw} threads",
+                "scaling regression: {} course tasks ({:.1}/s) must beat 1 ({:.1}/s) on {hw} threads",
                 best.workers,
                 best.sessions_per_sec,
                 base.sessions_per_sec
             );
         } else {
             println!(
-                "note: single hardware thread — extra workers only add scheduling \
+                "note: single hardware thread — extra course tasks only add scheduling \
                  overhead, so the >1x scaling gate is skipped on this machine"
             );
         }
@@ -145,7 +146,7 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"workers\": {}, \"elapsed_s\": {:.6}, \"closed\": {}, \"failed\": {}, \
+                "    {{\"course_tasks\": {}, \"elapsed_s\": {:.6}, \"closed\": {}, \"failed\": {}, \
                  \"sessions_per_sec\": {:.3}, \"cache_hits\": {}, \"cache_misses\": {}, \
                  \"cache_hit_rate\": {:.6}, \"courses_requested\": {}, \"rounds_completed\": {}}}",
                 r.workers,

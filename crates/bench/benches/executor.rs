@@ -1,24 +1,20 @@
-//! E14 — executor latency tolerance: the same session book drained by the
-//! thread-pool backend (a worker *blocks* for the whole course — the
-//! inline-training model of a blocking remote call) and by the async
-//! backend (courses resolve off-slot through a
-//! [`vfl_exchange::SimulatedRemoteResolver`]; the router and its few
-//! course tasks never block on latency), swept across simulated course
-//! latencies from µs to 100 ms.
+//! E14 — executor latency tolerance: one session book drained by the
+//! router with courses resolved off-slot through a
+//! [`vfl_exchange::SimulatedRemoteResolver`], swept across simulated
+//! course latencies from µs to 100 ms.
 //!
 //! The shape this measures: with `S` sessions on private-key markets
 //! (every course is paid, nothing collapses into cache hits), `C` courses
-//! per session, `W` workers, and course latency `L`, the thread pool's
-//! drain wall is ≈ `S·C·L / W` — it *collapses linearly in L* once `L`
-//! dominates, because every in-flight course holds a worker hostage. The
-//! async backend keeps all `S` sessions' courses in flight at once
-//! (in-flight courses are timer entries, not threads), so its wall is
-//! ≈ `C·L` — the pipeline depth of ONE session. Two gates, asserted here:
-//! at 10 ms the async backend must be ≥ 3× the thread pool's throughput,
-//! and the async wall must degrade sub-linearly where the thread pool's
-//! is linear (collapse factor across the sweep at most half the thread
-//! pool's). Outcomes are asserted bit-identical per latency — the speedup
-//! is only meaningful because the backends agree on every result.
+//! per session, and course latency `L`, an executor that holds a thread
+//! per in-flight course drains in ≈ `S·C·L / threads`. The router keeps
+//! every session's course in flight at once (an in-flight course is a
+//! timer entry, not a thread), so its wall is ≈ `C·L` — the pipeline
+//! depth of ONE session. The gate is the **course overlap**, trained
+//! courses × latency ÷ drain wall: the average number of courses in
+//! flight. At 10 ms and 100 ms it must be ≥ 12, three times what a
+//! 4-thread executor could reach (a 4-worker pool overlaps at most 4
+//! courses). Outcomes are asserted identical across latencies — the
+//! overlap only means something because latency changes no result.
 //!
 //! Custom harness (no criterion): the unit is a whole drain. Results land
 //! in `results/BENCH_executor.json`. `EXECUTOR_BENCH_SESSIONS` overrides
@@ -27,18 +23,14 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vfl_bench::exchange_setup::SpinGainProvider;
 use vfl_bench::report::results_dir;
-use vfl_exchange::{
-    Exchange, ExchangeConfig, ExecutorBackend, MarketSpec, SessionOrder, SimulatedRemoteResolver,
-};
+use vfl_exchange::{Exchange, ExchangeConfig, MarketSpec, SessionOrder, SimulatedRemoteResolver};
 use vfl_market::{
-    GainProvider, Listing, MarketConfig, Outcome, ReservedPrice, StrategicData, StrategicTask,
-    TableGainProvider,
+    Listing, MarketConfig, Outcome, ReservedPrice, StrategicData, StrategicTask, TableGainProvider,
 };
 use vfl_sim::BundleMask;
 
-const WORKERS: usize = 4;
+const COURSE_TASKS: usize = 4;
 const LATENCIES: &[Duration] = &[
     Duration::from_micros(10),
     Duration::from_micros(100),
@@ -46,6 +38,8 @@ const LATENCIES: &[Duration] = &[
     Duration::from_millis(10),
     Duration::from_millis(100),
 ];
+/// Minimum course overlap at the gated latencies (3× a 4-worker pool).
+const MIN_OVERLAP: f64 = 12.0;
 
 fn sessions() -> usize {
     std::env::var("EXECUTOR_BENCH_SESSIONS")
@@ -83,26 +77,19 @@ fn order(gains: &[f64], seed: u64) -> SessionOrder {
 }
 
 /// One full drain of `n` sessions over private-key markets, every course
-/// costing `latency`. `backend: None` is the thread pool, whose provider
-/// *blocks* (sleeps) `latency` per training; `Some(tasks)` is the async
-/// backend with plain table providers behind a [`SimulatedRemoteResolver`]
-/// carrying the same latency off-thread. Returns wall time and outcomes.
-fn run_once(n: usize, latency: Duration, backend: Option<usize>) -> (Duration, Vec<Outcome>) {
+/// resolved by a [`SimulatedRemoteResolver`] after `latency`. Returns the
+/// wall time, the trained-course count, and every outcome.
+fn run_once(n: usize, latency: Duration) -> (Duration, u64, Vec<Outcome>) {
     let exchange = Exchange::new(ExchangeConfig::default());
     let sids: Vec<_> = (0..n)
         .map(|m| {
             let (listings, gains) = listings_and_gains(m);
             let table =
                 TableGainProvider::new(listings.iter().zip(&gains).map(|(l, &g)| (l.bundle, g)));
-            let provider: Arc<dyn GainProvider + Send + Sync> = if backend.is_some() {
-                Arc::new(table)
-            } else {
-                Arc::new(SpinGainProvider::sleeping(table, latency))
-            };
             let market = exchange
                 .register_market(MarketSpec {
-                    provider,
-                    listings: Arc::new(listings.clone()),
+                    provider: Arc::new(table),
+                    listings: Arc::new(listings),
                     evaluation_key: None, // private cache: every course is paid
                     name: format!("m{m}"),
                 })
@@ -112,14 +99,9 @@ fn run_once(n: usize, latency: Duration, backend: Option<usize>) -> (Duration, V
                 .expect("submit session")
         })
         .collect();
-    if let Some(course_tasks) = backend {
-        exchange.set_executor(ExecutorBackend::Async {
-            course_tasks,
-            resolver: Arc::new(SimulatedRemoteResolver::new(latency)),
-        });
-    }
+    exchange.set_course_resolver(Arc::new(SimulatedRemoteResolver::new(latency)));
     let start = Instant::now();
-    let report = exchange.drain(WORKERS);
+    let report = exchange.drain(COURSE_TASKS);
     let wall = start.elapsed();
     assert_eq!(report.failed, 0, "benchmark sessions must not fail");
     assert_eq!(report.closed, n, "every session closes");
@@ -132,80 +114,61 @@ fn run_once(n: usize, latency: Duration, backend: Option<usize>) -> (Duration, V
                 .expect("closed outcome")
         })
         .collect();
-    (wall, outcomes)
+    (wall, exchange.metrics().cache_misses, outcomes)
 }
 
 fn main() {
     let n = sessions();
-    println!("E14 executor latency tolerance: {n} sessions, {WORKERS} workers / course tasks");
+    println!("E14 executor latency tolerance: {n} sessions, {COURSE_TASKS} course tasks");
     println!();
-    println!("latency      thread_ms     async_ms      thread_sess_s  async_sess_s  speedup");
+    println!("latency      wall_ms      sess_s   courses  overlap");
 
     let mut rows = Vec::new();
-    let mut speedup_at_10ms = 0.0f64;
-    let mut thread_walls = Vec::new();
-    let mut async_walls = Vec::new();
+    let mut reference: Option<Vec<Outcome>> = None;
+    let mut gated = Vec::new();
     for &latency in LATENCIES {
-        let (thread_wall, thread_outcomes) = run_once(n, latency, None);
-        let (async_wall, async_outcomes) = run_once(n, latency, Some(WORKERS));
-        assert_eq!(
-            thread_outcomes, async_outcomes,
-            "{latency:?}: backends must agree bit for bit"
-        );
-        let speedup = thread_wall.as_secs_f64() / async_wall.as_secs_f64();
-        let thread_tp = n as f64 / thread_wall.as_secs_f64();
-        let async_tp = n as f64 / async_wall.as_secs_f64();
-        println!(
-            "latency {:>8} {:>12.2} {:>12.2} {:>14.0} {:>13.0}  speedup {:.2}x",
-            format!("{latency:?}"),
-            thread_wall.as_secs_f64() * 1e3,
-            async_wall.as_secs_f64() * 1e3,
-            thread_tp,
-            async_tp,
-            speedup
-        );
-        if latency == Duration::from_millis(10) {
-            speedup_at_10ms = speedup;
+        let (wall, courses, outcomes) = run_once(n, latency);
+        match &reference {
+            None => reference = Some(outcomes),
+            Some(reference) => assert_eq!(
+                &outcomes, reference,
+                "{latency:?}: course latency must not change any outcome"
+            ),
         }
-        thread_walls.push(thread_wall.as_secs_f64());
-        async_walls.push(async_wall.as_secs_f64());
+        let throughput = n as f64 / wall.as_secs_f64();
+        let overlap = courses as f64 * latency.as_secs_f64() / wall.as_secs_f64();
+        println!(
+            "latency {:>8} {:>10.2} {:>10.0} {:>8}  overlap {:.1}",
+            format!("{latency:?}"),
+            wall.as_secs_f64() * 1e3,
+            throughput,
+            courses,
+            overlap
+        );
+        if latency >= Duration::from_millis(10) {
+            gated.push((latency, overlap));
+        }
         rows.push(format!(
-            "    {{ \"latency_us\": {}, \"thread_ms\": {:.3}, \"async_ms\": {:.3}, \
-             \"thread_sessions_per_sec\": {:.1}, \"async_sessions_per_sec\": {:.1}, \
-             \"speedup\": {:.3} }}",
+            "    {{ \"latency_us\": {}, \"wall_ms\": {:.3}, \"sessions_per_sec\": {:.1}, \
+             \"courses\": {courses}, \"overlap\": {:.3} }}",
             latency.as_micros(),
-            thread_wall.as_secs_f64() * 1e3,
-            async_wall.as_secs_f64() * 1e3,
-            thread_tp,
-            async_tp,
-            speedup
+            wall.as_secs_f64() * 1e3,
+            throughput,
+            overlap
         ));
     }
-
-    // Collapse factor: how much the wall grew from the cheapest to the
-    // most expensive course. The thread pool is ≈ linear in latency; the
-    // async backend must degrade sub-linearly (its in-flight window, not
-    // its thread count, absorbs the latency).
-    let thread_collapse = thread_walls.last().unwrap() / thread_walls.first().unwrap();
-    let async_collapse = async_walls.last().unwrap() / async_walls.first().unwrap();
-    println!();
-    println!("collapse across the sweep: thread {thread_collapse:.0}x, async {async_collapse:.0}x");
-    assert!(
-        speedup_at_10ms >= 3.0,
-        "async must be >= 3x thread-pool throughput at 10ms course latency, got {speedup_at_10ms:.2}x"
-    );
-    assert!(
-        async_collapse <= thread_collapse / 2.0,
-        "async wall must degrade sub-linearly where the thread pool collapses \
-         (async {async_collapse:.0}x vs thread {thread_collapse:.0}x)"
-    );
+    for &(latency, overlap) in &gated {
+        assert!(
+            overlap >= MIN_OVERLAP,
+            "course overlap at {latency:?} must be >= {MIN_OVERLAP} (3x a 4-worker pool), \
+             got {overlap:.1}"
+        );
+    }
 
     let json = format!(
         "{{\n  \"bench\": \"executor\",\n  \"experiment\": \"E14\",\n  \
-         \"sessions\": {n},\n  \"workers\": {WORKERS},\n  \
-         \"speedup_at_10ms\": {speedup_at_10ms:.3},\n  \
-         \"thread_collapse\": {thread_collapse:.1},\n  \
-         \"async_collapse\": {async_collapse:.1},\n  \
+         \"sessions\": {n},\n  \"course_tasks\": {COURSE_TASKS},\n  \
+         \"min_overlap\": {MIN_OVERLAP:.1},\n  \
          \"sweep\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );

@@ -152,48 +152,26 @@ impl vfl_market::GainProvider for CountingGainProvider {
 }
 
 /// A training that costs a fixed wall-clock slice before the table lookup —
-/// the stand-in for a real model fit, shared by the telemetry bench (E11),
-/// the executor bench (E14), and the executor examples so their "course
-/// cost" means the same thing. Two cost models: [`SpinGainProvider::new`]
+/// the stand-in for a real model fit in the telemetry bench (E11). It
 /// busy-spins (µs-scale precision, burns the core — right for measuring
-/// overhead against real CPU work), [`SpinGainProvider::sleeping`] blocks in
-/// `thread::sleep` (the worker yields, modeling a blocking remote call —
-/// right for latency-tolerance comparisons where workers must overlap).
+/// overhead against real CPU work).
 pub struct SpinGainProvider {
     inner: vfl_market::TableGainProvider,
     latency: std::time::Duration,
-    sleep: bool,
 }
 
 impl SpinGainProvider {
     /// Wraps `inner`, busy-spinning `latency` of wall clock per training.
     pub fn new(inner: vfl_market::TableGainProvider, latency: std::time::Duration) -> Self {
-        SpinGainProvider {
-            inner,
-            latency,
-            sleep: false,
-        }
-    }
-
-    /// Wraps `inner`, blocking in `thread::sleep(latency)` per training.
-    pub fn sleeping(inner: vfl_market::TableGainProvider, latency: std::time::Duration) -> Self {
-        SpinGainProvider {
-            inner,
-            latency,
-            sleep: true,
-        }
+        SpinGainProvider { inner, latency }
     }
 }
 
 impl vfl_market::GainProvider for SpinGainProvider {
     fn gain(&self, bundle: BundleMask) -> Result<f64> {
-        if self.sleep {
-            std::thread::sleep(self.latency);
-        } else {
-            let start = std::time::Instant::now();
-            while start.elapsed() < self.latency {
-                std::hint::spin_loop();
-            }
+        let start = std::time::Instant::now();
+        while start.elapsed() < self.latency {
+            std::hint::spin_loop();
         }
         self.inner.gain(bundle)
     }

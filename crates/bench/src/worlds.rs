@@ -1,12 +1,12 @@
 //! The replay-equivalence world generator: `REPLAY_WORLDS` deterministic
 //! marketplace worlds (heterogeneous sellers, plain sessions, immediate
 //! and epoch-mode demands, a clearing window) that are pure functions of
-//! the world index, so a recovery spec — or a second executor backend —
-//! can rebuild byte-identical strategies from the same index.
+//! the world index, so a recovery spec — or a second drain of the same
+//! world — can rebuild byte-identical strategies from the same index.
 //!
-//! Hoisted out of `tests/replay_equivalence.rs` so the replay,
-//! backend-equivalence, and telemetry tiers share one apparatus instead
-//! of drifting: `build_world` constructs a journaled world,
+//! Hoisted out of `tests/replay_equivalence.rs` so the replay, executor
+//! (`backend_equivalence`), and telemetry tiers share one apparatus
+//! instead of drifting: `build_world` constructs a journaled world,
 //! [`snapshot`]/[`snapshot_with`] drain it and capture the reference
 //! (outcomes, demand reports, epoch ledger, trained-course set), and
 //! [`check_equivalence`] proves a journal prefix recovers bit-identically
@@ -315,14 +315,14 @@ pub struct Reference {
     pub trained: HashSet<(u64, u64)>,
 }
 
-/// [`snapshot_with`] under the default two-worker thread-pool drain.
+/// [`snapshot_with`] under a default two-course-task drain.
 pub fn snapshot(world: &World) -> Reference {
     snapshot_with(world, |exchange| {
         exchange.drain(2);
     })
 }
 
-/// Drains `world.exchange` through `drain` (any backend/worker shape)
+/// Drains `world.exchange` through `drain` (any resolver/task count)
 /// and snapshots every outcome, report, and the cleared-epoch history.
 pub fn snapshot_with(world: &World, drain: impl FnOnce(&Exchange)) -> Reference {
     drain(&world.exchange);

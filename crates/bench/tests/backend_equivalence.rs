@@ -1,45 +1,40 @@
-//! Backend-equivalence tier — the proof burden of the executor seam.
+//! Executor tier — the proof burden of the single-owner router.
 //!
-//! `Exchange::drain` runs on one of two backends (see
-//! `vfl_exchange::executor`): the default thread pool, where the worker
-//! that dispatches a session also trains its course inline, and the async
-//! backend, where a single router task owns every dispatch decision and N
+//! `Exchange::drain` runs one router (see `vfl_exchange::executor`): a
+//! single thread owns every dispatch decision and journal frame, and N
 //! course tasks resolve trainings concurrently through a
-//! [`CourseResolver`]. The seam's contract is that the backend is *pure
-//! mechanism*: no outcome, settlement, epoch record, counter (besides the
-//! schedule-shaped `course_waits`), or journal event may depend on which
-//! backend ran, on the course-task count, or on simulated course latency.
-//! This tier proves that contract:
+//! [`CourseResolver`]. The router's contract is that it is *pure
+//! mechanism*: no outcome, settlement, epoch record, counter, or journal
+//! byte may depend on the course-task count or on course latency, and the
+//! router must reproduce what the async backend produced before the
+//! thread pool was deleted. This tier proves that contract:
 //!
-//! - **world sweep** — every replay-equivalence world drained under both
-//!   backends must agree bit for bit: outcomes, demand reports (winners,
-//!   epochs, clearing prices, quote tables with histories), the epoch
-//!   ledger, the trained-course set, counters, and the canonical journal
-//!   event multisets;
-//! - **scenario sweep** — all six named open-world scenarios
-//!   ([`vfl_exchange::named_scenarios`]) produce identical
-//!   `ScenarioOutcome` counts, winners, and epoch histories on both
-//!   backends;
-//! - **async determinism** — the async backend's journal is *byte*
-//!   identical across course-task counts and simulated latencies (the
-//!   router journals everything itself, applying completions in strict
-//!   request order);
+//! - **pinned parent** — every replay world and all six named open-world
+//!   scenarios ([`vfl_exchange::named_scenarios`]) reproduce the journal
+//!   bytes and the reference digest (outcomes, demand reports, epoch
+//!   ledger, trained-course set, full counter snapshot) pinned in
+//!   `tests/fixtures/router_parent.txt`, generated on the async backend
+//!   of the commit that still had both executors;
+//! - **determinism** — the journal is *byte* identical across course-task
+//!   counts and simulated latencies (the router journals everything
+//!   itself, applying completions in strict request order);
+//! - **drain guard** — concurrent `drain` calls on one exchange run one
+//!   after another and leave exactly the journal one drain leaves;
 //! - **fault injection** — a resolver that fails mid-drain fails exactly
 //!   the paying session (waitlisted rivals are woken once, retry, and
-//!   close normally; nothing is stranded, nothing re-trains); crashes
-//!   sealed *inside* the async course path and truncations of
-//!   async-produced journals recover bit-identically on the thread
-//!   backend (cross-backend recovery);
-//! - **observe-only telemetry** — under the async backend an attached
-//!   telemetry changes nothing (byte-identical journals — stronger than
-//!   the thread tier's multiset compare, because the router is
-//!   single-threaded), while the `course_train` histogram spans
-//!   dispatch → applied (≥ the simulated latency) and `dispatch_wait`
-//!   still populates off-slot.
+//!   close normally; nothing is stranded, nothing re-trains); a course
+//!   that panics makes `drain` panic instead of hanging; crashes sealed
+//!   *inside* the course path and truncations of router journals recover
+//!   bit-identically;
+//! - **observe-only telemetry** — an attached telemetry changes no
+//!   journal byte, while the `course_train` histogram spans dispatch →
+//!   applied (≥ the simulated latency) and `dispatch_wait` still
+//!   populates off-slot.
 
-use std::collections::BTreeSet;
+use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 use vfl_bench::exchange_setup::TrainingRecorder;
 use vfl_bench::worlds::{
@@ -48,235 +43,245 @@ use vfl_bench::worlds::{
     N_DEMANDS, N_EPOCH_DEMANDS, N_PLAIN,
 };
 use vfl_exchange::{
-    frame_boundaries, named_scenarios, read_events, CourseFuture, CourseOrder, CourseResolver,
-    CrashPoint, Exchange, ExchangeConfig, ExchangeEvent, ExchangeTelemetry, ExecutorBackend,
-    Journal, LocalResolver, MetricsSnapshot, ScenarioDriver, SimulatedRemoteResolver,
+    frame_boundaries, named_scenarios, CourseFuture, CourseOrder, CourseResolver, CrashPoint,
+    Exchange, ExchangeConfig, ExchangeTelemetry, Journal, LocalResolver, MarketSpec,
+    MetricsSnapshot, ScenarioDriver, ScenarioSpec, SimulatedRemoteResolver,
 };
-use vfl_market::MarketError;
+use vfl_market::session::wire::fnv64;
+use vfl_market::{GainProvider, MarketError};
+use vfl_sim::BundleMask;
 
-/// The canonical async backend the sweeps run: a few course tasks over
-/// the zero-latency local resolver.
-fn local_async(course_tasks: usize) -> ExecutorBackend {
-    ExecutorBackend::Async {
-        course_tasks,
-        resolver: Arc::new(LocalResolver),
-    }
-}
-
-/// Drains a world on the async backend and snapshots it (the async twin
-/// of [`snapshot`]).
-fn snapshot_async(world: &World, backend: ExecutorBackend) -> Reference {
+/// Drains a world with `resolver` on `course_tasks` course tasks and
+/// snapshots it.
+fn snapshot_on(world: &World, course_tasks: usize, resolver: Arc<dyn CourseResolver>) -> Reference {
     snapshot_with(world, |exchange| {
-        exchange.set_executor(backend);
-        exchange.drain(2);
+        exchange.set_course_resolver(resolver);
+        exchange.drain(course_tasks);
     })
 }
 
-/// `course_waits` is the one schedule-shaped counter (how often a session
-/// parked behind an in-flight twin training depends on interleaving);
-/// everything else must be backend-independent.
-fn scheduling_free(metrics: &MetricsSnapshot) -> MetricsSnapshot {
-    let mut m = *metrics;
-    m.course_waits = 0;
-    m
+// ---------------------------------------------------------------------------
+// Pinned parent fixtures
+// ---------------------------------------------------------------------------
+
+/// The pinned `(journal fnv64, reference digest)` per `"world <i>"` and
+/// `"scenario <name>"` key.
+fn pinned() -> HashMap<String, (u64, u64)> {
+    include_str!("fixtures/router_parent.txt")
+        .lines()
+        .filter(|line| !line.starts_with('#') && !line.trim().is_empty())
+        .map(|line| {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let hex = |s: &str| u64::from_str_radix(s, 16).expect("hex digest");
+            (
+                format!("{} {}", fields[0], fields[1]),
+                (hex(fields[2]), hex(fields[3])),
+            )
+        })
+        .collect()
 }
 
-/// Canonical journal view for cross-backend comparison: the event
-/// multiset, with the two schedule-shaped records normalized —
-/// `SessionDispatched` (the journal's record *of* the schedule) reduces
-/// to the set of sessions that ran, and `CourseRequested` drops the
-/// requesting session (which rival pays the training vs hits the cache is
-/// a race the thread backend does not pin; the *set* of answered
-/// `(eval_key, bundle)` requests and the trained `CourseServed` records
-/// are still compared exactly).
-fn canonical_journal(bytes: &[u8]) -> (Vec<String>, BTreeSet<u64>) {
-    let (events, dropped) = read_events(bytes);
-    assert_eq!(dropped, 0, "no torn tail in a completed run's journal");
-    let mut frames = Vec::new();
-    let mut dispatched = BTreeSet::new();
-    for event in &events {
-        match event {
-            ExchangeEvent::SessionDispatched { session } => {
-                dispatched.insert(session.0);
+fn sorted<K: Copy, V>(map: &HashMap<K, V>, id: impl Fn(K) -> u64) -> Vec<(K, &V)> {
+    let mut entries: Vec<(K, &V)> = map.iter().map(|(k, v)| (*k, v)).collect();
+    entries.sort_unstable_by_key(|&(k, _)| id(k));
+    entries
+}
+
+/// fnv64 over a canonical rendering of everything a drain decided:
+/// outcomes and demand reports in id order, the epoch ledger, the sorted
+/// trained-course set, and the full counter snapshot.
+fn reference_digest(r: &Reference, metrics: &MetricsSnapshot) -> u64 {
+    let mut text = String::new();
+    for (sid, outcome) in sorted(&r.outcomes, |s| s.0) {
+        writeln!(text, "{sid} {outcome:?}").unwrap();
+    }
+    for (did, report) in sorted(&r.reports, |d| d.0) {
+        writeln!(text, "{did} {report:?}").unwrap();
+    }
+    let mut trained: Vec<_> = r.trained.iter().copied().collect();
+    trained.sort_unstable();
+    writeln!(text, "{:?}\n{trained:?}\n{metrics:?}", r.epochs).unwrap();
+    fnv64(text.as_bytes())
+}
+
+/// Runs a named scenario on a journaled exchange and returns its
+/// `(journal fnv64, reference digest)`; the digest also folds in the
+/// scenario's conservation counts and demand ids.
+fn scenario_digests(spec: ScenarioSpec) -> (u64, u64) {
+    let (journal, sink) = Journal::in_memory();
+    let exchange = Exchange::with_journal(ExchangeConfig::default(), journal);
+    let outcome = ScenarioDriver::new(spec).run(&exchange);
+    outcome.conservation().expect("scenario conserves demands");
+    let mut reference = Reference {
+        outcomes: HashMap::new(),
+        reports: HashMap::new(),
+        epochs: exchange.epoch_history(),
+        trained: Default::default(),
+    };
+    for &did in &outcome.demand_ids {
+        if let Some(report) = exchange.take_demand(did) {
+            for q in &report.quotes {
+                let result = exchange
+                    .take(q.session)
+                    .expect("terminal")
+                    .map(|b| *b)
+                    .map_err(|e| e.to_string());
+                reference.outcomes.insert(q.session, result);
             }
-            ExchangeEvent::CourseRequested {
-                eval_key, bundle, ..
-            } => frames.push(format!("CourseRequested({eval_key}, {})", bundle.0)),
-            other => frames.push(format!("{other:?}")),
+            reference.reports.insert(did, report);
         }
     }
-    frames.sort_unstable();
-    (frames, dispatched)
-}
-
-/// Field-by-field equality of two references built from independent
-/// builds of the same world index (ids are deterministic, so the maps key
-/// identically).
-fn assert_references_equal(a: &Reference, b: &Reference, ctx: &str) {
-    assert_eq!(
-        a.outcomes.len(),
-        b.outcomes.len(),
-        "{ctx}: session sets differ"
+    let counts = format!(
+        "{} {} {} {} {} {} {} {} {} {} {} {:?}",
+        outcome.attempts,
+        outcome.admitted,
+        outcome.shed,
+        outcome.rejected,
+        outcome.settled,
+        outcome.matched,
+        outcome.expired,
+        outcome.deals,
+        outcome.retries,
+        outcome.recovered,
+        outcome.sellers_registered,
+        outcome.demand_ids
     );
-    for (sid, outcome) in &a.outcomes {
-        assert_eq!(
-            outcome,
-            b.outcomes
-                .get(sid)
-                .unwrap_or_else(|| panic!("{ctx}: session {sid} missing")),
-            "{ctx}: session {sid} diverged"
-        );
-    }
-    assert_eq!(a.epochs, b.epochs, "{ctx}: epoch ledger diverged");
-    assert_eq!(a.trained, b.trained, "{ctx}: trained-course sets diverged");
-    assert_eq!(a.reports.len(), b.reports.len(), "{ctx}");
-    for (did, ra) in &a.reports {
-        let rb = &b.reports[did];
-        assert_eq!(ra.winner, rb.winner, "{ctx}: demand {did} winner");
-        assert_eq!(ra.epoch, rb.epoch, "{ctx}: demand {did} epoch");
-        assert_eq!(
-            ra.clearing_price, rb.clearing_price,
-            "{ctx}: demand {did} clearing price"
-        );
-        assert_eq!(ra.quotes.len(), rb.quotes.len(), "{ctx}: demand {did}");
-        for (qa, qb) in ra.quotes.iter().zip(&rb.quotes) {
-            assert_eq!(qa.seller, qb.seller, "{ctx}");
-            assert_eq!(qa.seller_name, qb.seller_name, "{ctx}");
-            assert_eq!(qa.session, qb.session, "{ctx}");
-            assert_eq!(qa.state, qb.state, "{ctx}: demand {did} quote state");
-            assert_eq!(qa.history, qb.history, "{ctx}: demand {did} history");
-        }
-        assert_eq!(
-            ra.loser_probe_spend(),
-            rb.loser_probe_spend(),
-            "{ctx}: demand {did} probe spend"
-        );
-    }
+    let digest =
+        reference_digest(&reference, &exchange.metrics()) ^ fnv64(counts.as_bytes()).rotate_left(1);
+    (fnv64(&sink.bytes()), digest)
 }
 
-// ---------------------------------------------------------------------------
-// World and scenario sweeps
-// ---------------------------------------------------------------------------
-
-/// The headline property: every replay world drained on the thread pool
-/// and on the async backend agrees bit for bit — outcomes, settlements,
-/// epochs, trainings, counters, and journal content.
+/// The headline property: every replay world drained by the router
+/// reproduces the pinned parent journal byte for byte, and the same
+/// outcomes, settlements, epochs, trainings, and counters.
 #[test]
-fn thread_and_async_backends_agree_over_every_replay_world() {
+fn router_matches_pinned_parent_over_every_replay_world() {
+    let pinned = pinned();
     for world in 0..n_worlds() {
-        let threaded = build_world(world);
-        let reference = snapshot(&threaded);
-        let asynced = build_world(world);
-        let async_ref = snapshot_async(&asynced, local_async(4));
-        assert_references_equal(&reference, &async_ref, &format!("world {world}"));
-        assert_eq!(
-            scheduling_free(&threaded.exchange.metrics()),
-            scheduling_free(&asynced.exchange.metrics()),
-            "world {world}: counters diverged"
+        let w = build_world(world);
+        let reference = snapshot(&w);
+        let got = (
+            fnv64(&w.sink.bytes()),
+            reference_digest(&reference, &w.exchange.metrics()),
         );
-        assert_eq!(
-            canonical_journal(&threaded.sink.bytes()),
-            canonical_journal(&asynced.sink.bytes()),
-            "world {world}: journal content diverged"
-        );
+        let want = pinned[&format!("world {world}")];
+        assert_eq!(got.0, want.0, "world {world}: journal bytes diverged");
+        assert_eq!(got.1, want.1, "world {world}: reference diverged");
     }
 }
 
 /// All six named open-world scenarios (churn, adversaries, epochs,
-/// bursts) are backend-equivalent: same conservation counts, same
-/// winners, same epoch history, same counters.
+/// bursts) reproduce their pinned journals, conservation counts,
+/// winners, epoch histories, and counters.
 #[test]
-fn named_scenarios_are_backend_equivalent() {
-    for spec in named_scenarios() {
+fn named_scenarios_match_pinned_parent() {
+    let pinned = pinned();
+    let specs = named_scenarios();
+    assert_eq!(specs.len(), 6);
+    for spec in specs {
         let name = spec.name.clone();
-        let run = |backend: Option<ExecutorBackend>| {
-            let exchange = Exchange::new(ExchangeConfig::default());
-            if let Some(backend) = backend {
-                exchange.set_executor(backend);
-            }
-            let outcome = ScenarioDriver::new(spec.clone()).run(&exchange);
-            outcome.conservation().expect("scenario conserves demands");
-            let winners: Vec<_> = outcome
-                .demand_ids
-                .iter()
-                .map(|&did| {
-                    exchange
-                        .take_demand(did)
-                        .map(|r| (r.winner, r.epoch, r.quotes.len()))
-                })
-                .collect();
-            (outcome, winners, exchange.epoch_history())
-        };
-        let (threaded, thread_winners, thread_epochs) = run(None);
-        let (asynced, async_winners, async_epochs) = run(Some(local_async(3)));
-        assert_eq!(threaded.attempts, asynced.attempts, "{name}");
-        assert_eq!(threaded.admitted, asynced.admitted, "{name}");
-        assert_eq!(threaded.shed, asynced.shed, "{name}");
-        assert_eq!(threaded.rejected, asynced.rejected, "{name}");
-        assert_eq!(threaded.settled, asynced.settled, "{name}");
-        assert_eq!(threaded.matched, asynced.matched, "{name}");
-        assert_eq!(threaded.expired, asynced.expired, "{name}");
-        assert_eq!(threaded.deals, asynced.deals, "{name}");
-        assert_eq!(threaded.retries, asynced.retries, "{name}");
-        assert_eq!(threaded.recovered, asynced.recovered, "{name}");
-        assert_eq!(
-            threaded.sellers_registered, asynced.sellers_registered,
-            "{name}"
-        );
-        assert_eq!(threaded.demand_ids, asynced.demand_ids, "{name}");
-        assert_eq!(
-            scheduling_free(&threaded.metrics),
-            scheduling_free(&asynced.metrics),
-            "{name}: counters diverged"
-        );
-        assert_eq!(thread_winners, async_winners, "{name}: winners diverged");
-        assert_eq!(thread_epochs, async_epochs, "{name}: epochs diverged");
+        let got = scenario_digests(spec);
+        let want = pinned[&format!("scenario {name}")];
+        assert_eq!(got.0, want.0, "{name}: journal bytes diverged");
+        assert_eq!(got.1, want.1, "{name}: reference diverged");
     }
 }
 
-/// The async backend is deterministic *per seed* in the strongest sense:
-/// the journal it produces is byte-identical for any course-task count
-/// and any simulated course latency, because the single router journals
-/// every frame itself and applies completions in strict request order.
+/// The router is deterministic *per seed* in the strongest sense: the
+/// journal it produces is byte-identical for any course-task count and
+/// any simulated course latency, because the router journals every frame
+/// itself and applies completions in strict request order.
 #[test]
 fn async_journals_are_byte_identical_across_task_counts_and_latencies() {
     let world = 5usize;
-    let run = |backend: ExecutorBackend| {
+    let run = |tasks: usize, resolver: Arc<dyn CourseResolver>| {
         let w = build_world(world);
-        let reference = snapshot_async(&w, backend);
+        let reference = snapshot_on(&w, tasks, resolver);
         (w.sink.bytes(), w.exchange.metrics(), reference)
     };
-    let (base_bytes, base_metrics, base_ref) = run(local_async(1));
-    let arms: Vec<(String, ExecutorBackend)> = vec![
-        ("local/4-tasks".into(), local_async(4)),
-        (
-            "remote-300us/2-tasks".into(),
-            ExecutorBackend::Async {
-                course_tasks: 2,
-                resolver: Arc::new(SimulatedRemoteResolver::new(Duration::from_micros(300))),
-            },
-        ),
-        (
-            "remote-1ms/8-tasks".into(),
-            ExecutorBackend::Async {
-                course_tasks: 8,
-                resolver: Arc::new(SimulatedRemoteResolver::new(Duration::from_millis(1))),
-            },
-        ),
-    ];
-    for (name, backend) in arms {
-        let (bytes, metrics, reference) = run(backend);
-        assert_eq!(bytes, base_bytes, "{name}: journal bytes diverged");
-        assert_eq!(metrics, base_metrics, "{name}: counters diverged");
-        assert_references_equal(&base_ref, &reference, &name);
+    let (base_bytes, base_metrics, base_ref) = run(1, Arc::new(LocalResolver));
+    for tasks in [1, 4, 8] {
+        for latency_us in [0u64, 300, 1000] {
+            let resolver: Arc<dyn CourseResolver> = if latency_us == 0 {
+                Arc::new(LocalResolver)
+            } else {
+                Arc::new(SimulatedRemoteResolver::new(Duration::from_micros(
+                    latency_us,
+                )))
+            };
+            let name = format!("{tasks} tasks, {latency_us}us");
+            let (bytes, metrics, reference) = run(tasks, resolver);
+            assert_eq!(bytes, base_bytes, "{name}: journal bytes diverged");
+            assert_eq!(metrics, base_metrics, "{name}: counters diverged");
+            assert_eq!(
+                reference_digest(&reference, &metrics),
+                reference_digest(&base_ref, &base_metrics),
+                "{name}: reference diverged"
+            );
+        }
     }
-    // And the whole family agrees with the thread-pool reference.
-    let threaded = build_world(world);
-    assert_references_equal(&snapshot(&threaded), &base_ref, "thread vs async");
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection in the async course path
+// Drain guard
+// ---------------------------------------------------------------------------
+
+/// Two threads draining one exchange that holds a demand book (plain
+/// sessions, immediate and epoch-mode demands under a clearing window):
+/// the drain mutex runs them one after another, both return, every
+/// session ends terminal, nothing stays parked, and the journal is byte
+/// for byte the one a single drain writes.
+#[test]
+fn concurrent_drains_serialize_to_the_single_drain_journal() {
+    for world in [1usize, 4, 7] {
+        let single = build_world(world);
+        let single_ref = snapshot(&single);
+
+        let double = build_world(world);
+        let double_ref = snapshot_with(&double, |exchange| {
+            let start = Barrier::new(2);
+            let drain = || {
+                start.wait();
+                exchange.drain(2)
+            };
+            let reports = std::thread::scope(|scope| {
+                let a = scope.spawn(drain);
+                let b = scope.spawn(drain);
+                [a.join().expect("drain a"), b.join().expect("drain b")]
+            });
+            let terminal: usize = reports
+                .iter()
+                .map(|r| r.closed + r.failed + r.cancelled)
+                .sum();
+            assert_eq!(
+                terminal as u64,
+                exchange.metrics().sessions_opened,
+                "world {world}: the two drains together terminate every session once"
+            );
+        });
+        // `snapshot_with` took every session and demand, each terminal.
+        assert_eq!(double.exchange.session_count(), 0, "world {world}");
+        assert_eq!(double.exchange.demand_count(), 0, "world {world}");
+        let state = format!("{:?}", double.exchange);
+        assert!(
+            state.contains("course_waiters: 0"),
+            "world {world}: nothing parked ({state})"
+        );
+        assert_eq!(
+            double.sink.bytes(),
+            single.sink.bytes(),
+            "world {world}: journal diverged from a single drain's"
+        );
+        assert_eq!(
+            reference_digest(&double_ref, &double.exchange.metrics()),
+            reference_digest(&single_ref, &single.exchange.metrics()),
+            "world {world}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fault injection in the course path
 // ---------------------------------------------------------------------------
 
 /// A resolver that fails the first `fail_first` course resolutions with a
@@ -308,7 +313,7 @@ impl CourseResolver for FlakyResolver {
 #[test]
 fn a_failed_course_resolution_fails_only_the_paying_session() {
     const SESSIONS: usize = 4;
-    let run = |backend: Option<ExecutorBackend>| {
+    let run = |resolver: Arc<dyn CourseResolver>| {
         let recorder = TrainingRecorder::default();
         let exchange = Exchange::new(ExchangeConfig::default());
         let market = exchange
@@ -319,9 +324,7 @@ fn a_failed_course_resolution_fails_only_the_paying_session() {
         let sids: Vec<_> = (0..SESSIONS)
             .map(|_| exchange.submit(market, plain_order(0, 0)).expect("submit"))
             .collect();
-        if let Some(backend) = backend {
-            exchange.set_executor(backend);
-        }
+        exchange.set_course_resolver(resolver);
         let report = exchange.drain(2);
         let outcomes: Vec<_> = sids
             .iter()
@@ -336,7 +339,7 @@ fn a_failed_course_resolution_fails_only_the_paying_session() {
         (report, outcomes, recorder)
     };
 
-    let (clean_report, clean_outcomes, clean_recorder) = run(None);
+    let (clean_report, clean_outcomes, clean_recorder) = run(Arc::new(LocalResolver));
     assert_eq!(clean_report.failed, 0);
     let clean_outcome = clean_outcomes[0].clone();
     for outcome in &clean_outcomes {
@@ -346,12 +349,9 @@ fn a_failed_course_resolution_fails_only_the_paying_session() {
         );
     }
 
-    let (report, outcomes, recorder) = run(Some(ExecutorBackend::Async {
-        course_tasks: 2,
-        resolver: Arc::new(FlakyResolver {
-            fail_first: 1,
-            seen: AtomicUsize::new(0),
-        }),
+    let (report, outcomes, recorder) = run(Arc::new(FlakyResolver {
+        fail_first: 1,
+        seen: AtomicUsize::new(0),
     }));
     assert_eq!(report.failed, 1, "exactly the paying session fails");
     assert_eq!(
@@ -388,10 +388,74 @@ fn a_failed_course_resolution_fails_only_the_paying_session() {
     );
 }
 
+/// A gain provider whose every training panics.
+struct PanickingProvider;
+
+impl GainProvider for PanickingProvider {
+    fn gain(&self, _bundle: BundleMask) -> vfl_market::Result<f64> {
+        panic!("provider exploded mid-course");
+    }
+}
+
+/// A course that panics makes `drain` panic with the provider's message
+/// instead of waiting forever for a completion that never comes. Each
+/// drain runs on a watchdog thread, so a regression fails by timeout
+/// rather than hanging the suite.
+#[test]
+fn a_panicking_course_propagates_out_of_drain() {
+    let arms: Vec<(usize, Arc<dyn CourseResolver>)> = vec![
+        (1, Arc::new(LocalResolver)),
+        (2, Arc::new(LocalResolver)),
+        (
+            2,
+            Arc::new(SimulatedRemoteResolver::new(Duration::from_micros(200))),
+        ),
+    ];
+    for (tasks, resolver) in arms {
+        let (tx, rx) = mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            let exchange = Exchange::new(ExchangeConfig::default());
+            let (listings, _) = vfl_bench::worlds::plain_listings_gains(0);
+            let market = exchange
+                .register_market(MarketSpec {
+                    provider: Arc::new(PanickingProvider),
+                    listings: Arc::new(listings),
+                    evaluation_key: None,
+                    name: "panicky".into(),
+                })
+                .expect("register market");
+            for k in 0..3 {
+                exchange.submit(market, plain_order(0, k)).expect("submit");
+            }
+            exchange.set_course_resolver(resolver);
+            let drained =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exchange.drain(tasks)));
+            let message = drained.map(|_| ()).map_err(|payload| {
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            });
+            let _ = tx.send(message);
+        });
+        let drained = rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("{tasks} course tasks: drain hung on a panicking course"));
+        watched
+            .join()
+            .expect("the watched thread caught the drain's panic");
+        let message = drained.expect_err("a panicking course must panic the drain");
+        assert!(
+            message.contains("provider exploded mid-course"),
+            "{tasks} course tasks: drain panicked with {message:?}"
+        );
+    }
+}
+
 /// Seals the journal at the `nth` crash point matching `pred` while the
-/// ASYNC backend drains, then proves the sealed journal recovers
-/// bit-identically on the thread backend — cross-backend crash recovery
-/// inside the async course path.
+/// router drains, then proves the sealed journal recovers bit-identically
+/// — crash recovery inside the course path.
 fn async_crash_and_check(
     world: usize,
     nth: usize,
@@ -410,7 +474,7 @@ fn async_crash_and_check(
                 }
             })));
     }
-    let reference = snapshot_async(&w, local_async(3));
+    let reference = snapshot_on(&w, 3, Arc::new(LocalResolver));
     let hit = fired.load(Ordering::SeqCst) > nth;
     if hit {
         assert!(w.journal.is_sealed(), "{ctx}: the crash must have sealed");
@@ -426,8 +490,8 @@ fn async_crash_and_check(
     hit
 }
 
-/// Crashes landing inside the async course path — after the router
-/// applied a training but before/after its journal record — recover
+/// Crashes landing inside the course path — after the router applied a
+/// training but before/after its journal record — recover
 /// bit-identically (the never-acknowledged course is legitimately
 /// re-trained; an acknowledged one never is).
 #[test]
@@ -438,39 +502,38 @@ fn async_crashes_inside_the_course_path_recover_bit_identically() {
                 world,
                 0,
                 |p| matches!(p, CrashPoint::CourseTrained { .. }),
-                &format!("world {world}: async crash after training, before its record"),
+                &format!("world {world}: crash after training, before its record"),
             ),
-            "course crash point must fire under the async backend"
+            "course crash point must fire"
         );
         assert!(
             async_crash_and_check(
                 world,
                 0,
                 |p| matches!(p, CrashPoint::CourseRecorded { .. }),
-                &format!("world {world}: async crash after the course record"),
+                &format!("world {world}: crash after the course record"),
             ),
-            "course-recorded crash point must fire under the async backend"
+            "course-recorded crash point must fire"
         );
         assert!(
             async_crash_and_check(
                 world,
                 1,
                 |p| matches!(p, CrashPoint::Dispatched(_)),
-                &format!("world {world}: async crash at dispatch"),
+                &format!("world {world}: crash at dispatch"),
             ),
-            "dispatch crash point must fire under the async backend"
+            "dispatch crash point must fire"
         );
     }
 }
 
-/// A journal produced by the async backend, truncated at every event
-/// boundary, recovers and resumes (on the thread backend) to the async
-/// run's exact reference — the journal is backend-portable.
+/// A router journal, truncated at every event boundary, recovers and
+/// resumes to the uninterrupted run's exact reference.
 #[test]
 fn truncated_async_journals_replay_bit_identically() {
     let world = 4usize;
     let w = build_world(world);
-    let reference = snapshot_async(&w, local_async(4));
+    let reference = snapshot_on(&w, 4, Arc::new(LocalResolver));
     let bytes = w.sink.bytes();
     let boundaries = frame_boundaries(&bytes);
     assert!(boundaries.len() > 8, "a real event stream");
@@ -487,7 +550,7 @@ fn truncated_async_journals_replay_bit_identically() {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry under the async backend
+// Telemetry under the router
 // ---------------------------------------------------------------------------
 
 /// A journaled world-shaped fixture assembled from the shared generators,
@@ -496,7 +559,7 @@ fn truncated_async_journals_replay_bit_identically() {
 fn drained_async_fixture(
     world: usize,
     telemetry: Option<Arc<ExchangeTelemetry>>,
-    backend: ExecutorBackend,
+    resolver: Arc<dyn CourseResolver>,
 ) -> (Vec<u8>, MetricsSnapshot, TrainingRecorder) {
     let recorder = TrainingRecorder::default();
     let (journal, sink) = Journal::in_memory();
@@ -525,22 +588,21 @@ fn drained_async_fixture(
             .submit_demand(demand_for(world, d))
             .expect("demand");
     }
-    exchange.set_executor(backend);
-    exchange.drain(2);
+    exchange.set_course_resolver(resolver);
+    exchange.drain(3);
     (sink.bytes(), exchange.metrics(), recorder)
 }
 
-/// The observe-only invariant, re-proven under the async executor — and
-/// *stronger* than the thread tier's multiset compare: the router is the
-/// only journaling thread, so telemetry-on and telemetry-off drains must
-/// produce BYTE-identical journals.
+/// The observe-only invariant, re-proven with courses resolved off-slot:
+/// the router is the only journaling thread, so telemetry-on and
+/// telemetry-off drains must produce BYTE-identical journals.
 #[test]
 fn telemetry_is_observe_only_under_the_async_backend() {
     let world = 6usize;
-    let (off_bytes, off_metrics, _) = drained_async_fixture(world, None, local_async(3));
+    let (off_bytes, off_metrics, _) = drained_async_fixture(world, None, Arc::new(LocalResolver));
     let telemetry = ExchangeTelemetry::new();
     let (on_bytes, on_metrics, _) =
-        drained_async_fixture(world, Some(telemetry.clone()), local_async(3));
+        drained_async_fixture(world, Some(telemetry.clone()), Arc::new(LocalResolver));
     assert_eq!(off_metrics, on_metrics, "telemetry moved a counter");
     assert_eq!(
         off_bytes, on_bytes,
@@ -560,10 +622,7 @@ fn async_stage_histograms_span_the_off_slot_course() {
     let (_, metrics, recorder) = drained_async_fixture(
         world,
         Some(telemetry.clone()),
-        ExecutorBackend::Async {
-            course_tasks: 3,
-            resolver: Arc::new(SimulatedRemoteResolver::new(latency)),
-        },
+        Arc::new(SimulatedRemoteResolver::new(latency)),
     );
     let train = telemetry
         .stage_snapshot("course_train")

@@ -17,13 +17,13 @@
 //!   bytes must drop the invalid tail (checksum), never misparse, and the
 //!   surviving prefix must still recover equivalently.
 //! * **Crash points** — an injected hook seals the journal *inside* the
-//!   dispatcher's critical sections (course trained but not recorded,
+//!   router's critical sections (course trained but not recorded,
 //!   settlement decided but not recorded, …), which between-event
 //!   truncation cannot reach; the sealed journal must still recover to
 //!   the crashed run's own in-memory conclusion.
 //!
 //! The world generator and the equivalence checker live in
-//! `vfl_bench::worlds`, shared with the backend-equivalence tier.
+//! `vfl_bench::worlds`, shared with the executor tier.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

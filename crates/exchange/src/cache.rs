@@ -4,68 +4,50 @@
 //! Course evaluation is the marketplace's hot path. Two markets registered
 //! with the same evaluation key (same scenario, base model, and oracle
 //! seed) produce identical ΔG for identical bundles, so their sessions
-//! share cache lines; lookups hash onto independently locked shards so
-//! concurrent hits never contend, and the miss path runs the course
-//! *outside* any lock so slow trainings on different bundles proceed in
-//! parallel. Concurrent misses on the *same* key are deduplicated through
-//! the [`CourseServe::Busy`] protocol: one worker trains, the rest park
-//! their session on the exchange's course waitlist and are requeued when
-//! the result lands (wake-on-insert — the insert happens inside
-//! [`SharedGainCache::serve`], the wake is the caller's duty; see
-//! `crate::waitlist` for the ownership handshake).
+//! share cache lines. Misses on the *same* key are deduplicated through
+//! the split-phase claim protocol (`SharedGainCache::serve_softly`): the
+//! first requester claims the key and suspends while its course resolves
+//! off-slot; later requesters see `SoftServe::Busy` and park on the
+//! exchange's course waitlist until the router applies the result
+//! (wake-on-insert; see `crate::waitlist`).
 //!
 //! ## Invariants
 //!
-//! * No shard lock is ever held across a course computation; a training
-//!   blocks only its `(evaluation key, bundle)` claim, never a lookup.
-//! * At most one in-flight claim exists per key ([`SharedGainCache::serve`]
-//!   inserts into the claim set before training and removes on *both* the
-//!   success and error paths — a failed training never leaks its claim).
+//! * No lock is ever held across a course; a training blocks only its
+//!   `(evaluation key, bundle)` claim, never a lookup.
+//! * At most one claim exists per key, and every claim is settled by
+//!   exactly one `SharedGainCache::complete` (success) or
+//!   `SharedGainCache::abort` (failure) — a failed training never
+//!   leaks its claim.
 //! * Results are insert-once: a landed ΔG is immutable, so waiters can be
 //!   woken after the insert with no risk of observing a torn value.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use vfl_market::{GainProvider, Result};
 use vfl_sim::BundleMask;
 
 /// Sharded `(evaluation key, bundle) -> ΔG` map with hit/miss counters and
-/// an in-flight set that dedups concurrent trainings of the same key.
+/// a claim set that dedups overlapping trainings of the same key.
 #[derive(Debug)]
 pub struct SharedGainCache {
     shards: Vec<Mutex<HashMap<(u64, u64), f64>>>,
-    /// Keys whose course is being trained by some worker right now.
+    /// Keys whose course is claimed and not yet settled.
     in_flight: Mutex<std::collections::HashSet<(u64, u64)>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// Outcome of [`SharedGainCache::serve`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CourseServe {
-    /// Served from cache.
-    Hit(f64),
-    /// This caller trained the course (the expensive path).
-    Computed(f64),
-    /// Another worker is training this exact key right now — park the
-    /// session (the exchange uses its course waitlist) and retry when the
-    /// wake arrives; the result will be a [`CourseServe::Hit`] once it
-    /// lands, or the retry inherits the claim if the training failed.
-    Busy,
-}
-
 /// Outcome of [`SharedGainCache::serve_softly`] — the split-phase serve
-/// protocol both executor backends are built on. `Claimed` hands the
-/// caller the training claim *without* running the course: the thread
-/// backend trains inline and settles the claim immediately, the async
-/// backend suspends the session and settles the claim when the course
-/// future resolves. Every claim must be settled with exactly one
-/// [`SharedGainCache::complete`] (success) or [`SharedGainCache::abort`]
-/// (failure) — a leaked claim parks that key's waiters forever.
+/// protocol. `Claimed` hands the caller the training claim *without*
+/// running the course: the session suspends and the router settles the
+/// claim when the course future resolves. Every claim must be settled
+/// with exactly one [`SharedGainCache::complete`] (success) or
+/// [`SharedGainCache::abort`] (failure) — a leaked claim parks that key's
+/// waiters forever.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum SoftServe {
-    /// Served from cache (hit counted, exactly like [`CourseServe::Hit`]).
+    /// Served from cache (hit counted).
     Hit(f64),
     /// The caller now owns the in-flight training claim for this key.
     Claimed,
@@ -95,8 +77,8 @@ impl SharedGainCache {
     }
 
     /// Cached ΔG for `bundle` under `eval_key`; counts a hit when present.
-    /// The cheap path — exchange workers resume a session inline on a hit
-    /// and only yield it when a miss forces a real course.
+    /// The cheap path — a slice resumes its session inline on a hit and
+    /// only suspends it when a miss forces a real course.
     pub fn lookup(&self, eval_key: u64, bundle: BundleMask) -> Option<f64> {
         let g = self.peek(eval_key, bundle);
         if g.is_some() {
@@ -112,21 +94,6 @@ impl SharedGainCache {
         self.shard(key).lock().get(&key).copied()
     }
 
-    /// Runs the course through `provider` (outside any lock), records the
-    /// miss, and caches the result.
-    pub fn compute(
-        &self,
-        eval_key: u64,
-        bundle: BundleMask,
-        provider: &dyn GainProvider,
-    ) -> Result<f64> {
-        let g = provider.gain(bundle)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let key = (eval_key, bundle.0);
-        self.shard(key).lock().insert(key, g);
-        Ok(g)
-    }
-
     /// Inserts a course result directly, bypassing the provider — the
     /// journal-recovery preload path. Counts neither a hit nor a miss:
     /// the training was paid for by a previous life of the exchange, and
@@ -136,40 +103,12 @@ impl SharedGainCache {
         self.shard(key).lock().insert(key, gain);
     }
 
-    /// Serves one course request with concurrent-miss dedup: a hit returns
-    /// immediately; on a miss, exactly one caller per key trains the course
-    /// (others get [`CourseServe::Busy`] and should park their session —
-    /// the landed result turns their woken retry into a hit). This keeps N
-    /// workers racing on one cold bundle from paying N trainings.
-    pub fn serve(
-        &self,
-        eval_key: u64,
-        bundle: BundleMask,
-        provider: &dyn GainProvider,
-    ) -> Result<CourseServe> {
-        match self.serve_softly(eval_key, bundle) {
-            SoftServe::Hit(g) => Ok(CourseServe::Hit(g)),
-            SoftServe::Busy => Ok(CourseServe::Busy),
-            SoftServe::Claimed => match provider.gain(bundle) {
-                Ok(g) => {
-                    self.complete(eval_key, bundle, g);
-                    Ok(CourseServe::Computed(g))
-                }
-                Err(e) => {
-                    self.abort(eval_key, bundle);
-                    Err(e)
-                }
-            },
-        }
-    }
-
-    /// The claim phase of [`Self::serve`], without the course: a hit
-    /// returns immediately, a cold key hands the caller the in-flight
-    /// claim ([`SoftServe::Claimed`]), a contended key returns
-    /// [`SoftServe::Busy`]. The claim holder trains however it likes —
-    /// inline on the calling thread (thread-pool backend) or on a course
-    /// task while the session is suspended (async backend) — and MUST
-    /// settle the claim with [`Self::complete`] or [`Self::abort`].
+    /// Serves one course request without running the course: a hit
+    /// returns immediately, a cold key hands the caller the claim
+    /// ([`SoftServe::Claimed`]), a claimed key returns
+    /// [`SoftServe::Busy`]. The claim holder has the course resolved
+    /// however it likes and MUST settle the claim with [`Self::complete`]
+    /// or [`Self::abort`].
     pub(crate) fn serve_softly(&self, eval_key: u64, bundle: BundleMask) -> SoftServe {
         if let Some(g) = self.lookup(eval_key, bundle) {
             return SoftServe::Hit(g);
@@ -202,35 +141,11 @@ impl SharedGainCache {
     }
 
     /// Releases a [`SoftServe::Claimed`] claim after a failed training.
-    /// Nothing is inserted and no miss is counted (mirroring
-    /// [`Self::compute`], which counts only successful trainings); the
-    /// next caller inherits a fresh claim and retries.
+    /// Nothing is inserted and no miss is counted (only successful
+    /// trainings are misses); the next caller inherits a fresh claim and
+    /// retries.
     pub(crate) fn abort(&self, eval_key: u64, bundle: BundleMask) {
         self.in_flight.lock().remove(&(eval_key, bundle.0));
-    }
-
-    /// ΔG for `bundle` under `eval_key`: [`Self::lookup`] or, on a miss,
-    /// [`Self::compute`] (no dedup — single-caller convenience).
-    pub fn gain(
-        &self,
-        eval_key: u64,
-        bundle: BundleMask,
-        provider: &dyn GainProvider,
-    ) -> Result<f64> {
-        match self.lookup(eval_key, bundle) {
-            Some(g) => Ok(g),
-            None => self.compute(eval_key, bundle, provider),
-        }
-    }
-
-    /// True while some caller holds the in-flight training claim for
-    /// `(eval_key, bundle)`. A waiter that saw [`CourseServe::Busy`] uses
-    /// this (after registering on its waitlist) to detect the claim being
-    /// *released without a result* — a failed training inserts nothing, so
-    /// checking only for a cached value would miss the wake and park the
-    /// waiter forever.
-    pub fn is_training(&self, eval_key: u64, bundle: BundleMask) -> bool {
-        self.in_flight.lock().contains(&(eval_key, bundle.0))
     }
 
     /// Cache hits so far.
@@ -270,7 +185,45 @@ impl SharedGainCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vfl_market::TableGainProvider;
+    use vfl_market::{GainProvider, Result, TableGainProvider};
+
+    /// Serves `(eval_key, bundle)` the way the exchange does: a claim is
+    /// settled at once with `gain`.
+    fn serve(cache: &SharedGainCache, eval_key: u64, bundle: BundleMask, gain: f64) -> f64 {
+        match cache.serve_softly(eval_key, bundle) {
+            SoftServe::Hit(g) => g,
+            SoftServe::Claimed => {
+                cache.complete(eval_key, bundle, gain);
+                gain
+            }
+            SoftServe::Busy => panic!("no claim is outstanding"),
+        }
+    }
+
+    /// Serves `(eval_key, bundle)` the way the router settles a course
+    /// through a real provider: a claim is trained, then completed on
+    /// success or aborted on failure.
+    fn train(
+        cache: &SharedGainCache,
+        eval_key: u64,
+        bundle: BundleMask,
+        provider: &dyn GainProvider,
+    ) -> Result<f64> {
+        match cache.serve_softly(eval_key, bundle) {
+            SoftServe::Hit(g) => Ok(g),
+            SoftServe::Claimed => match provider.gain(bundle) {
+                Ok(g) => {
+                    cache.complete(eval_key, bundle, g);
+                    Ok(g)
+                }
+                Err(e) => {
+                    cache.abort(eval_key, bundle);
+                    Err(e)
+                }
+            },
+            SoftServe::Busy => panic!("no claim is outstanding"),
+        }
+    }
 
     fn provider() -> TableGainProvider {
         TableGainProvider::new([
@@ -282,22 +235,36 @@ mod tests {
     #[test]
     fn hits_and_misses_are_counted() {
         let cache = SharedGainCache::new(8);
-        let p = provider();
         let b = BundleMask::singleton(0);
-        assert_eq!(cache.gain(7, b, &p).unwrap(), 0.1);
-        assert_eq!(cache.gain(7, b, &p).unwrap(), 0.1);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
+        // A cold lookup counts nothing; a settled claim counts one miss.
+        assert_eq!(cache.lookup(7, b), None);
+        serve(&cache, 7, b, 0.1);
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        // `peek` is the uncounted read; `lookup` counts a hit.
+        assert_eq!(cache.peek(7, b), Some(0.1));
+        assert_eq!(cache.hits(), 0);
+        assert_eq!(cache.lookup(7, b), Some(0.1));
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn serve_computes_once_then_hits() {
+        let cache = SharedGainCache::new(4);
+        let b = BundleMask::singleton(0);
+        assert_eq!(serve(&cache, 3, b, 0.1), 0.1);
+        assert_eq!(serve(&cache, 3, b, 0.9), 0.1, "the landed value is served");
+        assert_eq!(serve(&cache, 3, b, 0.9), 0.1);
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), 2);
     }
 
     #[test]
     fn evaluation_keys_are_isolated() {
         let cache = SharedGainCache::new(8);
-        let p = provider();
         let b = BundleMask::singleton(1);
-        cache.gain(1, b, &p).unwrap();
-        cache.gain(2, b, &p).unwrap();
+        serve(&cache, 1, b, 0.2);
+        serve(&cache, 2, b, 0.2);
         assert_eq!(cache.misses(), 2, "distinct keys never share entries");
         assert_eq!(cache.len(), 2);
     }
@@ -307,19 +274,9 @@ mod tests {
         let cache = SharedGainCache::new(2);
         let p = provider();
         let unknown = BundleMask::singleton(5);
-        assert!(cache.gain(0, unknown, &p).is_err());
+        assert!(train(&cache, 0, unknown, &p).is_err());
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn serve_computes_once_then_hits() {
-        let cache = SharedGainCache::new(4);
-        let p = provider();
-        let b = BundleMask::singleton(0);
-        assert_eq!(cache.serve(3, b, &p).unwrap(), CourseServe::Computed(0.1));
-        assert_eq!(cache.serve(3, b, &p).unwrap(), CourseServe::Hit(0.1));
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.misses(), 0, "only successful trainings are misses");
     }
 
     #[test]
@@ -327,19 +284,14 @@ mod tests {
         let cache = SharedGainCache::new(4);
         let p = provider();
         let unknown = BundleMask::singleton(9);
-        assert!(cache.serve(3, unknown, &p).is_err());
-        // The claim is gone even though nothing was inserted — this is the
-        // state a Busy waiter must detect via `is_training`, since peeking
-        // for a result would miss it.
-        assert!(!cache.is_training(3, unknown));
+        assert!(train(&cache, 3, unknown, &p).is_err());
         assert!(cache.peek(3, unknown).is_none());
         // The claim must not leak: a provider that recovers can compute.
         let mut fixed = p.clone();
         fixed.insert(unknown, 0.5);
-        assert_eq!(
-            cache.serve(3, unknown, &fixed).unwrap(),
-            CourseServe::Computed(0.5)
-        );
+        assert_eq!(train(&cache, 3, unknown, &fixed).unwrap(), 0.5);
+        assert_eq!(train(&cache, 3, unknown, &fixed).unwrap(), 0.5);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]
@@ -348,11 +300,9 @@ mod tests {
         let b = BundleMask::singleton(0);
         // Cold key: the first caller claims, contenders see Busy.
         assert_eq!(cache.serve_softly(5, b), SoftServe::Claimed);
-        assert!(cache.is_training(5, b));
         assert_eq!(cache.serve_softly(5, b), SoftServe::Busy);
         // Completion lands the value, releases the claim, counts the miss.
         cache.complete(5, b, 0.7);
-        assert!(!cache.is_training(5, b));
         assert_eq!(cache.serve_softly(5, b), SoftServe::Hit(0.7));
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 1);
@@ -364,8 +314,8 @@ mod tests {
         let b = BundleMask::singleton(2);
         assert_eq!(cache.serve_softly(6, b), SoftServe::Claimed);
         cache.abort(6, b);
-        assert!(!cache.is_training(6, b));
-        assert!(cache.peek(6, b).is_none());
+        assert!(cache.peek(6, b).is_none(), "a failed course caches nothing");
+        assert!(cache.is_empty());
         assert_eq!(cache.misses(), 0);
         // The next caller inherits a fresh claim — nothing leaked.
         assert_eq!(cache.serve_softly(6, b), SoftServe::Claimed);
@@ -373,25 +323,35 @@ mod tests {
         assert_eq!(cache.peek(6, b), Some(0.3));
     }
 
+    /// The claim set stays exact under contention: however requests
+    /// interleave across threads, each key is trained exactly once.
     #[test]
     fn concurrent_access_converges() {
         let cache = SharedGainCache::new(4);
-        let p = provider();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..4 {
-                let cache = &cache;
-                let p = &p;
-                scope.spawn(move |_| {
-                    for _ in 0..50 {
-                        assert_eq!(cache.gain(9, BundleMask::singleton(0), p).unwrap(), 0.1);
-                        assert_eq!(cache.gain(9, BundleMask::singleton(1), p).unwrap(), 0.2);
+                scope.spawn(|| {
+                    for i in 0..100u64 {
+                        let bundle = BundleMask::singleton((i % 2) as usize);
+                        loop {
+                            match cache.serve_softly(9, bundle) {
+                                SoftServe::Hit(g) => {
+                                    assert_eq!(g, 0.1 * (i % 2 + 1) as f64);
+                                    break;
+                                }
+                                SoftServe::Claimed => {
+                                    cache.complete(9, bundle, 0.1 * (i % 2 + 1) as f64);
+                                    break;
+                                }
+                                SoftServe::Busy => std::thread::yield_now(),
+                            }
+                        }
                     }
                 });
             }
-        })
-        .expect("scope failed");
+        });
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.hits() + cache.misses(), 400);
-        assert!(cache.misses() <= 8, "misses bounded by workers × bundles");
+        assert_eq!(cache.misses(), 2, "each key trained exactly once");
+        assert_eq!(cache.hits(), 398);
     }
 }

@@ -22,7 +22,7 @@
 //! all candidates reported ──► demand parks READY in the ClearingWindow
 //!      │
 //!      ▼ trigger: the first `epoch_size` queued demands are all ready
-//!        (count trigger, fired inside the completing worker slice), or
+//!        (count trigger, fired inside the completing slice), or
 //!        the drain ran out of other work (idle flush, partial batch)
 //!      ▼
 //! epoch e: policy.clear(batch) ──► per demand: Match(slot) / Roll / NoMatch
@@ -32,8 +32,8 @@
 //!      └─ NoMatch → settle unmatched (cancel every parked candidate)
 //!      │
 //!      ▼ one EpochCleared journal record + one DemandSettled per settled
-//!        demand, all under the exchange's clearing-sync mutex — the
-//!        epoch is a single linearization point for every demand in it
+//!        demand, all in one run on the exchange's router — the epoch
+//!        is a single linearization point for every demand in it
 //! ```
 //!
 //! Epoch membership is **deterministic**: the queue is submission order,
@@ -42,7 +42,7 @@
 //! — it never changes which demands are in it. Wall-clock triggers are
 //! deliberately not offered: a time-based epoch boundary would make
 //! membership a function of scheduling, and crash-replay (plus the
-//! worker-count determinism tests) requires it to be a function of the
+//! course-task-count determinism tests) requires it to be a function of the
 //! journal alone. The drain-idle flush plays the "time's up" role
 //! deterministically — it fires exactly when no other work exists.
 //!
@@ -61,15 +61,13 @@
 //!
 //! ## Lock order
 //!
-//! The window owns one internal mutex (queue + epoch counter). The
-//! exchange serializes whole epochs — decision, journal records, and
-//! per-demand settlement — under its `clearing_sync` mutex, inside which
-//! it takes the window mutex, then each settled demand's settlement
-//! lock: `clearing_sync → window → demand`. No path acquires these in
-//! any other order (`MatchBook::report` releases the demand lock
-//! *before* the exchange touches the window), so the chain cannot
-//! deadlock; `crates/exchange/src/exchange.rs` has the exchange-wide
-//! picture.
+//! The window owns one internal mutex (queue + epoch counter), never
+//! held while a demand's settlement lock is taken (`MatchBook::report`
+//! releases the demand lock *before* the exchange touches the window).
+//! Whole epochs — decision, journal records, and per-demand settlement —
+//! run only on the exchange's router, one after another, so journal order
+//! is epoch order; `crates/exchange/src/exchange.rs` has the
+//! exchange-wide picture.
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -791,7 +789,7 @@ impl ClearingWindow {
     }
 
     /// Marks a queued demand ready with its full candidate quote table
-    /// (called by the worker slice whose report completed the demand).
+    /// (called by the slice whose report completed the demand).
     pub(crate) fn mark_ready(&self, id: DemandId, quotes: Vec<CandidateQuote>) {
         let mut state = self.state.lock();
         if let Some(entry) = state.queue.iter_mut().find(|q| q.id == id) {

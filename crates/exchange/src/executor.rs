@@ -1,60 +1,78 @@
-//! The async executor backend: VFL courses as futures that resolve
-//! off-slot.
+//! The executor behind [`Exchange::drain`]: one router owns every
+//! decision, and VFL courses are futures that resolve off-slot.
 //!
 //! ## Router / course-task split
 //!
-//! [`Exchange::drain`] under [`ExecutorBackend::Async`] runs a single
-//! **router** on the calling thread. The router owns every dispatch
-//! decision: it is the only thread that runs session slices, appends
-//! journal frames, mutates the gain cache, or touches the store — the
-//! same linearization points as the thread backend, now serialized on
-//! one task. When a slice hits an uncached course it suspends
-//! (`SliceEnd::NeedCourse`, holding the cache's training claim) and the
-//! router ships a [`CourseOrder`] to a [`CourseResolver`], which returns
-//! a [`CourseFuture`]. N **course tasks** (plain threads driving a
-//! hand-rolled waker/ready-queue executor — no runtime dependency) poll
-//! those futures to completion and post results on a completion board.
+//! [`Exchange::drain`] runs a single **router** on the calling thread. The
+//! router is the only thread that runs session slices, appends journal
+//! frames, mutates the gain cache, or settles demands. When a slice hits
+//! an uncached course it suspends (`SliceEnd::NeedCourse`, holding the
+//! cache's training claim) and the router ships a [`CourseOrder`] to the
+//! exchange's [`CourseResolver`], which returns a [`CourseFuture`]. N
+//! **course tasks** (plain threads driving a hand-rolled waker/ready-queue
+//! executor — no runtime dependency) poll those futures to completion and
+//! post results on a completion board. This matches the paper's setting,
+//! where each ΔG is a VFL training run by the parties themselves: the
+//! exchange only orders quotes around trainings that run elsewhere.
 //!
-//! ## Why journal order is preserved
+//! ## Why journal order is deterministic
 //!
 //! The router applies completions **strictly in request order**, one at
 //! a time, between slice runs: completion `k+1` is buffered until `k`
 //! has been applied, however quickly it resolved. Applying a completion
-//! replays the thread backend's course critical section verbatim —
-//! cache insert, `CourseTrained` crash point, `CourseServed` frame,
-//! `CourseRecorded` crash point, waitlist wake, then the payer resumes
-//! *in-slice* (no second `SessionDispatched` frame). Since every
+//! is the course critical section, and `Exchange::apply_course` is its
+//! only copy: cache insert, `CourseTrained` crash point, `CourseServed`
+//! frame, `CourseRecorded` crash point, waitlist wake, then the payer
+//! resumes *in-slice* (no second `SessionDispatched` frame). Since every
 //! journal append and cache mutation happens on the router in an order
 //! that is a pure function of the FIFO session queue and the request
-//! sequence, the journal is **byte-identical for any task count and any
-//! resolver latency** — that is the determinism the backend-equivalence
-//! tier pins, and it is also why a crash inside an async course recovers
-//! exactly like a thread-backend crash.
+//! sequence, the journal, the outcomes, and every counter are
+//! **byte-identical for any task count and any resolver latency**.
+//!
+//! ## The resolver seam
+//!
+//! [`LocalResolver`] (the default) trains on the course task itself.
+//! [`Exchange::set_course_resolver`] swaps in any other resolver: a
+//! networked one would ship the order out and resolve on the reply, and
+//! [`SimulatedRemoteResolver`] models that with a fixed latency (bench
+//! E14). A resolver's error fails only the paying session.
+//!
+//! ## Drain guard and panics
+//!
+//! `drain` holds the exchange's drain mutex throughout, so exactly one
+//! router runs slices at any time; a second `drain` waits, then finds
+//! whatever work is left. A course that panics is caught on its course
+//! task and posted to the board as the panic payload; when the router
+//! reaches it, it closes the ready queue, joins the course tasks, and
+//! resumes the unwind, so `drain` panics with the provider's message
+//! instead of waiting forever for a result that will never be posted.
 //!
 //! ## Deadlock freedom
 //!
 //! The router blocks in exactly one place — waiting for the oldest
-//! outstanding completion — and it holds no lock and no session while
-//! doing so. Course futures never depend on each other or on router
-//! progress (a resolver sees only its own order), so the oldest
-//! completion always arrives; timer-based resolvers get their wakes
-//! from the [`SimulatedRemoteResolver`] timer thread, which depends on
-//! nothing. Course tasks block only on the ready queue, which the
-//! router closes at drain end. There is no cycle to deadlock on.
+//! outstanding completion — and it holds no lock but the drain mutex
+//! and no session while doing so. Course futures never depend on each
+//! other or on router progress (a resolver sees only its own order), so
+//! the oldest completion always arrives, as a result or as a panic;
+//! timer-based resolvers get their wakes from the
+//! [`SimulatedRemoteResolver`] timer thread, which depends on nothing.
+//! Course tasks block only on the ready queue, which the router closes
+//! at drain end. There is no cycle to deadlock on.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::future::Future;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Waker};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use vfl_market::{GainProvider, Result};
 use vfl_sim::BundleMask;
 
-use crate::exchange::{DrainReport, Exchange, NoticeKind, SliceCourse, SliceEnd};
+use crate::exchange::{DrainReport, Exchange, NoticeKind, SliceEnd};
 use crate::journal::{CrashPoint, ExchangeEvent};
 use crate::store::SessionId;
 use vfl_telemetry::TraceKey;
@@ -90,46 +108,16 @@ impl std::fmt::Debug for CourseOrder {
 }
 
 /// Turns a [`CourseOrder`] into a [`CourseFuture`]. This is the remote
-/// seam: [`LocalResolver`] trains on the course task itself, while a
-/// networked implementation would ship the order out and resolve on the
-/// reply — [`SimulatedRemoteResolver`] models exactly that with a
-/// configurable latency, for testing and benching.
+/// seam ([`Exchange::set_course_resolver`]): [`LocalResolver`] trains on
+/// the course task itself, while a networked implementation would ship
+/// the order out and resolve on the reply — [`SimulatedRemoteResolver`]
+/// models exactly that with a configurable latency, for testing and
+/// benching.
 pub trait CourseResolver: Send + Sync {
     /// Builds the future that will produce the order's ΔG. Must not
     /// train synchronously inside this call (the router calls it):
     /// defer the work into the returned future.
     fn resolve(&self, order: &CourseOrder) -> CourseFuture;
-}
-
-/// Which executor [`Exchange::drain`] runs (see
-/// [`Exchange::set_executor`]).
-#[derive(Clone)]
-pub enum ExecutorBackend {
-    /// The default worker pool: each uncached course blocks one of the
-    /// `drain(n_workers)` threads for the duration of the training.
-    ThreadPool,
-    /// The async router: `course_tasks` tasks (0 = use the drain call's
-    /// `n_workers` argument) resolve course futures off-slot through
-    /// `resolver`, while one router thread owns every dispatch, journal,
-    /// cache, and store decision.
-    Async {
-        /// Concurrent course tasks (0 defers to `drain(n_workers)`).
-        course_tasks: usize,
-        /// Builds the course futures.
-        resolver: Arc<dyn CourseResolver>,
-    },
-}
-
-impl std::fmt::Debug for ExecutorBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecutorBackend::ThreadPool => f.write_str("ThreadPool"),
-            ExecutorBackend::Async { course_tasks, .. } => f
-                .debug_struct("Async")
-                .field("course_tasks", course_tasks)
-                .finish_non_exhaustive(),
-        }
-    }
 }
 
 /// Resolves courses by running the provider inside the future's first
@@ -247,8 +235,7 @@ impl TimerShared {
 /// (enforced by a dedicated timer thread), then trains through the
 /// order's own provider. Because every course spends its latency parked
 /// in the timer wheel rather than on a thread, any number of courses
-/// overlap — the regime where the thread pool collapses and the async
-/// backend does not (bench E14).
+/// overlap, however few course tasks run (bench E14).
 pub struct SimulatedRemoteResolver {
     latency: Duration,
     shared: Arc<TimerShared>,
@@ -350,17 +337,26 @@ impl Future for RemoteGain {
 // ---------------------------------------------------------------------
 
 struct TaskQueue {
-    ready: Mutex<VecDeque<Arc<CourseTask>>>,
+    ready: Mutex<Ready>,
     cv: Condvar,
-    closed: AtomicBool,
+}
+
+/// The queue state. `closed` lives under the same mutex as the tasks: a
+/// course task checks both before it waits, so a close can never slip in
+/// between its check and its wait and leave it asleep at drain end.
+struct Ready {
+    tasks: VecDeque<Arc<CourseTask>>,
+    closed: bool,
 }
 
 impl TaskQueue {
     fn new() -> Self {
         TaskQueue {
-            ready: Mutex::new(VecDeque::new()),
+            ready: Mutex::new(Ready {
+                tasks: VecDeque::new(),
+                closed: false,
+            }),
             cv: Condvar::new(),
-            closed: AtomicBool::new(false),
         }
     }
 
@@ -368,6 +364,7 @@ impl TaskQueue {
         self.ready
             .lock()
             .expect("ready lock poisoned")
+            .tasks
             .push_back(task);
         self.cv.notify_one();
     }
@@ -377,10 +374,10 @@ impl TaskQueue {
     fn pop(&self) -> Option<Arc<CourseTask>> {
         let mut ready = self.ready.lock().expect("ready lock poisoned");
         loop {
-            if let Some(task) = ready.pop_front() {
+            if let Some(task) = ready.tasks.pop_front() {
                 return Some(task);
             }
-            if self.closed.load(Ordering::Acquire) {
+            if ready.closed {
                 return None;
             }
             ready = self.cv.wait(ready).expect("ready lock poisoned");
@@ -388,7 +385,7 @@ impl TaskQueue {
     }
 
     fn close(&self) {
-        self.closed.store(true, Ordering::Release);
+        self.ready.lock().expect("ready lock poisoned").closed = true;
         self.cv.notify_all();
     }
 }
@@ -418,20 +415,34 @@ fn course_worker(queue: Arc<TaskQueue>) {
         // finds either Pending again or an empty slot).
         let mut slot = task.future.lock().expect("future slot poisoned");
         if let Some(future) = slot.as_mut() {
-            if let Poll::Ready(result) = future.as_mut().poll(&mut cx) {
-                *slot = None;
-                task.board.post(task.seq, result);
+            // A panicking course is posted, not lost: the router waits for
+            // every sequence in order, so a course that unwound without
+            // posting would hang the drain.
+            match catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx))) {
+                Ok(Poll::Pending) => {}
+                Ok(Poll::Ready(result)) => {
+                    *slot = None;
+                    task.board.post(task.seq, Ok(result));
+                }
+                Err(payload) => {
+                    *slot = None;
+                    task.board.post(task.seq, Err(payload));
+                }
             }
         }
     }
 }
+
+/// What a course task posts: the course's result, or the payload of the
+/// panic that unwound out of its poll.
+type Completion = std::thread::Result<Result<f64>>;
 
 /// Resolved course results, keyed by request sequence. The router only
 /// ever waits for the *oldest* outstanding sequence; later completions
 /// buffer here until their turn, which is what makes the applied order
 /// — and therefore the journal — independent of resolution order.
 struct CompletionBoard {
-    slots: Mutex<BTreeMap<u64, Result<f64>>>,
+    slots: Mutex<BTreeMap<u64, Completion>>,
     cv: Condvar,
 }
 
@@ -443,7 +454,7 @@ impl CompletionBoard {
         }
     }
 
-    fn post(&self, seq: u64, result: Result<f64>) {
+    fn post(&self, seq: u64, result: Completion) {
         self.slots
             .lock()
             .expect("board lock poisoned")
@@ -451,7 +462,7 @@ impl CompletionBoard {
         self.cv.notify_all();
     }
 
-    fn take(&self, seq: u64) -> Result<f64> {
+    fn take(&self, seq: u64) -> Completion {
         let mut slots = self.slots.lock().expect("board lock poisoned");
         loop {
             if let Some(result) = slots.remove(&seq) {
@@ -462,9 +473,38 @@ impl CompletionBoard {
     }
 }
 
+/// The course tasks of one drain. Dropping closes the ready queue and
+/// joins them — at drain end, and also when the router unwinds.
+struct CourseTasks {
+    queue: Arc<TaskQueue>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl CourseTasks {
+    fn spawn(n: usize) -> Self {
+        let queue = Arc::new(TaskQueue::new());
+        let handles = (0..n)
+            .map(|_| {
+                let queue = queue.clone();
+                std::thread::spawn(move || course_worker(queue))
+            })
+            .collect();
+        CourseTasks { queue, handles }
+    }
+}
+
+impl Drop for CourseTasks {
+    fn drop(&mut self) {
+        self.queue.close();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
 /// One outstanding course: its sequence number, the suspended order,
 /// and the telemetry timestamp of its dispatch (for the `course_train`
-/// stage, which under this backend spans dispatch → applied).
+/// stage, which spans dispatch → applied).
 struct OutstandingCourse {
     seq: u64,
     order: CourseOrder,
@@ -472,28 +512,17 @@ struct OutstandingCourse {
 }
 
 impl Exchange {
-    /// The async backend's drain: the router loop described in the
-    /// module doc. Same contract as [`Exchange::drain`].
-    pub(crate) fn drain_async(
-        &self,
-        course_tasks: usize,
-        resolver: &dyn CourseResolver,
-    ) -> DrainReport {
+    /// The router loop described in the module doc, run under the drain
+    /// mutex by [`Exchange::drain`] (same contract).
+    pub(crate) fn route(&self, course_tasks: usize, resolver: &dyn CourseResolver) -> DrainReport {
         let hw = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let tasks = if course_tasks == 0 { hw } else { course_tasks }.max(1);
+        let n_tasks = if course_tasks == 0 { hw } else { course_tasks }.max(1);
         let start = Instant::now();
 
-        let queue = Arc::new(TaskQueue::new());
+        let tasks = CourseTasks::spawn(n_tasks);
         let board = Arc::new(CompletionBoard::new());
-        let workers: Vec<_> = (0..tasks)
-            .map(|_| {
-                let queue = queue.clone();
-                std::thread::spawn(move || course_worker(queue))
-            })
-            .collect();
-
         let mut overflow: VecDeque<SessionId> = VecDeque::new();
         let mut outstanding: VecDeque<OutstandingCourse> = VecDeque::new();
         let mut next_seq = 0u64;
@@ -501,49 +530,42 @@ impl Exchange {
         let mut failed = 0usize;
         let mut cancelled = 0usize;
 
-        // Dispatches one suspended course to the resolver/course tasks.
-        macro_rules! dispatch {
-            ($order:expr) => {{
-                let order = $order;
-                let started_ns = self.telemetry.as_deref().map(|t| t.now_ns());
-                let future = resolver.resolve(&order);
-                let task = Arc::new(CourseTask {
-                    seq: next_seq,
-                    future: Mutex::new(Some(future)),
-                    queue: queue.clone(),
-                    board: board.clone(),
-                });
-                outstanding.push_back(OutstandingCourse {
-                    seq: next_seq,
-                    order,
-                    started_ns,
-                });
-                next_seq += 1;
-                queue.push(task);
-            }};
-        }
-
-        // Absorbs a finished slice's notice into the drain counters.
-        macro_rules! absorb {
-            ($notice:expr) => {{
-                let notice = $notice;
-                cancelled += notice.cancelled;
-                match notice.kind {
-                    NoticeKind::Yielded(id) => overflow.push_back(id),
-                    NoticeKind::Parked => {}
-                    NoticeKind::Finished { closed: ok } => {
-                        if ok {
-                            closed += 1;
-                        } else {
-                            failed += 1;
+        // Dispatches a suspended course to the resolver, or absorbs a
+        // finished slice's notice into the drain counters.
+        macro_rules! settle {
+            ($end:expr) => {
+                match $end {
+                    SliceEnd::NeedCourse(order) => {
+                        let started_ns = self.telemetry.as_deref().map(|t| t.now_ns());
+                        let task = Arc::new(CourseTask {
+                            seq: next_seq,
+                            future: Mutex::new(Some(resolver.resolve(&order))),
+                            queue: tasks.queue.clone(),
+                            board: board.clone(),
+                        });
+                        outstanding.push_back(OutstandingCourse {
+                            seq: next_seq,
+                            order,
+                            started_ns,
+                        });
+                        next_seq += 1;
+                        tasks.queue.push(task);
+                    }
+                    SliceEnd::Notice(notice) => {
+                        cancelled += notice.cancelled;
+                        match notice.kind {
+                            NoticeKind::Yielded(id) => overflow.push_back(id),
+                            NoticeKind::Parked => {}
+                            NoticeKind::Finished { closed: true } => closed += 1,
+                            NoticeKind::Finished { closed: false } => failed += 1,
                         }
                     }
                 }
-            }};
+            };
         }
 
         loop {
-            // Phase 1: run every ready session, FIFO, on the router.
+            // Phase 1: run every ready session, FIFO.
             loop {
                 overflow.append(&mut self.pending.lock());
                 if let Some(t) = self.telemetry.as_deref() {
@@ -552,48 +574,45 @@ impl Exchange {
                 let Some(id) = overflow.pop_front() else {
                     break;
                 };
-                match self.run_slice_generic(id, SliceCourse::Defer) {
-                    SliceEnd::Notice(notice) => absorb!(notice),
-                    SliceEnd::NeedCourse(order) => dispatch!(order),
-                }
+                settle!(self.run_slice(id, None));
             }
             // Phase 2: apply the OLDEST outstanding completion — exactly
             // one, then give freshly woken work phase-1 priority again.
             if let Some(course) = outstanding.pop_front() {
-                let result = board.take(course.seq);
-                match self.apply_course(course, result) {
-                    SliceEnd::Notice(notice) => absorb!(notice),
-                    SliceEnd::NeedCourse(order) => dispatch!(order),
-                }
+                let result = match board.take(course.seq) {
+                    Ok(result) => result,
+                    Err(panic) => {
+                        drop(tasks);
+                        resume_unwind(panic);
+                    }
+                };
+                settle!(self.apply_course(course, result));
                 continue;
             }
-            // Phase 3: fully idle — flush the clearing window (same as
-            // the thread dispatcher's idle hook) and re-check for work
-            // it woke or a concurrent external submit raced in.
+            // Phase 3: fully idle — flush the clearing window and
+            // re-check for work it woke or a concurrent submit raced in.
             cancelled += self.flush_clearing();
             if self.pending.lock().is_empty() {
                 break;
             }
         }
-
-        queue.close();
-        for worker in workers {
-            let _ = worker.join();
-        }
+        drop(tasks);
 
         DrainReport {
             closed,
             failed,
             cancelled,
-            workers: tasks,
+            workers: n_tasks,
             elapsed: start.elapsed(),
         }
     }
 
-    /// Applies one resolved course on the router: replays the thread
-    /// backend's course critical section (cache insert → `CourseTrained`
-    /// → `CourseServed` frame → `CourseRecorded` → waitlist wake), then
-    /// resumes the paying session in-slice with the result.
+    /// Applies one resolved course — the course critical section: cache
+    /// insert → `CourseTrained` → `CourseServed` frame → `CourseRecorded`
+    /// → waitlist wake, then the paying session resumes in-slice with the
+    /// result. A failed course releases the claim instead, wakes the
+    /// waiters (they retry and one inherits the claim), and fails the
+    /// payer.
     fn apply_course(&self, course: OutstandingCourse, result: Result<f64>) -> SliceEnd {
         let OutstandingCourse {
             order, started_ns, ..
@@ -612,6 +631,9 @@ impl Exchange {
                     t.stages.course_train.record(now - start);
                     t.span(TraceKey::Session(session.0), "course_train", start, now);
                 }
+                // Course critical section: the training is paid but not yet
+                // journaled — a crash here loses the receipt, and recovery
+                // legitimately re-trains.
                 self.crash_point(CrashPoint::CourseTrained {
                     session,
                     eval_key,
@@ -627,17 +649,14 @@ impl Exchange {
                     eval_key,
                     bundle,
                 });
-                // Wake-on-insert, before the payer resumes — the same
-                // order the inline trainer wakes in.
+                // Wake-on-insert, before the payer resumes.
                 self.wake_course_waiters(eval_key, bundle);
-                self.run_slice_generic(session, SliceCourse::Resume(Ok(g)))
+                self.run_slice(session, Some(Ok(g)))
             }
             Err(e) => {
-                // Failed training: release the claim, wake the waiters
-                // (they retry and inherit the claim), fail the payer.
                 self.cache.abort(eval_key, bundle);
                 self.wake_course_waiters(eval_key, bundle);
-                self.run_slice_generic(session, SliceCourse::Resume(Err(e)))
+                self.run_slice(session, Some(Err(e)))
             }
         }
     }
@@ -646,7 +665,7 @@ impl Exchange {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn timer_wheel_fires_in_deadline_order_and_shuts_down() {
@@ -679,12 +698,12 @@ mod tests {
         let poster = board.clone();
         let handle = std::thread::spawn(move || {
             // Post in reverse: the taker must still see 0 first.
-            poster.post(2, Ok(2.0));
-            poster.post(1, Ok(1.0));
-            poster.post(0, Ok(0.0));
+            poster.post(2, Ok(Ok(2.0)));
+            poster.post(1, Ok(Ok(1.0)));
+            poster.post(0, Ok(Ok(0.0)));
         });
         for seq in 0..3u64 {
-            assert_eq!(board.take(seq).unwrap(), seq as f64);
+            assert_eq!(board.take(seq).unwrap().unwrap(), seq as f64);
         }
         handle.join().unwrap();
     }
@@ -714,12 +733,31 @@ mod tests {
             board: board.clone(),
         });
         queue.push(task);
-        assert_eq!(board.take(0).unwrap(), 0.25);
+        assert_eq!(board.take(0).unwrap().unwrap(), 0.25);
         assert!(
             started.elapsed() >= Duration::from_millis(2),
             "simulated latency was actually waited out"
         );
         queue.close();
         worker.join().unwrap();
+    }
+
+    /// Closing must wake a course task whatever point of `pop` it is at:
+    /// a close landing between the closed-check and the wait must not
+    /// leave the task asleep and the drain joining it forever. Many
+    /// spawn/close cycles on an idle queue hit that window; a watchdog
+    /// turns a regression into a failure instead of a hang.
+    #[test]
+    fn closing_an_idle_queue_always_releases_its_course_tasks() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                drop(CourseTasks::spawn(2));
+            }
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(120))
+            .expect("a course task slept through close");
+        cycles.join().expect("spawn/close cycles");
     }
 }

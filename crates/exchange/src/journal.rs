@@ -54,7 +54,7 @@
 //!    recorded id, with its config digest checked against the spec.
 //!
 //! The next [`Exchange::drain`] then re-drives every session through the
-//! ordinary worker pool. Because negotiations are deterministic given
+//! ordinary router. Because negotiations are deterministic given
 //! (config, strategies, course results) — the property the session-
 //! equivalence suites pin — re-driving reproduces the pre-crash run bit
 //! for bit, and every course the crashed run paid for is a cache *hit*:
@@ -280,7 +280,7 @@ pub enum ExchangeEvent {
         /// The epoch's audit record.
         record: EpochRecord,
     },
-    /// A worker slice picked the session up (audit/throughput trail).
+    /// A slice picked the session up (audit/throughput trail).
     SessionDispatched {
         /// The dispatched session.
         session: SessionId,
@@ -1245,7 +1245,7 @@ struct JournalInner {
 
 /// The append-only event journal an [`Exchange`] records into.
 ///
-/// Appends are whole frames under one mutex — concurrent workers never
+/// Appends are whole frames under one mutex — concurrent writers never
 /// interleave partial records — and each append is flushed through the
 /// sink before the mutex drops, so the on-disk prefix always ends at a
 /// frame boundary unless the *platform* (not the exchange) tears the last
@@ -1277,7 +1277,7 @@ impl Journal {
     }
 
     /// Appends one event (no-op once sealed). I/O errors do not unwind
-    /// into the worker pool; the first one is latched and readable via
+    /// into the drain; the first one is latched and readable via
     /// [`Journal::last_error`].
     pub fn append(&self, event: &ExchangeEvent) {
         if self.sealed.load(Ordering::Acquire) {
@@ -1476,7 +1476,7 @@ impl std::fmt::Debug for Journal {
 /// cannot land. See [`Exchange::set_crash_hook`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CrashPoint {
-    /// A worker slice checked the session out, before the
+    /// A slice checked the session out, before the
     /// [`ExchangeEvent::SessionDispatched`] record.
     Dispatched(SessionId),
     /// A course finished **training**, before its

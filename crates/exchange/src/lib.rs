@@ -8,14 +8,15 @@
 //! *many* concurrent negotiations. This crate is that platform tier:
 //!
 //! * [`Exchange`] — registered markets (any dataset × base-model mix in one
-//!   exchange), a `submit`/`poll`/`drain` API, and a worker pool that
-//!   drives thousands of interleaved
+//!   exchange), a `submit`/`poll`/`drain` API, and a single-owner router
+//!   that drives thousands of interleaved
 //!   [`vfl_market::session::NegotiationSession`]s to completion;
 //! * [`SharedGainCache`] — the exchange-wide sharded ΔG memo: identical
 //!   (scenario, model, bundle) course queries across sessions hit the
-//!   cache, and misses never serialize behind a single lock;
-//! * [`SessionStore`](store) — sharded session registry; workers check
-//!   sessions out, drive them lock-free, and check them back in;
+//!   cache, and overlapping misses on one key train it once;
+//! * [`SessionStore`](store) — sharded session registry; the router checks
+//!   sessions out, drives them, and checks them back in, while external
+//!   callers poll and take concurrently;
 //! * [`matching`] — the multi-seller tier: a task party posts a [`Demand`],
 //!   the exchange fans it out to every registered seller whose catalog
 //!   overlaps, probes the candidates concurrently, and settles by a
@@ -40,12 +41,12 @@
 //!   rebuilt from the journal's valid prefix and resumes without
 //!   re-training any course it already paid for (epoch clearings
 //!   included — the recorded epochs are re-derived and audited);
-//! * [`executor`] — the pluggable executor backend behind
-//!   [`Exchange::drain`] ([`Exchange::set_executor`]): the default
-//!   thread pool, or an async router where every uncached course is a
-//!   future resolved off-slot through a [`CourseResolver`] — same API,
-//!   bit-identical outcomes and journals, radically different latency
-//!   tolerance (bench E14).
+//! * [`executor`] — the router behind [`Exchange::drain`]: one thread runs
+//!   every slice and journals every frame, while every uncached course is
+//!   a future resolved off-slot on N course tasks through a
+//!   [`CourseResolver`] ([`Exchange::set_course_resolver`]) — journals
+//!   are byte-identical for any task count and course latency (bench
+//!   E14).
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -78,7 +79,7 @@
 //! # let _ = outcome;
 //! ```
 //!
-//! Multi-seller matching rides on the same pool: register sellers instead
+//! Multi-seller matching rides on the same drain: register sellers instead
 //! of bare markets, post a [`Demand`], drain, and read the settled quote
 //! table.
 //!
@@ -138,7 +139,7 @@ pub mod telemetry;
 pub mod traffic;
 mod waitlist;
 
-pub use cache::{CourseServe, SharedGainCache};
+pub use cache::SharedGainCache;
 pub use clearing::{
     uniform_prices, Assignment, ClearPolicy, ClearingSpec, ClearingWindow, EpochBatch,
     EpochDecision, EpochDemand, EpochEntry, EpochEntryKind, EpochRecord, PerDemand,
@@ -146,8 +147,7 @@ pub use clearing::{
 };
 pub use exchange::{CheckpointStats, DrainReport, Exchange, ExchangeConfig, MarketId, MarketSpec};
 pub use executor::{
-    CourseFuture, CourseOrder, CourseResolver, ExecutorBackend, LocalResolver,
-    SimulatedRemoteResolver,
+    CourseFuture, CourseOrder, CourseResolver, LocalResolver, SimulatedRemoteResolver,
 };
 pub use journal::{
     frame_boundaries, listing_table_digest, read_events, CheckpointMarket, CheckpointState,
@@ -350,30 +350,6 @@ mod tests {
         assert!(matches!(exchange.poll(sid), Some(SessionStatus::Failed(_))));
         assert!(exchange.take(sid).unwrap().is_err());
         assert_eq!(exchange.metrics().sessions_failed, 1);
-    }
-
-    #[test]
-    fn tiny_queues_still_drain_everything() {
-        // Backpressure path: queue capacity far below the session count.
-        let (provider, listings, gains) = table_market();
-        let exchange = Exchange::new(ExchangeConfig {
-            store_shards: 2,
-            cache_shards: 2,
-            queue_capacity: 4,
-        });
-        let market = exchange
-            .register_market(MarketSpec {
-                provider: Arc::new(provider),
-                listings,
-                evaluation_key: Some(1),
-                name: "tiny".into(),
-            })
-            .unwrap();
-        for seed in 0..64 {
-            exchange.submit(market, order(&gains, seed)).unwrap();
-        }
-        let report = exchange.drain(3);
-        assert_eq!(report.closed, 64);
     }
 
     #[test]
@@ -624,7 +600,8 @@ mod tests {
     }
 
     /// A provider that sleeps on every training, wide enough for another
-    /// worker to hit the in-flight claim and park on the course waitlist.
+    /// session to hit the outstanding claim and park on the course
+    /// waitlist.
     #[derive(Clone)]
     struct SlowProvider {
         inner: TableGainProvider,
@@ -664,7 +641,7 @@ mod tests {
         let snap = exchange.metrics();
         assert!(
             snap.course_waits >= 1,
-            "with a 100 ms training and 3 workers, someone must have waited \
+            "with identical sessions on one cold course, someone must have waited \
              (waits {})",
             snap.course_waits
         );

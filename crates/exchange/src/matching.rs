@@ -11,7 +11,7 @@
 //!    scenario filter), scoped to the wanted-overlapping subset of that
 //!    seller's listings, sharing the demand's config and seed, each
 //!    stamped with the seller's identity in its transcript.
-//! 2. **Probe.** Candidates run through the ordinary worker pool and shared
+//! 2. **Probe.** Candidates run through the ordinary drain and shared
 //!    ΔG cache until they either reach a protocol conclusion (Cases 1–6) or
 //!    complete `probe_rounds` quote rounds, at which point they *park* and
 //!    report their standing quote.
@@ -28,11 +28,11 @@
 //! completes the candidate set performs selection *inside* the same
 //! critical section, and `reported == total` can be true for exactly one
 //! reporter — so settlement runs exactly once per demand while quote rounds
-//! of *other* demands proceed untouched on the worker pool. The
+//! of *other* demands proceed untouched. The
 //! side-effects of settlement (waking the winner, cancelling losers) are
 //! applied *after* the lock is released: they only touch sessions that are
 //! parked-for-settlement, and a parked session is reachable by nothing but
-//! the settlement that parked it — no queue holds it, no worker owns it —
+//! the settlement that parked it — no queue holds it, no slice owns it —
 //! so deferring the actions cannot race anything. Lock order is therefore
 //! flat: demand lock and session-store shard locks are never held together.
 //!

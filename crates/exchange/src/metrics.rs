@@ -97,7 +97,7 @@ declare_exchange_metrics! {
     courses_requested:
         "VFL course evaluations requested by sessions (cache hits + misses; a Busy wait is not a request - it is retried after the wake).",
     course_waits:
-        "Times a session parked on the course waitlist because another worker was already training the same (evaluation key, bundle).",
+        "Times a session parked on the course waitlist because another session's course for the same (evaluation key, bundle) was outstanding.",
     rounds_completed:
         "Bargaining rounds completed across all sessions.",
     demands_submitted:

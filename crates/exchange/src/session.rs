@@ -1,7 +1,7 @@
 //! Exchange-side session wrapper: a [`NegotiationSession`] bundled with its
 //! owned strategies and a handle to its market, driven in *slices* — the
 //! cheap strategy steps run inline, and the session parks whenever it needs
-//! a ΔG so a worker can serve the course through the shared cache.
+//! a ΔG so the router can serve the course through the shared cache.
 //!
 //! ## Invariants
 //!
@@ -12,7 +12,7 @@
 //! * A matching-tier candidate carries a `MatchTag`; until the tag is
 //!   released, `ActiveSession::probe_parked`
 //!   goes true the moment the session both (a) needs a course and (b) has
-//!   completed `probe_rounds` quote rounds — the worker then parks it for
+//!   completed `probe_rounds` quote rounds — the slice then parks it for
 //!   settlement instead of paying for another training.
 //! * `ActiveSession::cancel` is terminal: it closes the machine with
 //!   `FailureReason::Cancelled` and settles the transcript; the wrapper

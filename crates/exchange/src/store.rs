@@ -1,9 +1,9 @@
 //! The sharded session store: `N` independently locked maps from
-//! [`SessionId`] to session slots, so thousands of concurrent
-//! submit/poll/worker operations spread across locks instead of serializing
-//! on one registry mutex. Workers *check out* a session (leaving a
-//! `Running` marker), drive it without holding any store lock, and check it
-//! back in — the store never holds a lock across strategy or course code.
+//! [`SessionId`] to session slots, so external submit/poll/take calls and
+//! the router's slices spread across locks instead of serializing on one
+//! registry mutex. The router *checks out* a session (leaving a `Running`
+//! marker), drives it without holding any store lock, and checks it back
+//! in — the store never holds a lock across strategy or course code.
 //!
 //! ## Ownership discipline
 //!
@@ -11,7 +11,7 @@
 //! one caller can win that race per park/wake cycle, which is what makes
 //! the exchange's parked states sound: a session parked for a course wait
 //! or a matching settlement sits here as `Ready` but in *no* queue, so the
-//! only path back to a worker is the single wake its parker arranged
+//! only path back to the router is the single wake its parker arranged
 //! (waitlist drain or settlement action). Terminal slots (`Done`/`Failed`)
 //! are immutable until `take_outcome` evicts them; a `check_out` against
 //! one returns `None`, which the dispatch path treats as a spurious wake,
@@ -36,12 +36,12 @@ impl std::fmt::Display for SessionId {
 /// Externally visible session state (what `poll` returns).
 #[derive(Debug, Clone)]
 pub enum SessionStatus {
-    /// Submitted, waiting for a worker slice.
+    /// Submitted, waiting for a slice.
     Queued {
         /// Bargaining rounds completed so far (0 until the first course).
         rounds: usize,
     },
-    /// Checked out by a worker right now.
+    /// Checked out by the router right now.
     Running,
     /// Closed with a negotiated outcome.
     Done(Box<Outcome>),
@@ -89,7 +89,7 @@ impl SessionStore {
         debug_assert!(prev.is_none(), "session ids are unique");
     }
 
-    /// Checks a ready session out for a worker, leaving a `Running` marker.
+    /// Checks a ready session out for a slice, leaving a `Running` marker.
     /// `None` when the id is unknown, already running, or terminal.
     pub(crate) fn check_out(&self, id: SessionId) -> Option<Box<ActiveSession>> {
         let mut shard = self.shard(id).lock();

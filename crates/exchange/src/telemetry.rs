@@ -131,7 +131,7 @@ impl ExchangeTelemetry {
         );
         let waitlist_depth = registry.gauge(
             WAITLIST_DEPTH,
-            "Sessions parked on the course waitlist behind another worker's in-flight training.",
+            "Sessions parked on the course waitlist behind another session's outstanding course.",
         );
         let stage_help = "Per-stage exchange latency in nanoseconds (see the stage label).";
         let stage =

@@ -39,11 +39,9 @@
 //! [`rand::rngs::StdRng`] seeded from [`ScenarioSpec::seed`]: arrival
 //! counts, demand configs, and churn are all drawn from that one stream,
 //! so the submitted workload is bit-identical across runs. Drains run
-//! with [`ScenarioSpec::workers`] workers; frame *order* and cache
-//! hit/miss splits are schedule-shaped as always, but outcomes,
-//! settlement winners, and every count in a [`ScenarioOutcome`] are
-//! schedule-independent (negotiations are deterministic given config +
-//! realized courses, and the gain tables here are lookups).
+//! with [`ScenarioSpec::workers`] course tasks; the router makes the
+//! journal, outcomes, settlement winners, and every count in a
+//! [`ScenarioOutcome`] independent of that number.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -633,11 +631,11 @@ pub struct ScenarioSpec {
     pub probe_rounds: u32,
     /// Epoch-mode traffic mix, if any.
     pub epoch: Option<EpochTraffic>,
-    /// Drain (with [`ScenarioSpec::workers`] workers) every this many
+    /// Drain (with [`ScenarioSpec::workers`] course tasks) every this many
     /// ticks; between drains the pending queue genuinely backs up, which
     /// is what gives an attached [`AdmissionPolicy`] something to shed.
     pub drain_every: u32,
-    /// Worker threads per drain.
+    /// Course tasks per drain.
     pub workers: usize,
     /// Client backoff model for shed demands; `None` (every named
     /// scenario) keeps PR 8's pure-loss behavior, so pinned outcomes do

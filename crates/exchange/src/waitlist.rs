@@ -1,35 +1,26 @@
-//! Wake-on-insert waitlist for in-flight course claims: sessions that hit
-//! [`crate::CourseServe::Busy`] park here, keyed by `(evaluation key,
-//! bundle)`, and the worker that lands the result requeues them — no
-//! redispatch churn under same-bundle contention.
+//! Wake-on-insert waitlist for claimed courses: sessions that hit
+//! `SoftServe::Busy` (another session's course for the same `(evaluation
+//! key, bundle)` is outstanding) park here, and the router requeues them
+//! when it applies that course — no redispatch churn under same-bundle
+//! contention.
 //!
-//! ## Wake protocol (who owns a parked session when)
+//! ## Wake protocol
 //!
-//! The racy window is between a waiter observing `Busy` and the trainer
-//! draining the waitlist. The protocol closes it with *check-in before
-//! enqueue* on the waiter side and *insert before drain* on the trainer
-//! side, plus a check-after-enqueue:
+//! Both sides run on the router, one after the other, so the protocol is
+//! plain ordering:
 //!
-//! 1. Waiter: check the session back into the store, then
-//!    [`CourseWaitlist::enqueue`] its id, then re-check the training state.
-//! 2. Trainer: land the outcome — insert the result into the cache on
-//!    success, or just release the claim on error — then
-//!    [`CourseWaitlist::drain`] the key and requeue every drained id.
-//! 3. If the waiter's re-check finds the training over (a result in the
-//!    cache, *or* no in-flight claim — a failed training releases its
-//!    claim without inserting anything, so peeking for a result alone
-//!    would miss it), the trainer may or may not have seen its
-//!    registration. [`CourseWaitlist::cancel`] arbitrates: removing one's
-//!    own registration succeeds for exactly one side — if the waiter wins,
-//!    it requeues itself; if the trainer won, the id is already on its way
-//!    to the ready queue and the waiter backs off.
+//! 1. Waiter (inside its slice): check the session back into the store,
+//!    then [`CourseWaitlist::enqueue`] its id.
+//! 2. Router, applying the claim holder's course (between slices): land
+//!    the outcome — insert the result on success, or just release the
+//!    claim on error — then [`CourseWaitlist::drain`] the key and requeue
+//!    every drained id.
 //!
-//! Either way the session is requeued exactly once, and because the waiter
-//! checked it in *first*, whoever requeues it will find it checked in.
-//! A trainer whose course *fails* drains and wakes too (nothing was
-//! inserted, but the claim is released): the woken sessions retry, re-claim
-//! one at a time, and surface the provider error on their own sessions
-//! instead of sleeping forever.
+//! A claim is settled only in step 2, never while a waiter is between
+//! its `Busy` and its enqueue, so a waiter cannot miss its wake, and each
+//! parked session is requeued exactly once. A course that *fails* wakes
+//! its waiters too: they retry, re-claim one at a time, and surface the
+//! provider error on their own sessions instead of sleeping forever.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -50,24 +41,6 @@ impl CourseWaitlist {
     /// session into the store first (see the module doc).
     pub(crate) fn enqueue(&self, key: (u64, u64), id: SessionId) {
         self.waiting.lock().entry(key).or_default().push(id);
-    }
-
-    /// Removes `id`'s registration under `key`, returning whether it was
-    /// still there. `true` means the caller reclaimed the session (no one
-    /// else will wake it); `false` means a drain already claimed it.
-    pub(crate) fn cancel(&self, key: (u64, u64), id: SessionId) -> bool {
-        let mut waiting = self.waiting.lock();
-        let Some(ids) = waiting.get_mut(&key) else {
-            return false;
-        };
-        let Some(pos) = ids.iter().position(|&w| w == id) else {
-            return false;
-        };
-        ids.swap_remove(pos);
-        if ids.is_empty() {
-            waiting.remove(&key);
-        }
-        true
     }
 
     /// Takes every session waiting on `key`; the caller must requeue them.
@@ -99,57 +72,5 @@ mod tests {
         assert_eq!(woken, vec![SessionId(1), SessionId(2)]);
         assert_eq!(wl.waiting(), 1, "other keys untouched");
         assert!(wl.drain(K1).is_empty(), "drain is take, not copy");
-    }
-
-    #[test]
-    fn cancel_arbitrates_the_wake_race() {
-        let wl = CourseWaitlist::default();
-        wl.enqueue(K1, SessionId(9));
-        // Waiter wins: registration still present, waiter owns the requeue.
-        assert!(wl.cancel(K1, SessionId(9)));
-        assert_eq!(wl.waiting(), 0);
-        // Trainer wins: a drain already claimed the id, cancel backs off.
-        wl.enqueue(K1, SessionId(9));
-        assert_eq!(wl.drain(K1), vec![SessionId(9)]);
-        assert!(!wl.cancel(K1, SessionId(9)));
-        // Cancelling a never-enqueued id is a no-op.
-        assert!(!wl.cancel(K2, SessionId(42)));
-    }
-
-    /// Two threads race `cancel` against `drain` from a barrier, for every
-    /// iteration: exactly ONE side may own the parked session — if the
-    /// canceller reclaimed it, the drain must not have returned it, and
-    /// vice versa. This exactly-one-owner arbitration is what lets the
-    /// exchange guarantee a settled-and-cancelled candidate is requeued at
-    /// most once (and then dropped as a spurious wake — see the
-    /// `waitlist_wake_never_drives_a_cancelled_session` schedules in
-    /// `crate::exchange`).
-    #[test]
-    fn concurrent_cancel_and_drain_have_exactly_one_owner() {
-        for round in 0..256u64 {
-            let wl = CourseWaitlist::default();
-            let id = SessionId(round);
-            wl.enqueue(K1, id);
-            let barrier = std::sync::Barrier::new(2);
-            let (cancelled, drained) = crossbeam::thread::scope(|scope| {
-                let canceller = scope.spawn(|_| {
-                    barrier.wait();
-                    wl.cancel(K1, id)
-                });
-                let trainer = scope.spawn(|_| {
-                    barrier.wait();
-                    wl.drain(K1)
-                });
-                (canceller.join().unwrap(), trainer.join().unwrap())
-            })
-            .expect("race scope");
-            assert_ne!(
-                cancelled,
-                drained.contains(&id),
-                "round {round}: exactly one side owns the wake \
-                 (cancel {cancelled}, drained {drained:?})"
-            );
-            assert_eq!(wl.waiting(), 0, "round {round}: nobody left behind");
-        }
     }
 }

@@ -1,30 +1,25 @@
-//! Async executor backend: the same session book drained by the default
-//! thread pool (a worker blocks for every course — here a training that
-//! sleeps, modeling a blocking remote call) and by the async backend
-//! (`Exchange::set_executor`), where courses resolve off-slot through a
-//! `SimulatedRemoteResolver` and a handful of course tasks keep every
-//! session's training in flight at once.
+//! The router under remote-course latency: one session book drained with
+//! every course resolved off-slot by a `SimulatedRemoteResolver`
+//! (`Exchange::set_course_resolver`), across ms-scale course latencies.
 //!
-//! The printed table is the whole story: the thread pool's wall time
-//! grows linearly with course latency (each in-flight course holds a
-//! worker hostage), the async backend's barely moves (an in-flight course
-//! is a timer entry, not a thread) — while the outcomes stay bit for bit
-//! identical. Run with `cargo run --example async_exchange --release`.
+//! The printed table is the whole story: an in-flight course is a timer
+//! entry, not a thread, so a handful of course tasks keep every session's
+//! training in flight at once. The `overlap` column — trained courses ×
+//! latency ÷ drain wall — is the average number of courses in flight; a
+//! thread-per-course executor with 4 threads could not exceed 4. The
+//! outcomes stay identical at every latency. Run with
+//! `cargo run --example async_exchange --release`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vfl_bench::exchange_setup::SpinGainProvider;
-use vfl_exchange::{
-    Exchange, ExchangeConfig, ExecutorBackend, MarketSpec, SessionOrder, SimulatedRemoteResolver,
-};
+use vfl_exchange::{Exchange, ExchangeConfig, MarketSpec, SessionOrder, SimulatedRemoteResolver};
 use vfl_market::{
-    GainProvider, Listing, MarketConfig, Outcome, ReservedPrice, StrategicData, StrategicTask,
-    TableGainProvider,
+    Listing, MarketConfig, Outcome, ReservedPrice, StrategicData, StrategicTask, TableGainProvider,
 };
 use vfl_sim::BundleMask;
 
 const SESSIONS: usize = 12;
-const WORKERS: usize = 4;
+const COURSE_TASKS: usize = 4;
 
 fn market(m: usize) -> (Vec<Listing>, Vec<f64>) {
     let listings: Vec<Listing> = (0..4)
@@ -40,24 +35,18 @@ fn market(m: usize) -> (Vec<Listing>, Vec<f64>) {
     (listings, gains)
 }
 
-/// Drains the book once; `async_tasks: None` = thread pool with blocking
-/// (sleeping) trainings, `Some(n)` = async backend with the same latency
-/// simulated remotely. Returns wall time and every outcome.
-fn drain(latency: Duration, async_tasks: Option<usize>) -> (Duration, Vec<Outcome>) {
+/// Drains the book once with every course taking `latency`. Returns the
+/// wall time, the trained-course count, and every outcome.
+fn drain(latency: Duration) -> (Duration, u64, Vec<Outcome>) {
     let exchange = Exchange::new(ExchangeConfig::default());
     let sids: Vec<_> = (0..SESSIONS)
         .map(|m| {
             let (listings, gains) = market(m);
             let table =
                 TableGainProvider::new(listings.iter().zip(&gains).map(|(l, &g)| (l.bundle, g)));
-            let provider: Arc<dyn GainProvider + Send + Sync> = if async_tasks.is_some() {
-                Arc::new(table)
-            } else {
-                Arc::new(SpinGainProvider::sleeping(table, latency))
-            };
             let id = exchange
                 .register_market(MarketSpec {
-                    provider,
+                    provider: Arc::new(table),
                     listings: Arc::new(listings),
                     evaluation_key: None,
                     name: format!("m{m}"),
@@ -81,51 +70,45 @@ fn drain(latency: Duration, async_tasks: Option<usize>) -> (Duration, Vec<Outcom
                 .expect("submit")
         })
         .collect();
-    if let Some(course_tasks) = async_tasks {
-        exchange.set_executor(ExecutorBackend::Async {
-            course_tasks,
-            resolver: Arc::new(SimulatedRemoteResolver::new(latency)),
-        });
-    }
+    exchange.set_course_resolver(Arc::new(SimulatedRemoteResolver::new(latency)));
     let start = Instant::now();
-    let report = exchange.drain(WORKERS);
+    let report = exchange.drain(COURSE_TASKS);
     let wall = start.elapsed();
     assert_eq!(report.failed, 0);
     let outcomes = sids
         .iter()
         .map(|&sid| *exchange.take(sid).expect("terminal").expect("closed"))
         .collect();
-    (wall, outcomes)
+    (wall, exchange.metrics().cache_misses, outcomes)
 }
 
 fn main() {
-    println!(
-        "async exchange: {SESSIONS} sessions on private markets, \
-         {WORKERS} workers vs {WORKERS} course tasks"
-    );
+    println!("async exchange: {SESSIONS} sessions on private markets, {COURSE_TASKS} course tasks");
     println!();
+    let mut reference: Option<Vec<Outcome>> = None;
     for latency in [
         Duration::from_millis(1),
         Duration::from_millis(5),
         Duration::from_millis(20),
     ] {
-        let (thread_wall, thread_outcomes) = drain(latency, None);
-        let (async_wall, async_outcomes) = drain(latency, Some(WORKERS));
-        assert_eq!(
-            thread_outcomes, async_outcomes,
-            "backends must agree bit for bit"
-        );
+        let (wall, courses, outcomes) = drain(latency);
+        match &reference {
+            None => reference = Some(outcomes),
+            Some(reference) => assert_eq!(
+                &outcomes, reference,
+                "course latency must not change any outcome"
+            ),
+        }
+        let overlap = courses as f64 * latency.as_secs_f64() / wall.as_secs_f64();
         println!(
-            "latency {:>6} | thread {:>8.1} ms | async {:>8.1} ms | speedup {:.1}x (outcomes identical)",
+            "latency {:>6} | wall {:>8.1} ms | {courses} courses | overlap {overlap:.1} (outcomes identical)",
             format!("{latency:?}"),
-            thread_wall.as_secs_f64() * 1e3,
-            async_wall.as_secs_f64() * 1e3,
-            thread_wall.as_secs_f64() / async_wall.as_secs_f64()
+            wall.as_secs_f64() * 1e3,
         );
     }
     println!();
     println!(
-        "the thread pool blocks a worker per in-flight course; the async router \
-         keeps all {SESSIONS} sessions' courses in flight with {WORKERS} tasks"
+        "the router keeps all {SESSIONS} sessions' courses in flight with \
+         {COURSE_TASKS} course tasks"
     );
 }
