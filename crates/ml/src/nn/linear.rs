@@ -76,10 +76,16 @@ impl Linear {
     /// Backward pass: consumes `d_out = dL/dy`, stores `dw`/`db`, returns
     /// `dL/dx`.
     pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
+        self.backward_params(d_out);
+        d_out.matmul_t(&self.w).expect("linear: dx shape")
+    }
+
+    /// Parameter-only backward pass: stores `dw`/`db` and skips `dL/dx`,
+    /// for a first layer whose input is data and has no gradient reader.
+    pub fn backward_params(&mut self, d_out: &Matrix) {
         let x = self.input.as_ref().expect("linear backward before forward");
         self.dw = x.t_matmul(d_out).expect("linear: grad shape");
         self.db = d_out.col_sums();
-        d_out.matmul_t(&self.w).expect("linear: dx shape")
     }
 
     /// Applies one Adam step on the stored gradients.

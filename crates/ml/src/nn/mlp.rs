@@ -95,14 +95,22 @@ impl Mlp {
 
     /// Backward pass from `dL/d(output)`; returns `dL/d(input)`.
     pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let mut d = d_out.clone();
-        for b in self.blocks.iter_mut().rev() {
-            d = match b {
-                Block::Linear(l) => l.backward(&d),
-                Block::Act(a) => a.backward(&d),
-            };
+        backprop(&mut self.blocks, d_out)
+    }
+
+    /// Backward pass that fills every parameter gradient but skips
+    /// `dL/d(input)`: when the input is data, the first linear block's
+    /// input gradient (its largest product) has no reader.
+    pub fn backward_params(&mut self, d_out: &Matrix) {
+        let (first, rest) = self
+            .blocks
+            .split_first_mut()
+            .expect("Mlp::new builds at least one block");
+        let d = backprop(rest, d_out);
+        match first {
+            Block::Linear(l) => l.backward_params(&d),
+            Block::Act(_) => unreachable!("Mlp::new starts with a linear block"),
         }
-        d
     }
 
     /// Adam step on every linear block.
@@ -113,6 +121,15 @@ impl Mlp {
             }
         }
     }
+}
+
+/// Backpropagates `d_out` through `blocks` in reverse; returns the
+/// gradient with respect to the first block's input.
+fn backprop(blocks: &mut [Block], d_out: &Matrix) -> Matrix {
+    blocks.iter_mut().rev().fold(d_out.clone(), |d, b| match b {
+        Block::Linear(l) => l.backward(&d),
+        Block::Act(a) => a.backward(&d),
+    })
 }
 
 /// Mini-batch training hyper-parameters shared by the wrappers.
@@ -204,7 +221,7 @@ impl Classifier for MlpClassifier {
                 let yb: Vec<u8> = chunk.iter().map(|&i| y[i]).collect();
                 let logits = mlp.forward(&xb);
                 let (_, grad) = bce_with_logits(&logits, &yb);
-                mlp.backward(&grad);
+                mlp.backward_params(&grad);
                 mlp.step(&adam);
             }
         }
@@ -256,7 +273,7 @@ impl MlpRegressor {
     pub fn train_batch(&mut self, x: &Matrix, targets: &[f64]) -> f64 {
         let pred = self.mlp.forward(x);
         let (loss, grad) = mse_loss(&pred, targets);
-        self.mlp.backward(&grad);
+        self.mlp.backward_params(&grad);
         self.mlp.step(&self.adam);
         loss
     }
@@ -314,6 +331,28 @@ mod tests {
         assert_eq!(mlp.in_dim(), 5);
         assert_eq!(mlp.out_dim(), 3);
         assert_eq!(mlp.n_params(), 5 * 8 + 8 + 8 * 3 + 3);
+    }
+
+    #[test]
+    fn backward_params_steps_like_backward() {
+        let (x, y) = two_moons_ish(37, 9);
+        let mut rng = rng_from_seed(10);
+        let mut full = Mlp::new(&[2, 9, 5, 1], Activation::Relu, &mut rng);
+        let mut params_only = full.clone();
+        let adam = AdamConfig::with_lr(1e-2);
+        for _ in 0..3 {
+            let (_, grad) = bce_with_logits(&full.forward(&x), &y);
+            full.backward(&grad);
+            full.step(&adam);
+            let (_, grad) = bce_with_logits(&params_only.forward(&x), &y);
+            params_only.backward_params(&grad);
+            params_only.step(&adam);
+        }
+        let bits = |m: &Mlp| -> Vec<u64> {
+            let out = m.forward_inference(&x);
+            out.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&full), bits(&params_only));
     }
 
     #[test]

@@ -249,7 +249,11 @@ impl DecisionTree {
         for &f in &candidates {
             pairs.clear();
             pairs.extend(idx.iter().map(|&i| (x.get(i, f), y[i])));
-            pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite feature values"));
+            // Unstable is exact: the order inside a run of equal values is
+            // never read. `left_pos` counts labels (exact in f64) and is
+            // only scored at a boundary between distinct values, where the
+            // threshold is unchanged too (`±0.0 + v == v` for `v != 0`).
+            pairs.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite feature values"));
             if pairs[0].0 == pairs[pairs.len() - 1].0 {
                 continue; // constant feature in this node
             }

@@ -24,6 +24,7 @@ pub mod csv;
 pub mod encode;
 pub mod error;
 pub mod frame;
+mod gemm;
 pub mod matrix;
 pub mod schema;
 pub mod split;

@@ -4,9 +4,14 @@
 //! The matrix is deliberately simple: a contiguous `Vec<f64>` with row-major
 //! layout, plus the handful of operations the reproduction needs (row/column
 //! selection, horizontal stacking, transpose, and matrix multiplication with
-//! transposed variants for the neural-network backward pass).
+//! transposed variants for the neural-network backward pass). The three
+//! products share one register-tiled kernel whose accumulation order is
+//! fixed: each output element sums its products in ascending inner index,
+//! starting from `+0.0`, without fused multiply-add — so the bits do not
+//! depend on the tiling or on which SIMD instance the CPU runs.
 
 use crate::error::{Result, TabularError};
+use crate::gemm::gemm;
 
 /// Dense row-major matrix of `f64` values.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,17 +247,36 @@ impl Matrix {
 
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for (c, &v) in row.iter().enumerate() {
-                out.data[c * self.rows + r] = v;
+        // Eight source rows at a time, so each output row receives one
+        // contiguous 8-element run per source column. Writing a single
+        // element per output row instead strides by `rows`, and at
+        // power-of-two widths those writes keep evicting each other.
+        const BLOCK: usize = 8;
+        let (rows, cols) = self.shape();
+        let mut out = Matrix::zeros(cols, rows);
+        let mut r = 0;
+        while r + BLOCK <= rows {
+            let src: [&[f64]; BLOCK] = std::array::from_fn(|i| self.row(r + i));
+            for c in 0..cols {
+                let dst = &mut out.data[c * rows + r..][..BLOCK];
+                for (d, s) in dst.iter_mut().zip(&src) {
+                    *d = s[c];
+                }
+            }
+            r += BLOCK;
+        }
+        for r in r..rows {
+            for (c, &v) in self.row(r).iter().enumerate() {
+                out.data[c * rows + r] = v;
             }
         }
         out
     }
 
-    /// `self * rhs` (naive triple loop; the reproduction's shapes are small).
+    /// `self * rhs`. Each output element sums its products in ascending
+    /// inner index from `+0.0`, with no fused multiply-add, so every
+    /// product here is bit-identical to the plain triple loop (see the
+    /// `gemm` module for the contract).
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(TabularError::ShapeMismatch {
@@ -261,24 +285,15 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (j, &b) in b_row.iter().enumerate() {
-                    out_row[j] += a * b;
-                }
-            }
-        }
-        Ok(out)
+        let data = gemm(&self.data, &rhs.data, self.rows, self.cols, rhs.cols);
+        Ok(Matrix {
+            rows: self.rows,
+            cols: rhs.cols,
+            data,
+        })
     }
 
-    /// `self^T * rhs` without materialising the transpose.
+    /// `self^T * rhs`, summed in ascending row order of `self` and `rhs`.
     pub fn t_matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.rows != rhs.rows {
             return Err(TabularError::ShapeMismatch {
@@ -287,24 +302,10 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = rhs.row(r);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (j, &b) in b_row.iter().enumerate() {
-                    out_row[j] += a * b;
-                }
-            }
-        }
-        Ok(out)
+        self.transpose().matmul(rhs)
     }
 
-    /// `self * rhs^T` without materialising the transpose.
+    /// `self * rhs^T`, summed in ascending column order.
     pub fn matmul_t(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.cols {
             return Err(TabularError::ShapeMismatch {
@@ -313,19 +314,7 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                let b_row = rhs.row(j);
-                let mut acc = 0.0;
-                for (a, b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                out.data[i * rhs.rows + j] = acc;
-            }
-        }
-        Ok(out)
+        self.matmul(&rhs.transpose())
     }
 
     /// Applies `f` to every element in place.
@@ -503,6 +492,21 @@ mod tests {
         let fast = a.matmul_t(&b).unwrap();
         let slow = a.matmul(&b.transpose()).unwrap();
         assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn transpose_moves_every_element() {
+        for (rows, cols) in [(19, 11), (16, 8), (8, 1), (3, 9), (0, 4), (9, 0)] {
+            let data = (0..rows * cols).map(|v| v as f64).collect();
+            let a = Matrix::from_vec(rows, cols, data).unwrap();
+            let t = a.transpose();
+            assert_eq!(t.shape(), (cols, rows));
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(t.get(c, r), a.get(r, c), "{rows}x{cols} at ({r}, {c})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! VFL course of that round).
 //!
 //! The memo table is sharded (`CACHE_SHARDS` independent locks) so the
-//! parallel precompute pass and the `vfl-exchange` worker pool — many
-//! sessions querying one oracle concurrently — never serialize behind a
-//! single global mutex.
+//! parallel precompute pass and the `vfl-exchange` course tasks — many
+//! courses resolving against one oracle concurrently — never serialize
+//! behind a single global mutex.
 
 use crate::bundle::{BundleCatalog, BundleMask};
 use crate::course::{performance_gain, run_course};
