@@ -20,6 +20,12 @@
 //!   itself, applying completions in strict request order);
 //! - **drain guard** — concurrent `drain` calls on one exchange run one
 //!   after another and leave exactly the journal one drain leaves;
+//! - **live API** — `submit`, `submit_demand`, `poll`, `take`, and
+//!   `metrics` return while a drain waits on an outstanding course (the
+//!   router never holds the state lock across that wait), and sessions
+//!   submitted from several threads while drains loop each get a unique
+//!   id, terminate exactly once, and are journaled before their first
+//!   dispatch;
 //! - **fault injection** — a resolver that fails mid-drain fails exactly
 //!   the paying session (waitlisted rivals are woken once, retry, and
 //!   close normally; nothing is stranded, nothing re-trains); a course
@@ -32,10 +38,11 @@
 //!   populates off-slot.
 
 use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use vfl_bench::exchange_setup::TrainingRecorder;
 use vfl_bench::worlds::{
     build_world, check_equivalence, clearing_for, demand_for, n_sellers, n_worlds,
@@ -43,12 +50,17 @@ use vfl_bench::worlds::{
     N_DEMANDS, N_EPOCH_DEMANDS, N_PLAIN,
 };
 use vfl_exchange::{
-    frame_boundaries, named_scenarios, CourseFuture, CourseOrder, CourseResolver, CrashPoint,
-    Exchange, ExchangeConfig, ExchangeTelemetry, Journal, LocalResolver, MarketSpec,
-    MetricsSnapshot, ScenarioDriver, ScenarioSpec, SimulatedRemoteResolver,
+    frame_boundaries, named_scenarios, read_events, BestResponse, CourseFuture, CourseOrder,
+    CourseResolver, CrashPoint, Demand, DemandStatus, Exchange, ExchangeConfig, ExchangeEvent,
+    ExchangeTelemetry, Journal, LocalResolver, MarketSpec, MetricsSnapshot, ScenarioDriver,
+    ScenarioSpec, SellerSpec, SessionId, SessionOrder, SessionStatus, SettleMode,
+    SimulatedRemoteResolver,
 };
 use vfl_market::session::wire::fnv64;
-use vfl_market::{GainProvider, MarketError};
+use vfl_market::{
+    GainProvider, Listing, MarketConfig, MarketError, ReservedPrice, StrategicData, StrategicTask,
+    TableGainProvider,
+};
 use vfl_sim::BundleMask;
 
 /// Drains a world with `resolver` on `course_tasks` course tasks and
@@ -278,6 +290,250 @@ fn concurrent_drains_serialize_to_the_single_drain_journal() {
             "world {world}"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// A live API while a drain runs
+// ---------------------------------------------------------------------------
+
+/// Evaluation key shared by the liveness fixture's market and seller, so
+/// every session and candidate there waits on the same single course.
+const LIVE_KEY: u64 = 0x1_17e;
+const LIVE_GAIN: f64 = 0.3;
+
+/// A one-listing market: every negotiation on it needs exactly the one
+/// course `(LIVE_KEY, {0})`.
+fn live_market(name: &str) -> MarketSpec {
+    let bundle = BundleMask::singleton(0);
+    MarketSpec {
+        provider: Arc::new(TableGainProvider::new([(bundle, LIVE_GAIN)])),
+        listings: Arc::new(vec![Listing {
+            bundle,
+            reserved: ReservedPrice::new(5.0, 0.8).expect("valid reserve"),
+        }]),
+        evaluation_key: Some(LIVE_KEY),
+        name: name.into(),
+    }
+}
+
+fn live_cfg() -> MarketConfig {
+    MarketConfig {
+        utility_rate: 900.0,
+        budget: 12.0,
+        rate_cap: 20.0,
+        ..MarketConfig::default()
+    }
+}
+
+fn live_order() -> SessionOrder {
+    SessionOrder {
+        cfg: live_cfg(),
+        task: Box::new(StrategicTask::new(0.3, 6.0, 0.9).expect("valid opening")),
+        data: Box::new(StrategicData::with_gains(vec![LIVE_GAIN])),
+    }
+}
+
+/// `submit`, `submit_demand`, `poll`, `take`, and `metrics` return while
+/// a drain waits on a course. A 2 s simulated-remote course is
+/// outstanding on a drain thread while the test thread makes each call;
+/// when they have all returned the course must not have landed yet (no
+/// cache miss counted) and the drain must still be running. The session
+/// and demand submitted meanwhile wait on that same course and are
+/// terminal when the same drain returns. A state lock held across the
+/// router's wait for the completion makes every call wait out the course
+/// instead, and the landed miss fails the test; the `recv_timeout`
+/// watchdog turns a hung drain into a failure.
+#[test]
+fn api_calls_return_while_a_drain_waits_on_a_course() {
+    let exchange = Arc::new(Exchange::new(ExchangeConfig::default()));
+    let market = exchange
+        .register_market(live_market("live"))
+        .expect("register market");
+    exchange
+        .register_seller(SellerSpec {
+            market: live_market("live-seller"),
+            quoting: Arc::new(|_| Box::new(StrategicData::with_gains(vec![LIVE_GAIN]))),
+        })
+        .expect("register seller");
+    exchange.set_course_resolver(Arc::new(SimulatedRemoteResolver::new(Duration::from_secs(
+        2,
+    ))));
+    let first = exchange.submit(market, live_order()).expect("submit");
+
+    let (tx, rx) = mpsc::channel();
+    let drainer = {
+        let exchange = exchange.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(exchange.drain(2));
+        })
+    };
+    // The course is outstanding once the router has claimed it. The pause
+    // after that lets the router reach its wait for the completion: a
+    // router holding the state lock across the wait then blocks the calls
+    // below, instead of the calls all finishing before it gets there. A
+    // correct exchange passes with or without the pause.
+    let waited = Instant::now();
+    while exchange.metrics().courses_requested == 0 {
+        assert!(
+            waited.elapsed() < Duration::from_secs(30),
+            "the drain never requested its course"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(100));
+
+    assert!(
+        matches!(exchange.poll(first), Some(SessionStatus::Queued { .. })),
+        "a session suspended on its course polls as queued"
+    );
+    assert!(
+        exchange.take(first).is_none(),
+        "a session suspended on its course is still live"
+    );
+    let second = exchange
+        .submit(market, live_order())
+        .expect("submit during the drain");
+    let demand = exchange
+        .submit_demand(Demand {
+            wanted: BundleMask::singleton(0),
+            scenario: Some(LIVE_KEY),
+            cfg: live_cfg(),
+            task: Arc::new(|| Box::new(StrategicTask::new(0.3, 6.0, 0.9).expect("valid opening"))),
+            probe_rounds: 1,
+            settle: SettleMode::Immediate(Arc::new(BestResponse)),
+        })
+        .expect("submit_demand during the drain");
+    let metrics = exchange.metrics();
+    assert_eq!(
+        metrics.cache_misses, 0,
+        "every call returned while the course was still outstanding"
+    );
+    assert!(
+        matches!(rx.try_recv(), Err(mpsc::TryRecvError::Empty)),
+        "the drain is still waiting on its course"
+    );
+
+    let report = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the drain hung");
+    drainer.join().expect("drain thread");
+    for (id, what) in [(first, "first"), (second, "second")] {
+        assert!(
+            exchange.poll(id).is_some_and(|s| s.is_terminal()),
+            "the {what} session is terminal when the drain returns"
+        );
+    }
+    assert!(
+        matches!(
+            exchange.demand_status(demand),
+            Some(DemandStatus::Settled(_))
+        ),
+        "the demand submitted mid-drain settled in the same drain"
+    );
+    assert_eq!(
+        report.closed + report.failed + report.cancelled,
+        3,
+        "both sessions and the demand's one candidate terminated in this drain"
+    );
+    let metrics = exchange.metrics();
+    assert_eq!(metrics.cache_misses, 1, "one course served everyone");
+}
+
+/// Four threads submit and poll while another thread loops drains on the
+/// same exchange. After a final drain every id is unique and terminal,
+/// `take` hands each outcome out exactly once, the store is empty, and
+/// the journal records each session's submission before its first
+/// dispatch and concludes it exactly once.
+#[test]
+fn concurrent_submitters_and_drains_keep_ids_and_journal_order() {
+    const SUBMITTERS: usize = 4;
+    const PER_SUBMITTER: usize = 30;
+    let (journal, sink) = Journal::in_memory();
+    let exchange = Exchange::with_journal(ExchangeConfig::default(), journal);
+    let recorder = TrainingRecorder::default();
+    let market = exchange
+        .register_market(plain_market_spec(3, &recorder))
+        .expect("register market");
+    let submitting = AtomicBool::new(true);
+    let ids: Vec<u64> = std::thread::scope(|scope| {
+        let drainer = scope.spawn(|| {
+            let mut drains = 0usize;
+            while submitting.load(Ordering::SeqCst) {
+                exchange.drain(2);
+                drains += 1;
+                std::thread::yield_now();
+            }
+            drains
+        });
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|t| {
+                let exchange = &exchange;
+                scope.spawn(move || {
+                    (0..PER_SUBMITTER)
+                        .map(|k| {
+                            let id = exchange
+                                .submit(market, plain_order(3, t * PER_SUBMITTER + k))
+                                .expect("submit");
+                            assert!(exchange.poll(id).is_some(), "{id} polls after submit");
+                            id.0
+                        })
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        let ids = submitters
+            .into_iter()
+            .flat_map(|h| h.join().expect("submitter"))
+            .collect();
+        submitting.store(false, Ordering::SeqCst);
+        assert!(drainer.join().expect("drainer") >= 1);
+        ids
+    });
+    exchange.drain(2);
+
+    let total = SUBMITTERS * PER_SUBMITTER;
+    let unique: HashSet<u64> = ids.iter().copied().collect();
+    assert_eq!(unique.len(), total, "every submission got its own id");
+    for &id in &ids {
+        let id = SessionId(id);
+        assert!(
+            exchange.poll(id).is_some_and(|s| s.is_terminal()),
+            "{id} is terminal after the final drain"
+        );
+        assert!(exchange.take(id).is_some(), "{id} is taken once");
+        assert!(exchange.take(id).is_none(), "{id} is never taken twice");
+    }
+    assert_eq!(exchange.session_count(), 0, "take emptied the store");
+
+    let (events, dropped) = read_events(&sink.bytes());
+    assert_eq!(dropped, 0, "the journal is whole");
+    let mut submitted: HashSet<u64> = HashSet::new();
+    let mut dispatched: HashSet<u64> = HashSet::new();
+    let mut concluded: HashMap<u64, usize> = HashMap::new();
+    for event in &events {
+        match event {
+            ExchangeEvent::SessionSubmitted { session, .. } => {
+                assert!(submitted.insert(session.0), "{session} submitted twice");
+            }
+            ExchangeEvent::SessionDispatched { session } => {
+                assert!(
+                    submitted.contains(&session.0),
+                    "{session} dispatched before its submission was journaled"
+                );
+                dispatched.insert(session.0);
+            }
+            ExchangeEvent::SessionConcluded { session, .. } => {
+                *concluded.entry(session.0).or_default() += 1;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(submitted, unique, "the journal records every submission");
+    assert_eq!(dispatched, unique, "every session was dispatched");
+    assert!(
+        unique.iter().all(|id| concluded.get(id) == Some(&1)),
+        "every session concluded exactly once"
+    );
 }
 
 // ---------------------------------------------------------------------------

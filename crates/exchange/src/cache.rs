@@ -1,4 +1,4 @@
-//! The exchange-wide ΔG evaluation cache: one sharded memo table shared by
+//! The exchange-wide ΔG evaluation cache: one memo table shared by
 //! *every* session in the exchange, keyed by `(evaluation key, bundle)`.
 //!
 //! Course evaluation is the marketplace's hot path. Two markets registered
@@ -11,31 +11,34 @@
 //! exchange's course waitlist until the router applies the result
 //! (wake-on-insert; see `crate::waitlist`).
 //!
+//! The cache is plain data: it lives in the exchange's state, behind the
+//! one state lock, and every call is a `&mut self` step of the router
+//! (or of a caller holding that lock). A lookup and the claim that
+//! follows a miss are therefore one atomic step.
+//!
 //! ## Invariants
 //!
-//! * No lock is ever held across a course; a training blocks only its
+//! * A course never runs inside the cache; a training blocks only its
 //!   `(evaluation key, bundle)` claim, never a lookup.
 //! * At most one claim exists per key, and every claim is settled by
 //!   exactly one `SharedGainCache::complete` (success) or
 //!   `SharedGainCache::abort` (failure) — a failed training never
 //!   leaks its claim.
-//! * Results are insert-once: a landed ΔG is immutable, so waiters can be
-//!   woken after the insert with no risk of observing a torn value.
+//! * Results are insert-once: a landed ΔG is immutable, so waiters woken
+//!   after the insert always read the landed value.
 
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, HashSet};
 use vfl_sim::BundleMask;
 
-/// Sharded `(evaluation key, bundle) -> ΔG` map with hit/miss counters and
-/// a claim set that dedups overlapping trainings of the same key.
-#[derive(Debug)]
+/// `(evaluation key, bundle) -> ΔG` map with hit/miss counters and a
+/// claim set that dedups overlapping trainings of the same key.
+#[derive(Debug, Default)]
 pub struct SharedGainCache {
-    shards: Vec<Mutex<HashMap<(u64, u64), f64>>>,
+    gains: HashMap<(u64, u64), f64>,
     /// Keys whose course is claimed and not yet settled.
-    in_flight: Mutex<std::collections::HashSet<(u64, u64)>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    in_flight: HashSet<(u64, u64)>,
+    hits: u64,
+    misses: u64,
 }
 
 /// Outcome of [`SharedGainCache::serve_softly`] — the split-phase serve
@@ -56,33 +59,13 @@ pub(crate) enum SoftServe {
 }
 
 impl SharedGainCache {
-    /// A cache with `n_shards` independent locks (clamped to >= 1).
-    pub fn new(n_shards: usize) -> Self {
-        let n = n_shards.max(1);
-        SharedGainCache {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            in_flight: Mutex::new(std::collections::HashSet::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: (u64, u64)) -> &Mutex<HashMap<(u64, u64), f64>> {
-        let h = key
-            .0
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(key.1)
-            .wrapping_mul(0x2545_f491_4f6c_dd1d);
-        &self.shards[(h >> 33) as usize % self.shards.len()]
-    }
-
     /// Cached ΔG for `bundle` under `eval_key`; counts a hit when present.
     /// The cheap path — a slice resumes its session inline on a hit and
     /// only suspends it when a miss forces a real course.
-    pub fn lookup(&self, eval_key: u64, bundle: BundleMask) -> Option<f64> {
+    pub fn lookup(&mut self, eval_key: u64, bundle: BundleMask) -> Option<f64> {
         let g = self.peek(eval_key, bundle);
         if g.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits += 1;
         }
         g
     }
@@ -90,17 +73,15 @@ impl SharedGainCache {
     /// Like [`Self::lookup`] but without touching the hit counter (for
     /// budget checks that precede a real, counted request).
     pub fn peek(&self, eval_key: u64, bundle: BundleMask) -> Option<f64> {
-        let key = (eval_key, bundle.0);
-        self.shard(key).lock().get(&key).copied()
+        self.gains.get(&(eval_key, bundle.0)).copied()
     }
 
     /// Inserts a course result directly, bypassing the provider — the
     /// journal-recovery preload path. Counts neither a hit nor a miss:
     /// the training was paid for by a previous life of the exchange, and
     /// the resumed drain will read it back as ordinary hits.
-    pub fn insert(&self, eval_key: u64, bundle: BundleMask, gain: f64) {
-        let key = (eval_key, bundle.0);
-        self.shard(key).lock().insert(key, gain);
+    pub fn insert(&mut self, eval_key: u64, bundle: BundleMask, gain: f64) {
+        self.gains.insert((eval_key, bundle.0), gain);
     }
 
     /// Serves one course request without running the course: a hit
@@ -109,74 +90,58 @@ impl SharedGainCache {
     /// [`SoftServe::Busy`]. The claim holder has the course resolved
     /// however it likes and MUST settle the claim with [`Self::complete`]
     /// or [`Self::abort`].
-    pub(crate) fn serve_softly(&self, eval_key: u64, bundle: BundleMask) -> SoftServe {
+    pub(crate) fn serve_softly(&mut self, eval_key: u64, bundle: BundleMask) -> SoftServe {
         if let Some(g) = self.lookup(eval_key, bundle) {
-            return SoftServe::Hit(g);
+            SoftServe::Hit(g)
+        } else if self.in_flight.insert((eval_key, bundle.0)) {
+            SoftServe::Claimed
+        } else {
+            SoftServe::Busy
         }
-        let key = (eval_key, bundle.0);
-        if !self.in_flight.lock().insert(key) {
-            return SoftServe::Busy;
-        }
-        // The miss above and the claim are not atomic: a trainer that ran
-        // entirely in between (inserted its result, released its claim)
-        // leaves this caller holding a fresh claim on an already-cached
-        // course. Re-check under the claim, or the course would be trained
-        // — and journaled — twice.
-        if let Some(g) = self.lookup(eval_key, bundle) {
-            self.in_flight.lock().remove(&key);
-            return SoftServe::Hit(g);
-        }
-        SoftServe::Claimed
     }
 
     /// Lands a successful training under a [`SoftServe::Claimed`] claim:
-    /// counts the miss, inserts the result, and releases the claim — in
-    /// that order, so a woken waiter that re-probes after the release
-    /// always finds the value.
-    pub(crate) fn complete(&self, eval_key: u64, bundle: BundleMask, gain: f64) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let key = (eval_key, bundle.0);
-        self.shard(key).lock().insert(key, gain);
-        self.in_flight.lock().remove(&key);
+    /// counts the miss, inserts the result, and releases the claim, so a
+    /// woken waiter that re-probes always finds the value.
+    pub(crate) fn complete(&mut self, eval_key: u64, bundle: BundleMask, gain: f64) {
+        self.misses += 1;
+        self.insert(eval_key, bundle, gain);
+        self.in_flight.remove(&(eval_key, bundle.0));
     }
 
     /// Releases a [`SoftServe::Claimed`] claim after a failed training.
     /// Nothing is inserted and no miss is counted (only successful
     /// trainings are misses); the next caller inherits a fresh claim and
     /// retries.
-    pub(crate) fn abort(&self, eval_key: u64, bundle: BundleMask) {
-        self.in_flight.lock().remove(&(eval_key, bundle.0));
+    pub(crate) fn abort(&mut self, eval_key: u64, bundle: BundleMask) {
+        self.in_flight.remove(&(eval_key, bundle.0));
     }
 
     /// Cache hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits
     }
 
     /// Cache misses so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses
     }
 
     /// Number of distinct `(evaluation key, bundle)` entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.gains.len()
     }
 
     /// True when nothing is cached yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.gains.is_empty()
     }
 
     /// A sorted snapshot of every `((evaluation key, bundle), ΔG)` entry —
-    /// the checkpoint path's view of the cache. Shards are locked one at a
-    /// time (never nested), and the result is ordered by key so snapshots
-    /// of equal caches are bit-identical regardless of shard layout.
+    /// the checkpoint path's view of the cache, ordered by key so
+    /// snapshots of equal caches are bit-identical.
     pub fn entries(&self) -> Vec<((u64, u64), f64)> {
-        let mut out: Vec<((u64, u64), f64)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            out.extend(shard.lock().iter().map(|(&k, &g)| (k, g)));
-        }
+        let mut out: Vec<((u64, u64), f64)> = self.gains.iter().map(|(&k, &g)| (k, g)).collect();
         out.sort_unstable_by_key(|&(k, _)| k);
         out
     }
@@ -189,7 +154,7 @@ mod tests {
 
     /// Serves `(eval_key, bundle)` the way the exchange does: a claim is
     /// settled at once with `gain`.
-    fn serve(cache: &SharedGainCache, eval_key: u64, bundle: BundleMask, gain: f64) -> f64 {
+    fn serve(cache: &mut SharedGainCache, eval_key: u64, bundle: BundleMask, gain: f64) -> f64 {
         match cache.serve_softly(eval_key, bundle) {
             SoftServe::Hit(g) => g,
             SoftServe::Claimed => {
@@ -204,7 +169,7 @@ mod tests {
     /// through a real provider: a claim is trained, then completed on
     /// success or aborted on failure.
     fn train(
-        cache: &SharedGainCache,
+        cache: &mut SharedGainCache,
         eval_key: u64,
         bundle: BundleMask,
         provider: &dyn GainProvider,
@@ -234,11 +199,11 @@ mod tests {
 
     #[test]
     fn hits_and_misses_are_counted() {
-        let cache = SharedGainCache::new(8);
+        let mut cache = SharedGainCache::default();
         let b = BundleMask::singleton(0);
         // A cold lookup counts nothing; a settled claim counts one miss.
         assert_eq!(cache.lookup(7, b), None);
-        serve(&cache, 7, b, 0.1);
+        serve(&mut cache, 7, b, 0.1);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
         // `peek` is the uncounted read; `lookup` counts a hit.
         assert_eq!(cache.peek(7, b), Some(0.1));
@@ -250,53 +215,57 @@ mod tests {
 
     #[test]
     fn serve_computes_once_then_hits() {
-        let cache = SharedGainCache::new(4);
+        let mut cache = SharedGainCache::default();
         let b = BundleMask::singleton(0);
-        assert_eq!(serve(&cache, 3, b, 0.1), 0.1);
-        assert_eq!(serve(&cache, 3, b, 0.9), 0.1, "the landed value is served");
-        assert_eq!(serve(&cache, 3, b, 0.9), 0.1);
+        assert_eq!(serve(&mut cache, 3, b, 0.1), 0.1);
+        assert_eq!(
+            serve(&mut cache, 3, b, 0.9),
+            0.1,
+            "the landed value is served"
+        );
+        assert_eq!(serve(&mut cache, 3, b, 0.9), 0.1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 2);
     }
 
     #[test]
     fn evaluation_keys_are_isolated() {
-        let cache = SharedGainCache::new(8);
+        let mut cache = SharedGainCache::default();
         let b = BundleMask::singleton(1);
-        serve(&cache, 1, b, 0.2);
-        serve(&cache, 2, b, 0.2);
+        serve(&mut cache, 1, b, 0.2);
+        serve(&mut cache, 2, b, 0.2);
         assert_eq!(cache.misses(), 2, "distinct keys never share entries");
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn provider_errors_propagate_and_do_not_cache() {
-        let cache = SharedGainCache::new(2);
+        let mut cache = SharedGainCache::default();
         let p = provider();
         let unknown = BundleMask::singleton(5);
-        assert!(train(&cache, 0, unknown, &p).is_err());
+        assert!(train(&mut cache, 0, unknown, &p).is_err());
         assert!(cache.is_empty());
         assert_eq!(cache.misses(), 0, "only successful trainings are misses");
     }
 
     #[test]
     fn serve_releases_the_claim_on_provider_error() {
-        let cache = SharedGainCache::new(4);
+        let mut cache = SharedGainCache::default();
         let p = provider();
         let unknown = BundleMask::singleton(9);
-        assert!(train(&cache, 3, unknown, &p).is_err());
+        assert!(train(&mut cache, 3, unknown, &p).is_err());
         assert!(cache.peek(3, unknown).is_none());
         // The claim must not leak: a provider that recovers can compute.
         let mut fixed = p.clone();
         fixed.insert(unknown, 0.5);
-        assert_eq!(train(&cache, 3, unknown, &fixed).unwrap(), 0.5);
-        assert_eq!(train(&cache, 3, unknown, &fixed).unwrap(), 0.5);
+        assert_eq!(train(&mut cache, 3, unknown, &fixed).unwrap(), 0.5);
+        assert_eq!(train(&mut cache, 3, unknown, &fixed).unwrap(), 0.5);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]
     fn serve_softly_claim_protocol_round_trips() {
-        let cache = SharedGainCache::new(4);
+        let mut cache = SharedGainCache::default();
         let b = BundleMask::singleton(0);
         // Cold key: the first caller claims, contenders see Busy.
         assert_eq!(cache.serve_softly(5, b), SoftServe::Claimed);
@@ -310,7 +279,7 @@ mod tests {
 
     #[test]
     fn abort_releases_the_claim_without_counting_a_miss() {
-        let cache = SharedGainCache::new(4);
+        let mut cache = SharedGainCache::default();
         let b = BundleMask::singleton(2);
         assert_eq!(cache.serve_softly(6, b), SoftServe::Claimed);
         cache.abort(6, b);
@@ -324,23 +293,27 @@ mod tests {
     }
 
     /// The claim set stays exact under contention: however requests
-    /// interleave across threads, each key is trained exactly once.
+    /// interleave across threads sharing the cache through one mutex (as
+    /// the exchange's state lock shares it), each key is trained exactly
+    /// once. A claim and its completion take the lock separately, so
+    /// contenders really do observe `Busy` in between.
     #[test]
     fn concurrent_access_converges() {
-        let cache = SharedGainCache::new(4);
+        let cache = parking_lot::Mutex::new(SharedGainCache::default());
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for i in 0..100u64 {
                         let bundle = BundleMask::singleton((i % 2) as usize);
                         loop {
-                            match cache.serve_softly(9, bundle) {
+                            let served = cache.lock().serve_softly(9, bundle);
+                            match served {
                                 SoftServe::Hit(g) => {
                                     assert_eq!(g, 0.1 * (i % 2 + 1) as f64);
                                     break;
                                 }
                                 SoftServe::Claimed => {
-                                    cache.complete(9, bundle, 0.1 * (i % 2 + 1) as f64);
+                                    cache.lock().complete(9, bundle, 0.1 * (i % 2 + 1) as f64);
                                     break;
                                 }
                                 SoftServe::Busy => std::thread::yield_now(),
@@ -350,6 +323,7 @@ mod tests {
                 });
             }
         });
+        let cache = cache.into_inner();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.misses(), 2, "each key trained exactly once");
         assert_eq!(cache.hits(), 398);

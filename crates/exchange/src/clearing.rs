@@ -59,17 +59,14 @@
 //! pins exactly this (N demands on one seller settle across N epochs,
 //! all matched).
 //!
-//! ## Lock order
+//! ## Where epochs run
 //!
-//! The window owns one internal mutex (queue + epoch counter), never
-//! held while a demand's settlement lock is taken (`MatchBook::report`
-//! releases the demand lock *before* the exchange touches the window).
-//! Whole epochs — decision, journal records, and per-demand settlement —
-//! run only on the exchange's router, one after another, so journal order
-//! is epoch order; `crates/exchange/src/exchange.rs` has the
-//! exchange-wide picture.
+//! The window is plain data in the exchange's state. Whole epochs —
+//! decision, journal records, and per-demand settlement — run only on
+//! the exchange's router under its state lock, one after another, so
+//! journal order is epoch order; `crates/exchange/src/exchange.rs` has
+//! the exchange-wide picture.
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use vfl_market::{MarketConfig, MarketError, Result};
 
@@ -214,11 +211,11 @@ pub struct EpochDecision {
 ///
 /// ## Contract
 ///
-/// * Called exactly once per epoch, under the exchange's clearing-sync
-///   mutex. Implementations must be **pure over the batch** — same
+/// * Called exactly once per epoch, on the router under the exchange's
+///   state lock. Implementations must be **pure over the batch** — same
 ///   batch, same decision (crash-replay re-derives every epoch and the
 ///   journal audit rejects divergence) — and must not call back into the
-///   exchange.
+///   exchange (that would deadlock the drain).
 /// * [`Assignment::Match`] must name an in-range slot whose candidate is
 ///   selectable ([`CandidateQuote::buyer_surplus`] is `Some`); the
 ///   window demotes anything else to `NoMatch`.
@@ -638,16 +635,12 @@ pub struct EpochRecord {
 // ---------------------------------------------------------------------------
 
 /// A demand queued in the window: ready once all candidates reported.
+#[derive(Debug)]
 struct QueuedDemand {
     id: DemandId,
     cfg: MarketConfig,
     rolls: u32,
     quotes: Option<Vec<CandidateQuote>>,
-}
-
-struct WindowState {
-    queue: VecDeque<QueuedDemand>,
-    next_epoch: u64,
 }
 
 /// One settled demand of an epoch, for the exchange to apply.
@@ -672,10 +665,10 @@ pub(crate) struct EpochOutcome {
 /// epoch-mode demands, batched into deterministic epochs and crossed by
 /// the window's [`ClearPolicy`].
 ///
-/// Owned by an [`crate::Exchange`] (one window per exchange, opened with
-/// [`crate::Exchange::open_clearing`] before any epoch-mode demand is
-/// submitted); this type is public for observability — the queue length,
-/// and the `ClearingSpec` knobs it was opened with.
+/// Owned by an [`crate::Exchange`]'s state (one window per exchange,
+/// opened with [`crate::Exchange::open_clearing`] before any epoch-mode
+/// demand is submitted); its cleared epochs are read back through
+/// [`crate::Exchange::epoch_history`].
 ///
 /// ```
 /// use std::sync::Arc;
@@ -734,9 +727,11 @@ pub(crate) struct EpochOutcome {
 /// assert_eq!(report.epoch, Some(0), "settled by the first epoch");
 /// assert_eq!(exchange.epoch_history().len(), 1);
 /// ```
+#[derive(Debug)]
 pub struct ClearingWindow {
     spec: ClearingSpec,
-    state: Mutex<WindowState>,
+    queue: VecDeque<QueuedDemand>,
+    next_epoch: u64,
 }
 
 impl ClearingWindow {
@@ -744,10 +739,8 @@ impl ClearingWindow {
         spec.validate()?;
         Ok(ClearingWindow {
             spec,
-            state: Mutex::new(WindowState {
-                queue: VecDeque::new(),
-                next_epoch: 0,
-            }),
+            queue: VecDeque::new(),
+            next_epoch: 0,
         })
     }
 
@@ -758,12 +751,12 @@ impl ClearingWindow {
 
     /// Demands currently queued (ready or still probing).
     pub fn pending(&self) -> usize {
-        self.state.lock().queue.len()
+        self.queue.len()
     }
 
     /// Epochs cleared so far.
     pub fn epochs(&self) -> u64 {
-        self.state.lock().next_epoch
+        self.next_epoch
     }
 
     /// Fast-forwards the epoch counter to `epoch` — the checkpoint
@@ -771,16 +764,15 @@ impl ClearingWindow {
     /// instead of re-clearing it. Only moves forward, and only makes
     /// sense on an empty queue (recovery restores before any replayed
     /// submission can enqueue).
-    pub(crate) fn skip_to_epoch(&self, epoch: u64) {
-        let mut state = self.state.lock();
-        debug_assert!(state.queue.is_empty(), "skip on a non-empty window");
-        state.next_epoch = state.next_epoch.max(epoch);
+    pub(crate) fn skip_to_epoch(&mut self, epoch: u64) {
+        debug_assert!(self.queue.is_empty(), "skip on a non-empty window");
+        self.next_epoch = self.next_epoch.max(epoch);
     }
 
     /// Queues a freshly submitted epoch-mode demand (submission order is
     /// epoch-membership order; called before any candidate can report).
-    pub(crate) fn enqueue(&self, id: DemandId, cfg: MarketConfig) {
-        self.state.lock().queue.push_back(QueuedDemand {
+    pub(crate) fn enqueue(&mut self, id: DemandId, cfg: MarketConfig) {
+        self.queue.push_back(QueuedDemand {
             id,
             cfg,
             rolls: 0,
@@ -790,9 +782,8 @@ impl ClearingWindow {
 
     /// Marks a queued demand ready with its full candidate quote table
     /// (called by the slice whose report completed the demand).
-    pub(crate) fn mark_ready(&self, id: DemandId, quotes: Vec<CandidateQuote>) {
-        let mut state = self.state.lock();
-        if let Some(entry) = state.queue.iter_mut().find(|q| q.id == id) {
+    pub(crate) fn mark_ready(&mut self, id: DemandId, quotes: Vec<CandidateQuote>) {
+        if let Some(entry) = self.queue.iter_mut().find(|q| q.id == id) {
             debug_assert!(entry.quotes.is_none(), "a demand reports ready once");
             entry.quotes = Some(quotes);
         } else {
@@ -805,20 +796,20 @@ impl ClearingWindow {
     /// `flush` — any non-empty all-ready remainder (the drain-idle
     /// trigger). Returns `None` when no epoch is due.
     ///
-    /// The caller ([`crate::Exchange`]) serializes calls under its
-    /// clearing-sync mutex and journals each outcome before applying it;
-    /// this method only decides and updates the queue.
-    pub(crate) fn clear_next(&self, flush: bool) -> Option<EpochOutcome> {
-        let mut state = self.state.lock();
-        let take = self.spec.epoch_size.min(state.queue.len());
-        if take == 0 || (!flush && state.queue.len() < self.spec.epoch_size) {
+    /// The caller ([`crate::Exchange`]) runs it on the router under its
+    /// state lock and journals each outcome before applying it; this
+    /// method only decides and updates the queue. The policy it consults
+    /// must not call back into the exchange.
+    pub(crate) fn clear_next(&mut self, flush: bool) -> Option<EpochOutcome> {
+        let take = self.spec.epoch_size.min(self.queue.len());
+        if take == 0 || (!flush && self.queue.len() < self.spec.epoch_size) {
             return None;
         }
-        if !state.queue.iter().take(take).all(|q| q.quotes.is_some()) {
+        if !self.queue.iter().take(take).all(|q| q.quotes.is_some()) {
             return None;
         }
-        let epoch = state.next_epoch;
-        let batch: Vec<EpochDemand> = state
+        let epoch = self.next_epoch;
+        let batch: Vec<EpochDemand> = self
             .queue
             .iter()
             .take(take)
@@ -921,21 +912,21 @@ impl ClearingWindow {
         // Update the queue: settled demands leave, rolled demands keep
         // their (front) positions with the roll counted.
         let keep: std::collections::HashSet<DemandId> = rolled.iter().copied().collect();
-        for q in state.queue.iter_mut().take(take) {
+        for q in self.queue.iter_mut().take(take) {
             if keep.contains(&q.id) {
                 q.rolls += 1;
             }
         }
         let mut taken: Vec<QueuedDemand> = Vec::with_capacity(take);
         for _ in 0..take {
-            taken.push(state.queue.pop_front().expect("batch came from the queue"));
+            taken.push(self.queue.pop_front().expect("batch came from the queue"));
         }
         for q in taken.into_iter().rev() {
             if keep.contains(&q.id) {
-                state.queue.push_front(q);
+                self.queue.push_front(q);
             }
         }
-        state.next_epoch += 1;
+        self.next_epoch += 1;
 
         // Keep the ledger internally consistent: a seller whose matches
         // were all demoted by enforcement has no business carrying a
@@ -971,16 +962,6 @@ impl ClearingWindow {
             rolled,
             expired,
         })
-    }
-}
-
-impl std::fmt::Debug for ClearingWindow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClearingWindow")
-            .field("spec", &self.spec)
-            .field("pending", &self.pending())
-            .field("epochs", &self.epochs())
-            .finish()
     }
 }
 
@@ -1167,7 +1148,7 @@ mod tests {
 
     #[test]
     fn epochs_fire_only_when_the_leading_batch_is_ready() {
-        let w = window(2, 1, u32::MAX);
+        let mut w = window(2, 1, u32::MAX);
         w.enqueue(DemandId(0), MarketConfig::default());
         w.enqueue(DemandId(1), MarketConfig::default());
         assert!(w.clear_next(false).is_none(), "nothing ready yet");
@@ -1185,7 +1166,7 @@ mod tests {
 
     #[test]
     fn partial_batches_fire_only_on_flush() {
-        let w = window(4, 1, u32::MAX);
+        let mut w = window(4, 1, u32::MAX);
         w.enqueue(DemandId(0), MarketConfig::default());
         w.mark_ready(DemandId(0), vec![quote(0, 3.0)]);
         assert!(
@@ -1200,7 +1181,7 @@ mod tests {
     fn contention_rolls_then_serves_across_epochs() {
         // Three demands, one seller, capacity 1: each flush epoch serves
         // exactly one and rolls the rest, in deterministic order.
-        let w = window(3, 1, u32::MAX);
+        let mut w = window(3, 1, u32::MAX);
         for (i, s) in [(0u64, 2.0), (1, 9.0), (2, 5.0)] {
             w.enqueue(DemandId(i), MarketConfig::default());
             w.mark_ready(DemandId(i), vec![quote(0, s)]);
@@ -1225,7 +1206,7 @@ mod tests {
 
     #[test]
     fn max_rolls_expires_contended_demands() {
-        let w = window(2, 1, 0);
+        let mut w = window(2, 1, 0);
         w.enqueue(DemandId(0), MarketConfig::default());
         w.enqueue(DemandId(1), MarketConfig::default());
         w.mark_ready(DemandId(0), vec![quote(0, 2.0)]);
@@ -1251,7 +1232,7 @@ mod tests {
     fn capacity_enforcement_demotes_policy_overcommits() {
         // PerDemand(BestResponse) matches both demands to seller 0; the
         // window keeps the earlier one and rolls the other.
-        let w = ClearingWindow::new(ClearingSpec {
+        let mut w = ClearingWindow::new(ClearingSpec {
             epoch_size: 2,
             capacity: 1,
             max_rolls: u32::MAX,
@@ -1285,7 +1266,7 @@ mod tests {
                 }
             }
         }
-        let w = ClearingWindow::new(ClearingSpec {
+        let mut w = ClearingWindow::new(ClearingSpec {
             epoch_size: 1,
             capacity: 1,
             max_rolls: u32::MAX,

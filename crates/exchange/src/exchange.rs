@@ -1,6 +1,6 @@
-//! The marketplace engine: registered markets and sellers, the sharded
-//! session store, the shared gain cache, the course waitlist, the matching
-//! book, and the drain that drives every queued session to completion.
+//! The marketplace engine: registered markets and sellers, the session
+//! store, the shared gain cache, the course waitlist, the matching book,
+//! and the drain that drives every queued session to completion.
 //!
 //! ## Execution model
 //!
@@ -20,8 +20,9 @@
 //! sequence. `n` course tasks resolve trainings concurrently through the
 //! exchange's [`CourseResolver`] ([`Exchange::set_course_resolver`]).
 //! A drain mutex is held for the whole drain, so concurrent `drain`
-//! calls run one after another; `submit`, `submit_demand`, `poll`, and
-//! `take` stay callable from any thread while a drain runs.
+//! calls run one after another; `submit`, `submit_demand`, `poll`,
+//! `take`, and `metrics` stay callable from any thread while a drain
+//! runs.
 //!
 //! ## Parked sessions and drain termination
 //!
@@ -37,20 +38,25 @@
 //! can still be waiting on anything except the clearing window, which the
 //! idle flush empties. That is the drain-termination invariant.
 //!
-//! ## Lock order
+//! ## State lock
 //!
-//! Flat: the market/seller registries, store shards, cache shards,
-//! waitlist, pending queue, clearing window, and per-demand settlement
-//! locks are never nested inside one another, except that registrations
-//! take markets before sellers. They guard against external callers
-//! (`submit`, `poll`, `take`, checkpoints) racing the router, not against
-//! a second slice runner. The drain mutex is outermost and is only taken
-//! by `drain`. Epochs are cleared only on the router, so journal order is
-//! epoch order without a dedicated lock (see [`crate::clearing`]).
+//! Everything the API and the router read or write — registries,
+//! sessions, the ΔG cache and its claims, the waitlist, the pending
+//! queue, the demand book, the clearing window, the epoch log, and the id
+//! and admission counters — is plain data in one `Core` behind one
+//! mutex. The router takes it once per slice, once per applied course,
+//! and once per idle flush, and never holds it while it waits for a
+//! course, calls the resolver, or runs a candidate factory, so external
+//! calls stay live for the whole of a drain. Each external call is one
+//! critical section, hence atomic to the router: a submission's journal
+//! record always precedes its first dispatch. Code that runs under the
+//! lock — strategies, match, clear and admission policies, the crash
+//! hook — must not call back into the exchange. The drain mutex is taken
+//! only by `drain`, always before the state lock.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use vfl_market::session::wire;
@@ -103,23 +109,11 @@ pub struct MarketSpec {
     pub name: String,
 }
 
-/// Tuning knobs for an exchange instance.
-#[derive(Debug, Clone, Copy)]
-pub struct ExchangeConfig {
-    /// Session-store shards (locks). Default 16.
-    pub store_shards: usize,
-    /// Gain-cache shards (locks). Default 32.
-    pub cache_shards: usize,
-}
-
-impl Default for ExchangeConfig {
-    fn default() -> Self {
-        ExchangeConfig {
-            store_shards: 16,
-            cache_shards: 32,
-        }
-    }
-}
+/// Construction options for an exchange instance. It has no fields: the
+/// exchange's state is one plain-data core behind one lock, with nothing
+/// to tune.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExchangeConfig {}
 
 /// What one `drain` call accomplished.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -192,24 +186,320 @@ struct SellerEntry {
     quoting: QuotingFactory,
 }
 
-/// The concurrent multi-session marketplace engine.
-pub struct Exchange {
-    markets: RwLock<Vec<MarketEntry>>,
-    sellers: RwLock<Vec<SellerEntry>>,
-    store: SessionStore,
+/// Everything the API and the router read or write, as plain data behind
+/// the exchange's one state lock (see the module doc).
+#[derive(Default)]
+pub(crate) struct Core {
+    markets: Vec<MarketEntry>,
+    sellers: Vec<SellerEntry>,
+    pub(crate) store: SessionStore,
     pub(crate) cache: SharedGainCache,
-    waitlist: CourseWaitlist,
-    match_book: MatchBook,
+    pub(crate) waitlist: CourseWaitlist,
+    book: MatchBook,
     /// The clearing window, once [`Exchange::open_clearing`] ran (at most
     /// one per exchange; epoch-mode demands are rejected without it).
-    clearing: RwLock<Option<Arc<ClearingWindow>>>,
+    clearing: Option<ClearingWindow>,
     /// Audit history of every cleared epoch, in epoch order (what
     /// [`Exchange::epoch_history`] returns and `audit_replay` re-checks).
-    epoch_log: Mutex<Vec<EpochRecord>>,
+    epoch_log: Vec<EpochRecord>,
+    /// Submitted-but-not-yet-dispatched session ids; the router moves
+    /// them onto its own run queue at every slice.
+    pub(crate) pending: VecDeque<SessionId>,
+    next_session: u64,
+    /// Admission policy consulted by [`Exchange::submit_demand`]
+    /// ([`Exchange::set_admission`]); `None` admits everything. The load
+    /// it sees is read from this state (pending backlog, store, book) —
+    /// never from telemetry, which stays observe-only.
+    admission: Option<Arc<dyn AdmissionPolicy>>,
+    /// Logical admission clock: counts policy consultations (one per
+    /// gated [`Exchange::submit_demand`] call). Rate-based policies
+    /// refill on this — never on wall time — so admission verdicts are a
+    /// pure function of the submission sequence and replay stays
+    /// bit-identical.
+    admission_clock: u64,
+    /// Builds the course futures of every drain
+    /// ([`Exchange::set_course_resolver`]); `None` is [`LocalResolver`].
+    resolver: Option<Arc<dyn CourseResolver>>,
+}
+
+impl Core {
+    /// The next fresh session id.
+    fn allocate_session(&mut self) -> SessionId {
+        let id = SessionId(self.next_session);
+        self.next_session += 1;
+        id
+    }
+
+    /// Bumps the session-id counter past a replayed or restored `id`.
+    fn bump_session(&mut self, id: SessionId) {
+        self.next_session = self.next_session.max(id.0 + 1);
+    }
+
+    /// Appends one market entry; the caller journals it in the same
+    /// critical section, so journal order is id order (recovery
+    /// re-registers by walking the journal).
+    fn push_market(&mut self, spec: MarketSpec) -> Result<(MarketId, bool)> {
+        if spec.listings.is_empty() {
+            return Err(MarketError::InvalidConfig(
+                "market has an empty listing table".into(),
+            ));
+        }
+        // Journal strings are u16-length-prefixed; reject rather than
+        // letting a journaled exchange panic where a bare one succeeds.
+        if spec.name.len() > u16::MAX as usize {
+            return Err(MarketError::InvalidConfig(format!(
+                "market name is {} bytes; the journal format caps names at {}",
+                spec.name.len(),
+                u16::MAX
+            )));
+        }
+        let id = MarketId(self.markets.len());
+        let private = spec.evaluation_key.is_none();
+        // Private cache spaces get the high bit so they can never collide
+        // with caller-provided fingerprints of other markets.
+        let eval_key = spec.evaluation_key.unwrap_or((1 << 63) | id.0 as u64);
+        self.markets.push(MarketEntry {
+            provider: spec.provider,
+            listings: spec.listings,
+            eval_key,
+            private,
+            name: spec.name,
+        });
+        Ok((id, private))
+    }
+
+    /// Registers a seller's market and the seller itself as one step
+    /// (one `SellerRegistered` event covers both, so a journal prefix
+    /// never sees a seller's market without its seller).
+    fn push_seller(&mut self, spec: crate::matching::SellerSpec) -> Result<(SellerId, bool)> {
+        let catalog = BundleMask::union_of(spec.market.listings.iter().map(|l| l.bundle));
+        let scenario = spec.market.evaluation_key;
+        let name = spec.market.name.clone();
+        let (market, private) = self.push_market(spec.market)?;
+        let id = SellerId(self.sellers.len());
+        self.sellers.push(SellerEntry {
+            market,
+            name,
+            catalog,
+            scenario,
+            quoting: spec.quoting,
+        });
+        Ok((id, private))
+    }
+
+    /// Opens the clearing window (at most one per exchange).
+    fn open_window(&mut self, spec: ClearingSpec) -> Result<&ClearingWindow> {
+        if self.clearing.is_some() {
+            return Err(MarketError::InvalidConfig(
+                "the exchange's clearing window is already open".into(),
+            ));
+        }
+        Ok(self.clearing.insert(ClearingWindow::new(spec)?))
+    }
+
+    /// Re-registers recorded market `market` — a seller's when
+    /// `stamp.owner` is set — from the next entry of `spec`: the entry
+    /// must match the recorded fingerprints and land on the recorded ids
+    /// and evaluation key. Shared by journal replay and checkpoint restore
+    /// (`from` names which record is being replayed); journals nothing.
+    pub(crate) fn replay_registration(
+        &mut self,
+        from: &str,
+        market: MarketId,
+        stamp: &CheckpointMarket,
+        spec: &mut ReplaySpec,
+    ) -> std::result::Result<(), RecoverError> {
+        let name = &stamp.name;
+        let what = if stamp.owner.is_some() {
+            "seller"
+        } else {
+            "market"
+        };
+        let no_entry = || {
+            RecoverError::SpecMismatch(format!(
+                "{from} records {what} {market} {name:?} but the spec supplies no further {what}"
+            ))
+        };
+        let rejected = |e: MarketError| RecoverError::SpecMismatch(format!("{what} {name:?}: {e}"));
+        let check = |ms: &MarketSpec| {
+            check_market_spec(
+                what,
+                ms,
+                stamp.private,
+                stamp.eval_key,
+                stamp.listings,
+                stamp.catalog,
+                stamp.table_digest,
+                name,
+            )
+        };
+        let assigned = match stamp.owner {
+            None => {
+                let ms = (!spec.markets.is_empty())
+                    .then(|| spec.markets.remove(0))
+                    .ok_or_else(no_entry)?;
+                check(&ms)?;
+                self.push_market(ms).map_err(rejected)?.0
+            }
+            Some(seller) => {
+                let ss = (!spec.sellers.is_empty())
+                    .then(|| spec.sellers.remove(0))
+                    .ok_or_else(no_entry)?;
+                check(&ss.market)?;
+                let (id, _) = self.push_seller(ss).map_err(rejected)?;
+                if id != seller {
+                    return Err(RecoverError::InconsistentJournal(format!(
+                        "seller {name:?} replayed as {id}, {from} records {seller}"
+                    )));
+                }
+                self.sellers[id.0].market
+            }
+        };
+        if assigned != market {
+            return Err(RecoverError::InconsistentJournal(format!(
+                "{what} {name:?} market replayed as {assigned}, {from} records {market}"
+            )));
+        }
+        // Private keys encode the assigned id, so equality here also pins
+        // the registration *order* the spec re-supplied.
+        let key = self.markets[market.0].eval_key;
+        if key != stamp.eval_key {
+            return Err(RecoverError::InconsistentJournal(format!(
+                "{what} {name:?} replayed with evaluation key {key}, {from} records {}",
+                stamp.eval_key
+            )));
+        }
+        Ok(())
+    }
+
+    /// Re-opens the recorded clearing window `(epoch_size, capacity,
+    /// max_rolls)` from the spec's clearing spec, which must match it.
+    /// Shared by journal replay and checkpoint restore; journals nothing.
+    pub(crate) fn replay_clearing(
+        &mut self,
+        from: &str,
+        (epoch_size, capacity, max_rolls): (u32, u32, u32),
+        spec: &mut ReplaySpec,
+    ) -> std::result::Result<(), RecoverError> {
+        let Some(cs) = spec.clearing.take() else {
+            return Err(RecoverError::SpecMismatch(format!(
+                "{from} records a clearing window but the spec supplies no clearing spec"
+            )));
+        };
+        if cs.epoch_size as u32 != epoch_size
+            || cs.capacity != capacity
+            || cs.max_rolls != max_rolls
+        {
+            return Err(RecoverError::SpecMismatch(format!(
+                "clearing window: {from} records epoch_size {epoch_size} / capacity \
+                 {capacity} / max_rolls {max_rolls}, spec supplies {} / {} / {}",
+                cs.epoch_size, cs.capacity, cs.max_rolls
+            )));
+        }
+        self.open_window(cs)
+            .map_err(|e| RecoverError::InconsistentJournal(format!("clearing: {e}")))?;
+        Ok(())
+    }
+
+    /// Demand checks that need no seller: horizon, mask, and a window
+    /// for epoch mode.
+    fn validate_demand(&self, demand: &Demand) -> Result<()> {
+        if demand.probe_rounds == 0 {
+            return Err(MarketError::InvalidConfig(
+                "demand probe_rounds must be >= 1".into(),
+            ));
+        }
+        if demand.wanted.is_empty() {
+            return Err(MarketError::InvalidConfig(
+                "demand wants no features (empty bundle mask)".into(),
+            ));
+        }
+        if demand.settle.is_epoch() && self.clearing.is_none() {
+            return Err(MarketError::InvalidConfig(
+                "epoch-mode demand with no clearing window (call open_clearing first)".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Snapshots registered seller `seller` as a candidate for a demand
+    /// wanting `wanted` (`None` for unknown ids).
+    fn candidate(&self, seller: SellerId, wanted: BundleMask) -> Option<Candidate> {
+        let s = self.sellers.get(seller.0)?;
+        let table = self.markets[s.market.0]
+            .listings
+            .iter()
+            .filter(|l| l.bundle.intersects(wanted))
+            .copied()
+            .collect();
+        Some(Candidate {
+            seller,
+            name: s.name.clone(),
+            market: s.market,
+            quoting: s.quoting.clone(),
+            table: Arc::new(table),
+        })
+    }
+
+    /// Queues ids for dispatch, keeping the queue-depth gauge current.
+    fn enqueue(
+        &mut self,
+        ids: impl IntoIterator<Item = SessionId>,
+        tele: Option<&ExchangeTelemetry>,
+    ) {
+        self.pending.extend(ids);
+        if let Some(t) = tele {
+            t.queue_depth.set(self.pending.len() as i64);
+        }
+    }
+}
+
+/// One eligible seller of a demand, snapshotted under the state lock so
+/// its quoting factory can run outside it.
+struct Candidate {
+    seller: SellerId,
+    name: String,
+    market: MarketId,
+    quoting: QuotingFactory,
+    /// The wanted-overlapping subset of the seller's listings: the table
+    /// the candidate negotiates over.
+    table: Arc<Vec<Listing>>,
+}
+
+/// Builds one candidate session per snapshotted seller, each negotiating
+/// over the wanted-overlapping subset of its seller's catalog (the demand
+/// scopes the table, so a settled match can never deliver only
+/// unrequested features). Runs the caller's factories, so it touches no
+/// exchange state.
+fn build_candidates(demand: &Demand, candidates: &[Candidate]) -> Result<Vec<ActiveSession>> {
+    let mut sessions = Vec::with_capacity(candidates.len());
+    for c in candidates {
+        if c.table.is_empty() {
+            // Unreachable through `submit_demand` (eligibility implies
+            // overlap); a journal naming a non-overlapping seller is
+            // rejected here instead of failing at session start.
+            return Err(MarketError::InvalidConfig(format!(
+                "candidate seller {} has no listing overlapping the demand",
+                c.seller
+            )));
+        }
+        let order = SessionOrder {
+            cfg: demand.cfg,
+            task: (demand.task)(),
+            data: (c.quoting)(c.table.as_slice()),
+        };
+        let mut session = ActiveSession::new(c.market, c.table.clone(), order)?;
+        session.tag_seller(&c.name);
+        sessions.push(session);
+    }
+    Ok(sessions)
+}
+
+/// The concurrent multi-session marketplace engine.
+pub struct Exchange {
+    /// The one state lock (see the module doc).
+    pub(crate) state: Mutex<Core>,
     metrics: ExchangeMetrics,
-    next_session: AtomicU64,
-    /// Submitted-but-not-yet-dispatched session ids; drained by `drain`.
-    pub(crate) pending: Mutex<VecDeque<SessionId>>,
     /// Durable event journal, when the exchange was built with one
     /// ([`Exchange::with_journal`]); appends happen at the linearization
     /// points documented in [`crate::journal`].
@@ -221,20 +511,6 @@ pub struct Exchange {
     /// Strictly observe-only: written at the stage boundaries documented
     /// in [`crate::telemetry`], never read back by any exchange path.
     pub(crate) telemetry: Option<Arc<ExchangeTelemetry>>,
-    /// Admission policy consulted by [`Exchange::submit_demand`]
-    /// ([`Exchange::set_admission`]); `None` admits everything. The load
-    /// it sees is read from the exchange's own state (pending backlog,
-    /// store, book) — never from telemetry, which stays observe-only.
-    admission: RwLock<Option<Arc<dyn AdmissionPolicy>>>,
-    /// Logical admission clock: counts policy consultations (one per
-    /// gated [`Exchange::submit_demand`] call). Rate-based policies
-    /// refill on this — never on wall time — so admission verdicts are a
-    /// pure function of the submission sequence and replay stays
-    /// bit-identical.
-    admission_clock: AtomicU64,
-    /// Builds the course futures of every drain
-    /// ([`Exchange::set_course_resolver`]); defaults to [`LocalResolver`].
-    resolver: RwLock<Arc<dyn CourseResolver>>,
     /// Held for the whole of [`Exchange::drain`]: one router at a time.
     drain_lock: Mutex<()>,
 }
@@ -271,8 +547,8 @@ pub(crate) enum SliceEnd {
 }
 
 impl Exchange {
-    /// An exchange with the given tuning knobs (no journal: nothing is
-    /// persisted, exactly the pre-journal behaviour).
+    /// A plain exchange (no journal: nothing is persisted, exactly the
+    /// pre-journal behaviour).
     pub fn new(cfg: ExchangeConfig) -> Self {
         Self::build(cfg, None, None)
     }
@@ -305,29 +581,17 @@ impl Exchange {
     }
 
     pub(crate) fn build(
-        cfg: ExchangeConfig,
+        _cfg: ExchangeConfig,
         journal: Option<Arc<Journal>>,
         telemetry: Option<Arc<ExchangeTelemetry>>,
     ) -> Self {
         Exchange {
-            store: SessionStore::new(cfg.store_shards),
-            cache: SharedGainCache::new(cfg.cache_shards),
-            waitlist: CourseWaitlist::default(),
-            match_book: MatchBook::new(),
-            clearing: RwLock::new(None),
-            epoch_log: Mutex::new(Vec::new()),
+            state: Mutex::default(),
             metrics: ExchangeMetrics::default(),
-            markets: RwLock::new(Vec::new()),
-            sellers: RwLock::new(Vec::new()),
-            next_session: AtomicU64::new(0),
-            pending: Mutex::new(VecDeque::new()),
             journal,
             crash_hook: Mutex::new(None),
             crash_armed: AtomicBool::new(false),
             telemetry,
-            admission: RwLock::new(None),
-            admission_clock: AtomicU64::new(0),
-            resolver: RwLock::new(Arc::new(LocalResolver)),
             drain_lock: Mutex::new(()),
         }
     }
@@ -339,7 +603,7 @@ impl Exchange {
     /// bytes do not depend on the resolver or its latency — only on what
     /// it returns (see [`crate::executor`]).
     pub fn set_course_resolver(&self, resolver: Arc<dyn CourseResolver>) {
-        *self.resolver.write() = resolver;
+        self.state.lock().resolver = Some(resolver);
     }
 
     /// The attached telemetry sink, if any.
@@ -383,7 +647,8 @@ impl Exchange {
 
     /// Installs (or clears) the fault-injection hook. The hook fires at
     /// every [`CrashPoint`] the router passes — *inside* the course
-    /// and settlement critical sections — and typically reacts by sealing
+    /// and settlement critical sections, under the state lock, so it must
+    /// not call back into the exchange — and typically reacts by sealing
     /// the journal, freezing durability exactly as a crash at that
     /// instant would. Observability only: the in-memory run continues, so
     /// a test can compare it against the recovery of the sealed journal.
@@ -403,7 +668,7 @@ impl Exchange {
     /// behaviorally invisible (the traffic tier proves journal-multiset
     /// equality against a detached exchange).
     pub fn set_admission(&self, policy: Option<Arc<dyn AdmissionPolicy>>) {
-        *self.admission.write() = policy;
+        self.state.lock().admission = policy;
     }
 
     pub(crate) fn crash_point(&self, point: CrashPoint) {
@@ -415,46 +680,13 @@ impl Exchange {
         }
     }
 
-    /// Appends one market entry under the held registry lock; journal
-    /// appends happen under the same lock, so journal order is id order
-    /// (recovery re-registers by walking the journal).
-    fn push_market(markets: &mut Vec<MarketEntry>, spec: MarketSpec) -> Result<(MarketId, bool)> {
-        if spec.listings.is_empty() {
-            return Err(MarketError::InvalidConfig(
-                "market has an empty listing table".into(),
-            ));
-        }
-        // Journal strings are u16-length-prefixed; reject rather than
-        // letting a journaled exchange panic where a bare one succeeds.
-        if spec.name.len() > u16::MAX as usize {
-            return Err(MarketError::InvalidConfig(format!(
-                "market name is {} bytes; the journal format caps names at {}",
-                spec.name.len(),
-                u16::MAX
-            )));
-        }
-        let id = MarketId(markets.len());
-        let private = spec.evaluation_key.is_none();
-        // Private cache spaces get the high bit so they can never collide
-        // with caller-provided fingerprints of other markets.
-        let eval_key = spec.evaluation_key.unwrap_or((1 << 63) | id.0 as u64);
-        markets.push(MarketEntry {
-            provider: spec.provider,
-            listings: spec.listings,
-            eval_key,
-            private,
-            name: spec.name,
-        });
-        Ok((id, private))
-    }
-
     /// Registers a market; heterogeneous scenarios (any dataset × base
     /// model mix) coexist in one exchange.
     pub fn register_market(&self, spec: MarketSpec) -> Result<MarketId> {
-        let mut markets = self.markets.write();
-        let (id, private) = Self::push_market(&mut markets, spec)?;
+        let mut core = self.state.lock();
+        let (id, private) = core.push_market(spec)?;
         self.record_with(|| {
-            let entry = &markets[id.0];
+            let entry = &core.markets[id.0];
             ExchangeEvent::MarketRegistered {
                 market: id,
                 eval_key: entry.eval_key,
@@ -474,34 +706,21 @@ impl Exchange {
     /// with. Sellers are matched against demands by catalog overlap and
     /// scenario fingerprint (see [`Demand`]).
     pub fn register_seller(&self, spec: crate::matching::SellerSpec) -> Result<SellerId> {
-        let catalog = BundleMask::union_of(spec.market.listings.iter().map(|l| l.bundle));
-        let scenario = spec.market.evaluation_key;
-        let name = spec.market.name.clone();
-        // Lock order: markets before sellers — the only place both are
-        // held together, so the market-id allocation and the seller
-        // record form one atomic registration in journal order (one
-        // `SellerRegistered` event covers both; a journal prefix never
-        // sees a seller's market without its seller).
-        let mut markets = self.markets.write();
-        let mut sellers = self.sellers.write();
-        let (market, private) = Self::push_market(&mut markets, spec.market)?;
-        let id = SellerId(sellers.len());
-        sellers.push(SellerEntry {
-            market,
-            name: name.clone(),
-            catalog,
-            scenario,
-            quoting: spec.quoting,
-        });
-        self.record_with(|| ExchangeEvent::SellerRegistered {
-            seller: id,
-            market,
-            eval_key: markets[market.0].eval_key,
-            private,
-            listings: markets[market.0].listings.len() as u32,
-            catalog,
-            table_digest: crate::journal::listing_table_digest(&markets[market.0].listings),
-            name: name.clone(),
+        let mut core = self.state.lock();
+        let (id, private) = core.push_seller(spec)?;
+        self.record_with(|| {
+            let seller = &core.sellers[id.0];
+            let market = &core.markets[seller.market.0];
+            ExchangeEvent::SellerRegistered {
+                seller: id,
+                market: seller.market,
+                eval_key: market.eval_key,
+                private,
+                listings: market.listings.len() as u32,
+                catalog: seller.catalog,
+                table_digest: crate::journal::listing_table_digest(&market.listings),
+                name: seller.name.clone(),
+            }
         });
         Ok(id)
     }
@@ -514,21 +733,13 @@ impl Exchange {
     /// (`epoch_size`, `capacity`, `max_rolls`) is journaled so recovery
     /// can verify the re-supplied spec against it.
     pub fn open_clearing(&self, spec: ClearingSpec) -> Result<()> {
-        let mut slot = self.clearing.write();
-        if slot.is_some() {
-            return Err(MarketError::InvalidConfig(
-                "the exchange's clearing window is already open".into(),
-            ));
-        }
-        let window = ClearingWindow::new(spec)?;
-        // Journal under the held window lock, mirroring registrations:
-        // the open-record precedes every epoch demand in any prefix.
+        let mut core = self.state.lock();
+        let spec = core.open_window(spec)?.spec();
         self.record_with(|| ExchangeEvent::ClearingOpened {
-            epoch_size: window.spec().epoch_size as u32,
-            capacity: window.spec().capacity,
-            max_rolls: window.spec().max_rolls,
+            epoch_size: spec.epoch_size as u32,
+            capacity: spec.capacity,
+            max_rolls: spec.max_rolls,
         });
-        *slot = Some(Arc::new(window));
         Ok(())
     }
 
@@ -536,7 +747,7 @@ impl Exchange {
     /// demand matched/rolled/expired in which batch, and the uniform
     /// clearing price per seller market (see [`crate::clearing`]).
     pub fn epoch_history(&self) -> Vec<EpochRecord> {
-        self.epoch_log.lock().clone()
+        self.state.lock().epoch_log.clone()
     }
 
     /// Appends a [`ExchangeEvent::Checkpoint`] frame — a wholesale
@@ -569,17 +780,18 @@ impl Exchange {
                 "checkpoint on a failed journal: {e}"
             )));
         }
-        // Quiescence gate. Checked pending → window → store → book so a
-        // drain that just returned always passes; a concurrent submit
-        // between the checks surfaces as a live slot below.
-        let pending = self.pending.lock().len();
+        // One critical section from the quiescence gate to the appended
+        // frame: no submission can land between the snapshot and the
+        // checkpoint record and be lost to a recovery that seeks past it.
+        let core = self.state.lock();
+        let pending = core.pending.len();
         if pending > 0 {
             return Err(MarketError::InvalidConfig(format!(
                 "checkpoint on a non-quiescent exchange: {pending} sessions pending \
                  (drain first)"
             )));
         }
-        if let Some(window) = self.clearing.read().clone() {
+        if let Some(window) = &core.clearing {
             let queued = window.pending();
             if queued > 0 {
                 return Err(MarketError::InvalidConfig(format!(
@@ -588,53 +800,47 @@ impl Exchange {
                 )));
             }
         }
-        let sessions = self.store.snapshot_terminal().map_err(|live| {
+        let sessions = core.store.snapshot_terminal().map_err(|live| {
             MarketError::InvalidConfig(format!(
                 "checkpoint on a non-quiescent exchange: {live} sessions still live \
                  (drain first)"
             ))
         })?;
-        let demands = self.match_book.snapshot_settled().map_err(|live| {
+        let demands = core.book.snapshot_settled().map_err(|live| {
             MarketError::InvalidConfig(format!(
                 "checkpoint on a non-quiescent exchange: {live} demands still \
                  matching (drain first)"
             ))
         })?;
-        // Registration stamps under the markets → sellers lock order (the
-        // registration paths' order), so a racing registration lands
-        // wholly before or wholly after the snapshot.
-        let markets_stamp: Vec<CheckpointMarket> = {
-            let markets = self.markets.read();
-            let sellers = self.sellers.read();
-            let mut owner: Vec<Option<SellerId>> = vec![None; markets.len()];
-            for (i, s) in sellers.iter().enumerate() {
-                owner[s.market.0] = Some(SellerId(i));
-            }
-            markets
-                .iter()
-                .enumerate()
-                .map(|(i, m)| CheckpointMarket {
-                    owner: owner[i],
-                    eval_key: m.eval_key,
-                    private: m.private,
-                    listings: m.listings.len() as u32,
-                    catalog: BundleMask::union_of(m.listings.iter().map(|l| l.bundle)),
-                    table_digest: crate::journal::listing_table_digest(&m.listings),
-                    name: m.name.clone(),
-                })
-                .collect()
-        };
-        let clearing = self.clearing.read().clone().map(|w| {
+        let mut owner: Vec<Option<SellerId>> = vec![None; core.markets.len()];
+        for (i, s) in core.sellers.iter().enumerate() {
+            owner[s.market.0] = Some(SellerId(i));
+        }
+        let markets_stamp: Vec<CheckpointMarket> = core
+            .markets
+            .iter()
+            .enumerate()
+            .map(|(i, m)| CheckpointMarket {
+                owner: owner[i],
+                eval_key: m.eval_key,
+                private: m.private,
+                listings: m.listings.len() as u32,
+                catalog: BundleMask::union_of(m.listings.iter().map(|l| l.bundle)),
+                table_digest: crate::journal::listing_table_digest(&m.listings),
+                name: m.name.clone(),
+            })
+            .collect();
+        let clearing = core.clearing.as_ref().map(|w| {
             let s = w.spec();
             (s.epoch_size as u32, s.capacity, s.max_rolls)
         });
         let state = CheckpointState {
-            next_session: self.next_session.load(Ordering::Relaxed),
-            next_demand: self.match_book.next_id(),
+            next_session: core.next_session,
+            next_demand: core.book.next_id(),
             markets: markets_stamp,
             clearing,
-            epochs: self.epoch_history(),
-            courses: self.cache.entries(),
+            epochs: core.epoch_log.clone(),
+            courses: core.cache.entries(),
             sessions,
             demands,
         };
@@ -660,48 +866,6 @@ impl Exchange {
         Ok(stats)
     }
 
-    /// Registration path of checkpoint restore: exactly
-    /// [`Self::register_market`] minus the journal record (the restored
-    /// checkpoint frame already covers it).
-    fn restore_market(&self, spec: MarketSpec) -> Result<MarketId> {
-        let mut markets = self.markets.write();
-        let (id, _) = Self::push_market(&mut markets, spec)?;
-        Ok(id)
-    }
-
-    /// Seller path of checkpoint restore: [`Self::register_seller`] minus
-    /// the journal record.
-    fn restore_seller(&self, spec: crate::matching::SellerSpec) -> Result<SellerId> {
-        let catalog = BundleMask::union_of(spec.market.listings.iter().map(|l| l.bundle));
-        let scenario = spec.market.evaluation_key;
-        let name = spec.market.name.clone();
-        let mut markets = self.markets.write();
-        let mut sellers = self.sellers.write();
-        let (market, _) = Self::push_market(&mut markets, spec.market)?;
-        let id = SellerId(sellers.len());
-        sellers.push(SellerEntry {
-            market,
-            name,
-            catalog,
-            scenario,
-            quoting: spec.quoting,
-        });
-        Ok(id)
-    }
-
-    /// Clearing path of checkpoint restore: [`Self::open_clearing`] minus
-    /// the journal record.
-    fn restore_clearing(&self, spec: ClearingSpec) -> Result<()> {
-        let mut slot = self.clearing.write();
-        if slot.is_some() {
-            return Err(MarketError::InvalidConfig(
-                "the exchange's clearing window is already open".into(),
-            ));
-        }
-        *slot = Some(Arc::new(ClearingWindow::new(spec)?));
-        Ok(())
-    }
-
     /// Restores a [`CheckpointState`] into this (fresh) exchange:
     /// registrations re-verified against the re-supplied spec exactly as
     /// genesis replay verifies registration events, then courses, terminal
@@ -716,134 +880,35 @@ impl Exchange {
         state: CheckpointState,
         spec: &mut ReplaySpec,
     ) -> std::result::Result<(), RecoverError> {
-        for (idx, m) in state.markets.iter().enumerate() {
-            match m.owner {
-                None => {
-                    if spec.markets.is_empty() {
-                        return Err(RecoverError::SpecMismatch(format!(
-                            "checkpoint records market m{idx} {:?} but the spec \
-                             supplies no further market",
-                            m.name
-                        )));
-                    }
-                    let ms = spec.markets.remove(0);
-                    check_market_spec(
-                        "market",
-                        &ms,
-                        m.private,
-                        m.eval_key,
-                        m.listings,
-                        m.catalog,
-                        m.table_digest,
-                        &m.name,
-                    )?;
-                    let id = self.restore_market(ms).map_err(|e| {
-                        RecoverError::SpecMismatch(format!("market {:?}: {e}", m.name))
-                    })?;
-                    if id.0 != idx {
-                        return Err(RecoverError::InconsistentJournal(format!(
-                            "checkpoint market {:?} restored as {id}, stamp is m{idx}",
-                            m.name
-                        )));
-                    }
-                }
-                Some(seller) => {
-                    if spec.sellers.is_empty() {
-                        return Err(RecoverError::SpecMismatch(format!(
-                            "checkpoint records seller {seller} {:?} but the spec \
-                             supplies no further seller",
-                            m.name
-                        )));
-                    }
-                    let ss = spec.sellers.remove(0);
-                    check_market_spec(
-                        "seller",
-                        &ss.market,
-                        m.private,
-                        m.eval_key,
-                        m.listings,
-                        m.catalog,
-                        m.table_digest,
-                        &m.name,
-                    )?;
-                    let id = self.restore_seller(ss).map_err(|e| {
-                        RecoverError::SpecMismatch(format!("seller {:?}: {e}", m.name))
-                    })?;
-                    if id != seller {
-                        return Err(RecoverError::InconsistentJournal(format!(
-                            "checkpoint seller {:?} restored as {id}, stamp is {seller}",
-                            m.name
-                        )));
-                    }
-                    let market = self.seller_market(id).expect("just registered");
-                    if market.0 != idx {
-                        return Err(RecoverError::InconsistentJournal(format!(
-                            "checkpoint seller {:?} market restored as {market}, \
-                             stamp is m{idx}",
-                            m.name
-                        )));
-                    }
-                }
-            }
-            // Private keys encode the assigned id, so equality here also
-            // pins the registration *order* the spec re-supplied.
-            let restored_key = self.markets.read()[idx].eval_key;
-            if restored_key != m.eval_key {
-                return Err(RecoverError::InconsistentJournal(format!(
-                    "checkpoint market m{idx} {:?} restored with evaluation key \
-                     {restored_key}, stamp records {}",
-                    m.name, m.eval_key
-                )));
-            }
+        let mut core = self.state.lock();
+        for (idx, stamp) in state.markets.iter().enumerate() {
+            core.replay_registration("checkpoint", MarketId(idx), stamp, spec)?;
         }
-        match (state.clearing, spec.clearing.take()) {
-            (None, unused) => spec.clearing = unused, // a suffix ClearingOpened may claim it
-            (Some((epoch_size, capacity, max_rolls)), Some(cs)) => {
-                if cs.epoch_size as u32 != epoch_size
-                    || cs.capacity != capacity
-                    || cs.max_rolls != max_rolls
-                {
-                    return Err(RecoverError::SpecMismatch(format!(
-                        "clearing window: checkpoint records epoch_size {epoch_size} / \
-                         capacity {capacity} / max_rolls {max_rolls}, spec supplies \
-                         {} / {} / {}",
-                        cs.epoch_size, cs.capacity, cs.max_rolls
-                    )));
-                }
-                self.restore_clearing(cs)
-                    .map_err(|e| RecoverError::InconsistentJournal(format!("clearing: {e}")))?;
-            }
-            (Some(_), None) => {
-                return Err(RecoverError::SpecMismatch(
-                    "checkpoint records a clearing window but the spec supplies no \
-                     clearing spec"
-                        .into(),
-                ));
-            }
+        if let Some(shape) = state.clearing {
+            core.replay_clearing("checkpoint", shape, spec)?;
         }
         if !state.epochs.is_empty() {
-            let Some(window) = self.clearing.read().clone() else {
+            let Some(window) = core.clearing.as_mut() else {
                 return Err(RecoverError::InconsistentJournal(
                     "checkpoint records cleared epochs but no clearing window".into(),
                 ));
             };
             let next = state.epochs.last().expect("non-empty").epoch + 1;
             window.skip_to_epoch(next);
-            *self.epoch_log.lock() = state.epochs.clone();
+            core.epoch_log = state.epochs.clone();
         }
         for &((eval_key, bundle), gain) in &state.courses {
-            self.cache.insert(eval_key, BundleMask(bundle), gain);
+            core.cache.insert(eval_key, BundleMask(bundle), gain);
         }
         for (sid, result) in &state.sessions {
-            self.next_session.fetch_max(sid.0 + 1, Ordering::Relaxed);
-            self.store.finish(*sid, result.clone());
+            core.bump_session(*sid);
+            core.store.finish(*sid, result.clone());
         }
         for report in &state.demands {
-            self.match_book.restore_settled(report.clone());
+            core.book.restore_settled(report.clone());
         }
-        self.next_session
-            .fetch_max(state.next_session, Ordering::Relaxed);
-        self.match_book.bump_next(state.next_demand);
+        core.next_session = core.next_session.max(state.next_session);
+        core.book.bump_next(state.next_demand);
         // Stamp the restored checkpoint into the fresh generation *after*
         // every check passed (the restore paths above journal nothing, so
         // this frame is the new journal's first — `[Checkpoint, suffix…]`).
@@ -853,62 +918,52 @@ impl Exchange {
         Ok(())
     }
 
-    /// The clearing window's spec-and-queue view (`None` before
-    /// [`Exchange::open_clearing`]).
-    pub fn clearing_window(&self) -> Option<Arc<ClearingWindow>> {
-        self.clearing.read().clone()
-    }
-
     /// The market a registered seller trades on (`None` for unknown ids).
     pub fn seller_market(&self, id: SellerId) -> Option<MarketId> {
-        self.sellers.read().get(id.0).map(|s| s.market)
+        self.state.lock().sellers.get(id.0).map(|s| s.market)
     }
 
     /// Number of registered sellers.
     pub fn seller_count(&self) -> usize {
-        self.sellers.read().len()
+        self.state.lock().sellers.len()
     }
 
     /// Opens a negotiation on `market`. The session is validated and queued
     /// immediately; it runs during the next [`Self::drain`].
     pub fn submit(&self, market: MarketId, order: SessionOrder) -> Result<SessionId> {
-        let id = SessionId(self.next_session.fetch_add(1, Ordering::Relaxed));
-        self.open_session(id, market, order)?;
+        let mut core = self.state.lock();
+        let id = core.allocate_session();
+        self.open_session(&mut core, id, market, order)?;
         Ok(id)
     }
 
-    /// Validates, stores, and queues one session under an explicit id
-    /// (shared by `submit` and journal recovery).
-    fn open_session(&self, id: SessionId, market: MarketId, order: SessionOrder) -> Result<()> {
-        let listings = {
-            let markets = self.markets.read();
-            let entry = markets.get(market.0).ok_or_else(|| {
-                MarketError::InvalidConfig(format!("unknown market {}", market.0))
-            })?;
-            entry.listings.clone()
-        };
+    /// Validates, stores, journals, and queues one session under an
+    /// explicit id (shared by `submit` and journal recovery).
+    fn open_session(
+        &self,
+        core: &mut Core,
+        id: SessionId,
+        market: MarketId,
+        order: SessionOrder,
+    ) -> Result<()> {
+        let listings = core
+            .markets
+            .get(market.0)
+            .ok_or_else(|| MarketError::InvalidConfig(format!("unknown market {}", market.0)))?
+            .listings
+            .clone();
         let cfg_digest = wire::config_digest(&order.cfg);
         let mut session = ActiveSession::new(market, listings, order)?;
         if let Some(t) = self.telemetry.as_deref() {
             session.stamp_enqueued(t.now_ns());
         }
-        self.store.insert(id, session);
-        // Journal before the pending push: once the id is queued, a
-        // concurrent drain may dispatch it and journal course/conclusion
-        // events — the submission record must precede them in every
-        // prefix (same write-ahead order as `commit_demand`).
+        core.store.insert(id, session);
         self.record_with(|| ExchangeEvent::SessionSubmitted {
             session: id,
             market,
             cfg_digest,
         });
-        {
-            let mut pending = self.pending.lock();
-            pending.push_back(id);
-            if let Some(t) = self.telemetry.as_deref() {
-                t.queue_depth.set(pending.len() as i64);
-            }
-        }
+        core.enqueue([id], self.telemetry.as_deref());
         ExchangeMetrics::incr(&self.metrics.sessions_opened);
         Ok(())
     }
@@ -923,20 +978,21 @@ impl Exchange {
         market: MarketId,
         order: SessionOrder,
     ) -> Result<()> {
-        if self.store.status(id).is_some() {
+        let mut core = self.state.lock();
+        if core.store.status(id).is_some() {
             return Err(MarketError::InvalidConfig(format!(
                 "journal records session {id} twice"
             )));
         }
-        self.next_session.fetch_max(id.0 + 1, Ordering::Relaxed);
-        self.open_session(id, market, order)
+        core.bump_session(id);
+        self.open_session(&mut core, id, market, order)
     }
 
     /// Refills one journaled course result into the shared ΔG cache
     /// (recovery): the training was paid for by the pre-crash run, so the
     /// resumed drain serves it as a hit and never re-trains it.
     pub(crate) fn preload_course(&self, eval_key: u64, bundle: BundleMask, gain: f64) {
-        self.cache.insert(eval_key, bundle, gain);
+        self.state.lock().cache.insert(eval_key, bundle, gain);
         ExchangeMetrics::incr(&self.metrics.courses_preloaded);
         self.record_with(|| ExchangeEvent::CourseServed {
             eval_key,
@@ -957,164 +1013,96 @@ impl Exchange {
     /// demand (no overlapping seller, empty `wanted`, `probe_rounds == 0`)
     /// rejects the whole demand without opening any session.
     pub fn submit_demand(&self, demand: Demand) -> Result<DemandId> {
-        self.validate_demand(&demand)?;
-        // Snapshot the eligible sellers (registration order = slot order).
-        let eligible: Vec<(SellerId, String, MarketId, QuotingFactory)> = {
-            let sellers = self.sellers.read();
-            sellers
+        let candidates = {
+            let mut core = self.state.lock();
+            core.validate_demand(&demand)?;
+            // Eligible sellers, in registration (= slot) order.
+            let candidates: Vec<Candidate> = core
+                .sellers
                 .iter()
                 .enumerate()
                 .filter(|(_, s)| {
                     s.catalog.intersects(demand.wanted)
-                        && match demand.scenario {
-                            Some(key) => s.scenario == Some(key),
-                            None => true,
-                        }
+                        && demand.scenario.is_none_or(|key| s.scenario == Some(key))
                 })
-                .map(|(i, s)| (SellerId(i), s.name.clone(), s.market, s.quoting.clone()))
-                .collect()
-        };
-        if eligible.is_empty() {
-            return Err(MarketError::InvalidConfig(
-                "no registered seller's catalog overlaps the demand".into(),
-            ));
-        }
-        // Admission gate: after validation and eligibility (a shed demand
-        // is a *valid* demand the exchange refused for load, not an
-        // error), before any session id or store slot is consumed — the
-        // session-id stream of admitted demands is untouched by shedding.
-        if let Some(policy) = self.admission.read().clone() {
-            let load = AdmissionLoad {
-                queue_depth: self.pending.lock().len(),
-                sessions: self.store.len(),
-                demands: self.match_book.len(),
-                fan_out: eligible.len(),
-                submission: self.admission_clock.fetch_add(1, Ordering::Relaxed),
-                scenario: demand.scenario,
-            };
-            if let AdmissionDecision::Shed { retry_after } = policy.admit(&load) {
-                let did = self.match_book.allocate();
-                self.match_book.open_shed_at(did, retry_after);
-                self.record_with(|| ExchangeEvent::DemandShed {
-                    demand: did,
-                    wanted: demand.wanted,
-                    cfg_digest: wire::config_digest(&demand.cfg),
-                    queue_depth: load.queue_depth as u32,
-                    retry_after,
-                });
-                ExchangeMetrics::incr(&self.metrics.demands_shed);
-                return Ok(did);
+                .filter_map(|(i, _)| core.candidate(SellerId(i), demand.wanted))
+                .collect();
+            if candidates.is_empty() {
+                return Err(MarketError::InvalidConfig(
+                    "no registered seller's catalog overlaps the demand".into(),
+                ));
             }
-        }
-        let sessions = self.build_candidates(&demand, &eligible)?;
-        let ids: Vec<SessionId> = sessions
-            .iter()
-            .map(|_| SessionId(self.next_session.fetch_add(1, Ordering::Relaxed)))
-            .collect();
-        let did = self.match_book.allocate();
-        self.commit_demand(did, ids, eligible, sessions, &demand);
+            // Admission gate: after validation and eligibility (a shed
+            // demand is a *valid* demand the exchange refused for load,
+            // not an error), before any session id or store slot is
+            // consumed — the session-id stream of admitted demands is
+            // untouched by shedding.
+            if let Some(policy) = core.admission.clone() {
+                let load = AdmissionLoad {
+                    queue_depth: core.pending.len(),
+                    sessions: core.store.len(),
+                    demands: core.book.len(),
+                    fan_out: candidates.len(),
+                    submission: core.admission_clock,
+                    scenario: demand.scenario,
+                };
+                core.admission_clock += 1;
+                if let AdmissionDecision::Shed { retry_after } = policy.admit(&load) {
+                    let did = core.book.allocate();
+                    core.book.open_shed_at(did, retry_after);
+                    self.record_with(|| ExchangeEvent::DemandShed {
+                        demand: did,
+                        wanted: demand.wanted,
+                        cfg_digest: wire::config_digest(&demand.cfg),
+                        queue_depth: load.queue_depth as u32,
+                        retry_after,
+                    });
+                    ExchangeMetrics::incr(&self.metrics.demands_shed);
+                    return Ok(did);
+                }
+            }
+            candidates
+        };
+        let sessions = build_candidates(&demand, &candidates)?;
+        let mut core = self.state.lock();
+        let ids: Vec<SessionId> = sessions.iter().map(|_| core.allocate_session()).collect();
+        let did = core.book.allocate();
+        self.commit_demand(&mut core, did, ids, candidates, sessions, &demand);
         Ok(did)
     }
 
-    fn validate_demand(&self, demand: &Demand) -> Result<()> {
-        if demand.probe_rounds == 0 {
-            return Err(MarketError::InvalidConfig(
-                "demand probe_rounds must be >= 1".into(),
-            ));
-        }
-        if demand.wanted.is_empty() {
-            return Err(MarketError::InvalidConfig(
-                "demand wants no features (empty bundle mask)".into(),
-            ));
-        }
-        if demand.settle.is_epoch() && self.clearing.read().is_none() {
-            return Err(MarketError::InvalidConfig(
-                "epoch-mode demand with no clearing window (call open_clearing first)".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Builds one candidate session per eligible seller, each negotiating
-    /// over the wanted-overlapping subset of its seller's catalog (the
-    /// demand scopes the table, so a settled match can never deliver only
-    /// unrequested features). No shared state is touched.
-    fn build_candidates(
-        &self,
-        demand: &Demand,
-        eligible: &[(SellerId, String, MarketId, QuotingFactory)],
-    ) -> Result<Vec<ActiveSession>> {
-        // One registry read for all candidate tables, dropped before any
-        // factory (user code) runs.
-        let tables: Vec<Arc<Vec<Listing>>> = {
-            let markets = self.markets.read();
-            eligible
-                .iter()
-                .map(|(_, _, market, _)| {
-                    Arc::new(
-                        markets[market.0]
-                            .listings
-                            .iter()
-                            .filter(|l| l.bundle.intersects(demand.wanted))
-                            .copied()
-                            .collect::<Vec<Listing>>(),
-                    )
-                })
-                .collect()
-        };
-        let mut sessions = Vec::with_capacity(eligible.len());
-        for ((seller, name, market, quoting), table) in eligible.iter().zip(&tables) {
-            if table.is_empty() {
-                // Unreachable through `submit_demand` (eligibility implies
-                // overlap); a journal naming a non-overlapping seller is
-                // rejected here instead of failing at session start.
-                return Err(MarketError::InvalidConfig(format!(
-                    "candidate seller {seller} has no listing overlapping the demand"
-                )));
-            }
-            let order = SessionOrder {
-                cfg: demand.cfg,
-                task: (demand.task)(),
-                data: (quoting)(table.as_slice()),
-            };
-            let mut session = ActiveSession::new(*market, table.clone(), order)?;
-            session.tag_seller(name);
-            sessions.push(session);
-        }
-        Ok(sessions)
-    }
-
-    /// Commits a planned fan-out: the demand state (so any report finds
-    /// it), then — for epoch demands — the clearing-window queue entry
-    /// (submission order is epoch-membership order, and it must exist
-    /// before any candidate can report ready), then tagged sessions into
-    /// the store, then one atomic batch into the pending queue (a
-    /// concurrent drain sees all candidates or none), then the journal
-    /// record — one event for the whole fan-out.
+    /// Commits a planned fan-out in one critical section: the demand
+    /// state, the clearing-window queue entry for epoch demands
+    /// (submission order is epoch-membership order), the tagged sessions,
+    /// the journal record — one event for the whole fan-out — and the
+    /// queued ids.
     fn commit_demand(
         &self,
+        core: &mut Core,
         did: DemandId,
         ids: Vec<SessionId>,
-        eligible: Vec<(SellerId, String, MarketId, QuotingFactory)>,
+        candidates: Vec<Candidate>,
         sessions: Vec<ActiveSession>,
         demand: &Demand,
     ) {
-        let candidates: Vec<(SellerId, String, SessionId)> = eligible
-            .iter()
+        let slots: Vec<(SellerId, String, SessionId)> = candidates
+            .into_iter()
             .zip(&ids)
-            .map(|((seller, name, _, _), &sid)| (*seller, name.clone(), sid))
+            .map(|(c, &sid)| (c.seller, c.name, sid))
             .collect();
-        self.match_book.open_at(
+        let recorded: Vec<(SellerId, SessionId)> = slots
+            .iter()
+            .map(|&(seller, _, sid)| (seller, sid))
+            .collect();
+        core.book.open_at(
             did,
-            DemandState::new(demand.cfg, demand.settle.clone(), candidates),
+            DemandState::new(demand.cfg, demand.settle.clone(), slots),
         );
         if demand.settle.is_epoch() {
-            let window = self
-                .clearing
-                .read()
-                .clone()
-                .expect("validated: epoch demands require an open window");
-            window.enqueue(did, demand.cfg);
+            core.clearing
+                .as_mut()
+                .expect("validated: epoch demands require an open window")
+                .enqueue(did, demand.cfg);
         }
         for ((slot, mut session), &sid) in sessions.into_iter().enumerate().zip(&ids) {
             session.set_match_tag(MatchTag {
@@ -1126,7 +1114,7 @@ impl Exchange {
             if let Some(t) = self.telemetry.as_deref() {
                 session.stamp_enqueued(t.now_ns());
             }
-            self.store.insert(sid, session);
+            core.store.insert(sid, session);
             ExchangeMetrics::incr(&self.metrics.sessions_opened);
         }
         self.record_with(|| ExchangeEvent::DemandSubmitted {
@@ -1135,19 +1123,9 @@ impl Exchange {
             probe_rounds: demand.probe_rounds,
             cfg_digest: wire::config_digest(&demand.cfg),
             epoch_mode: demand.settle.is_epoch(),
-            candidates: eligible
-                .iter()
-                .zip(&ids)
-                .map(|((seller, _, _, _), &sid)| (*seller, sid))
-                .collect(),
+            candidates: recorded,
         });
-        {
-            let mut pending = self.pending.lock();
-            pending.extend(ids);
-            if let Some(t) = self.telemetry.as_deref() {
-                t.queue_depth.set(pending.len() as i64);
-            }
-        }
+        core.enqueue(ids, self.telemetry.as_deref());
         ExchangeMetrics::incr(&self.metrics.demands_submitted);
     }
 
@@ -1163,46 +1141,47 @@ impl Exchange {
         demand: Demand,
         recorded: &[(SellerId, SessionId)],
     ) -> Result<()> {
-        self.validate_demand(&demand)?;
-        if recorded.is_empty() {
-            return Err(MarketError::InvalidConfig(
-                "journaled demand has an empty fan-out".into(),
-            ));
-        }
-        // Reject duplicate recorded ids instead of silently overwriting
-        // state (the store/book uniqueness guards are debug-only).
-        if self.match_book.status(did).is_some() {
-            return Err(MarketError::InvalidConfig(format!(
-                "journal records demand {did} twice"
-            )));
-        }
-        for &(_, sid) in recorded {
-            if self.store.status(sid).is_some() {
+        let candidates = {
+            let core = self.state.lock();
+            core.validate_demand(&demand)?;
+            if recorded.is_empty() {
+                return Err(MarketError::InvalidConfig(
+                    "journaled demand has an empty fan-out".into(),
+                ));
+            }
+            // Reject duplicate recorded ids instead of silently
+            // overwriting state (the store/book uniqueness guards are
+            // debug-only).
+            if core.book.contains(did) {
                 return Err(MarketError::InvalidConfig(format!(
-                    "journal records candidate session {sid} twice"
+                    "journal records demand {did} twice"
                 )));
             }
-        }
-        let eligible: Vec<(SellerId, String, MarketId, QuotingFactory)> = {
-            let sellers = self.sellers.read();
+            for &(_, sid) in recorded {
+                if core.store.status(sid).is_some() {
+                    return Err(MarketError::InvalidConfig(format!(
+                        "journal records candidate session {sid} twice"
+                    )));
+                }
+            }
             recorded
                 .iter()
-                .map(|&(sid, _)| {
-                    let s = sellers.get(sid.0).ok_or_else(|| {
+                .map(|&(seller, _)| {
+                    core.candidate(seller, demand.wanted).ok_or_else(|| {
                         MarketError::InvalidConfig(format!(
-                            "journaled demand names unregistered seller {sid}"
+                            "journaled demand names unregistered seller {seller}"
                         ))
-                    })?;
-                    Ok((sid, s.name.clone(), s.market, s.quoting.clone()))
+                    })
                 })
-                .collect::<Result<_>>()?
+                .collect::<Result<Vec<Candidate>>>()?
         };
-        let sessions = self.build_candidates(&demand, &eligible)?;
+        let sessions = build_candidates(&demand, &candidates)?;
         let ids: Vec<SessionId> = recorded.iter().map(|&(_, sid)| sid).collect();
+        let mut core = self.state.lock();
         for &id in &ids {
-            self.next_session.fetch_max(id.0 + 1, Ordering::Relaxed);
+            core.bump_session(id);
         }
-        self.commit_demand(did, ids, eligible, sessions, &demand);
+        self.commit_demand(&mut core, did, ids, candidates, sessions, &demand);
         Ok(())
     }
 
@@ -1220,12 +1199,13 @@ impl Exchange {
         queue_depth: u32,
         retry_after: Option<u32>,
     ) -> Result<()> {
-        if self.match_book.status(did).is_some() {
+        let mut core = self.state.lock();
+        if core.book.contains(did) {
             return Err(MarketError::InvalidConfig(format!(
                 "journal records demand {did} twice"
             )));
         }
-        self.match_book.open_shed_at(did, retry_after);
+        core.book.open_shed_at(did, retry_after);
         self.record_with(|| ExchangeEvent::DemandShed {
             demand: did,
             wanted,
@@ -1239,31 +1219,31 @@ impl Exchange {
 
     /// Point-in-time status of a demand (`None` for unknown/taken ids).
     pub fn demand_status(&self, id: DemandId) -> Option<DemandStatus> {
-        self.match_book.status(id)
+        self.state.lock().book.status(id)
     }
 
     /// Removes a *settled* demand and returns its report; `None` while the
     /// demand is still matching (or for unknown ids). Candidate sessions
     /// stay in the store for [`Self::poll`]/[`Self::take`].
     pub fn take_demand(&self, id: DemandId) -> Option<DemandReport> {
-        self.match_book.take(id)
+        self.state.lock().book.take(id)
     }
 
     /// Number of demands currently stored (matching, or settled and not
     /// yet taken).
     pub fn demand_count(&self) -> usize {
-        self.match_book.len()
+        self.state.lock().book.len()
     }
 
     /// Point-in-time status of a session (`None` for unknown/evicted ids).
     pub fn poll(&self, id: SessionId) -> Option<SessionStatus> {
-        self.store.status(id)
+        self.state.lock().store.status(id)
     }
 
     /// Removes a *terminal* session and returns its outcome; `None` while
     /// the session is still live (or for unknown ids).
     pub fn take(&self, id: SessionId) -> Option<Result<Box<Outcome>>> {
-        self.store.take_outcome(id)
+        self.state.lock().store.take_outcome(id)
     }
 
     /// Live counters plus cache statistics. The collection path is
@@ -1271,14 +1251,17 @@ impl Exchange {
     /// counter shows up here (and in the telemetry export) without any
     /// per-field plumbing.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics
-            .snapshot(self.cache.hits(), self.cache.misses())
+        let (hits, misses) = {
+            let core = self.state.lock();
+            (core.cache.hits(), core.cache.misses())
+        };
+        self.metrics.snapshot(hits, misses)
     }
 
-    /// Number of sessions currently stored (queued, running, parked, or
-    /// terminal and not yet taken).
+    /// Number of sessions currently stored (queued, parked, or terminal
+    /// and not yet taken).
     pub fn session_count(&self) -> usize {
-        self.store.len()
+        self.state.lock().store.len()
     }
 
     /// Runs every queued session to completion with `n_course_tasks`
@@ -1294,8 +1277,11 @@ impl Exchange {
     /// failed afterwards.
     pub fn drain(&self, n_course_tasks: usize) -> DrainReport {
         let _guard = self.drain_lock.lock();
-        let resolver = self.resolver.read().clone();
-        self.route(n_course_tasks, resolver.as_ref())
+        let resolver = self.state.lock().resolver.clone();
+        self.route(
+            n_course_tasks,
+            resolver.as_deref().unwrap_or(&LocalResolver),
+        )
     }
 
     /// Adds completed rounds to the metrics (no-op for zero).
@@ -1310,17 +1296,14 @@ impl Exchange {
     /// Requeues every session waiting on `(eval_key, bundle)`. Called by
     /// the router when it applies (or aborts) the training, before the
     /// payer resumes, so the drain-termination invariant holds.
-    pub(crate) fn wake_course_waiters(&self, eval_key: u64, bundle: BundleMask) {
-        let woken = self.waitlist.drain((eval_key, bundle.0));
+    pub(crate) fn wake_course_waiters(&self, core: &mut Core, eval_key: u64, bundle: BundleMask) {
+        let woken = core.waitlist.drain((eval_key, bundle.0));
         if !woken.is_empty() {
-            if let Some(t) = self.telemetry.as_deref() {
+            let tele = self.telemetry.as_deref();
+            if let Some(t) = tele {
                 t.waitlist_depth.add(-(woken.len() as i64));
             }
-            let mut pending = self.pending.lock();
-            pending.extend(woken);
-            if let Some(t) = self.telemetry.as_deref() {
-                t.queue_depth.set(pending.len() as i64);
-            }
+            core.enqueue(woken, tele);
         }
     }
 
@@ -1333,6 +1316,7 @@ impl Exchange {
     /// slice's notice can count them.
     fn report_quote(
         &self,
+        core: &mut Core,
         demand: DemandId,
         slot: usize,
         quote: QuoteState,
@@ -1344,7 +1328,7 @@ impl Exchange {
             QuoteState::Error(_) => QuoteKind::Error,
         };
         let rounds = history.len() as u32;
-        let outcome = self.match_book.report(demand, slot, quote, history);
+        let outcome = core.book.report(demand, slot, quote, history);
         self.record_with(|| ExchangeEvent::QuoteRecorded {
             demand,
             slot: slot as u32,
@@ -1360,17 +1344,16 @@ impl Exchange {
         }
         match outcome {
             None => 0,
-            Some(ReportOutcome::Settled(settlement)) => self.apply_settlement(demand, settlement),
+            Some(ReportOutcome::Settled(settlement)) => {
+                self.apply_settlement(core, demand, settlement)
+            }
             Some(ReportOutcome::EpochReady(quotes)) => {
-                let window = self.clearing.read().clone();
-                let Some(window) = window else {
+                let Some(window) = core.clearing.as_mut() else {
                     debug_assert!(false, "epoch demand {demand} without a window");
                     return 0;
                 };
-                // The demand lock was released inside `report`; only now
-                // does the window get touched (lock order, module doc).
                 window.mark_ready(demand, quotes);
-                self.drive_clearing(&window, false)
+                self.drive_clearing(core, false)
             }
         }
     }
@@ -1380,7 +1363,7 @@ impl Exchange {
     /// nor applied — the two crash points bracket exactly the windows the
     /// injectable-crash replay must survive. Returns the sessions
     /// cancelled.
-    fn apply_settlement(&self, demand: DemandId, settlement: Settlement) -> usize {
+    fn apply_settlement(&self, core: &mut Core, demand: DemandId, settlement: Settlement) -> usize {
         let start = self.telemetry.as_deref().map(|t| t.now_ns());
         ExchangeMetrics::incr(&self.metrics.demands_settled);
         if settlement.matched {
@@ -1392,7 +1375,7 @@ impl Exchange {
             winner: settlement.winner.map(|w| w as u32),
         });
         self.crash_point(CrashPoint::SettlementRecorded(demand));
-        let cancelled = self.apply_actions(settlement.actions);
+        let cancelled = self.apply_actions(core, settlement.actions);
         if let (Some(t), Some(start)) = (self.telemetry.as_deref(), start) {
             let now = t.now_ns();
             t.stages.settlement.record(now - start);
@@ -1403,14 +1386,14 @@ impl Exchange {
 
     /// Applies deferred wake/cancel actions to parked candidate sessions;
     /// returns how many it cancelled.
-    fn apply_actions(&self, actions: Vec<SettleAction>) -> usize {
+    fn apply_actions(&self, core: &mut Core, actions: Vec<SettleAction>) -> usize {
         let mut cancelled = 0usize;
         for action in actions {
             match action {
                 SettleAction::Wake(sid) => {
                     // The winner is parked: Ready in the store, owned by
                     // nobody, reachable only through this settlement.
-                    if let Some(mut session) = self.store.check_out(sid) {
+                    if let Some(mut session) = core.store.check_out(sid) {
                         session.release();
                         if let Some(t) = self.telemetry.as_deref() {
                             // Re-stamp: the next dispatch-wait sample
@@ -1419,18 +1402,14 @@ impl Exchange {
                             // the queue's).
                             session.stamp_enqueued(t.now_ns());
                         }
-                        self.store.check_in(sid, session);
-                        let mut pending = self.pending.lock();
-                        pending.push_back(sid);
-                        if let Some(t) = self.telemetry.as_deref() {
-                            t.queue_depth.set(pending.len() as i64);
-                        }
+                        core.store.check_in(sid, session);
+                        core.enqueue([sid], self.telemetry.as_deref());
                     } else {
                         debug_assert!(false, "winning candidate {sid} must be parked");
                     }
                 }
                 SettleAction::Cancel(sid) => {
-                    if let Some(mut session) = self.store.check_out(sid) {
+                    if let Some(mut session) = core.store.check_out(sid) {
                         let result = session.cancel();
                         ExchangeMetrics::incr(&self.metrics.sessions_cancelled);
                         match &result {
@@ -1447,7 +1426,7 @@ impl Exchange {
                                 digest: 0,
                             }),
                         }
-                        self.store.finish(sid, result);
+                        core.store.finish(sid, result);
                         cancelled += 1;
                     } else {
                         debug_assert!(false, "losing candidate {sid} must be parked");
@@ -1466,9 +1445,9 @@ impl Exchange {
     /// (decision→record→side-effects, exactly the immediate path's
     /// sequence), so journaled epoch order equals real epoch order.
     /// Returns the sessions cancelled.
-    fn drive_clearing(&self, window: &ClearingWindow, flush: bool) -> usize {
+    pub(crate) fn drive_clearing(&self, core: &mut Core, flush: bool) -> usize {
         let mut cancelled = 0usize;
-        while let Some(outcome) = window.clear_next(flush) {
+        while let Some(outcome) = core.clearing.as_mut().and_then(|w| w.clear_next(flush)) {
             let epoch_start = self.telemetry.as_deref().map(|t| t.now_ns());
             let epoch = outcome.record.epoch;
             // Epoch critical section: decided but not recorded, then
@@ -1478,7 +1457,7 @@ impl Exchange {
                 record: outcome.record.clone(),
             });
             self.crash_point(CrashPoint::EpochRecorded(epoch));
-            self.epoch_log.lock().push(outcome.record.clone());
+            core.epoch_log.push(outcome.record.clone());
             ExchangeMetrics::incr(&self.metrics.epochs_cleared);
             for _ in 0..outcome.rolled.len() {
                 ExchangeMetrics::incr(&self.metrics.demands_rolled);
@@ -1487,16 +1466,14 @@ impl Exchange {
                 ExchangeMetrics::incr(&self.metrics.demands_expired);
             }
             for &did in &outcome.rolled {
-                self.match_book.note_roll(did);
+                core.book.note_roll(did);
             }
             for settled in &outcome.settled {
-                if let Some(settlement) = self.match_book.settle_epoch(
-                    settled.demand,
-                    settled.winner,
-                    epoch,
-                    settled.price,
-                ) {
-                    cancelled += self.apply_settlement(settled.demand, settlement);
+                if let Some(settlement) =
+                    core.book
+                        .settle_epoch(settled.demand, settled.winner, epoch, settled.price)
+                {
+                    cancelled += self.apply_settlement(core, settled.demand, settlement);
                 } else {
                     debug_assert!(false, "cleared demand {} not in the book", settled.demand);
                 }
@@ -1510,14 +1487,21 @@ impl Exchange {
         cancelled
     }
 
-    /// Drain-idle hook: flushes the clearing window (partial final
-    /// epochs included). Returns the sessions it cancelled; winners it
-    /// woke are in the pending queue afterwards.
-    pub(crate) fn flush_clearing(&self) -> usize {
-        match self.clearing.read().clone() {
-            Some(window) => self.drive_clearing(&window, true),
-            None => 0,
+    /// Ends a slice that leaves `session` live: counts the rounds it ran,
+    /// closes the telemetry bracket, and checks it back into the store.
+    fn park(
+        &self,
+        core: &mut Core,
+        id: SessionId,
+        session: Box<ActiveSession>,
+        rounds_before: usize,
+        timer: Option<SliceTimer>,
+    ) {
+        self.add_rounds(session.rounds_so_far() - rounds_before);
+        if let (Some(t), Some(timer)) = (self.telemetry.as_deref(), timer) {
+            timer.finish(t, session.rounds_so_far());
         }
+        core.store.check_in(id, session);
     }
 
     /// One slice of session `id`. Cheap work (strategy steps, cached
@@ -1529,9 +1513,14 @@ impl Exchange {
     /// the second half of one dispatch, so it skips the dispatch crash
     /// point and `SessionDispatched` frame and starts with its course
     /// budget spent. Runs only on the router.
-    pub(crate) fn run_slice(&self, id: SessionId, resume: Option<Result<f64>>) -> SliceEnd {
+    pub(crate) fn run_slice(
+        &self,
+        core: &mut Core,
+        id: SessionId,
+        resume: Option<Result<f64>>,
+    ) -> SliceEnd {
         let plain = |kind: NoticeKind| SliceEnd::Notice(Notice { kind, cancelled: 0 });
-        let Some(mut session) = self.store.check_out(id) else {
+        let Some(mut session) = core.store.check_out(id) else {
             // Spurious wake: a course-waitlist or settlement wake raced the
             // session into a terminal state (e.g. a cancelled loser that
             // was still on a waitlist). Nothing to run, nothing to count.
@@ -1556,11 +1545,8 @@ impl Exchange {
             self.crash_point(CrashPoint::Dispatched(id));
             self.record_with(|| ExchangeEvent::SessionDispatched { session: id });
         }
-        let (provider, eval_key) = {
-            let markets = self.markets.read();
-            let entry = &markets[session.market.0];
-            (entry.provider.clone(), entry.eval_key)
-        };
+        let market = session.market;
+        let eval_key = core.markets[market.0].eval_key;
         let rounds_before = session.rounds_so_far();
         // The resumed payer's course budget is already spent.
         let paid_course = resumed;
@@ -1575,12 +1561,9 @@ impl Exchange {
                     .standing_quote()
                     .expect("probe horizon implies a completed round");
                 let history = session.round_history();
-                self.add_rounds(session.rounds_so_far() - rounds_before);
-                if let (Some(t), Some(timer)) = (tele, slice_timer.take()) {
-                    timer.finish(t, session.rounds_so_far());
-                }
-                self.store.check_in(id, session);
+                self.park(core, id, session, rounds_before, slice_timer.take());
                 let cancelled = self.report_quote(
+                    core,
                     tag.demand,
                     tag.slot,
                     QuoteState::Standing(standing),
@@ -1601,20 +1584,16 @@ impl Exchange {
             } else {
                 match session.pending_bundle() {
                     Some(bundle) => {
-                        if paid_course && self.cache.peek(eval_key, bundle).is_none() {
+                        if paid_course && core.cache.peek(eval_key, bundle).is_none() {
                             // A second training would blow the slice budget:
                             // park the session; the next dispatch pays it.
-                            self.add_rounds(session.rounds_so_far() - rounds_before);
-                            if let (Some(t), Some(timer)) = (tele, slice_timer.take()) {
-                                timer.finish(t, session.rounds_so_far());
-                            }
-                            self.store.check_in(id, session);
+                            self.park(core, id, session, rounds_before, slice_timer.take());
                             return plain(NoticeKind::Yielded(id));
                         }
-                        ExchangeMetrics::incr(&self.metrics.courses_requested);
                         let serve_start = tele.map(|t| t.now_ns());
-                        match self.cache.serve_softly(eval_key, bundle) {
+                        match core.cache.serve_softly(eval_key, bundle) {
                             SoftServe::Hit(g) => {
+                                ExchangeMetrics::incr(&self.metrics.courses_requested);
                                 if let (Some(t), Some(start)) = (tele, serve_start) {
                                     let served = t.now_ns() - start;
                                     t.stages.course_cache_hit.record(served);
@@ -1630,6 +1609,7 @@ impl Exchange {
                                 session.drive(Some(g))
                             }
                             SoftServe::Claimed => {
+                                ExchangeMetrics::incr(&self.metrics.courses_requested);
                                 // Suspend the session (checked in, off every
                                 // queue, holding the training claim) and hand
                                 // the order to the router. No settlement can
@@ -1637,16 +1617,12 @@ impl Exchange {
                                 // *at their probe horizon* are
                                 // settlement-visible, and this one has not
                                 // reported its quote yet.
-                                self.add_rounds(session.rounds_so_far() - rounds_before);
-                                if let (Some(t), Some(timer)) = (tele, slice_timer.take()) {
-                                    timer.finish(t, session.rounds_so_far());
-                                }
-                                self.store.check_in(id, session);
+                                self.park(core, id, session, rounds_before, slice_timer.take());
                                 return SliceEnd::NeedCourse(CourseOrder {
                                     session: id,
                                     eval_key,
                                     bundle,
-                                    provider: provider.clone(),
+                                    provider: core.markets[market.0].provider.clone(),
                                 });
                             }
                             SoftServe::Busy => {
@@ -1654,16 +1630,9 @@ impl Exchange {
                                 // is outstanding. Park on the waitlist; the
                                 // router wakes us when it applies that course
                                 // (see the waitlist module).
-                                self.metrics
-                                    .courses_requested
-                                    .fetch_sub(1, Ordering::Relaxed);
                                 ExchangeMetrics::incr(&self.metrics.course_waits);
-                                self.add_rounds(session.rounds_so_far() - rounds_before);
-                                if let (Some(t), Some(timer)) = (tele, slice_timer.take()) {
-                                    timer.finish(t, session.rounds_so_far());
-                                }
-                                self.store.check_in(id, session);
-                                self.waitlist.enqueue((eval_key, bundle.0), id);
+                                self.park(core, id, session, rounds_before, slice_timer.take());
+                                core.waitlist.enqueue((eval_key, bundle.0), id);
                                 if let Some(t) = tele {
                                     t.waitlist_depth.inc();
                                 }
@@ -1700,10 +1669,10 @@ impl Exchange {
                         rounds: outcome.n_rounds() as u32,
                         digest: wire::outcome_digest(&outcome),
                     });
-                    self.store.finish(id, Ok(outcome));
+                    core.store.finish(id, Ok(outcome));
                     let cancelled = match (tag, quote, history) {
                         (Some(tag), Some(quote), Some(history)) => {
-                            self.report_quote(tag.demand, tag.slot, quote, history)
+                            self.report_quote(core, tag.demand, tag.slot, quote, history)
                         }
                         _ => 0,
                     };
@@ -1728,11 +1697,15 @@ impl Exchange {
                         rounds: session.rounds_so_far() as u32,
                         digest: 0,
                     });
-                    self.store.finish(id, Err(e));
+                    core.store.finish(id, Err(e));
                     let cancelled = match (tag, history) {
-                        (Some(tag), Some(history)) => {
-                            self.report_quote(tag.demand, tag.slot, QuoteState::Error(msg), history)
-                        }
+                        (Some(tag), Some(history)) => self.report_quote(
+                            core,
+                            tag.demand,
+                            tag.slot,
+                            QuoteState::Error(msg),
+                            history,
+                        ),
                         _ => 0,
                     };
                     return SliceEnd::Notice(Notice {
@@ -1747,13 +1720,14 @@ impl Exchange {
 
 impl std::fmt::Debug for Exchange {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let core = self.state.lock();
         f.debug_struct("Exchange")
-            .field("markets", &self.markets.read().len())
-            .field("sellers", &self.sellers.read().len())
-            .field("sessions", &self.store.len())
-            .field("demands", &self.match_book.len())
-            .field("cache_entries", &self.cache.len())
-            .field("course_waiters", &self.waitlist.waiting())
+            .field("markets", &core.markets.len())
+            .field("sellers", &core.sellers.len())
+            .field("sessions", &core.store.len())
+            .field("demands", &core.book.len())
+            .field("cache_entries", &core.cache.len())
+            .field("course_waiters", &core.waitlist.waiting())
             .finish()
     }
 }
@@ -1761,6 +1735,7 @@ impl std::fmt::Debug for Exchange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
     use vfl_market::{
         DataContext, DataResponse, DataStrategy, ReservedPrice, StrategicData, StrategicTask,
         TableGainProvider,
@@ -1844,17 +1819,18 @@ mod tests {
     fn waitlist_wake_never_drives_a_cancelled_session() {
         let cancel_side = |exchange: &Exchange, sid: SessionId| {
             // Exactly what `SettleAction::Cancel` does in `report_quote`.
-            let mut session = exchange
+            let mut core = exchange.state.lock();
+            let mut session = core
                 .store
                 .check_out(sid)
                 .expect("parked losers are checked in");
             let result = session.cancel();
-            exchange.store.finish(sid, result);
+            core.store.finish(sid, result);
         };
         let wake_side = |exchange: &Exchange, key: (u64, BundleMask)| {
             // Exactly what the router does after applying (or aborting)
             // the outstanding course this waiter parked on.
-            exchange.wake_course_waiters(key.0, key.1);
+            exchange.wake_course_waiters(&mut exchange.state.lock(), key.0, key.1);
         };
         let run_schedule = |cancel_first: bool| {
             let exchange = Exchange::new(ExchangeConfig::default());
@@ -1867,10 +1843,14 @@ mod tests {
             // (checked in — `submit` left it Ready — then enqueued).
             let bundle = BundleMask::singleton(0);
             let key = (7u64, bundle);
-            exchange.waitlist.enqueue((key.0, bundle.0), sid);
+            exchange
+                .state
+                .lock()
+                .waitlist
+                .enqueue((key.0, bundle.0), sid);
             // Drop the submit-time pending entry: the session's only route
             // back to the router is the waitlist wake under test.
-            exchange.pending.lock().clear();
+            exchange.state.lock().pending.clear();
 
             if cancel_first {
                 cancel_side(&exchange, sid);
@@ -1885,11 +1865,12 @@ mod tests {
                 "wake-then-cancel"
             };
 
-            let woken: Vec<SessionId> = exchange.pending.lock().drain(..).collect();
+            let woken: Vec<SessionId> = exchange.state.lock().pending.drain(..).collect();
             assert_eq!(woken, vec![sid], "schedule {schedule}: exactly one wake");
             // Dispatching the woken id must be a spurious no-op: the
             // session is terminal (cancelled), never driven.
-            let SliceEnd::Notice(notice) = exchange.run_slice(sid, None) else {
+            let end = exchange.run_slice(&mut exchange.state.lock(), sid, None);
+            let SliceEnd::Notice(notice) = end else {
                 panic!("schedule {schedule}: a cancelled session needs no course");
             };
             assert!(
@@ -1913,7 +1894,11 @@ mod tests {
                 ),
                 other => panic!("schedule {schedule}: unexpected status {other:?}"),
             }
-            assert_eq!(exchange.waitlist.waiting(), 0, "schedule {schedule}");
+            assert_eq!(
+                exchange.state.lock().waitlist.waiting(),
+                0,
+                "schedule {schedule}"
+            );
         };
         run_schedule(true);
         run_schedule(false);

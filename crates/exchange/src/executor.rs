@@ -37,27 +37,30 @@
 //! [`SimulatedRemoteResolver`] models that with a fixed latency (bench
 //! E14). A resolver's error fails only the paying session.
 //!
-//! ## Drain guard and panics
+//! ## Drain guard, state lock, and panics
 //!
 //! `drain` holds the exchange's drain mutex throughout, so exactly one
 //! router runs slices at any time; a second `drain` waits, then finds
-//! whatever work is left. A course that panics is caught on its course
-//! task and posted to the board as the panic payload; when the router
-//! reaches it, it closes the ready queue, joins the course tasks, and
-//! resumes the unwind, so `drain` panics with the provider's message
-//! instead of waiting forever for a result that will never be posted.
+//! whatever work is left. The router takes the exchange's state lock once
+//! per slice, once per applied course, and once per idle flush — never
+//! while it waits for a completion or calls the resolver — so `submit`,
+//! `poll`, `take`, and `metrics` from other threads interleave between
+//! those steps. A course that panics is caught on its course task and
+//! posted to the board as the panic payload; when the router reaches it,
+//! it closes the ready queue, joins the course tasks, and resumes the
+//! unwind, so `drain` panics with the provider's message instead of
+//! waiting forever for a result that will never be posted.
 //!
 //! ## Deadlock freedom
 //!
 //! The router blocks in exactly one place — waiting for the oldest
-//! outstanding completion — and it holds no lock but the drain mutex
-//! and no session while doing so. Course futures never depend on each
-//! other or on router progress (a resolver sees only its own order), so
-//! the oldest completion always arrives, as a result or as a panic;
-//! timer-based resolvers get their wakes from the
-//! [`SimulatedRemoteResolver`] timer thread, which depends on nothing.
-//! Course tasks block only on the ready queue, which the router closes
-//! at drain end. There is no cycle to deadlock on.
+//! outstanding completion — holding only the drain mutex and no session.
+//! Course futures never depend on each other or on router progress (a
+//! resolver sees only its own order), so the oldest completion always
+//! arrives, as a result or as a panic; timer-based resolvers get their
+//! wakes from the [`SimulatedRemoteResolver`] timer thread, which depends
+//! on nothing. Course tasks block only on the ready queue, which the
+//! router closes at drain end. There is no cycle to deadlock on.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -72,7 +75,7 @@ use std::time::{Duration, Instant};
 use vfl_market::{GainProvider, Result};
 use vfl_sim::BundleMask;
 
-use crate::exchange::{DrainReport, Exchange, NoticeKind, SliceEnd};
+use crate::exchange::{Core, DrainReport, Exchange, NoticeKind, SliceEnd};
 use crate::journal::{CrashPoint, ExchangeEvent};
 use crate::store::SessionId;
 use vfl_telemetry::TraceKey;
@@ -565,19 +568,26 @@ impl Exchange {
         }
 
         loop {
-            // Phase 1: run every ready session, FIFO.
+            // Phase 1: run every ready session, FIFO — one state-lock
+            // critical section per slice, released before the slice's
+            // course (if any) goes to the resolver.
             loop {
-                overflow.append(&mut self.pending.lock());
-                if let Some(t) = self.telemetry.as_deref() {
-                    t.queue_depth.set(overflow.len() as i64);
-                }
-                let Some(id) = overflow.pop_front() else {
-                    break;
+                let end = {
+                    let mut core = self.state.lock();
+                    overflow.append(&mut core.pending);
+                    if let Some(t) = self.telemetry.as_deref() {
+                        t.queue_depth.set(overflow.len() as i64);
+                    }
+                    let Some(id) = overflow.pop_front() else {
+                        break;
+                    };
+                    self.run_slice(&mut core, id, None)
                 };
-                settle!(self.run_slice(id, None));
+                settle!(end);
             }
             // Phase 2: apply the OLDEST outstanding completion — exactly
             // one, then give freshly woken work phase-1 priority again.
+            // The wait happens outside the state lock.
             if let Some(course) = outstanding.pop_front() {
                 let result = match board.take(course.seq) {
                     Ok(result) => result,
@@ -586,13 +596,16 @@ impl Exchange {
                         resume_unwind(panic);
                     }
                 };
-                settle!(self.apply_course(course, result));
+                let end = self.apply_course(&mut self.state.lock(), course, result);
+                settle!(end);
                 continue;
             }
             // Phase 3: fully idle — flush the clearing window and
-            // re-check for work it woke or a concurrent submit raced in.
-            cancelled += self.flush_clearing();
-            if self.pending.lock().is_empty() {
+            // re-check, in the same critical section, for work it woke or
+            // a concurrent submit raced in.
+            let mut core = self.state.lock();
+            cancelled += self.drive_clearing(&mut core, true);
+            if core.pending.is_empty() {
                 break;
             }
         }
@@ -613,7 +626,12 @@ impl Exchange {
     /// result. A failed course releases the claim instead, wakes the
     /// waiters (they retry and one inherits the claim), and fails the
     /// payer.
-    fn apply_course(&self, course: OutstandingCourse, result: Result<f64>) -> SliceEnd {
+    fn apply_course(
+        &self,
+        core: &mut Core,
+        course: OutstandingCourse,
+        result: Result<f64>,
+    ) -> SliceEnd {
         let OutstandingCourse {
             order, started_ns, ..
         } = course;
@@ -625,7 +643,7 @@ impl Exchange {
         } = order;
         match result {
             Ok(g) => {
-                self.cache.complete(eval_key, bundle, g);
+                core.cache.complete(eval_key, bundle, g);
                 if let (Some(t), Some(start)) = (self.telemetry.as_deref(), started_ns) {
                     let now = t.now_ns();
                     t.stages.course_train.record(now - start);
@@ -650,13 +668,13 @@ impl Exchange {
                     bundle,
                 });
                 // Wake-on-insert, before the payer resumes.
-                self.wake_course_waiters(eval_key, bundle);
-                self.run_slice(session, Some(Ok(g)))
+                self.wake_course_waiters(core, eval_key, bundle);
+                self.run_slice(core, session, Some(Ok(g)))
             }
             Err(e) => {
-                self.cache.abort(eval_key, bundle);
-                self.wake_course_waiters(eval_key, bundle);
-                self.run_slice(session, Some(Err(e)))
+                core.cache.abort(eval_key, bundle);
+                self.wake_course_waiters(core, eval_key, bundle);
+                self.run_slice(core, session, Some(Err(e)))
             }
         }
     }

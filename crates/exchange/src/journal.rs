@@ -46,8 +46,8 @@
 //! specs and strategy factories — closures cannot live in a byte log):
 //!
 //! 1. registrations are re-applied in journal order (ids are assigned
-//!    under the registration locks, so journal order *is* id order) and
-//!    verified against the recorded fingerprints;
+//!    under the state lock that journals them, so journal order *is* id
+//!    order) and verified against the recorded fingerprints;
 //! 2. every [`ExchangeEvent::CourseServed`] refills the shared ΔG cache —
 //!    these are the paid trainings;
 //! 3. every recorded submission is re-opened **from round one** under its
@@ -583,6 +583,48 @@ fn read_epoch_record(r: &mut Reader<'_>) -> Option<EpochRecord> {
 }
 
 impl ExchangeEvent {
+    /// A registration event's market id and fingerprints, in the shape
+    /// a checkpoint stamps them (so both replay through one path).
+    pub(crate) fn registration(&self) -> Option<(MarketId, CheckpointMarket)> {
+        let owner = match self {
+            ExchangeEvent::SellerRegistered { seller, .. } => Some(*seller),
+            _ => None,
+        };
+        match self {
+            ExchangeEvent::MarketRegistered {
+                market,
+                eval_key,
+                private,
+                listings,
+                catalog,
+                table_digest,
+                name,
+            }
+            | ExchangeEvent::SellerRegistered {
+                market,
+                eval_key,
+                private,
+                listings,
+                catalog,
+                table_digest,
+                name,
+                ..
+            } => Some((
+                *market,
+                CheckpointMarket {
+                    owner,
+                    eval_key: *eval_key,
+                    private: *private,
+                    listings: *listings,
+                    catalog: *catalog,
+                    table_digest: *table_digest,
+                    name: name.clone(),
+                },
+            )),
+            _ => None,
+        }
+    }
+
     /// Encodes the event's payload (tag byte + fields, no frame).
     fn payload(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(32);
@@ -1500,7 +1542,7 @@ pub enum CrashPoint {
         /// The trained bundle.
         bundle: BundleMask,
     },
-    /// Settlement decided a winner under the demand lock, before the
+    /// Settlement decided a winner in the match book, before the
     /// [`ExchangeEvent::DemandSettled`] record.
     SettlementDecided(DemandId),
     /// The settlement record landed, before its wake/cancel side-effects
@@ -1825,85 +1867,17 @@ impl Exchange {
         let replay_start = exchange.telemetry().map(|t| t.now_ns());
         for event in events {
             match event {
-                ExchangeEvent::MarketRegistered {
-                    market,
-                    eval_key,
-                    private,
-                    listings,
-                    catalog,
-                    table_digest,
-                    name,
-                } => {
-                    if spec.markets.is_empty() {
-                        return Err(RecoverError::SpecMismatch(format!(
-                            "journal records market {market} {name:?} but the spec \
-                             supplies no further market"
-                        )));
+                ExchangeEvent::MarketRegistered { .. } | ExchangeEvent::SellerRegistered { .. } => {
+                    let (market, stamp) = event.registration().expect("a registration event");
+                    exchange
+                        .state
+                        .lock()
+                        .replay_registration("journal", market, &stamp, &mut spec)?;
+                    exchange.record_with(|| event.clone());
+                    match stamp.owner {
+                        Some(_) => report.sellers += 1,
+                        None => report.markets += 1,
                     }
-                    let ms = spec.markets.remove(0);
-                    check_market_spec(
-                        "market",
-                        &ms,
-                        private,
-                        eval_key,
-                        listings,
-                        catalog,
-                        table_digest,
-                        &name,
-                    )?;
-                    let id = exchange
-                        .register_market(ms)
-                        .map_err(|e| RecoverError::SpecMismatch(format!("market {name:?}: {e}")))?;
-                    if id != market {
-                        return Err(RecoverError::InconsistentJournal(format!(
-                            "market {name:?} replayed as {id}, journal records {market}"
-                        )));
-                    }
-                    report.markets += 1;
-                }
-                ExchangeEvent::SellerRegistered {
-                    seller,
-                    market,
-                    eval_key,
-                    private,
-                    listings,
-                    catalog,
-                    table_digest,
-                    name,
-                } => {
-                    if spec.sellers.is_empty() {
-                        return Err(RecoverError::SpecMismatch(format!(
-                            "journal records seller {seller} {name:?} but the spec \
-                             supplies no further seller"
-                        )));
-                    }
-                    let ss = spec.sellers.remove(0);
-                    check_market_spec(
-                        "seller",
-                        &ss.market,
-                        private,
-                        eval_key,
-                        listings,
-                        catalog,
-                        table_digest,
-                        &name,
-                    )?;
-                    let id = exchange
-                        .register_seller(ss)
-                        .map_err(|e| RecoverError::SpecMismatch(format!("seller {name:?}: {e}")))?;
-                    if id != seller {
-                        return Err(RecoverError::InconsistentJournal(format!(
-                            "seller {name:?} replayed as {id}, journal records {seller}"
-                        )));
-                    }
-                    let replayed_market = exchange.seller_market(id).expect("just registered");
-                    if replayed_market != market {
-                        return Err(RecoverError::InconsistentJournal(format!(
-                            "seller {name:?} market replayed as {replayed_market}, \
-                             journal records {market}"
-                        )));
-                    }
-                    report.sellers += 1;
                 }
                 ExchangeEvent::SessionSubmitted {
                     session,
@@ -1930,27 +1904,12 @@ impl Exchange {
                     capacity,
                     max_rolls,
                 } => {
-                    let Some(cs) = spec.clearing.take() else {
-                        return Err(RecoverError::SpecMismatch(
-                            "journal records a clearing window but the spec supplies \
-                             no clearing spec"
-                                .into(),
-                        ));
-                    };
-                    if cs.epoch_size as u32 != epoch_size
-                        || cs.capacity != capacity
-                        || cs.max_rolls != max_rolls
-                    {
-                        return Err(RecoverError::SpecMismatch(format!(
-                            "clearing window: journal records epoch_size {epoch_size} / \
-                             capacity {capacity} / max_rolls {max_rolls}, spec supplies \
-                             {} / {} / {}",
-                            cs.epoch_size, cs.capacity, cs.max_rolls
-                        )));
-                    }
-                    exchange
-                        .open_clearing(cs)
-                        .map_err(|e| RecoverError::InconsistentJournal(format!("clearing: {e}")))?;
+                    exchange.state.lock().replay_clearing(
+                        "journal",
+                        (epoch_size, capacity, max_rolls),
+                        &mut spec,
+                    )?;
+                    exchange.record_with(|| event.clone());
                     report.clearing_opened = true;
                 }
                 ExchangeEvent::DemandSubmitted {

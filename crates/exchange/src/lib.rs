@@ -11,12 +11,14 @@
 //!   exchange), a `submit`/`poll`/`drain` API, and a single-owner router
 //!   that drives thousands of interleaved
 //!   [`vfl_market::session::NegotiationSession`]s to completion;
-//! * [`SharedGainCache`] — the exchange-wide sharded ΔG memo: identical
+//! * [`SharedGainCache`] — the exchange-wide ΔG memo: identical
 //!   (scenario, model, bundle) course queries across sessions hit the
 //!   cache, and overlapping misses on one key train it once;
-//! * [`SessionStore`](store) — sharded session registry; the router checks
-//!   sessions out, drives them, and checks them back in, while external
-//!   callers poll and take concurrently;
+//! * [`SessionStore`](store) — the session registry; the router checks
+//!   sessions out, drives them, and checks them back in within one slice.
+//!   It, the cache, the waitlist, the pending queue, and the demand book
+//!   are plain data behind the exchange's single state lock, so external
+//!   callers poll and take between the router's slices;
 //! * [`matching`] — the multi-seller tier: a task party posts a [`Demand`],
 //!   the exchange fans it out to every registered seller whose catalog
 //!   overlaps, probes the candidates concurrently, and settles by a

@@ -23,18 +23,17 @@
 //!
 //! ## Linearizability of settlement
 //!
-//! Per demand, every report and the settlement decision run under one
-//! `Mutex<DemandState>`: reports are totally ordered, the report that
-//! completes the candidate set performs selection *inside* the same
-//! critical section, and `reported == total` can be true for exactly one
-//! reporter — so settlement runs exactly once per demand while quote rounds
-//! of *other* demands proceed untouched. The
-//! side-effects of settlement (waking the winner, cancelling losers) are
-//! applied *after* the lock is released: they only touch sessions that are
-//! parked-for-settlement, and a parked session is reachable by nothing but
-//! the settlement that parked it — no queue holds it, no slice owns it —
-//! so deferring the actions cannot race anything. Lock order is therefore
-//! flat: demand lock and session-store shard locks are never held together.
+//! The `MatchBook` is plain data in the exchange's state, and every
+//! report and settlement runs on the router under the exchange's one
+//! state lock. Reports are therefore totally ordered, the report that
+//! completes the candidate set performs selection in the same step, and
+//! `reported == total` can be true for exactly one reporter — so
+//! settlement runs exactly once per demand. The side-effects of
+//! settlement (waking the winner, cancelling losers) are returned as
+//! `SettleAction`s and applied by the exchange right after: they only
+//! touch sessions that are parked-for-settlement, and a parked session is
+//! reachable by nothing but the settlement that parked it — no queue
+//! holds it, no slice owns it.
 //!
 //! ## Policy seam — and the clearing tier above it
 //!
@@ -50,9 +49,7 @@
 //! The probe machinery, the wake/cancel fan-in, and everything below this
 //! module are identical in both modes — only *who decides, when* differs.
 
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vfl_market::{DataStrategy, Listing, MarketConfig, OutcomeStatus, RoundRecord, TaskStrategy};
 use vfl_sim::BundleMask;
@@ -256,9 +253,9 @@ impl CandidateQuote {
 /// ## Contract
 ///
 /// * Called **exactly once** per demand, after every candidate has
-///   reported, under the demand's settlement lock — implementations must
-///   be pure over their inputs and must **not** call back into the
-///   exchange (that would deadlock the settlement).
+///   reported, on the router under the exchange's state lock —
+///   implementations must be pure over their inputs and must **not**
+///   call back into the exchange (that would deadlock the settlement).
 /// * The return value is an index into `quotes`, or `None` for "no
 ///   acceptable candidate" (all parked candidates are then cancelled).
 ///   Out-of-range indices are treated as `None`.
@@ -380,8 +377,9 @@ impl DemandReport {
 }
 
 /// What the exchange must do after a settlement: wake the winner and/or
-/// cancel parked losers. Applied by the exchange *after* the demand lock is
-/// released (see the module doc's linearizability argument).
+/// cancel parked losers. Applied by the exchange right after the book
+/// records the settlement (see the module doc's linearizability
+/// argument).
 pub(crate) enum SettleAction {
     /// Release the parked winner past its probe horizon and requeue it.
     Wake(SessionId),
@@ -402,8 +400,8 @@ pub(crate) struct Settlement {
 
 /// What the report that completed a demand's candidate set resolved to.
 pub(crate) enum ReportOutcome {
-    /// [`SettleMode::Immediate`]: the per-demand policy ran under the
-    /// demand lock; apply the settlement.
+    /// [`SettleMode::Immediate`]: the per-demand policy ran inside the
+    /// completing report; apply the settlement.
     Settled(Settlement),
     /// [`SettleMode::Epoch`]: the demand is ready for clearing; hand its
     /// full quote table to the window (the demand stays live — its
@@ -421,7 +419,7 @@ struct CandidateSlot {
 }
 
 /// A live demand: its candidates, settle mode, and (after settlement)
-/// report. All mutation happens under the owning mutex in [`MatchBook`].
+/// report. All mutation goes through [`MatchBook`].
 pub(crate) struct DemandState {
     cfg: MarketConfig,
     settle: SettleMode,
@@ -500,20 +498,14 @@ impl DemandState {
     /// checkpoint — see [`DemandState::settled`].
     pub(crate) fn shed(demand: DemandId, retry_after: Option<u32>) -> Self {
         DemandState {
-            cfg: MarketConfig::default(),
-            settle: SettleMode::Immediate(Arc::new(BestResponse)),
-            slots: Vec::new(),
-            reported: 0,
-            rolls: 0,
-            report: Some(DemandReport {
+            retry_after,
+            ..Self::settled(DemandReport {
                 demand,
                 winner: None,
                 quotes: Vec::new(),
                 epoch: None,
                 clearing_price: None,
-            }),
-            shed: true,
-            retry_after,
+            })
         }
     }
 
@@ -550,58 +542,49 @@ impl DemandState {
     }
 }
 
-/// The registry of live and settled demands: `DemandId -> DemandState`,
-/// each state behind its own mutex (the per-demand linearization point).
-/// The outer map lock is held only for lookup/insert/remove, never across
-/// a report or settlement.
+/// The registry of live and settled demands: `DemandId -> DemandState`
+/// plus the id counter. Plain data in the exchange's state.
+#[derive(Default)]
 pub(crate) struct MatchBook {
-    demands: RwLock<HashMap<u64, Arc<Mutex<DemandState>>>>,
-    next: AtomicU64,
+    demands: HashMap<u64, DemandState>,
+    next: u64,
 }
 
 impl MatchBook {
-    pub(crate) fn new() -> Self {
-        MatchBook {
-            demands: RwLock::new(HashMap::new()),
-            next: AtomicU64::new(0),
-        }
-    }
-
     /// Allocates the next fresh demand id (the caller commits the state
     /// via [`MatchBook::open_at`]).
-    pub(crate) fn allocate(&self) -> DemandId {
-        DemandId(self.next.fetch_add(1, Ordering::Relaxed))
+    pub(crate) fn allocate(&mut self) -> DemandId {
+        let id = DemandId(self.next);
+        self.next += 1;
+        id
     }
 
     /// The id the next [`MatchBook::allocate`] would hand out (checkpoint
     /// stamps persist it so a restored book never re-issues an id).
     pub(crate) fn next_id(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
+        self.next
     }
 
     /// Bumps the id counter to at least `next` (checkpoint restore:
     /// demands taken before the snapshot still occupied ids).
-    pub(crate) fn bump_next(&self, next: u64) {
-        self.next.fetch_max(next, Ordering::Relaxed);
+    pub(crate) fn bump_next(&mut self, next: u64) {
+        self.next = self.next.max(next);
     }
 
     /// Registers a demand under an explicit id; must happen before any of
-    /// its candidate sessions is queued, so a racing report always finds
-    /// the state. Recovery opens demands under their *journaled* ids, so
-    /// the id counter is bumped past `id` (fresh allocations never
-    /// collide with replayed ones).
-    pub(crate) fn open_at(&self, id: DemandId, state: DemandState) {
-        self.next.fetch_max(id.0 + 1, Ordering::Relaxed);
-        let prev = self
-            .demands
-            .write()
-            .insert(id.0, Arc::new(Mutex::new(state)));
+    /// its candidate sessions is queued, so every report finds the state.
+    /// Recovery opens demands under their *journaled* ids, so the id
+    /// counter is bumped past `id` (fresh allocations never collide with
+    /// replayed ones).
+    pub(crate) fn open_at(&mut self, id: DemandId, state: DemandState) {
+        self.bump_next(id.0 + 1);
+        let prev = self.demands.insert(id.0, state);
         debug_assert!(prev.is_none(), "demand ids are unique");
     }
 
     /// [`MatchBook::allocate`] + [`MatchBook::open_at`] in one step.
     #[cfg(test)]
-    pub(crate) fn open(&self, state: DemandState) -> DemandId {
+    pub(crate) fn open(&mut self, state: DemandState) -> DemandId {
         let id = self.allocate();
         self.open_at(id, state);
         id
@@ -609,8 +592,7 @@ impl MatchBook {
 
     /// Point-in-time status (`None` for unknown/taken ids).
     pub(crate) fn status(&self, id: DemandId) -> Option<DemandStatus> {
-        let entry = self.demands.read().get(&id.0)?.clone();
-        let st = entry.lock();
+        let st = self.demands.get(&id.0)?;
         Some(match &st.report {
             Some(_) if st.shed => DemandStatus::Shed {
                 retry_after: st.retry_after,
@@ -626,33 +608,31 @@ impl MatchBook {
         })
     }
 
+    /// True when `id` is stored (live, or settled and not yet taken).
+    pub(crate) fn contains(&self, id: DemandId) -> bool {
+        self.demands.contains_key(&id.0)
+    }
+
     /// Removes a *settled* demand and returns its report; `None` while the
     /// demand is still matching (live demands cannot be evicted).
-    pub(crate) fn take(&self, id: DemandId) -> Option<DemandReport> {
-        let mut demands = self.demands.write();
-        let report = {
-            let entry = demands.get(&id.0)?;
-            let st = entry.lock();
-            st.report.clone()?
-        };
-        demands.remove(&id.0);
-        Some(report)
+    pub(crate) fn take(&mut self, id: DemandId) -> Option<DemandReport> {
+        self.demands.get(&id.0)?.report.as_ref()?;
+        self.demands.remove(&id.0)?.report
     }
 
     /// Number of demands currently stored (matching or settled-not-taken).
     pub(crate) fn len(&self) -> usize {
-        self.demands.read().len()
+        self.demands.len()
     }
 
     /// A sorted snapshot of every demand's settled report, for the
     /// checkpoint path. `Err(live)` when any demand is still matching or
     /// parked for clearing — checkpoints require every demand settled.
     pub(crate) fn snapshot_settled(&self) -> Result<Vec<DemandReport>, usize> {
-        let demands = self.demands.read();
-        let mut out: Vec<DemandReport> = Vec::with_capacity(demands.len());
+        let mut out: Vec<DemandReport> = Vec::with_capacity(self.demands.len());
         let mut live = 0usize;
-        for entry in demands.values() {
-            match &entry.lock().report {
+        for st in self.demands.values() {
+            match &st.report {
                 Some(report) => out.push(report.clone()),
                 None => live += 1,
             }
@@ -667,7 +647,7 @@ impl MatchBook {
     /// Re-registers a checkpointed settled demand under its journaled id
     /// ([`DemandState::settled`]); the id counter is bumped past it like
     /// any replayed open.
-    pub(crate) fn restore_settled(&self, report: DemandReport) {
+    pub(crate) fn restore_settled(&mut self, report: DemandReport) {
         let id = report.demand;
         self.open_at(id, DemandState::settled(report));
     }
@@ -675,25 +655,24 @@ impl MatchBook {
     /// Registers a demand refused at admission under `id`, born terminal
     /// ([`DemandState::shed`]). Used by both the live shed path and the
     /// recovery replay of a `DemandShed` frame.
-    pub(crate) fn open_shed_at(&self, id: DemandId, retry_after: Option<u32>) {
+    pub(crate) fn open_shed_at(&mut self, id: DemandId, retry_after: Option<u32>) {
         self.open_at(id, DemandState::shed(id, retry_after));
     }
 
     /// Records candidate `slot`'s quote (plus its full round history, for
     /// probe-spend accounting) for `demand`. The report that completes
     /// the candidate set either settles it (immediate mode: the policy
-    /// runs under this same lock — the per-demand linearization point) or
+    /// runs inside this call — the demand's linearization point) or
     /// yields the quote table for the clearing window (epoch mode);
     /// every other report returns `None`.
     pub(crate) fn report(
-        &self,
+        &mut self,
         demand: DemandId,
         slot: usize,
         quote: QuoteState,
         history: Vec<RoundRecord>,
     ) -> Option<ReportOutcome> {
-        let entry = self.demands.read().get(&demand.0)?.clone();
-        let mut st = entry.lock();
+        let st = self.demands.get_mut(&demand.0)?;
         debug_assert!(st.report.is_none(), "report after settlement");
         debug_assert!(st.slots[slot].quote.is_none(), "double report for a slot");
         if st.slots[slot].quote.is_none() {
@@ -734,26 +713,24 @@ impl MatchBook {
 
     /// Counts one clearing-epoch roll against `demand` (observability:
     /// [`DemandStatus::Clearing`] reports it).
-    pub(crate) fn note_roll(&self, demand: DemandId) {
-        if let Some(entry) = self.demands.read().get(&demand.0) {
-            entry.lock().rolls += 1;
+    pub(crate) fn note_roll(&mut self, demand: DemandId) {
+        if let Some(st) = self.demands.get_mut(&demand.0) {
+            st.rolls += 1;
         }
     }
 
     /// Settles an epoch-mode demand with the winner its clearing epoch
     /// assigned (validated in range), stamping the epoch number and the
-    /// winning market's uniform clearing price into the report. Called by
-    /// the exchange under its clearing-sync mutex, once per demand — the
-    /// demand lock nests inside it (lock order in [`crate::clearing`]).
+    /// winning market's uniform clearing price into the report. Runs on
+    /// the router under the exchange's state lock, once per demand.
     pub(crate) fn settle_epoch(
-        &self,
+        &mut self,
         demand: DemandId,
         winner: Option<usize>,
         epoch: u64,
         clearing_price: Option<f64>,
     ) -> Option<Settlement> {
-        let entry = self.demands.read().get(&demand.0)?.clone();
-        let mut st = entry.lock();
+        let st = self.demands.get_mut(&demand.0)?;
         debug_assert!(st.settle.is_epoch(), "immediate demands settle in report");
         debug_assert!(st.report.is_none(), "an epoch settles a demand once");
         debug_assert_eq!(st.reported, st.slots.len(), "cleared before ready");
@@ -873,7 +850,7 @@ mod tests {
 
     #[test]
     fn settlement_fires_exactly_once_and_defers_actions() {
-        let book = MatchBook::new();
+        let mut book = MatchBook::default();
         let id = book.open(DemandState::new(
             MarketConfig::default(),
             SettleMode::Immediate(Arc::new(BestResponse)),
@@ -943,7 +920,7 @@ mod tests {
 
     #[test]
     fn no_acceptable_candidate_cancels_every_parked_loser() {
-        let book = MatchBook::new();
+        let mut book = MatchBook::default();
         let id = book.open(DemandState::new(
             MarketConfig::default(),
             SettleMode::Immediate(Arc::new(BestResponse)),
@@ -983,7 +960,7 @@ mod tests {
 
     #[test]
     fn epoch_demands_park_ready_and_settle_through_the_book() {
-        let book = MatchBook::new();
+        let mut book = MatchBook::default();
         let id = book.open(DemandState::new(
             MarketConfig::default(),
             SettleMode::Epoch,

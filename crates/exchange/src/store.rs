@@ -1,23 +1,21 @@
-//! The sharded session store: `N` independently locked maps from
-//! [`SessionId`] to session slots, so external submit/poll/take calls and
-//! the router's slices spread across locks instead of serializing on one
-//! registry mutex. The router *checks out* a session (leaving a `Running`
-//! marker), drives it without holding any store lock, and checks it back
-//! in — the store never holds a lock across strategy or course code.
+//! The session store: one map from [`SessionId`] to session slots, owned
+//! by the exchange's state (`Exchange`'s single state lock guards it with
+//! everything else the router touches). The router *checks out* a session,
+//! drives it, and checks it back in within one slice; since a slice holds
+//! the state lock throughout, no caller ever observes a session
+//! mid-slice.
 //!
 //! ## Ownership discipline
 //!
-//! A `Ready` slot is owned by whoever removes it via `check_out`; exactly
-//! one caller can win that race per park/wake cycle, which is what makes
-//! the exchange's parked states sound: a session parked for a course wait
-//! or a matching settlement sits here as `Ready` but in *no* queue, so the
-//! only path back to the router is the single wake its parker arranged
-//! (waitlist drain or settlement action). Terminal slots (`Done`/`Failed`)
-//! are immutable until `take_outcome` evicts them; a `check_out` against
-//! one returns `None`, which the dispatch path treats as a spurious wake,
-//! not an error.
+//! A `Ready` slot is owned by whoever removes it via `check_out`, which
+//! is what makes the exchange's parked states sound: a session parked for
+//! a course wait or a matching settlement sits here as `Ready` but in
+//! *no* queue, so the only path back to the router is the single wake its
+//! parker arranged (waitlist drain or settlement action). Terminal slots
+//! (`Done`/`Failed`) are immutable until `take_outcome` evicts them; a
+//! `check_out` against one returns `None`, which the dispatch path treats
+//! as a spurious wake, not an error.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use vfl_market::{MarketError, Outcome};
 
@@ -36,13 +34,12 @@ impl std::fmt::Display for SessionId {
 /// Externally visible session state (what `poll` returns).
 #[derive(Debug, Clone)]
 pub enum SessionStatus {
-    /// Submitted, waiting for a slice.
+    /// Submitted and not yet terminal: waiting for a slice, parked, or
+    /// suspended on a course.
     Queued {
         /// Bargaining rounds completed so far (0 until the first course).
         rounds: usize,
     },
-    /// Checked out by the router right now.
-    Running,
     /// Closed with a negotiated outcome.
     Done(Box<Outcome>),
     /// Died on a hard error.
@@ -58,43 +55,28 @@ impl SessionStatus {
 
 enum Slot {
     Ready(Box<ActiveSession>),
-    Running,
     Done(Box<Outcome>),
     Failed(MarketError),
 }
 
-/// Sharded `SessionId -> Slot` map.
+/// `SessionId -> Slot` map.
+#[derive(Default)]
 pub(crate) struct SessionStore {
-    shards: Vec<Mutex<HashMap<u64, Slot>>>,
+    slots: HashMap<u64, Slot>,
 }
 
 impl SessionStore {
-    pub(crate) fn new(n_shards: usize) -> Self {
-        let n = n_shards.max(1);
-        SessionStore {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn shard(&self, id: SessionId) -> &Mutex<HashMap<u64, Slot>> {
-        &self.shards[(id.0 as usize) % self.shards.len()]
-    }
-
     /// Registers a fresh session as ready to run.
-    pub(crate) fn insert(&self, id: SessionId, session: ActiveSession) {
-        let prev = self
-            .shard(id)
-            .lock()
-            .insert(id.0, Slot::Ready(Box::new(session)));
+    pub(crate) fn insert(&mut self, id: SessionId, session: ActiveSession) {
+        let prev = self.slots.insert(id.0, Slot::Ready(Box::new(session)));
         debug_assert!(prev.is_none(), "session ids are unique");
     }
 
-    /// Checks a ready session out for a slice, leaving a `Running` marker.
-    /// `None` when the id is unknown, already running, or terminal.
-    pub(crate) fn check_out(&self, id: SessionId) -> Option<Box<ActiveSession>> {
-        let mut shard = self.shard(id).lock();
-        match shard.get(&id.0) {
-            Some(Slot::Ready(_)) => match shard.insert(id.0, Slot::Running) {
+    /// Checks a ready session out for a slice. `None` when the id is
+    /// unknown or terminal.
+    pub(crate) fn check_out(&mut self, id: SessionId) -> Option<Box<ActiveSession>> {
+        match self.slots.get(&id.0) {
+            Some(Slot::Ready(_)) => match self.slots.remove(&id.0) {
                 Some(Slot::Ready(session)) => Some(session),
                 _ => unreachable!("slot was just observed Ready"),
             },
@@ -103,27 +85,25 @@ impl SessionStore {
     }
 
     /// Returns a parked session to the store for its next slice.
-    pub(crate) fn check_in(&self, id: SessionId, session: Box<ActiveSession>) {
-        self.shard(id).lock().insert(id.0, Slot::Ready(session));
+    pub(crate) fn check_in(&mut self, id: SessionId, session: Box<ActiveSession>) {
+        self.slots.insert(id.0, Slot::Ready(session));
     }
 
     /// Records a terminal state.
-    pub(crate) fn finish(&self, id: SessionId, result: Result<Box<Outcome>, MarketError>) {
+    pub(crate) fn finish(&mut self, id: SessionId, result: Result<Box<Outcome>, MarketError>) {
         let slot = match result {
             Ok(outcome) => Slot::Done(outcome),
             Err(e) => Slot::Failed(e),
         };
-        self.shard(id).lock().insert(id.0, slot);
+        self.slots.insert(id.0, slot);
     }
 
     /// Point-in-time status for `poll`.
     pub(crate) fn status(&self, id: SessionId) -> Option<SessionStatus> {
-        let shard = self.shard(id).lock();
-        Some(match shard.get(&id.0)? {
+        Some(match self.slots.get(&id.0)? {
             Slot::Ready(session) => SessionStatus::Queued {
                 rounds: session.rounds_so_far(),
             },
-            Slot::Running => SessionStatus::Running,
             Slot::Done(outcome) => SessionStatus::Done(outcome.clone()),
             Slot::Failed(e) => SessionStatus::Failed(e.to_string()),
         })
@@ -132,10 +112,12 @@ impl SessionStore {
     /// Removes and returns a *terminal* session's outcome. `None` when the
     /// id is unknown or the session is still live (live sessions cannot be
     /// evicted).
-    pub(crate) fn take_outcome(&self, id: SessionId) -> Option<Result<Box<Outcome>, MarketError>> {
-        let mut shard = self.shard(id).lock();
-        match shard.get(&id.0) {
-            Some(Slot::Done(_) | Slot::Failed(_)) => match shard.remove(&id.0) {
+    pub(crate) fn take_outcome(
+        &mut self,
+        id: SessionId,
+    ) -> Option<Result<Box<Outcome>, MarketError>> {
+        match self.slots.get(&id.0) {
+            Some(Slot::Done(_) | Slot::Failed(_)) => match self.slots.remove(&id.0) {
                 Some(Slot::Done(outcome)) => Some(Ok(outcome)),
                 Some(Slot::Failed(e)) => Some(Err(e)),
                 _ => unreachable!("slot was just observed terminal"),
@@ -146,26 +128,24 @@ impl SessionStore {
 
     /// Total sessions currently stored (any state).
     pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.slots.len()
     }
 
     /// A sorted snapshot of every *terminal* slot, for the checkpoint
-    /// path. `Err(live)` when any slot is still `Ready`/`Running` — a
-    /// checkpoint must not split a mid-flight session across the frame
-    /// boundary, so the caller checkpoints only at drain-idle quiescence.
+    /// path. `Err(live)` when any slot is still `Ready` — a checkpoint
+    /// must not split a mid-flight session across the frame boundary, so
+    /// the caller checkpoints only at drain-idle quiescence.
     #[allow(clippy::type_complexity)]
     pub(crate) fn snapshot_terminal(
         &self,
     ) -> Result<Vec<(SessionId, Result<Box<Outcome>, MarketError>)>, usize> {
         let mut out: Vec<(SessionId, Result<Box<Outcome>, MarketError>)> = Vec::new();
         let mut live = 0usize;
-        for shard in &self.shards {
-            for (&id, slot) in shard.lock().iter() {
-                match slot {
-                    Slot::Done(outcome) => out.push((SessionId(id), Ok(outcome.clone()))),
-                    Slot::Failed(e) => out.push((SessionId(id), Err(e.clone()))),
-                    Slot::Ready(_) | Slot::Running => live += 1,
-                }
+        for (&id, slot) in &self.slots {
+            match slot {
+                Slot::Done(outcome) => out.push((SessionId(id), Ok(outcome.clone()))),
+                Slot::Failed(e) => out.push((SessionId(id), Err(e.clone()))),
+                Slot::Ready(_) => live += 1,
             }
         }
         if live > 0 {

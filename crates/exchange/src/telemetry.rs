@@ -22,8 +22,9 @@
 //!   carry no clock readings, so replay determinism and the pinned wire
 //!   format are untouched.
 //! * **Lock order unchanged.** Recording is lock-free (relaxed atomics)
-//!   except the trace ring's own private mutex, which is a leaf: it is
-//!   taken with no other lock held... and nothing is acquired under it.
+//!   except the trace ring's own private mutex, which is a leaf: it may
+//!   be taken under the exchange's state lock, and nothing is acquired
+//!   under it.
 //!
 //! ## Stage histograms
 //!
@@ -33,7 +34,7 @@
 //! |---|---|
 //! | `dispatch_wait` | submit (or settlement wake) → the slice that picks the session up |
 //! | `course_train` | a shared-cache miss: the real model training behind a ΔG |
-//! | `course_cache_hit` | a shared-cache hit: shard lock + lookup |
+//! | `course_cache_hit` | a shared-cache hit: the lookup under the held state lock |
 //! | `quote_round` | per-round protocol stepping (slice time minus course serves, amortized over the slice's completed rounds) |
 //! | `settlement` | one demand's settlement: decision record + wake/cancel side-effects |
 //! | `epoch_clear` | one clearing epoch: decision, record, every member settlement |

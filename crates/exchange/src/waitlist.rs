@@ -6,8 +6,8 @@
 //!
 //! ## Wake protocol
 //!
-//! Both sides run on the router, one after the other, so the protocol is
-//! plain ordering:
+//! Both sides run on the router under the exchange's state lock, one
+//! after the other, so the protocol is plain ordering:
 //!
 //! 1. Waiter (inside its slice): check the session back into the store,
 //!    then [`CourseWaitlist::enqueue`] its id.
@@ -22,35 +22,33 @@
 //! its waiters too: they retry, re-claim one at a time, and surface the
 //! provider error on their own sessions instead of sleeping forever.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 
 use crate::store::SessionId;
 
-/// `(evaluation key, bundle bits) -> waiting session ids`. One flat mutex:
-/// operations are O(waiters-per-key) pointer work on a cold path (a wait
-/// already implies a multi-second course is running), so sharding would buy
-/// nothing.
+/// `(evaluation key, bundle bits) -> waiting session ids`. Plain data in
+/// the exchange's state: operations are O(waiters-per-key) pointer work
+/// on a cold path (a wait already implies a course is outstanding).
 #[derive(Debug, Default)]
 pub(crate) struct CourseWaitlist {
-    waiting: Mutex<HashMap<(u64, u64), Vec<SessionId>>>,
+    waiting: HashMap<(u64, u64), Vec<SessionId>>,
 }
 
 impl CourseWaitlist {
     /// Registers `id` as waiting on `key`. The caller must have checked the
     /// session into the store first (see the module doc).
-    pub(crate) fn enqueue(&self, key: (u64, u64), id: SessionId) {
-        self.waiting.lock().entry(key).or_default().push(id);
+    pub(crate) fn enqueue(&mut self, key: (u64, u64), id: SessionId) {
+        self.waiting.entry(key).or_default().push(id);
     }
 
     /// Takes every session waiting on `key`; the caller must requeue them.
-    pub(crate) fn drain(&self, key: (u64, u64)) -> Vec<SessionId> {
-        self.waiting.lock().remove(&key).unwrap_or_default()
+    pub(crate) fn drain(&mut self, key: (u64, u64)) -> Vec<SessionId> {
+        self.waiting.remove(&key).unwrap_or_default()
     }
 
     /// Total sessions currently parked (all keys).
     pub(crate) fn waiting(&self) -> usize {
-        self.waiting.lock().values().map(Vec::len).sum()
+        self.waiting.values().map(Vec::len).sum()
     }
 }
 
@@ -63,7 +61,7 @@ mod tests {
 
     #[test]
     fn drain_takes_exactly_the_keys_waiters() {
-        let wl = CourseWaitlist::default();
+        let mut wl = CourseWaitlist::default();
         wl.enqueue(K1, SessionId(1));
         wl.enqueue(K1, SessionId(2));
         wl.enqueue(K2, SessionId(3));
