@@ -12,8 +12,9 @@
 //!   ([`vfl_exchange::read_events`] re-verifies every frame checksum on
 //!   the way), count frames per tag, report the torn-tail byte count;
 //! - **referential consistency** — ids are dense and in journal order,
-//!   every dispatch/conclusion/settlement refers to a recorded
-//!   submission, winner slots stay in range, epochs increase;
+//!   every conclusion/settlement refers to a recorded submission, every
+//!   served course belongs to a registered market's evaluation key,
+//!   winner slots stay in range, epochs increase;
 //! - **digest re-verification** — a checkpoint carries full outcomes, so
 //!   every earlier [`vfl_exchange::ExchangeEvent::SessionConcluded`]
 //!   record is re-checked against the checkpoint's recomputed
@@ -76,7 +77,7 @@ pub struct JournalAudit {
     pub frames: usize,
     /// Torn-tail bytes after the valid prefix (0 for a clean shutdown).
     pub dropped_bytes: usize,
-    /// Frames per tag, in tag order, zero-count tags omitted.
+    /// Frames per tag, in tag-name order, zero-count tags omitted.
     pub tag_counts: Vec<(&'static str, usize)>,
     /// Checkpoint frames in the prefix.
     pub checkpoints: usize,
@@ -294,8 +295,6 @@ fn tag_name(event: &ExchangeEvent) -> &'static str {
         ExchangeEvent::SellerRegistered { .. } => "seller-registered",
         ExchangeEvent::SessionSubmitted { .. } => "session-submitted",
         ExchangeEvent::DemandSubmitted { .. } => "demand-submitted",
-        ExchangeEvent::SessionDispatched { .. } => "session-dispatched",
-        ExchangeEvent::CourseRequested { .. } => "course-requested",
         ExchangeEvent::CourseServed { .. } => "course-served",
         ExchangeEvent::QuoteRecorded { .. } => "quote-recorded",
         ExchangeEvent::DemandSettled { .. } => "demand-settled",
@@ -668,20 +667,16 @@ pub fn audit_bytes(bytes: &[u8]) -> JournalAudit {
                 }
                 walk.epochs.push(record.clone());
             }
-            ExchangeEvent::SessionDispatched { session }
-            | ExchangeEvent::CourseRequested { session, .. } => {
-                match walk.sessions.get(&session.0) {
-                    None => v.push(format!("frame {frame}: {} of unknown {session}", {
-                        tag_name(event)
-                    })),
-                    Some(Some(_)) => v.push(format!(
-                        "frame {frame}: {} of already-concluded {session}",
-                        tag_name(event)
-                    )),
-                    Some(None) => {}
+            ExchangeEvent::CourseServed {
+                eval_key, bundle, ..
+            } => {
+                if !walk.markets.values().any(|(key, ..)| key == eval_key) {
+                    v.push(format!(
+                        "frame {frame}: course {bundle} served for evaluation key \
+                         {eval_key:#x}, which no registered market owns"
+                    ));
                 }
             }
-            ExchangeEvent::CourseServed { .. } => {}
             ExchangeEvent::QuoteRecorded { demand, slot, .. } => {
                 if walk.shed.contains(&demand.0) {
                     v.push(format!(
@@ -1125,6 +1120,33 @@ mod tests {
         assert!(text.contains("generation 0"), "{text}");
         assert!(text.contains("sealed by a checkpoint"), "{text}");
         assert!(text.contains("open (replayed on recovery)"), "{text}");
+    }
+
+    #[test]
+    fn served_courses_must_belong_to_a_registered_market() {
+        let bytes = journal_with_checkpoint();
+        let served = |eval_key| {
+            let mut journal = bytes.clone();
+            journal.extend_from_slice(
+                &ExchangeEvent::CourseServed {
+                    eval_key,
+                    bundle: BundleMask(0b1),
+                    gain: 0.125,
+                }
+                .encode_frame(),
+            );
+            audit_bytes(&journal)
+        };
+        // The journal's one market owns key 42.
+        let owned = served(42);
+        assert!(owned.is_consistent(), "{:?}", owned.violations);
+        let stray = served(0xdead);
+        assert_eq!(stray.violations.len(), 1, "{:?}", stray.violations);
+        assert!(
+            stray.violations[0].contains("no registered market owns"),
+            "{:?}",
+            stray.violations
+        );
     }
 
     #[test]

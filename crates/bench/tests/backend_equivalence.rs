@@ -24,8 +24,8 @@
 //!   `metrics` return while a drain waits on an outstanding course (the
 //!   router never holds the state lock across that wait), and sessions
 //!   submitted from several threads while drains loop each get a unique
-//!   id, terminate exactly once, and are journaled before their first
-//!   dispatch;
+//!   id, terminate exactly once, and are journaled before their
+//!   conclusion;
 //! - **fault injection** — a resolver that fails mid-drain fails exactly
 //!   the paying session (waitlisted rivals are woken once, retry, and
 //!   close normally; nothing is stranded, nothing re-trains); a course
@@ -442,8 +442,8 @@ fn api_calls_return_while_a_drain_waits_on_a_course() {
 /// Four threads submit and poll while another thread loops drains on the
 /// same exchange. After a final drain every id is unique and terminal,
 /// `take` hands each outcome out exactly once, the store is empty, and
-/// the journal records each session's submission before its first
-/// dispatch and concludes it exactly once.
+/// the journal records each session's submission before its conclusion
+/// and concludes it exactly once.
 #[test]
 fn concurrent_submitters_and_drains_keep_ids_and_journal_order() {
     const SUBMITTERS: usize = 4;
@@ -508,28 +508,23 @@ fn concurrent_submitters_and_drains_keep_ids_and_journal_order() {
     let (events, dropped) = read_events(&sink.bytes());
     assert_eq!(dropped, 0, "the journal is whole");
     let mut submitted: HashSet<u64> = HashSet::new();
-    let mut dispatched: HashSet<u64> = HashSet::new();
     let mut concluded: HashMap<u64, usize> = HashMap::new();
     for event in &events {
         match event {
             ExchangeEvent::SessionSubmitted { session, .. } => {
                 assert!(submitted.insert(session.0), "{session} submitted twice");
             }
-            ExchangeEvent::SessionDispatched { session } => {
+            ExchangeEvent::SessionConcluded { session, .. } => {
                 assert!(
                     submitted.contains(&session.0),
-                    "{session} dispatched before its submission was journaled"
+                    "{session} concluded before its submission was journaled"
                 );
-                dispatched.insert(session.0);
-            }
-            ExchangeEvent::SessionConcluded { session, .. } => {
                 *concluded.entry(session.0).or_default() += 1;
             }
             _ => {}
         }
     }
     assert_eq!(submitted, unique, "the journal records every submission");
-    assert_eq!(dispatched, unique, "every session was dispatched");
     assert!(
         unique.iter().all(|id| concluded.get(id) == Some(&1)),
         "every session concluded exactly once"

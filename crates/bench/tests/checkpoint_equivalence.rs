@@ -24,10 +24,12 @@
 //!   event; a checkpoint frame torn by truncation falls back to the
 //!   previous checkpoint or genesis.
 //! * **Decoder fuzz + pinned bytes** — random single-byte mutations and
-//!   truncations over a journal holding every tag (1–14) always yield a
-//!   clean prefix of the original events, never a misparse or panic; a
-//!   checked-in byte fixture pins the tag-4/tag-11 wire format against
-//!   accidental drift.
+//!   truncations over a journal holding every tag but `DemandShed` always
+//!   yield a clean prefix of the original events, never a misparse or
+//!   panic; a checked-in byte fixture pins the v2 `DemandSubmitted` wire
+//!   format against accidental drift.
+//! * **Long strings** — a hard error message longer than any `u16` length
+//!   survives `checkpoint` → `recover` verbatim.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -39,8 +41,8 @@ use vfl_exchange::{
     SellerSpec, SessionId, SessionOrder, SettleMode,
 };
 use vfl_market::{
-    DataStrategy, Listing, MarketConfig, Outcome, ReservedPrice, StrategicData, StrategicTask,
-    TableGainProvider,
+    DataStrategy, GainProvider, Listing, MarketConfig, MarketError, Outcome, ReservedPrice,
+    StrategicData, StrategicTask, TableGainProvider,
 };
 use vfl_sim::BundleMask;
 
@@ -847,6 +849,54 @@ fn checkpoint_refuses_non_quiescent_exchanges() {
     assert!(bare.checkpoint().is_err());
 }
 
+/// A provider whose every course fails with a message longer than any
+/// `u16` length prefix could carry.
+struct LongErrorProvider;
+
+impl GainProvider for LongErrorProvider {
+    fn gain(&self, _bundle: BundleMask) -> vfl_market::Result<f64> {
+        Err(MarketError::Gain("x".repeat(70_000)))
+    }
+}
+
+/// A session failed by a 70,000-byte gain error checkpoints, and recovery
+/// from that checkpoint returns the message verbatim.
+#[test]
+fn long_error_messages_survive_checkpoint_and_recovery() {
+    let world = 0usize;
+    let market_spec = || {
+        let (listings, _) = plain_listings_gains(world);
+        MarketSpec {
+            provider: Arc::new(LongErrorProvider),
+            listings: Arc::new(listings),
+            evaluation_key: Some(plain_eval_key(world)),
+            name: "long-errors".into(),
+        }
+    };
+    let (journal, sink) = Journal::in_memory();
+    let exchange = Exchange::with_journal(ExchangeConfig::default(), journal);
+    let market = exchange.register_market(market_spec()).expect("register");
+    let id = exchange
+        .submit(market, plain_order(world, 0))
+        .expect("submit");
+    exchange.drain(1);
+    exchange.checkpoint().expect("quiescent after the drain");
+    let spec = ReplaySpec {
+        markets: vec![market_spec()],
+        ..ReplaySpec::default()
+    };
+    let (recovered, report) =
+        Exchange::recover(ExchangeConfig::default(), &sink.bytes(), spec, None).expect("recovery");
+    assert!(report.checkpoint_restored);
+    match recovered.take(id) {
+        Some(Err(MarketError::Gain(msg))) => assert!(msg == "x".repeat(70_000), "message mangled"),
+        other => panic!(
+            "expected the gain error back, got {:?}",
+            other.map(|r| r.is_ok())
+        ),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Crash points inside the checkpoint append and the compaction rewrite
 // ---------------------------------------------------------------------------
@@ -1019,8 +1069,8 @@ fn torn_compaction_rewrite_never_loses_journaled_events() {
 
 use proptest::prelude::*;
 
-/// A journal containing every frame tag (1–14), built once: a phased world
-/// with interior checkpoints exercises the full vocabulary.
+/// A journal containing every frame tag but `DemandShed`, built once: a
+/// phased world with interior checkpoints exercises the vocabulary.
 fn all_tags_journal() -> &'static (Vec<u8>, Vec<ExchangeEvent>) {
     static JOURNAL: OnceLock<(Vec<u8>, Vec<ExchangeEvent>)> = OnceLock::new();
     JOURNAL.get_or_init(|| {
@@ -1030,10 +1080,12 @@ fn all_tags_journal() -> &'static (Vec<u8>, Vec<ExchangeEvent>) {
         assert_eq!(dropped, 0);
         let tags: HashSet<std::mem::Discriminant<ExchangeEvent>> =
             events.iter().map(std::mem::discriminant).collect();
+        // Every variant but `DemandShed` (tag 15): world 0 runs no
+        // admission policy, so it never sheds.
         assert_eq!(
             tags.len(),
-            13,
-            "the fuzz source must exercise every variant"
+            11,
+            "the fuzz source must exercise every variant world 0 produces"
         );
         (bytes, events)
     })
@@ -1090,14 +1142,14 @@ proptest! {
     }
 }
 
-/// Checked-in wire-format fixture: the exact bytes of an immediate-mode
-/// (tag 4) and an epoch-mode (tag 11) `DemandSubmitted` frame. The format
-/// is append-only and versioned — if this test fails, the change broke
-/// decoding of every journal already on disk; bump `VERSION` and add a
-/// new tag instead.
+/// Checked-in wire-format fixture: the exact v2 bytes of an
+/// immediate-mode and an epoch-mode `DemandSubmitted` frame (one tag, the
+/// mode is a field). If this test fails, the change broke decoding of
+/// every v2 journal already on disk; bump `VERSION` instead. The v1
+/// bytes of the first frame must no longer decode at all.
 #[test]
 fn pinned_frame_bytes_stay_decodable() {
-    let tag4_event = ExchangeEvent::DemandSubmitted {
+    let immediate = ExchangeEvent::DemandSubmitted {
         demand: DemandId(3),
         wanted: BundleMask(0b101),
         probe_rounds: 2,
@@ -1108,12 +1160,7 @@ fn pinned_frame_bytes_stay_decodable() {
             (vfl_exchange::SellerId(2), SessionId(9)),
         ],
     };
-    let tag4_bytes: &[u8] = &[
-        234, 1, 57, 0, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 13,
-        240, 237, 254, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 9,
-        0, 0, 0, 0, 0, 0, 0, 248, 185, 109, 105, 22, 153, 147, 6,
-    ];
-    let tag11_event = ExchangeEvent::DemandSubmitted {
+    let epoch = ExchangeEvent::DemandSubmitted {
         demand: DemandId(5),
         wanted: BundleMask(0b110),
         probe_rounds: 1,
@@ -1121,20 +1168,37 @@ fn pinned_frame_bytes_stay_decodable() {
         epoch_mode: true,
         candidates: vec![(vfl_exchange::SellerId(1), SessionId(12))],
     };
-    let tag11_bytes: &[u8] = &[
-        234, 1, 45, 0, 0, 0, 11, 5, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 17,
-        186, 221, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0, 62, 100, 129,
-        179, 235, 136, 136, 169,
+    let immediate_bytes: &[u8] = &[
+        234, 2, 66, 0, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 13,
+        240, 237, 254, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 40, 246, 229, 96, 82, 29, 219, 242,
     ];
-    assert_eq!(tag4_event.encode_frame(), tag4_bytes, "tag-4 bytes drifted");
+    let epoch_bytes: &[u8] = &[
+        234, 2, 50, 0, 0, 0, 4, 5, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 17,
+        186, 221, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0,
+        76, 16, 89, 113, 232, 78, 174, 196,
+    ];
     assert_eq!(
-        tag11_event.encode_frame(),
-        tag11_bytes,
-        "tag-11 bytes drifted"
+        immediate.encode_frame(),
+        immediate_bytes,
+        "immediate-mode bytes drifted"
     );
-    let mut journal = tag4_bytes.to_vec();
-    journal.extend_from_slice(tag11_bytes);
-    let (decoded, dropped) = read_events(&journal);
-    assert_eq!(decoded, vec![tag4_event, tag11_event]);
-    assert_eq!(dropped, 0);
+    assert_eq!(
+        epoch.encode_frame(),
+        epoch_bytes,
+        "epoch-mode bytes drifted"
+    );
+    let mut journal = immediate_bytes.to_vec();
+    journal.extend_from_slice(epoch_bytes);
+    assert_eq!(read_events(&journal), (vec![immediate, epoch], 0));
+    let v1_tag4_bytes: &[u8] = &[
+        234, 1, 57, 0, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 13,
+        240, 237, 254, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 9,
+        0, 0, 0, 0, 0, 0, 0, 248, 185, 109, 105, 22, 153, 147, 6,
+    ];
+    assert_eq!(
+        read_events(v1_tag4_bytes),
+        (vec![], v1_tag4_bytes.len()),
+        "v1 frames are dropped whole"
+    );
 }

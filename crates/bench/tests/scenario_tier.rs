@@ -591,99 +591,6 @@ fn hinted_shed_frames_survive_truncation_and_recover_bit_identically() {
     );
 }
 
-#[test]
-fn legacy_tag15_frames_without_hints_still_recover() {
-    // Build a journal whose sheds are hintless (the bare threshold has no
-    // rate model), then rewrite every tag-15 frame to the pre-hint wire
-    // format — payload ends at queue_depth, no marker byte — with a
-    // refreshed length and checksum. That is byte-for-byte what a PR 8
-    // journal looks like, and it must decode and recover unchanged.
-    let (journal, sink) = Journal::in_memory();
-    let exchange = Exchange::with_journal(ExchangeConfig::default(), journal);
-    exchange
-        .register_seller(fixture_seller("solo", 1.0))
-        .unwrap();
-    exchange.set_admission(Some(Arc::new(QueueDepthAdmission { max_queue_depth: 0 })));
-    let ids: Vec<DemandId> = (0..2)
-        .map(|seed| {
-            exchange
-                .submit_demand(fixture_demand(
-                    seed,
-                    SettleMode::Immediate(Arc::new(BestResponse)),
-                ))
-                .unwrap()
-        })
-        .collect();
-    exchange.drain(1);
-    assert!(matches!(
-        exchange.demand_status(ids[1]),
-        Some(DemandStatus::Shed { retry_after: None })
-    ));
-    let bytes = sink.bytes();
-
-    // Rewrite: header is MAGIC, VERSION, u32 payload length; trailer is
-    // fnv64 over header+payload. A modern hintless tag-15 payload is
-    // tag(1) + demand(8) + wanted(8) + cfg_digest(8) + queue_depth(4) +
-    // marker(1) = 30 bytes; the legacy payload stops before the marker.
-    const HEADER: usize = 6;
-    const TRAILER: usize = 8;
-    let mut legacy = Vec::with_capacity(bytes.len());
-    let mut pos = 0usize;
-    for &end in &frame_boundaries(&bytes) {
-        let frame = &bytes[pos..end];
-        pos = end;
-        let len = u32::from_le_bytes(frame[2..6].try_into().unwrap()) as usize;
-        let payload = &frame[HEADER..HEADER + len];
-        if payload[0] == 15 {
-            assert_eq!(payload.len(), 30, "unexpected tag-15 layout");
-            assert_eq!(payload[29], 0, "fixture shed should be hintless");
-            let mut rewritten = Vec::with_capacity(HEADER + 29 + TRAILER);
-            rewritten.extend_from_slice(&frame[..2]);
-            rewritten.extend_from_slice(&(29u32).to_le_bytes());
-            rewritten.extend_from_slice(&payload[..29]);
-            let sum = vfl_market::session::wire::fnv64(&rewritten);
-            rewritten.extend_from_slice(&sum.to_le_bytes());
-            legacy.extend_from_slice(&rewritten);
-        } else {
-            legacy.extend_from_slice(frame);
-        }
-    }
-    assert!(legacy.len() < bytes.len(), "no tag-15 frame was rewritten");
-
-    // The legacy journal decodes cleanly to the same events (hint None)…
-    let (modern_events, _) = read_events(&bytes);
-    let (legacy_events, dropped) = read_events(&legacy);
-    assert_eq!(dropped, 0, "legacy journal failed to decode");
-    assert_eq!(modern_events, legacy_events);
-
-    // …and recovers to the same terminal statuses.
-    let spec = ReplaySpec {
-        markets: vec![],
-        sellers: vec![fixture_seller("solo", 1.0)],
-        orders: Box::new(|_sid| SessionOrder {
-            cfg: MarketConfig::default(),
-            task: Box::new(StrategicTask::new(0.30, 6.0, 0.9).unwrap()),
-            data: Box::new(StrategicData::with_gains(vec![0.0; 4])),
-        }),
-        demands: Box::new(move |did| {
-            fixture_demand(did.0, SettleMode::Immediate(Arc::new(BestResponse)))
-        }),
-        clearing: None,
-    };
-    let (recovered, report) =
-        Exchange::recover(ExchangeConfig::default(), &legacy, spec, None).expect("legacy recovery");
-    assert_eq!(report.sheds, vec![ids[1]]);
-    recovered.drain(1);
-    assert!(matches!(
-        recovered.demand_status(ids[1]),
-        Some(DemandStatus::Shed { retry_after: None })
-    ));
-    assert!(matches!(
-        recovered.demand_status(ids[0]),
-        Some(DemandStatus::Settled(_))
-    ));
-}
-
 // ---------------------------------------------------------------------------
 // Policy laws
 // ---------------------------------------------------------------------------

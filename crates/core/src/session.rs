@@ -640,8 +640,7 @@ pub mod wire {
     }
 
     fn put_str(buf: &mut Vec<u8>, s: &str) {
-        assert!(s.len() <= u16::MAX as usize, "wire strings are u16-length");
-        put_u16(buf, s.len() as u16);
+        put_u32(buf, s.len() as u32);
         buf.extend_from_slice(s.as_bytes());
     }
 
@@ -759,7 +758,7 @@ pub mod wire {
     }
 
     fn get_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
-        let len = get_u16(bytes, pos)? as usize;
+        let len = get_u32(bytes, pos)? as usize;
         let s = take(bytes, pos, len)?;
         String::from_utf8(s.to_vec()).ok()
     }

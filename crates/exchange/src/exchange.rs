@@ -244,15 +244,6 @@ impl Core {
                 "market has an empty listing table".into(),
             ));
         }
-        // Journal strings are u16-length-prefixed; reject rather than
-        // letting a journaled exchange panic where a bare one succeeds.
-        if spec.name.len() > u16::MAX as usize {
-            return Err(MarketError::InvalidConfig(format!(
-                "market name is {} bytes; the journal format caps names at {}",
-                spec.name.len(),
-                u16::MAX
-            )));
-        }
         let id = MarketId(self.markets.len());
         let private = spec.evaluation_key.is_none();
         // Private cache spaces get the high bit so they can never collide
@@ -1511,8 +1502,8 @@ impl Exchange {
     /// would need a second one after resuming. `resume` carries the
     /// result of the course the session suspended on: a resumed slice is
     /// the second half of one dispatch, so it skips the dispatch crash
-    /// point and `SessionDispatched` frame and starts with its course
-    /// budget spent. Runs only on the router.
+    /// point and starts with its course budget spent. Runs only on the
+    /// router.
     pub(crate) fn run_slice(
         &self,
         core: &mut Core,
@@ -1543,7 +1534,6 @@ impl Exchange {
         });
         if !resumed {
             self.crash_point(CrashPoint::Dispatched(id));
-            self.record_with(|| ExchangeEvent::SessionDispatched { session: id });
         }
         let market = session.market;
         let eval_key = core.markets[market.0].eval_key;
@@ -1601,11 +1591,6 @@ impl Exchange {
                                         timer.note_serve(served);
                                     }
                                 }
-                                self.record_with(|| ExchangeEvent::CourseRequested {
-                                    session: id,
-                                    eval_key,
-                                    bundle,
-                                });
                                 session.drive(Some(g))
                             }
                             SoftServe::Claimed => {

@@ -23,7 +23,7 @@
 //! is the course critical section, and `Exchange::apply_course` is its
 //! only copy: cache insert, `CourseTrained` crash point, `CourseServed`
 //! frame, `CourseRecorded` crash point, waitlist wake, then the payer
-//! resumes *in-slice* (no second `SessionDispatched` frame). Since every
+//! resumes *in-slice* (no second dispatch crash point). Since every
 //! journal append and cache mutation happens on the router in an order
 //! that is a pure function of the FIFO session queue and the request
 //! sequence, the journal, the outcomes, and every counter are

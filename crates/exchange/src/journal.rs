@@ -133,7 +133,7 @@ use crate::telemetry::ExchangeTelemetry;
 use vfl_market::{MarketError, Outcome};
 
 const MAGIC: u8 = 0xEA;
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 const HEADER: usize = 6; // magic + version + u32 length
 const TRAILER: usize = 8; // fnv64 checksum
 
@@ -240,9 +240,7 @@ pub enum ExchangeEvent {
     },
     /// A demand accepted by [`Exchange::submit_demand`], with its whole
     /// candidate fan-out (one atomic record: a prefix never sees half a
-    /// demand). Immediate- and epoch-mode demands are distinct frame
-    /// tags on the wire (the format is append-only), decoded into one
-    /// variant with the `epoch_mode` flag.
+    /// demand).
     DemandSubmitted {
         /// The assigned demand id.
         demand: DemandId,
@@ -279,23 +277,6 @@ pub enum ExchangeEvent {
     EpochCleared {
         /// The epoch's audit record.
         record: EpochRecord,
-    },
-    /// A slice picked the session up (audit/throughput trail).
-    SessionDispatched {
-        /// The dispatched session.
-        session: SessionId,
-    },
-    /// A session's course request was answered from the shared ΔG cache
-    /// (audit trail). A request that *trains* is recorded as
-    /// [`ExchangeEvent::CourseServed`] instead — every answered request is
-    /// exactly one of the two — and `Busy` waits are neither (they retry).
-    CourseRequested {
-        /// The requesting session.
-        session: SessionId,
-        /// The course's cache space.
-        eval_key: u64,
-        /// The evaluated bundle.
-        bundle: BundleMask,
     },
     /// A course was **trained** and its ΔG is now cached — the paid,
     /// non-recomputable step recovery must never repeat. Load-bearing.
@@ -343,10 +324,7 @@ pub enum ExchangeEvent {
         /// The dispatcher backlog depth that triggered the refusal.
         queue_depth: u32,
         /// The refusal's `Retry-After` hint, in logical time units
-        /// ([`crate::traffic::AdmissionDecision::Shed`]). Appended to the
-        /// tag-15 payload as an optional trailing field — the tag-4→tag-11
-        /// evolution precedent — so frames written before the hint existed
-        /// (no trailing bytes) still decode, as `None`.
+        /// ([`crate::traffic::AdmissionDecision::Shed`]).
         retry_after: Option<u32>,
     },
     /// A session reached a terminal state (audit trail; replay re-derives
@@ -449,13 +427,8 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
 }
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    assert!(
-        bytes.len() <= u16::MAX as usize,
-        "journal strings are short"
-    );
-    put_u16(buf, bytes.len() as u16);
-    buf.extend_from_slice(bytes);
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Body encoding of one [`EpochRecord`] — shared verbatim by the
@@ -467,13 +440,17 @@ fn put_epoch_record(buf: &mut Vec<u8>, record: &EpochRecord) {
     for entry in &record.entries {
         put_u64(buf, entry.demand.0);
         buf.push(entry.kind.code());
-        if entry.kind == EpochEntryKind::Matched {
-            put_u32(buf, entry.winner.expect("matched entries have a winner"));
+        match entry.winner {
+            Some(w) => {
+                buf.push(1);
+                put_u32(buf, w);
+            }
+            None => buf.push(0),
         }
     }
     put_u32(buf, record.prices.len() as u32);
     for (seller, price) in &record.prices {
-        put_u32(buf, seller.0 as u32);
+        put_u64(buf, seller.0 as u64);
         put_u64(buf, price.to_bits());
     }
 }
@@ -540,7 +517,7 @@ impl<'a> Reader<'a> {
     }
 
     fn str(&mut self) -> Option<String> {
-        let len = self.u16()? as usize;
+        let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).ok()
     }
@@ -559,10 +536,10 @@ fn read_epoch_record(r: &mut Reader<'_>) -> Option<EpochRecord> {
     for _ in 0..n {
         let demand = DemandId(r.u64()?);
         let kind = EpochEntryKind::from_code(r.u8()?)?;
-        let winner = if kind == EpochEntryKind::Matched {
-            Some(r.u32()?)
-        } else {
-            None
+        let winner = match r.u8()? {
+            0 => None,
+            1 => Some(r.u32()?),
+            _ => return None,
         };
         entries.push(EpochEntry {
             demand,
@@ -573,7 +550,7 @@ fn read_epoch_record(r: &mut Reader<'_>) -> Option<EpochRecord> {
     let n_prices = r.u32()? as usize;
     let mut prices = Vec::with_capacity(n_prices.min(1024));
     for _ in 0..n_prices {
-        prices.push((SellerId(r.u32()? as usize), r.f64()?));
+        prices.push((SellerId(r.u64()? as usize), r.f64()?));
     }
     Some(EpochRecord {
         epoch,
@@ -639,7 +616,7 @@ impl ExchangeEvent {
                 name,
             } => {
                 buf.push(1);
-                put_u32(&mut buf, market.0 as u32);
+                put_u64(&mut buf, market.0 as u64);
                 put_u64(&mut buf, *eval_key);
                 buf.push(*private as u8);
                 put_u32(&mut buf, *listings);
@@ -658,8 +635,8 @@ impl ExchangeEvent {
                 name,
             } => {
                 buf.push(2);
-                put_u32(&mut buf, seller.0 as u32);
-                put_u32(&mut buf, market.0 as u32);
+                put_u64(&mut buf, seller.0 as u64);
+                put_u64(&mut buf, market.0 as u64);
                 put_u64(&mut buf, *eval_key);
                 buf.push(*private as u8);
                 put_u32(&mut buf, *listings);
@@ -674,7 +651,7 @@ impl ExchangeEvent {
             } => {
                 buf.push(3);
                 put_u64(&mut buf, session.0);
-                put_u32(&mut buf, market.0 as u32);
+                put_u64(&mut buf, market.0 as u64);
                 put_u64(&mut buf, *cfg_digest);
             }
             ExchangeEvent::DemandSubmitted {
@@ -685,16 +662,15 @@ impl ExchangeEvent {
                 epoch_mode,
                 candidates,
             } => {
-                // Two tags, one layout: tag 4 = immediate (the original
-                // format, old journals keep decoding), tag 11 = epoch.
-                buf.push(if *epoch_mode { 11 } else { 4 });
+                buf.push(4);
                 put_u64(&mut buf, demand.0);
                 put_u64(&mut buf, wanted.0);
                 put_u32(&mut buf, *probe_rounds);
                 put_u64(&mut buf, *cfg_digest);
+                buf.push(*epoch_mode as u8);
                 put_u32(&mut buf, candidates.len() as u32);
                 for (seller, session) in candidates {
-                    put_u32(&mut buf, seller.0 as u32);
+                    put_u64(&mut buf, seller.0 as u64);
                     put_u64(&mut buf, session.0);
                 }
             }
@@ -711,20 +687,6 @@ impl ExchangeEvent {
             ExchangeEvent::EpochCleared { record } => {
                 buf.push(13);
                 put_epoch_record(&mut buf, record);
-            }
-            ExchangeEvent::SessionDispatched { session } => {
-                buf.push(5);
-                put_u64(&mut buf, session.0);
-            }
-            ExchangeEvent::CourseRequested {
-                session,
-                eval_key,
-                bundle,
-            } => {
-                buf.push(6);
-                put_u64(&mut buf, session.0);
-                put_u64(&mut buf, *eval_key);
-                put_u64(&mut buf, bundle.0);
             }
             ExchangeEvent::CourseServed {
                 eval_key,
@@ -771,8 +733,6 @@ impl ExchangeEvent {
                 put_u64(&mut buf, wanted.0);
                 put_u64(&mut buf, *cfg_digest);
                 put_u32(&mut buf, *queue_depth);
-                // Optional trailing hint (append-only wire evolution):
-                // legacy frames end at queue_depth and decode hint-less.
                 match retry_after {
                     None => buf.push(0),
                     Some(wait) => {
@@ -802,7 +762,7 @@ impl ExchangeEvent {
                     match m.owner {
                         Some(seller) => {
                             buf.push(1);
-                            put_u32(&mut buf, seller.0 as u32);
+                            put_u64(&mut buf, seller.0 as u64);
                         }
                         None => buf.push(0),
                     }
@@ -860,27 +820,13 @@ impl ExchangeEvent {
                     match report.winner {
                         Some(w) => {
                             buf.push(1);
-                            put_u32(&mut buf, w as u32);
-                        }
-                        None => buf.push(0),
-                    }
-                    match report.epoch {
-                        Some(epoch) => {
-                            buf.push(1);
-                            put_u64(&mut buf, epoch);
-                        }
-                        None => buf.push(0),
-                    }
-                    match report.clearing_price {
-                        Some(price) => {
-                            buf.push(1);
-                            put_u64(&mut buf, price.to_bits());
+                            put_u64(&mut buf, w as u64);
                         }
                         None => buf.push(0),
                     }
                     put_u32(&mut buf, report.quotes.len() as u32);
                     for q in &report.quotes {
-                        put_u32(&mut buf, q.seller.0 as u32);
+                        put_u64(&mut buf, q.seller.0 as u64);
                         put_str(&mut buf, &q.seller_name);
                         put_u64(&mut buf, q.session.0);
                         match &q.state {
@@ -909,6 +855,20 @@ impl ExchangeEvent {
                             wire::put_round_record(&mut buf, record);
                         }
                     }
+                    match report.epoch {
+                        Some(epoch) => {
+                            buf.push(1);
+                            put_u64(&mut buf, epoch);
+                        }
+                        None => buf.push(0),
+                    }
+                    match report.clearing_price {
+                        Some(price) => {
+                            buf.push(1);
+                            put_u64(&mut buf, price.to_bits());
+                        }
+                        None => buf.push(0),
+                    }
                 }
             }
         }
@@ -921,7 +881,7 @@ impl ExchangeEvent {
         let mut r = Reader::new(payload);
         let event = match r.u8()? {
             1 => ExchangeEvent::MarketRegistered {
-                market: MarketId(r.u32()? as usize),
+                market: MarketId(r.u64()? as usize),
                 eval_key: r.u64()?,
                 private: r.u8()? != 0,
                 listings: r.u32()?,
@@ -930,8 +890,8 @@ impl ExchangeEvent {
                 name: r.str()?,
             },
             2 => ExchangeEvent::SellerRegistered {
-                seller: SellerId(r.u32()? as usize),
-                market: MarketId(r.u32()? as usize),
+                seller: SellerId(r.u64()? as usize),
+                market: MarketId(r.u64()? as usize),
                 eval_key: r.u64()?,
                 private: r.u8()? != 0,
                 listings: r.u32()?,
@@ -941,36 +901,29 @@ impl ExchangeEvent {
             },
             3 => ExchangeEvent::SessionSubmitted {
                 session: SessionId(r.u64()?),
-                market: MarketId(r.u32()? as usize),
+                market: MarketId(r.u64()? as usize),
                 cfg_digest: r.u64()?,
             },
-            tag @ (4 | 11) => {
+            4 => {
                 let demand = DemandId(r.u64()?);
                 let wanted = BundleMask(r.u64()?);
                 let probe_rounds = r.u32()?;
                 let cfg_digest = r.u64()?;
+                let epoch_mode = r.u8()? != 0;
                 let n = r.u32()? as usize;
                 let mut candidates = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    candidates.push((SellerId(r.u32()? as usize), SessionId(r.u64()?)));
+                    candidates.push((SellerId(r.u64()? as usize), SessionId(r.u64()?)));
                 }
                 ExchangeEvent::DemandSubmitted {
                     demand,
                     wanted,
                     probe_rounds,
                     cfg_digest,
-                    epoch_mode: tag == 11,
+                    epoch_mode,
                     candidates,
                 }
             }
-            5 => ExchangeEvent::SessionDispatched {
-                session: SessionId(r.u64()?),
-            },
-            6 => ExchangeEvent::CourseRequested {
-                session: SessionId(r.u64()?),
-                eval_key: r.u64()?,
-                bundle: BundleMask(r.u64()?),
-            },
             7 => ExchangeEvent::CourseServed {
                 eval_key: r.u64()?,
                 bundle: BundleMask(r.u64()?),
@@ -1002,17 +955,10 @@ impl ExchangeEvent {
                 wanted: BundleMask(r.u64()?),
                 cfg_digest: r.u64()?,
                 queue_depth: r.u32()?,
-                // Pre-hint frames end here; the marker byte is optional
-                // trailing payload (append-only evolution, tag-4→tag-11
-                // precedent).
-                retry_after: if r.done() {
-                    None
-                } else {
-                    match r.u8()? {
-                        0 => None,
-                        1 => Some(r.u32()?),
-                        _ => return None,
-                    }
+                retry_after: match r.u8()? {
+                    0 => None,
+                    1 => Some(r.u32()?),
+                    _ => return None,
                 },
             },
             12 => ExchangeEvent::ClearingOpened {
@@ -1031,7 +977,7 @@ impl ExchangeEvent {
                 for _ in 0..n_markets {
                     let owner = match r.u8()? {
                         0 => None,
-                        1 => Some(SellerId(r.u32()? as usize)),
+                        1 => Some(SellerId(r.u64()? as usize)),
                         _ => return None,
                     };
                     markets.push(CheckpointMarket {
@@ -1090,23 +1036,13 @@ impl ExchangeEvent {
                     let demand = DemandId(r.u64()?);
                     let winner = match r.u8()? {
                         0 => None,
-                        1 => Some(r.u32()? as usize),
-                        _ => return None,
-                    };
-                    let epoch = match r.u8()? {
-                        0 => None,
-                        1 => Some(r.u64()?),
-                        _ => return None,
-                    };
-                    let clearing_price = match r.u8()? {
-                        0 => None,
-                        1 => Some(r.f64()?),
+                        1 => Some(r.u64()? as usize),
                         _ => return None,
                     };
                     let n_quotes = r.u32()? as usize;
                     let mut quotes = Vec::with_capacity(n_quotes.min(1024));
                     for _ in 0..n_quotes {
-                        let seller = SellerId(r.u32()? as usize);
+                        let seller = SellerId(r.u64()? as usize);
                         let seller_name = r.str()?;
                         let session = SessionId(r.u64()?);
                         let state = match r.u8()? {
@@ -1136,6 +1072,16 @@ impl ExchangeEvent {
                             history,
                         });
                     }
+                    let epoch = match r.u8()? {
+                        0 => None,
+                        1 => Some(r.u64()?),
+                        _ => return None,
+                    };
+                    let clearing_price = match r.u8()? {
+                        0 => None,
+                        1 => Some(r.f64()?),
+                        _ => return None,
+                    };
                     demands.push(DemandReport {
                         demand,
                         winner,
@@ -1518,8 +1464,9 @@ impl std::fmt::Debug for Journal {
 /// cannot land. See [`Exchange::set_crash_hook`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CrashPoint {
-    /// A slice checked the session out, before the
-    /// [`ExchangeEvent::SessionDispatched`] record.
+    /// A slice checked the session out, before its first step. No frame
+    /// records a dispatch (re-execution re-derives it), so a crash here
+    /// loses nothing the journal held.
     Dispatched(SessionId),
     /// A course finished **training**, before its
     /// [`ExchangeEvent::CourseServed`] record: a crash here loses the
@@ -1601,7 +1548,7 @@ pub struct ReplaySpec {
     /// Rebuilds the [`Demand`] of a journaled demand submission (called
     /// once per [`ExchangeEvent::DemandSubmitted`], with the recorded
     /// id). The rebuilt demand's settle mode must match the journaled
-    /// one (epoch demands journal under their own frame tag).
+    /// `epoch_mode`.
     pub demands: Box<dyn FnMut(DemandId) -> Demand>,
     /// The clearing window's spec, when the journal records a
     /// [`ExchangeEvent::ClearingOpened`]: `epoch_size`/`capacity`/
@@ -2009,9 +1956,7 @@ impl Exchange {
                 }
                 // Pure audit trail: recomputed by the resuming drain (see
                 // the module doc's replay-safety argument).
-                ExchangeEvent::SessionDispatched { .. }
-                | ExchangeEvent::CourseRequested { .. }
-                | ExchangeEvent::QuoteRecorded { .. } => {}
+                ExchangeEvent::QuoteRecorded { .. } => {}
                 ExchangeEvent::Checkpoint { .. } => {
                     unreachable!("the seek above consumed every checkpoint up to the last one")
                 }
@@ -2348,15 +2293,7 @@ mod tests {
                     prices: vec![(SellerId(1), 3.75), (SellerId(4), 0.125)],
                 },
             },
-            ExchangeEvent::SessionDispatched {
-                session: SessionId(7),
-            },
             sample_checkpoint(),
-            ExchangeEvent::CourseRequested {
-                session: SessionId(7),
-                eval_key: 42,
-                bundle: BundleMask(0b10),
-            },
             ExchangeEvent::CourseServed {
                 eval_key: 42,
                 bundle: BundleMask(0b10),
@@ -2375,6 +2312,20 @@ mod tests {
             ExchangeEvent::DemandSettled {
                 demand: DemandId(4),
                 winner: None,
+            },
+            ExchangeEvent::DemandShed {
+                demand: DemandId(10),
+                wanted: BundleMask(0b11),
+                cfg_digest: 0xc0ff_ee00,
+                queue_depth: 6,
+                retry_after: Some(250),
+            },
+            ExchangeEvent::DemandShed {
+                demand: DemandId(11),
+                wanted: BundleMask(0b1),
+                cfg_digest: 0xc0ff_ee01,
+                queue_depth: 7,
+                retry_after: None,
             },
             ExchangeEvent::SessionConcluded {
                 session: SessionId(7),
@@ -2397,6 +2348,38 @@ mod tests {
         assert_eq!(dropped, 0);
         assert_eq!(frame_boundaries(&bytes).len(), events.len());
         assert_eq!(*frame_boundaries(&bytes).last().unwrap(), bytes.len());
+    }
+
+    /// The v2 wire pins: fnv64 of every sample frame. A codec change
+    /// that moves any byte of any tag fails here; such a change needs a
+    /// `VERSION` bump, not new pins.
+    #[test]
+    fn sample_frames_match_pinned_fnv64() {
+        const PINS: [u64; 15] = [
+            0x144f044254bddc20,
+            0xee46f7e91ae136f6,
+            0x865d6a8acd8c1781,
+            0xa4c13ad5591f0bb7,
+            0xb6912643eb677a8a,
+            0xeaa073fce247015e,
+            0x3594469a545c8b6d,
+            0x3c2b31bcdc25c6be,
+            0xe40f00f93d23f408,
+            0x4ab2a0f60e5533a4,
+            0x4dad6158d24fe154,
+            0x8e674f5d4f3df28d,
+            0xeba2534a87de4cca,
+            0xfefc3bb239e0f609,
+            0x932328d151957a5c,
+        ];
+        let events = sample_events();
+        let tags: std::collections::HashSet<u8> = events.iter().map(|e| e.payload()[0]).collect();
+        assert_eq!(tags.len(), 12, "every v2 tag is sampled");
+        let got: Vec<u64> = events
+            .iter()
+            .map(|e| wire::fnv64(&e.encode_frame()))
+            .collect();
+        assert_eq!(got, PINS);
     }
 
     #[test]
@@ -2480,19 +2463,28 @@ mod tests {
     #[test]
     fn unknown_tags_and_versions_end_the_prefix() {
         let good = sample_events()[0].encode_frame();
-        // Unknown tag: a frame whose payload starts with 200.
-        let mut payload_frame = Vec::new();
-        payload_frame.push(MAGIC);
-        payload_frame.push(VERSION);
-        put_u32(&mut payload_frame, 1);
-        payload_frame.push(200);
-        let sum = wire::fnv64(&payload_frame);
-        put_u64(&mut payload_frame, sum);
-        let mut bytes = good.clone();
-        bytes.extend_from_slice(&payload_frame);
-        let (decoded, dropped) = read_events(&bytes);
-        assert_eq!(decoded.len(), 1);
-        assert_eq!(dropped, payload_frame.len());
+        // Retired tags (5 and 6 with their v1 field widths, 11 with a
+        // whole demand body) and unknown ones end the prefix even under a
+        // valid checksum.
+        let demand = sample_events()[3].payload();
+        let retired = [
+            [&[5][..], &[0; 8]].concat(),
+            [&[6][..], &[0; 24]].concat(),
+            [&[11][..], &demand[1..]].concat(),
+            vec![200],
+        ];
+        for payload in retired {
+            let mut payload_frame = vec![MAGIC, VERSION];
+            put_u32(&mut payload_frame, payload.len() as u32);
+            payload_frame.extend_from_slice(&payload);
+            let sum = wire::fnv64(&payload_frame);
+            put_u64(&mut payload_frame, sum);
+            let mut bytes = good.clone();
+            bytes.extend_from_slice(&payload_frame);
+            let (decoded, dropped) = read_events(&bytes);
+            assert_eq!(decoded.len(), 1, "tag {}", payload[0]);
+            assert_eq!(dropped, payload_frame.len(), "tag {}", payload[0]);
+        }
         // Future version: dropped whole.
         let mut versioned = good.clone();
         versioned[1] = VERSION + 1;
