@@ -94,8 +94,8 @@ pub struct JournalAudit {
     /// a ledger footer line instead of a row.
     pub sheds: usize,
     /// Distribution of `retry_after` hints over the shed frames: hint
-    /// value → frame count. Hintless sheds (legacy pre-hint frames, or
-    /// policies with no rate model) are `sheds` minus the counted total.
+    /// value → frame count. Hintless sheds (policies with no rate model)
+    /// are `sheds` minus the counted total.
     pub shed_hints: BTreeMap<u32, usize>,
     /// Every inconsistency found; an empty list is a verified journal.
     pub violations: Vec<String>,
@@ -260,7 +260,7 @@ pub fn stats_of(bytes: &[u8]) -> JournalStats {
     for (event, &end) in events.iter().zip(&ends) {
         let len = end - start;
         start = end;
-        let slot = per_tag.entry(tag_name(event)).or_default();
+        let slot = per_tag.entry(event.name()).or_default();
         slot.0 += 1;
         slot.1 += len;
         gen_events += 1;
@@ -286,23 +286,6 @@ pub fn stats_of(bytes: &[u8]) -> JournalStats {
     JournalStats {
         tag_bytes: per_tag.into_iter().map(|(t, (n, b))| (t, n, b)).collect(),
         generations,
-    }
-}
-
-fn tag_name(event: &ExchangeEvent) -> &'static str {
-    match event {
-        ExchangeEvent::MarketRegistered { .. } => "market-registered",
-        ExchangeEvent::SellerRegistered { .. } => "seller-registered",
-        ExchangeEvent::SessionSubmitted { .. } => "session-submitted",
-        ExchangeEvent::DemandSubmitted { .. } => "demand-submitted",
-        ExchangeEvent::CourseServed { .. } => "course-served",
-        ExchangeEvent::QuoteRecorded { .. } => "quote-recorded",
-        ExchangeEvent::DemandSettled { .. } => "demand-settled",
-        ExchangeEvent::DemandShed { .. } => "demand-shed",
-        ExchangeEvent::SessionConcluded { .. } => "session-concluded",
-        ExchangeEvent::ClearingOpened { .. } => "clearing-opened",
-        ExchangeEvent::EpochCleared { .. } => "epoch-cleared",
-        ExchangeEvent::Checkpoint { .. } => "checkpoint",
     }
 }
 
@@ -558,7 +541,7 @@ pub fn audit_bytes(bytes: &[u8]) -> JournalAudit {
     let mut walk = Walk::default();
     let mut last_checkpoint = None;
     for (frame, event) in events.iter().enumerate() {
-        *counts.entry(tag_name(event)).or_default() += 1;
+        *counts.entry(event.name()).or_default() += 1;
         let v = &mut audit.violations;
         match event {
             ExchangeEvent::MarketRegistered {

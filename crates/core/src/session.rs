@@ -413,7 +413,9 @@ impl NegotiationSession {
 /// sequence is part of the format — reordering it breaks old digests), and a
 /// content digest for [`Outcome`] (status + round records + transcript,
 /// seller stamp included) that lets a replayed negotiation be checked
-/// against the journaled conclusion without persisting the outcome itself.
+/// against the journaled conclusion without persisting the outcome itself,
+/// and the [`wire::Wire`] codec every journal frame and checkpoint is
+/// written with.
 ///
 /// Codes are append-only: a code, once assigned, is never reused or
 /// renumbered (old journals must keep decoding).
@@ -616,247 +618,367 @@ pub mod wire {
         h
     }
 
-    // -- full Outcome (de)serialization ------------------------------------
+    // -- the frame codec ----------------------------------------------------
     //
-    // The digest above proves a replayed outcome matches a journaled one;
-    // checkpoint frames need the outcome *itself* so recovery can restore
-    // terminal sessions without re-running them. Same append-only rules:
-    // field order and tag codes are part of the format.
+    // The digests above prove a replayed outcome matches a journaled one;
+    // journal frames and checkpoints need the values *themselves*. Every
+    // journaled type implements [`Wire`], so each layout is written once
+    // and the encoder and decoder cannot drift apart. Layout rules (part
+    // of the format): integers little-endian, `usize` as `u64`, `f64` as
+    // its IEEE bit pattern, `bool` as one 0/1 byte, strings and `Vec`s as
+    // a `u32` count then the items, `Option` as a 0/1 marker byte then the
+    // value, tuples and `Box` as their contents in order.
 
-    fn put_u16(buf: &mut Vec<u8>, v: u16) {
-        buf.extend_from_slice(&v.to_le_bytes());
+    /// A value with a stable binary encoding: [`Wire::get`] reads back
+    /// exactly what [`Wire::put`] wrote.
+    pub trait Wire: Sized {
+        /// Appends the encoding of `self` to `buf`.
+        fn put(&self, buf: &mut Vec<u8>);
+        /// Reads one value, `None` on truncation or a malformed field.
+        fn get(r: &mut Reader<'_>) -> Option<Self>;
     }
 
-    fn put_u32(buf: &mut Vec<u8>, v: u32) {
-        buf.extend_from_slice(&v.to_le_bytes());
+    /// A cursor over encoded bytes.
+    #[derive(Debug)]
+    pub struct Reader<'a> {
+        buf: &'a [u8],
+        pos: usize,
     }
 
-    fn put_u64(buf: &mut Vec<u8>, v: u64) {
-        buf.extend_from_slice(&v.to_le_bytes());
+    impl<'a> Reader<'a> {
+        /// A reader at the start of `buf`.
+        pub fn new(buf: &'a [u8]) -> Self {
+            Reader { buf, pos: 0 }
+        }
+
+        /// The next `n` raw bytes (`None` past the end).
+        pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+            let end = self.pos.checked_add(n)?;
+            let bytes = self.buf.get(self.pos..end)?;
+            self.pos = end;
+            Some(bytes)
+        }
+
+        /// Reads one value of type `T`.
+        pub fn get<T: Wire>(&mut self) -> Option<T> {
+            T::get(self)
+        }
+
+        /// True once every byte has been read.
+        pub fn is_empty(&self) -> bool {
+            self.pos == self.buf.len()
+        }
     }
 
-    fn put_f64(buf: &mut Vec<u8>, v: f64) {
-        put_u64(buf, v.to_bits());
-    }
-
-    fn put_str(buf: &mut Vec<u8>, s: &str) {
-        put_u32(buf, s.len() as u32);
-        buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Serializes one [`RoundRecord`] in the journal's fixed field order
-    /// (checkpoint frames embed quote histories; [`read_round_record`] is
-    /// the exact inverse).
-    pub fn put_round_record(buf: &mut Vec<u8>, r: &RoundRecord) {
-        put_u32(buf, r.round);
-        put_f64(buf, r.quote.rate);
-        put_f64(buf, r.quote.base);
-        put_f64(buf, r.quote.cap);
-        put_u64(buf, r.listing as u64);
-        put_u64(buf, r.bundle.0);
-        put_f64(buf, r.gain);
-        put_f64(buf, r.payment);
-        put_f64(buf, r.net_profit);
-        put_f64(buf, r.cost_task);
-        put_f64(buf, r.cost_data);
-        buf.push(r.final_offer as u8);
-    }
-
-    fn put_message(buf: &mut Vec<u8>, msg: &Message) {
-        match msg {
-            Message::Quote(q) => {
-                buf.push(0);
-                put_f64(buf, q.rate);
-                put_f64(buf, q.base);
-                put_f64(buf, q.cap);
-                put_u32(buf, q.round);
+    /// Implements [`Wire`] for a struct from its field list, in wire order.
+    #[macro_export]
+    macro_rules! wire_struct {
+        ($ty:ident { $($field:ident),* $(,)? }) => {
+            impl $crate::session::wire::Wire for $ty {
+                fn put(&self, buf: &mut Vec<u8>) {
+                    $($crate::session::wire::Wire::put(&self.$field, buf);)*
+                }
+                fn get(r: &mut $crate::session::wire::Reader<'_>) -> Option<Self> {
+                    Some($ty { $($field: r.get()?,)* })
+                }
             }
-            Message::Offer(OfferMsg::Bundle {
-                bundle,
-                is_final,
-                round,
-            }) => {
-                buf.push(1);
-                put_u64(buf, bundle.0);
-                buf.push(*is_final as u8);
-                put_u32(buf, *round);
+        };
+    }
+
+    /// Writes a string or sequence length as its `u32` count.
+    fn put_len(len: usize, buf: &mut Vec<u8>) {
+        u32::try_from(len)
+            .expect("wire lengths fit in a u32")
+            .put(buf);
+    }
+
+    macro_rules! wire_int {
+        ($($ty:ty),*) => {$(
+            impl Wire for $ty {
+                fn put(&self, buf: &mut Vec<u8>) {
+                    buf.extend_from_slice(&self.to_le_bytes());
+                }
+                fn get(r: &mut Reader<'_>) -> Option<Self> {
+                    let bytes = r.take(std::mem::size_of::<$ty>())?;
+                    Some(<$ty>::from_le_bytes(bytes.try_into().ok()?))
+                }
             }
-            Message::Offer(OfferMsg::Withdraw { round }) => {
-                buf.push(2);
-                put_u32(buf, *round);
-            }
-            Message::GainReport(g) => {
-                buf.push(3);
-                put_f64(buf, g.gain);
-                put_u32(buf, g.round);
-            }
-            Message::Settle(SettleMsg::Pay { amount, round }) => {
-                buf.push(4);
-                put_f64(buf, *amount);
-                put_u32(buf, *round);
-            }
-            Message::Settle(SettleMsg::Abort { round }) => {
-                buf.push(5);
-                put_u32(buf, *round);
+        )*};
+    }
+
+    wire_int!(u8, u16, u32, u64);
+
+    impl Wire for usize {
+        fn put(&self, buf: &mut Vec<u8>) {
+            (*self as u64).put(buf);
+        }
+        fn get(r: &mut Reader<'_>) -> Option<Self> {
+            usize::try_from(r.get::<u64>()?).ok()
+        }
+    }
+
+    impl Wire for f64 {
+        fn put(&self, buf: &mut Vec<u8>) {
+            self.to_bits().put(buf);
+        }
+        fn get(r: &mut Reader<'_>) -> Option<Self> {
+            r.get().map(f64::from_bits)
+        }
+    }
+
+    impl Wire for bool {
+        fn put(&self, buf: &mut Vec<u8>) {
+            (*self as u8).put(buf);
+        }
+        fn get(r: &mut Reader<'_>) -> Option<Self> {
+            match r.get::<u8>()? {
+                0 => Some(false),
+                1 => Some(true),
+                _ => None,
             }
         }
     }
 
-    /// Serializes a full [`Outcome`] — status code, round records,
-    /// transcript messages, seller stamp — in the journal's fixed field
-    /// order. [`read_outcome`] is the exact inverse.
-    pub fn put_outcome(buf: &mut Vec<u8>, outcome: &Outcome) {
-        put_u16(buf, status_code(outcome.status));
-        put_u32(buf, outcome.rounds.len() as u32);
-        for r in &outcome.rounds {
-            put_round_record(buf, r);
+    impl Wire for String {
+        fn put(&self, buf: &mut Vec<u8>) {
+            put_len(self.len(), buf);
+            buf.extend_from_slice(self.as_bytes());
         }
-        put_u32(buf, outcome.transcript.len() as u32);
-        for msg in outcome.transcript.messages() {
-            put_message(buf, msg);
+        fn get(r: &mut Reader<'_>) -> Option<Self> {
+            let len = r.get::<u32>()? as usize;
+            String::from_utf8(r.take(len)?.to_vec()).ok()
         }
-        match outcome.transcript.seller() {
-            Some(name) => {
-                buf.push(1);
-                put_str(buf, name);
+    }
+
+    impl<T: Wire> Wire for Option<T> {
+        fn put(&self, buf: &mut Vec<u8>) {
+            match self {
+                None => 0u8.put(buf),
+                Some(v) => {
+                    1u8.put(buf);
+                    v.put(buf);
+                }
             }
-            None => buf.push(0),
         }
-    }
-
-    fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Option<&'a [u8]> {
-        let end = pos.checked_add(n)?;
-        if end > bytes.len() {
-            return None;
-        }
-        let s = &bytes[*pos..end];
-        *pos = end;
-        Some(s)
-    }
-
-    fn get_u8(bytes: &[u8], pos: &mut usize) -> Option<u8> {
-        take(bytes, pos, 1).map(|s| s[0])
-    }
-
-    fn get_u16(bytes: &[u8], pos: &mut usize) -> Option<u16> {
-        take(bytes, pos, 2).map(|s| u16::from_le_bytes([s[0], s[1]]))
-    }
-
-    fn get_u32(bytes: &[u8], pos: &mut usize) -> Option<u32> {
-        take(bytes, pos, 4).map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-        let s = take(bytes, pos, 8)?;
-        Some(u64::from_le_bytes([
-            s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-        ]))
-    }
-
-    fn get_f64(bytes: &[u8], pos: &mut usize) -> Option<f64> {
-        get_u64(bytes, pos).map(f64::from_bits)
-    }
-
-    fn get_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
-        let len = get_u32(bytes, pos)? as usize;
-        let s = take(bytes, pos, len)?;
-        String::from_utf8(s.to_vec()).ok()
-    }
-
-    /// Deserializes a [`RoundRecord`] written by [`put_round_record`],
-    /// advancing `pos` past it (`None` on truncation).
-    pub fn read_round_record(bytes: &[u8], pos: &mut usize) -> Option<RoundRecord> {
-        get_round_record(bytes, pos)
-    }
-
-    fn get_round_record(bytes: &[u8], pos: &mut usize) -> Option<RoundRecord> {
-        Some(RoundRecord {
-            round: get_u32(bytes, pos)?,
-            quote: QuotedPrice {
-                rate: get_f64(bytes, pos)?,
-                base: get_f64(bytes, pos)?,
-                cap: get_f64(bytes, pos)?,
-            },
-            listing: get_u64(bytes, pos)? as usize,
-            bundle: BundleMask(get_u64(bytes, pos)?),
-            gain: get_f64(bytes, pos)?,
-            payment: get_f64(bytes, pos)?,
-            net_profit: get_f64(bytes, pos)?,
-            cost_task: get_f64(bytes, pos)?,
-            cost_data: get_f64(bytes, pos)?,
-            final_offer: get_u8(bytes, pos)? != 0,
-        })
-    }
-
-    fn get_message(bytes: &[u8], pos: &mut usize) -> Option<Message> {
-        Some(match get_u8(bytes, pos)? {
-            0 => Message::Quote(QuoteMsg {
-                rate: get_f64(bytes, pos)?,
-                base: get_f64(bytes, pos)?,
-                cap: get_f64(bytes, pos)?,
-                round: get_u32(bytes, pos)?,
-            }),
-            1 => Message::Offer(OfferMsg::Bundle {
-                bundle: BundleMask(get_u64(bytes, pos)?),
-                is_final: get_u8(bytes, pos)? != 0,
-                round: get_u32(bytes, pos)?,
-            }),
-            2 => Message::Offer(OfferMsg::Withdraw {
-                round: get_u32(bytes, pos)?,
-            }),
-            3 => Message::GainReport(GainReportMsg {
-                gain: get_f64(bytes, pos)?,
-                round: get_u32(bytes, pos)?,
-            }),
-            4 => Message::Settle(SettleMsg::Pay {
-                amount: get_f64(bytes, pos)?,
-                round: get_u32(bytes, pos)?,
-            }),
-            5 => Message::Settle(SettleMsg::Abort {
-                round: get_u32(bytes, pos)?,
-            }),
-            _ => return None,
-        })
-    }
-
-    /// Deserializes an [`Outcome`] written by [`put_outcome`], advancing
-    /// `pos` past it. Returns `None` on any malformation — truncation,
-    /// unknown codes, or a transcript whose rounds decrease (the decoder
-    /// re-validates the [`Transcript::push`] invariant rather than
-    /// panicking on crafted bytes).
-    pub fn read_outcome(bytes: &[u8], pos: &mut usize) -> Option<Outcome> {
-        let status = status_from_code(get_u16(bytes, pos)?)?;
-        let n_rounds = get_u32(bytes, pos)? as usize;
-        let mut rounds = Vec::with_capacity(n_rounds.min(1024));
-        for _ in 0..n_rounds {
-            rounds.push(get_round_record(bytes, pos)?);
-        }
-        let n_messages = get_u32(bytes, pos)? as usize;
-        let mut transcript = Transcript::default();
-        let mut last_round = 0u32;
-        for _ in 0..n_messages {
-            let msg = get_message(bytes, pos)?;
-            if msg.round() < last_round {
-                return None;
+        fn get(r: &mut Reader<'_>) -> Option<Self> {
+            match r.get::<u8>()? {
+                0 => Some(None),
+                1 => Some(Some(r.get()?)),
+                _ => None,
             }
-            last_round = msg.round();
-            transcript.push(msg);
         }
-        match get_u8(bytes, pos)? {
-            0 => {}
-            1 => transcript.set_seller(get_str(bytes, pos)?),
-            _ => return None,
+    }
+
+    impl<T: Wire> Wire for Vec<T> {
+        fn put(&self, buf: &mut Vec<u8>) {
+            put_len(self.len(), buf);
+            for v in self {
+                v.put(buf);
+            }
         }
-        Some(Outcome {
-            status,
-            rounds,
-            transcript,
-        })
+        fn get(r: &mut Reader<'_>) -> Option<Self> {
+            let n = r.get::<u32>()? as usize;
+            // Capacity is capped: a crafted count must not allocate ahead
+            // of the bytes that back it.
+            let mut items = Vec::with_capacity(n.min(1024));
+            for _ in 0..n {
+                items.push(r.get()?);
+            }
+            Some(items)
+        }
+    }
+
+    impl<T: Wire> Wire for Box<T> {
+        fn put(&self, buf: &mut Vec<u8>) {
+            (**self).put(buf);
+        }
+        fn get(r: &mut Reader<'_>) -> Option<Self> {
+            r.get().map(Box::new)
+        }
+    }
+
+    macro_rules! wire_tuple {
+        ($($ty:ident . $idx:tt),*) => {
+            impl<$($ty: Wire),*> Wire for ($($ty,)*) {
+                fn put(&self, buf: &mut Vec<u8>) {
+                    $(self.$idx.put(buf);)*
+                }
+                fn get(r: &mut Reader<'_>) -> Option<Self> {
+                    Some(($(r.get::<$ty>()?,)*))
+                }
+            }
+        };
+    }
+
+    wire_tuple!(A.0, B.1);
+    wire_tuple!(A.0, B.1, C.2);
+
+    impl Wire for BundleMask {
+        fn put(&self, buf: &mut Vec<u8>) {
+            self.0.put(buf);
+        }
+        fn get(r: &mut Reader<'_>) -> Option<Self> {
+            r.get().map(BundleMask)
+        }
+    }
+
+    /// A terminal status travels as its [`status_code`].
+    impl Wire for OutcomeStatus {
+        fn put(&self, buf: &mut Vec<u8>) {
+            status_code(*self).put(buf);
+        }
+        fn get(r: &mut Reader<'_>) -> Option<Self> {
+            status_from_code(r.get()?)
+        }
+    }
+
+    wire_struct! { QuotedPrice { rate, base, cap } }
+    wire_struct! { RoundRecord {
+        round, quote, listing, bundle, gain, payment, net_profit, cost_task, cost_data, final_offer
+    } }
+    wire_struct! { QuoteMsg { rate, base, cap, round } }
+    wire_struct! { GainReportMsg { gain, round } }
+
+    /// A code byte, then the variant's fields. Codes are append-only.
+    impl Wire for Message {
+        fn put(&self, buf: &mut Vec<u8>) {
+            match self {
+                Message::Quote(q) => {
+                    0u8.put(buf);
+                    q.put(buf);
+                }
+                Message::Offer(OfferMsg::Bundle {
+                    bundle,
+                    is_final,
+                    round,
+                }) => {
+                    1u8.put(buf);
+                    (*bundle, *is_final, *round).put(buf);
+                }
+                Message::Offer(OfferMsg::Withdraw { round }) => (2u8, *round).put(buf),
+                Message::GainReport(g) => {
+                    3u8.put(buf);
+                    g.put(buf);
+                }
+                Message::Settle(SettleMsg::Pay { amount, round }) => {
+                    (4u8, *amount, *round).put(buf)
+                }
+                Message::Settle(SettleMsg::Abort { round }) => (5u8, *round).put(buf),
+            }
+        }
+        fn get(r: &mut Reader<'_>) -> Option<Self> {
+            Some(match r.get::<u8>()? {
+                0 => Message::Quote(r.get()?),
+                1 => Message::Offer(OfferMsg::Bundle {
+                    bundle: r.get()?,
+                    is_final: r.get()?,
+                    round: r.get()?,
+                }),
+                2 => Message::Offer(OfferMsg::Withdraw { round: r.get()? }),
+                3 => Message::GainReport(r.get()?),
+                4 => Message::Settle(SettleMsg::Pay {
+                    amount: r.get()?,
+                    round: r.get()?,
+                }),
+                5 => Message::Settle(SettleMsg::Abort { round: r.get()? }),
+                _ => return None,
+            })
+        }
+    }
+
+    /// The messages, then the seller stamp. Decoding re-validates the
+    /// [`Transcript::push`] invariant (rounds never decrease) rather than
+    /// panicking on crafted bytes.
+    impl Wire for Transcript {
+        fn put(&self, buf: &mut Vec<u8>) {
+            put_len(self.len(), buf);
+            for msg in self.messages() {
+                msg.put(buf);
+            }
+            self.seller().map(String::from).put(buf);
+        }
+        fn get(r: &mut Reader<'_>) -> Option<Self> {
+            let n = r.get::<u32>()?;
+            let mut transcript = Transcript::default();
+            let mut last_round = 0u32;
+            for _ in 0..n {
+                let msg: Message = r.get()?;
+                if msg.round() < last_round {
+                    return None;
+                }
+                last_round = msg.round();
+                transcript.push(msg);
+            }
+            if let Some(seller) = r.get::<Option<String>>()? {
+                transcript.set_seller(seller);
+            }
+            Some(transcript)
+        }
+    }
+
+    wire_struct! { Outcome { status, rounds, transcript } }
+
+    /// A code byte per variant, then the message. Codes are append-only.
+    impl Wire for MarketError {
+        fn put(&self, buf: &mut Vec<u8>) {
+            let (code, msg) = match self {
+                MarketError::InvalidPrice(msg) => (0u8, msg),
+                MarketError::InvalidConfig(msg) => (1, msg),
+                MarketError::StrategyError(msg) => (2, msg),
+                MarketError::Gain(msg) => (3, msg),
+            };
+            code.put(buf);
+            msg.put(buf);
+        }
+        fn get(r: &mut Reader<'_>) -> Option<Self> {
+            let code = r.get::<u8>()?;
+            let msg = r.get()?;
+            Some(match code {
+                0 => MarketError::InvalidPrice(msg),
+                1 => MarketError::InvalidConfig(msg),
+                2 => MarketError::StrategyError(msg),
+                3 => MarketError::Gain(msg),
+                _ => return None,
+            })
+        }
+    }
+
+    /// A checkpointed terminal session: `0` + the outcome + its
+    /// [`outcome_digest`], or `1` + the hard error. The decoder re-derives
+    /// the digest from the bytes it just read, so a checkpoint whose
+    /// outcome bytes were tampered with (under a refreshed frame checksum)
+    /// still fails to decode.
+    impl Wire for std::result::Result<Box<Outcome>, MarketError> {
+        fn put(&self, buf: &mut Vec<u8>) {
+            match self {
+                Ok(outcome) => {
+                    0u8.put(buf);
+                    outcome.put(buf);
+                    outcome_digest(outcome).put(buf);
+                }
+                Err(e) => {
+                    1u8.put(buf);
+                    e.put(buf);
+                }
+            }
+        }
+        fn get(r: &mut Reader<'_>) -> Option<Self> {
+            match r.get::<u8>()? {
+                0 => {
+                    let outcome: Box<Outcome> = r.get()?;
+                    let digest: u64 = r.get()?;
+                    (digest == outcome_digest(&outcome)).then_some(Ok(outcome))
+                }
+                1 => Some(Err(r.get()?)),
+                _ => None,
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::wire::{Reader, Wire};
     use super::*;
     use crate::engine::run_bargaining;
     use crate::gain::TableGainProvider;
@@ -1198,6 +1320,16 @@ mod tests {
         );
     }
 
+    /// Encodes `v`, decodes it back, and checks every byte was consumed.
+    fn roundtrip<T: Wire>(v: &T) -> T {
+        let mut buf = Vec::new();
+        v.put(&mut buf);
+        let mut r = Reader::new(&buf);
+        let decoded = r.get::<T>().expect("decodes");
+        assert!(r.is_empty(), "consumed exactly");
+        decoded
+    }
+
     #[test]
     fn wire_outcome_roundtrips_bit_identically() {
         for seed in 0..6 {
@@ -1205,11 +1337,7 @@ mod tests {
             if seed % 2 == 0 {
                 outcome.transcript.set_seller("acme-data");
             }
-            let mut buf = Vec::new();
-            wire::put_outcome(&mut buf, &outcome);
-            let mut pos = 0usize;
-            let decoded = wire::read_outcome(&buf, &mut pos).expect("decodes");
-            assert_eq!(pos, buf.len(), "consumed exactly");
+            let decoded = roundtrip(&outcome);
             assert_eq!(decoded, outcome, "seed {seed}");
             assert_eq!(
                 wire::outcome_digest(&decoded),
@@ -1222,17 +1350,65 @@ mod tests {
     fn wire_outcome_decode_rejects_malformed_bytes() {
         let outcome = drive_manual(1);
         let mut buf = Vec::new();
-        wire::put_outcome(&mut buf, &outcome);
+        outcome.put(&mut buf);
         // Every truncation is a clean None, never a panic.
         for cut in 0..buf.len() {
-            let mut pos = 0usize;
-            assert!(wire::read_outcome(&buf[..cut], &mut pos).is_none(), "{cut}");
+            assert!(Reader::new(&buf[..cut]).get::<Outcome>().is_none(), "{cut}");
         }
         // An unknown status code is rejected up front.
         let mut bad = buf.clone();
         bad[0] = 0xff;
         bad[1] = 0xff;
-        let mut pos = 0usize;
-        assert!(wire::read_outcome(&bad, &mut pos).is_none());
+        assert!(Reader::new(&bad).get::<Outcome>().is_none());
+    }
+
+    #[test]
+    fn wire_strings_carry_u32_lengths() {
+        let long = "x".repeat(70_000);
+        assert_eq!(roundtrip(&long), long);
+        let mut buf = Vec::new();
+        "héllo".to_string().put(&mut buf);
+        assert_eq!(buf[..4], 6u32.to_le_bytes(), "byte length, not chars");
+        assert_eq!(&buf[4..], "héllo".as_bytes());
+        // Invalid UTF-8 is malformed, not lossy.
+        let bad = [2, 0, 0, 0, 0xff, 0xfe];
+        assert!(Reader::new(&bad).get::<String>().is_none());
+    }
+
+    #[test]
+    fn wire_containers_roundtrip_in_their_documented_layout() {
+        let v: (Option<u32>, Vec<(usize, bool)>, Box<f64>) =
+            (Some(7), vec![(3, true), (9, false)], Box::new(-0.5));
+        assert_eq!(roundtrip(&v), v);
+        let mut buf = Vec::new();
+        v.put(&mut buf);
+        let mut want = vec![1, 7, 0, 0, 0, 2, 0, 0, 0];
+        want.extend_from_slice(&3u64.to_le_bytes());
+        want.push(1);
+        want.extend_from_slice(&9u64.to_le_bytes());
+        want.push(0);
+        want.extend_from_slice(&(-0.5f64).to_bits().to_le_bytes());
+        assert_eq!(buf, want);
+        // Markers and bools outside 0/1 are malformed.
+        assert!(Reader::new(&[2]).get::<Option<u8>>().is_none());
+        assert!(Reader::new(&[2]).get::<bool>().is_none());
+        assert_eq!(Reader::new(&[0]).get::<Option<u8>>(), Some(None));
+    }
+
+    #[test]
+    fn wire_checkpointed_results_verify_their_digest() {
+        let ok: std::result::Result<Box<Outcome>, MarketError> = Ok(Box::new(drive_manual(2)));
+        assert_eq!(roundtrip(&ok), ok);
+        let err: std::result::Result<Box<Outcome>, MarketError> =
+            Err(MarketError::Gain("course failed".into()));
+        assert_eq!(roundtrip(&err), err);
+        // Flip one bit of a round record: the stored digest no longer
+        // matches the decoded outcome.
+        let mut buf = Vec::new();
+        ok.put(&mut buf);
+        buf[12] ^= 1;
+        assert!(Reader::new(&buf)
+            .get::<std::result::Result<Box<Outcome>, MarketError>>()
+            .is_none());
     }
 }

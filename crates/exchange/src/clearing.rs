@@ -582,28 +582,6 @@ pub enum EpochEntryKind {
     Rolled,
 }
 
-impl EpochEntryKind {
-    /// Stable wire code (journal format — append-only, never reused).
-    pub(crate) fn code(self) -> u8 {
-        match self {
-            EpochEntryKind::Matched => 0,
-            EpochEntryKind::Unmatched => 1,
-            EpochEntryKind::Expired => 2,
-            EpochEntryKind::Rolled => 3,
-        }
-    }
-
-    pub(crate) fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => EpochEntryKind::Matched,
-            1 => EpochEntryKind::Unmatched,
-            2 => EpochEntryKind::Expired,
-            3 => EpochEntryKind::Rolled,
-            _ => return None,
-        })
-    }
-}
-
 /// One demand's disposition in a cleared epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochEntry {

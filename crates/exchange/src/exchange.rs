@@ -312,18 +312,7 @@ impl Core {
             ))
         };
         let rejected = |e: MarketError| RecoverError::SpecMismatch(format!("{what} {name:?}: {e}"));
-        let check = |ms: &MarketSpec| {
-            check_market_spec(
-                what,
-                ms,
-                stamp.private,
-                stamp.eval_key,
-                stamp.listings,
-                stamp.catalog,
-                stamp.table_digest,
-                name,
-            )
-        };
+        let check = |ms: &MarketSpec| check_market_spec(what, ms, stamp);
         let assigned = match stamp.owner {
             None => {
                 let ms = (!spec.markets.is_empty())

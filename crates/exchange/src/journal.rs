@@ -8,9 +8,11 @@
 //! recorded at its linearization point; everything else — quotes, round
 //! records, settlement decisions, final outcomes — is deterministic given
 //! those inputs, so recovery **recomputes** it instead of trusting bytes
-//! on disk. Audit events (dispatches, course requests, quote reports,
-//! settlements, conclusions) are journaled too, but replay only verifies
-//! against them; it never short-circuits through them.
+//! on disk. A few audit events are journaled too — `QuoteRecorded`
+//! (probe spend), `DemandSettled`, `EpochCleared` and `SessionConcluded`
+//! (status + outcome digest) — but replay only verifies against them; it
+//! never short-circuits through them. Dispatches and cache-served course
+//! requests are not journaled at all: re-execution re-derives them.
 //!
 //! ## Record layout
 //!
@@ -24,10 +26,14 @@
 //! ```
 //!
 //! The checksum is FNV-1a 64 ([`vfl_market::session::wire::fnv64`]) over
-//! the magic, version, length, and payload bytes. Payload fields are
-//! fixed-width little-endian (f64 as IEEE bit patterns); strings are
-//! `u16` length + UTF-8 bytes. The format is versioned and append-only:
-//! tags and codes are never reused.
+//! the magic, version, length, and payload bytes. The payload is a tag
+//! byte and the variant's fields in the order the frame table
+//! ([`ExchangeEvent`]'s declaration) lists them, each encoded by
+//! [`vfl_market::session::wire::Wire`]: fixed-width little-endian
+//! integers, f64 as IEEE bit patterns, every id and `usize` as `u64`,
+//! strings as a `u32` byte length + UTF-8, options as a 0/1 marker byte.
+//! Version 2 is current; a frame of any other version ends the prefix.
+//! Tags and codes are never reused: tags 5, 6 and 11 are retired.
 //!
 //! ## Truncation rule
 //!
@@ -119,7 +125,8 @@ use parking_lot::Mutex;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use vfl_market::session::wire;
+use vfl_market::session::wire::{self, Reader, Wire};
+use vfl_market::wire_struct;
 use vfl_sim::BundleMask;
 
 use crate::clearing::{ClearingSpec, EpochEntry, EpochEntryKind, EpochRecord};
@@ -165,193 +172,229 @@ pub enum QuoteKind {
     Error,
 }
 
-impl QuoteKind {
-    fn code(self) -> u8 {
-        match self {
-            QuoteKind::Standing => 0,
-            QuoteKind::Closed => 1,
-            QuoteKind::Error => 2,
+/// Declares [`ExchangeEvent`] from one frame table — each variant's tag,
+/// stable name and fields, in wire order — and generates its codec from
+/// the same table, so no field is listed twice.
+macro_rules! frames {
+    (
+        $(#[$meta:meta])*
+        pub enum ExchangeEvent {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal $name:literal $variant:ident {
+                    $($(#[$fmeta:meta])* $field:ident: $ty:ty,)*
+                },
+            )*
         }
-    }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum ExchangeEvent {
+            $($(#[$vmeta])* $variant { $($(#[$fmeta])* $field: $ty,)* },)*
+        }
 
-    fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => QuoteKind::Standing,
-            1 => QuoteKind::Closed,
-            2 => QuoteKind::Error,
-            _ => return None,
-        })
-    }
+        impl ExchangeEvent {
+            /// The frame's stable name, as `vfl-audit` reports it.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(ExchangeEvent::$variant { .. } => $name,)*
+                }
+            }
+
+            /// Appends the event's payload (tag byte + fields, no frame).
+            fn put_payload(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(ExchangeEvent::$variant { $($field),* } => {
+                        ($tag as u8).put(buf);
+                        $($field.put(buf);)*
+                    })*
+                }
+            }
+
+            /// Decodes one payload. `None` for unknown or retired tags,
+            /// malformed fields, or trailing bytes (the caller treats all
+            /// of them as end-of-valid-prefix).
+            fn decode(payload: &[u8]) -> Option<ExchangeEvent> {
+                let mut r = Reader::new(payload);
+                let event = match r.get::<u8>()? {
+                    $($tag => ExchangeEvent::$variant { $($field: r.get()?,)* },)*
+                    _ => return None,
+                };
+                r.is_empty().then_some(event)
+            }
+        }
+    };
 }
 
-/// One journaled fact. Registrations, submissions, and served courses are
-/// load-bearing for recovery; the rest are the audit trail (see the module
-/// doc for the replay-safety argument).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExchangeEvent {
-    /// A market registered via [`Exchange::register_market`].
-    MarketRegistered {
-        /// The assigned market id (journal order is id order).
-        market: MarketId,
-        /// The effective cache key (private markets get the high-bit key).
-        eval_key: u64,
-        /// True when the registrant passed no evaluation key.
-        private: bool,
-        /// Listing-table size (spec fingerprint for recovery).
-        listings: u32,
-        /// Union of all listed bundles (spec fingerprint for recovery).
-        catalog: BundleMask,
-        /// [`listing_table_digest`] of the full table — bundles *and*
-        /// reserved prices, in order — so a spec with edited reserves or a
-        /// reordered table is rejected, not silently re-negotiated.
-        table_digest: u64,
-        /// The market's display name.
-        name: String,
-    },
-    /// A data party registered via [`Exchange::register_seller`] (covers
-    /// the seller's market registration too — one atomic record).
-    SellerRegistered {
-        /// The assigned seller id.
-        seller: SellerId,
-        /// The assigned id of the seller's market.
-        market: MarketId,
-        /// The market's effective cache key.
-        eval_key: u64,
-        /// True when the seller's market has a private cache space.
-        private: bool,
-        /// Listing-table size (spec fingerprint for recovery).
-        listings: u32,
-        /// The seller's feature catalog (spec fingerprint for recovery).
-        catalog: BundleMask,
-        /// [`listing_table_digest`] of the seller's full listing table.
-        table_digest: u64,
-        /// The seller's display name.
-        name: String,
-    },
-    /// A plain negotiation accepted by [`Exchange::submit`].
-    SessionSubmitted {
-        /// The assigned session id.
-        session: SessionId,
-        /// The market it negotiates on.
-        market: MarketId,
-        /// [`wire::config_digest`] of the order's config — recovery
-        /// refuses a spec whose rebuilt order disagrees.
-        cfg_digest: u64,
-    },
-    /// A demand accepted by [`Exchange::submit_demand`], with its whole
-    /// candidate fan-out (one atomic record: a prefix never sees half a
-    /// demand).
-    DemandSubmitted {
-        /// The assigned demand id.
-        demand: DemandId,
-        /// The demand's wanted-feature mask.
-        wanted: BundleMask,
-        /// The probe horizon.
-        probe_rounds: u32,
-        /// [`wire::config_digest`] of the demand config.
-        cfg_digest: u64,
-        /// True when the demand settles through the clearing window
-        /// ([`crate::SettleMode::Epoch`]); recovery verifies the
-        /// re-supplied demand's mode against it.
-        epoch_mode: bool,
-        /// The fan-out: `(seller, candidate session)` in slot order.
-        candidates: Vec<(SellerId, SessionId)>,
-    },
-    /// The clearing window opened ([`Exchange::open_clearing`]) — the
-    /// window's shape; its [`crate::ClearPolicy`] is code and is
-    /// re-supplied (and divergence-audited) at recovery. Load-bearing:
-    /// replay re-opens the window before re-submitting epoch demands.
-    ClearingOpened {
-        /// Demands per epoch (count trigger).
-        epoch_size: u32,
-        /// Per-epoch matched engagements per seller.
-        capacity: u32,
-        /// Rolls before a contended demand expires unmatched.
-        max_rolls: u32,
-    },
-    /// A clearing epoch ran (audit trail, like [`Self::DemandSettled`]):
-    /// the full batch record — every member demand's disposition and the
-    /// uniform clearing price per seller market. Replay re-derives every
-    /// epoch; [`Exchange::audit_replay`] re-checks the recovered epoch
-    /// history against these records.
-    EpochCleared {
-        /// The epoch's audit record.
-        record: EpochRecord,
-    },
-    /// A course was **trained** and its ΔG is now cached — the paid,
-    /// non-recomputable step recovery must never repeat. Load-bearing.
-    CourseServed {
-        /// The course's cache space.
-        eval_key: u64,
-        /// The trained bundle.
-        bundle: BundleMask,
-        /// The realized ΔG.
-        gain: f64,
-    },
-    /// A matching candidate reported to its demand (audit trail).
-    QuoteRecorded {
-        /// The demand reported to.
-        demand: DemandId,
-        /// The candidate's slot.
-        slot: u32,
-        /// The report's shape.
-        kind: QuoteKind,
-        /// Completed rounds at report time (probe spend).
-        rounds: u32,
-    },
-    /// A demand's settlement ran (audit trail; `winner: None` records a
-    /// no-match settlement — every parked candidate was cancelled).
-    DemandSettled {
-        /// The settled demand.
-        demand: DemandId,
-        /// Winning slot index, if the policy matched.
-        winner: Option<u32>,
-    },
-    /// A demand refused at [`Exchange::submit_demand`] by the attached
-    /// [`crate::traffic::AdmissionPolicy`] (load shedding). Load-bearing:
-    /// the demand consumed an id and is terminal from birth
-    /// ([`crate::DemandStatus::Shed`]), so replay re-opens it shed under
-    /// its recorded id — nothing is re-negotiated, but id fencing and the
-    /// audit ledger stay exact.
-    DemandShed {
-        /// The refused demand's id.
-        demand: DemandId,
-        /// The demand's wanted-feature mask (audit trail: what load was
-        /// turned away).
-        wanted: BundleMask,
-        /// [`wire::config_digest`] of the demand config.
-        cfg_digest: u64,
-        /// The dispatcher backlog depth that triggered the refusal.
-        queue_depth: u32,
-        /// The refusal's `Retry-After` hint, in logical time units
-        /// ([`crate::traffic::AdmissionDecision::Shed`]).
-        retry_after: Option<u32>,
-    },
-    /// A session reached a terminal state (audit trail; replay re-derives
-    /// the outcome and can verify it against `digest`).
-    SessionConcluded {
-        /// The terminal session.
-        session: SessionId,
-        /// [`wire::status_code`] of the outcome, or
-        /// [`wire::STATUS_HARD_ERROR`] for a hard error.
-        status: u16,
-        /// Rounds in the final outcome (0 for hard errors).
-        rounds: u32,
-        /// [`wire::outcome_digest`] of the outcome (0 for hard errors).
-        digest: u64,
-    },
-    /// A quiescent-point snapshot of the whole exchange (see
-    /// [`Exchange::checkpoint`]): recovery seeks to the **last** checkpoint
-    /// in the prefix, restores its state wholesale, and replays only the
-    /// events after it — bounding recovery cost by the suffix length
-    /// instead of the journal's full history. [`Journal::compact`] rewrites
-    /// a journal as `[Checkpoint, suffix…]` on the strength of the same
-    /// frame.
-    Checkpoint {
-        /// The snapshot (boxed: checkpoint frames dwarf every other
-        /// variant).
-        state: Box<CheckpointState>,
-    },
+frames! {
+    /// One journaled fact. Registrations, submissions, and served courses are
+    /// load-bearing for recovery; the rest are the audit trail (see the module
+    /// doc for the replay-safety argument).
+    pub enum ExchangeEvent {
+        /// A market registered via [`Exchange::register_market`].
+        1 "market-registered" MarketRegistered {
+            /// The assigned market id (journal order is id order).
+            market: MarketId,
+            /// The effective cache key (private markets get the high-bit key).
+            eval_key: u64,
+            /// True when the registrant passed no evaluation key.
+            private: bool,
+            /// Listing-table size (spec fingerprint for recovery).
+            listings: u32,
+            /// Union of all listed bundles (spec fingerprint for recovery).
+            catalog: BundleMask,
+            /// [`listing_table_digest`] of the full table — bundles *and*
+            /// reserved prices, in order — so a spec with edited reserves or a
+            /// reordered table is rejected, not silently re-negotiated.
+            table_digest: u64,
+            /// The market's display name.
+            name: String,
+        },
+        /// A data party registered via [`Exchange::register_seller`] (covers
+        /// the seller's market registration too — one atomic record).
+        2 "seller-registered" SellerRegistered {
+            /// The assigned seller id.
+            seller: SellerId,
+            /// The assigned id of the seller's market.
+            market: MarketId,
+            /// The market's effective cache key.
+            eval_key: u64,
+            /// True when the seller's market has a private cache space.
+            private: bool,
+            /// Listing-table size (spec fingerprint for recovery).
+            listings: u32,
+            /// The seller's feature catalog (spec fingerprint for recovery).
+            catalog: BundleMask,
+            /// [`listing_table_digest`] of the seller's full listing table.
+            table_digest: u64,
+            /// The seller's display name.
+            name: String,
+        },
+        /// A plain negotiation accepted by [`Exchange::submit`].
+        3 "session-submitted" SessionSubmitted {
+            /// The assigned session id.
+            session: SessionId,
+            /// The market it negotiates on.
+            market: MarketId,
+            /// [`wire::config_digest`] of the order's config — recovery
+            /// refuses a spec whose rebuilt order disagrees.
+            cfg_digest: u64,
+        },
+        /// A demand accepted by [`Exchange::submit_demand`], with its whole
+        /// candidate fan-out (one atomic record: a prefix never sees half a
+        /// demand).
+        4 "demand-submitted" DemandSubmitted {
+            /// The assigned demand id.
+            demand: DemandId,
+            /// The demand's wanted-feature mask.
+            wanted: BundleMask,
+            /// The probe horizon.
+            probe_rounds: u32,
+            /// [`wire::config_digest`] of the demand config.
+            cfg_digest: u64,
+            /// True when the demand settles through the clearing window
+            /// ([`crate::SettleMode::Epoch`]); recovery verifies the
+            /// re-supplied demand's mode against it.
+            epoch_mode: bool,
+            /// The fan-out: `(seller, candidate session)` in slot order.
+            candidates: Vec<(SellerId, SessionId)>,
+        },
+        /// The clearing window opened ([`Exchange::open_clearing`]) — the
+        /// window's shape; its [`crate::ClearPolicy`] is code and is
+        /// re-supplied (and divergence-audited) at recovery. Load-bearing:
+        /// replay re-opens the window before re-submitting epoch demands.
+        12 "clearing-opened" ClearingOpened {
+            /// Demands per epoch (count trigger).
+            epoch_size: u32,
+            /// Per-epoch matched engagements per seller.
+            capacity: u32,
+            /// Rolls before a contended demand expires unmatched.
+            max_rolls: u32,
+        },
+        /// A clearing epoch ran (audit trail, like [`Self::DemandSettled`]):
+        /// the full batch record — every member demand's disposition and the
+        /// uniform clearing price per seller market. Replay re-derives every
+        /// epoch; [`Exchange::audit_replay`] re-checks the recovered epoch
+        /// history against these records.
+        13 "epoch-cleared" EpochCleared {
+            /// The epoch's audit record.
+            record: EpochRecord,
+        },
+        /// A course was **trained** and its ΔG is now cached — the paid,
+        /// non-recomputable step recovery must never repeat. Load-bearing.
+        7 "course-served" CourseServed {
+            /// The course's cache space.
+            eval_key: u64,
+            /// The trained bundle.
+            bundle: BundleMask,
+            /// The realized ΔG.
+            gain: f64,
+        },
+        /// A matching candidate reported to its demand (audit trail).
+        8 "quote-recorded" QuoteRecorded {
+            /// The demand reported to.
+            demand: DemandId,
+            /// The candidate's slot.
+            slot: u32,
+            /// The report's shape.
+            kind: QuoteKind,
+            /// Completed rounds at report time (probe spend).
+            rounds: u32,
+        },
+        /// A demand's settlement ran (audit trail; `winner: None` records a
+        /// no-match settlement — every parked candidate was cancelled).
+        9 "demand-settled" DemandSettled {
+            /// The settled demand.
+            demand: DemandId,
+            /// Winning slot index, if the policy matched.
+            winner: Option<u32>,
+        },
+        /// A demand refused at [`Exchange::submit_demand`] by the attached
+        /// [`crate::traffic::AdmissionPolicy`] (load shedding). Load-bearing:
+        /// the demand consumed an id and is terminal from birth
+        /// ([`crate::DemandStatus::Shed`]), so replay re-opens it shed under
+        /// its recorded id — nothing is re-negotiated, but id fencing and the
+        /// audit ledger stay exact.
+        15 "demand-shed" DemandShed {
+            /// The refused demand's id.
+            demand: DemandId,
+            /// The demand's wanted-feature mask (audit trail: what load was
+            /// turned away).
+            wanted: BundleMask,
+            /// [`wire::config_digest`] of the demand config.
+            cfg_digest: u64,
+            /// The dispatcher backlog depth that triggered the refusal.
+            queue_depth: u32,
+            /// The refusal's `Retry-After` hint, in logical time units
+            /// ([`crate::traffic::AdmissionDecision::Shed`]).
+            retry_after: Option<u32>,
+        },
+        /// A session reached a terminal state (audit trail; replay re-derives
+        /// the outcome and can verify it against `digest`).
+        10 "session-concluded" SessionConcluded {
+            /// The terminal session.
+            session: SessionId,
+            /// [`wire::status_code`] of the outcome, or
+            /// [`wire::STATUS_HARD_ERROR`] for a hard error.
+            status: u16,
+            /// Rounds in the final outcome (0 for hard errors).
+            rounds: u32,
+            /// [`wire::outcome_digest`] of the outcome (0 for hard errors).
+            digest: u64,
+        },
+        /// A quiescent-point snapshot of the whole exchange (see
+        /// [`Exchange::checkpoint`]): recovery seeks to the **last** checkpoint
+        /// in the prefix, restores its state wholesale, and replays only the
+        /// events after it — bounding recovery cost by the suffix length
+        /// instead of the journal's full history. [`Journal::compact`] rewrites
+        /// a journal as `[Checkpoint, suffix…]` on the strength of the same
+        /// frame.
+        14 "checkpoint" Checkpoint {
+            /// The snapshot (boxed: checkpoint frames dwarf every other
+            /// variant).
+            state: Box<CheckpointState>,
+        },
+    }
 }
 
 /// One market's registration stamp inside a [`CheckpointState`] — the same
@@ -410,154 +453,87 @@ pub struct CheckpointState {
     pub demands: Vec<DemandReport>,
 }
 
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Body encoding of one [`EpochRecord`] — shared verbatim by the
-/// [`ExchangeEvent::EpochCleared`] payload and the epoch ledger inside a
-/// checkpoint frame, so the two can never drift apart.
-fn put_epoch_record(buf: &mut Vec<u8>, record: &EpochRecord) {
-    put_u64(buf, record.epoch);
-    put_u32(buf, record.entries.len() as u32);
-    for entry in &record.entries {
-        put_u64(buf, entry.demand.0);
-        buf.push(entry.kind.code());
-        match entry.winner {
-            Some(w) => {
-                buf.push(1);
-                put_u32(buf, w);
+/// Ids travel as `u64`.
+macro_rules! wire_ids {
+    ($($ty:ident),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                self.0.put(buf);
             }
-            None => buf.push(0),
+            fn get(r: &mut Reader<'_>) -> Option<Self> {
+                r.get().map($ty)
+            }
+        }
+    )*};
+}
+
+wire_ids!(MarketId, SellerId, SessionId, DemandId);
+
+/// A fieldless enum travels as one code byte. Codes are append-only.
+macro_rules! wire_codes {
+    ($ty:ident { $($variant:ident = $code:literal),* $(,)? }) => {
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                let code: u8 = match self {
+                    $($ty::$variant => $code,)*
+                };
+                code.put(buf);
+            }
+            fn get(r: &mut Reader<'_>) -> Option<Self> {
+                match r.get::<u8>()? {
+                    $($code => Some($ty::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+wire_codes! { QuoteKind { Standing = 0, Closed = 1, Error = 2 } }
+wire_codes! { EpochEntryKind { Matched = 0, Unmatched = 1, Expired = 2, Rolled = 3 } }
+
+/// A code byte (0 standing, 1 closed, 2 error), then the variant's fields.
+impl Wire for QuoteState {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            QuoteState::Standing(record) => {
+                0u8.put(buf);
+                record.put(buf);
+            }
+            QuoteState::Closed { status, last } => {
+                1u8.put(buf);
+                status.put(buf);
+                last.put(buf);
+            }
+            QuoteState::Error(msg) => {
+                2u8.put(buf);
+                msg.put(buf);
+            }
         }
     }
-    put_u32(buf, record.prices.len() as u32);
-    for (seller, price) in &record.prices {
-        put_u64(buf, seller.0 as u64);
-        put_u64(buf, price.to_bits());
-    }
-}
-
-/// `(variant code, inner message)` of a [`MarketError`] — checkpoint frames
-/// persist failed sessions' terminal errors. Codes are append-only.
-fn error_code(e: &MarketError) -> (u8, &str) {
-    match e {
-        MarketError::InvalidPrice(msg) => (0, msg),
-        MarketError::InvalidConfig(msg) => (1, msg),
-        MarketError::StrategyError(msg) => (2, msg),
-        MarketError::Gain(msg) => (3, msg),
-    }
-}
-
-fn error_from_code(code: u8, msg: String) -> Option<MarketError> {
-    Some(match code {
-        0 => MarketError::InvalidPrice(msg),
-        1 => MarketError::InvalidConfig(msg),
-        2 => MarketError::StrategyError(msg),
-        3 => MarketError::Gain(msg),
-        _ => return None,
-    })
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2)
-            .map(|b| u16::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-/// Inverse of [`put_epoch_record`] (shared by the tag-13 and tag-14
-/// decoders).
-fn read_epoch_record(r: &mut Reader<'_>) -> Option<EpochRecord> {
-    let epoch = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut entries = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let demand = DemandId(r.u64()?);
-        let kind = EpochEntryKind::from_code(r.u8()?)?;
-        let winner = match r.u8()? {
-            0 => None,
-            1 => Some(r.u32()?),
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        Some(match r.get::<u8>()? {
+            0 => QuoteState::Standing(r.get()?),
+            1 => QuoteState::Closed {
+                status: r.get()?,
+                last: r.get()?,
+            },
+            2 => QuoteState::Error(r.get()?),
             _ => return None,
-        };
-        entries.push(EpochEntry {
-            demand,
-            kind,
-            winner,
-        });
+        })
     }
-    let n_prices = r.u32()? as usize;
-    let mut prices = Vec::with_capacity(n_prices.min(1024));
-    for _ in 0..n_prices {
-        prices.push((SellerId(r.u64()? as usize), r.f64()?));
-    }
-    Some(EpochRecord {
-        epoch,
-        entries,
-        prices,
-    })
 }
+
+wire_struct! { EpochEntry { demand, kind, winner } }
+wire_struct! { EpochRecord { epoch, entries, prices } }
+wire_struct! { CandidateQuote { seller, seller_name, session, state, history } }
+wire_struct! { DemandReport { demand, winner, quotes, epoch, clearing_price } }
+wire_struct! { CheckpointMarket {
+    owner, eval_key, private, listings, catalog, table_digest, name
+} }
+wire_struct! { CheckpointState {
+    next_session, next_demand, markets, clearing, epochs, courses, sessions, demands
+} }
 
 impl ExchangeEvent {
     /// A registration event's market id and fingerprints, in the shape
@@ -602,552 +578,34 @@ impl ExchangeEvent {
         }
     }
 
-    /// Encodes the event's payload (tag byte + fields, no frame).
-    fn payload(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32);
-        match self {
-            ExchangeEvent::MarketRegistered {
-                market,
-                eval_key,
-                private,
-                listings,
-                catalog,
-                table_digest,
-                name,
-            } => {
-                buf.push(1);
-                put_u64(&mut buf, market.0 as u64);
-                put_u64(&mut buf, *eval_key);
-                buf.push(*private as u8);
-                put_u32(&mut buf, *listings);
-                put_u64(&mut buf, catalog.0);
-                put_u64(&mut buf, *table_digest);
-                put_str(&mut buf, name);
-            }
-            ExchangeEvent::SellerRegistered {
-                seller,
-                market,
-                eval_key,
-                private,
-                listings,
-                catalog,
-                table_digest,
-                name,
-            } => {
-                buf.push(2);
-                put_u64(&mut buf, seller.0 as u64);
-                put_u64(&mut buf, market.0 as u64);
-                put_u64(&mut buf, *eval_key);
-                buf.push(*private as u8);
-                put_u32(&mut buf, *listings);
-                put_u64(&mut buf, catalog.0);
-                put_u64(&mut buf, *table_digest);
-                put_str(&mut buf, name);
-            }
-            ExchangeEvent::SessionSubmitted {
-                session,
-                market,
-                cfg_digest,
-            } => {
-                buf.push(3);
-                put_u64(&mut buf, session.0);
-                put_u64(&mut buf, market.0 as u64);
-                put_u64(&mut buf, *cfg_digest);
-            }
-            ExchangeEvent::DemandSubmitted {
-                demand,
-                wanted,
-                probe_rounds,
-                cfg_digest,
-                epoch_mode,
-                candidates,
-            } => {
-                buf.push(4);
-                put_u64(&mut buf, demand.0);
-                put_u64(&mut buf, wanted.0);
-                put_u32(&mut buf, *probe_rounds);
-                put_u64(&mut buf, *cfg_digest);
-                buf.push(*epoch_mode as u8);
-                put_u32(&mut buf, candidates.len() as u32);
-                for (seller, session) in candidates {
-                    put_u64(&mut buf, seller.0 as u64);
-                    put_u64(&mut buf, session.0);
-                }
-            }
-            ExchangeEvent::ClearingOpened {
-                epoch_size,
-                capacity,
-                max_rolls,
-            } => {
-                buf.push(12);
-                put_u32(&mut buf, *epoch_size);
-                put_u32(&mut buf, *capacity);
-                put_u32(&mut buf, *max_rolls);
-            }
-            ExchangeEvent::EpochCleared { record } => {
-                buf.push(13);
-                put_epoch_record(&mut buf, record);
-            }
-            ExchangeEvent::CourseServed {
-                eval_key,
-                bundle,
-                gain,
-            } => {
-                buf.push(7);
-                put_u64(&mut buf, *eval_key);
-                put_u64(&mut buf, bundle.0);
-                put_u64(&mut buf, gain.to_bits());
-            }
-            ExchangeEvent::QuoteRecorded {
-                demand,
-                slot,
-                kind,
-                rounds,
-            } => {
-                buf.push(8);
-                put_u64(&mut buf, demand.0);
-                put_u32(&mut buf, *slot);
-                buf.push(kind.code());
-                put_u32(&mut buf, *rounds);
-            }
-            ExchangeEvent::DemandSettled { demand, winner } => {
-                buf.push(9);
-                put_u64(&mut buf, demand.0);
-                match winner {
-                    Some(w) => {
-                        buf.push(1);
-                        put_u32(&mut buf, *w);
-                    }
-                    None => buf.push(0),
-                }
-            }
-            ExchangeEvent::DemandShed {
-                demand,
-                wanted,
-                cfg_digest,
-                queue_depth,
-                retry_after,
-            } => {
-                buf.push(15);
-                put_u64(&mut buf, demand.0);
-                put_u64(&mut buf, wanted.0);
-                put_u64(&mut buf, *cfg_digest);
-                put_u32(&mut buf, *queue_depth);
-                match retry_after {
-                    None => buf.push(0),
-                    Some(wait) => {
-                        buf.push(1);
-                        put_u32(&mut buf, *wait);
-                    }
-                }
-            }
-            ExchangeEvent::SessionConcluded {
-                session,
-                status,
-                rounds,
-                digest,
-            } => {
-                buf.push(10);
-                put_u64(&mut buf, session.0);
-                put_u16(&mut buf, *status);
-                put_u32(&mut buf, *rounds);
-                put_u64(&mut buf, *digest);
-            }
-            ExchangeEvent::Checkpoint { state } => {
-                buf.push(14);
-                put_u64(&mut buf, state.next_session);
-                put_u64(&mut buf, state.next_demand);
-                put_u32(&mut buf, state.markets.len() as u32);
-                for m in &state.markets {
-                    match m.owner {
-                        Some(seller) => {
-                            buf.push(1);
-                            put_u64(&mut buf, seller.0 as u64);
-                        }
-                        None => buf.push(0),
-                    }
-                    put_u64(&mut buf, m.eval_key);
-                    buf.push(m.private as u8);
-                    put_u32(&mut buf, m.listings);
-                    put_u64(&mut buf, m.catalog.0);
-                    put_u64(&mut buf, m.table_digest);
-                    put_str(&mut buf, &m.name);
-                }
-                match state.clearing {
-                    Some((epoch_size, capacity, max_rolls)) => {
-                        buf.push(1);
-                        put_u32(&mut buf, epoch_size);
-                        put_u32(&mut buf, capacity);
-                        put_u32(&mut buf, max_rolls);
-                    }
-                    None => buf.push(0),
-                }
-                put_u32(&mut buf, state.epochs.len() as u32);
-                for record in &state.epochs {
-                    put_epoch_record(&mut buf, record);
-                }
-                put_u32(&mut buf, state.courses.len() as u32);
-                for &((eval_key, bundle), gain) in &state.courses {
-                    put_u64(&mut buf, eval_key);
-                    put_u64(&mut buf, bundle);
-                    put_u64(&mut buf, gain.to_bits());
-                }
-                put_u32(&mut buf, state.sessions.len() as u32);
-                for (session, result) in &state.sessions {
-                    put_u64(&mut buf, session.0);
-                    match result {
-                        Ok(outcome) => {
-                            buf.push(0);
-                            wire::put_outcome(&mut buf, outcome);
-                            // Per-outcome digest: the decoder re-derives it
-                            // from the bytes it just read, so a checkpoint
-                            // whose stored outcome was tampered with (but
-                            // whose frame checksum was refreshed) still
-                            // fails to decode.
-                            put_u64(&mut buf, wire::outcome_digest(outcome));
-                        }
-                        Err(e) => {
-                            buf.push(1);
-                            let (code, msg) = error_code(e);
-                            buf.push(code);
-                            put_str(&mut buf, msg);
-                        }
-                    }
-                }
-                put_u32(&mut buf, state.demands.len() as u32);
-                for report in &state.demands {
-                    put_u64(&mut buf, report.demand.0);
-                    match report.winner {
-                        Some(w) => {
-                            buf.push(1);
-                            put_u64(&mut buf, w as u64);
-                        }
-                        None => buf.push(0),
-                    }
-                    put_u32(&mut buf, report.quotes.len() as u32);
-                    for q in &report.quotes {
-                        put_u64(&mut buf, q.seller.0 as u64);
-                        put_str(&mut buf, &q.seller_name);
-                        put_u64(&mut buf, q.session.0);
-                        match &q.state {
-                            QuoteState::Standing(record) => {
-                                buf.push(0);
-                                wire::put_round_record(&mut buf, record);
-                            }
-                            QuoteState::Closed { status, last } => {
-                                buf.push(1);
-                                put_u16(&mut buf, wire::status_code(*status));
-                                match last {
-                                    Some(record) => {
-                                        buf.push(1);
-                                        wire::put_round_record(&mut buf, record);
-                                    }
-                                    None => buf.push(0),
-                                }
-                            }
-                            QuoteState::Error(msg) => {
-                                buf.push(2);
-                                put_str(&mut buf, msg);
-                            }
-                        }
-                        put_u32(&mut buf, q.history.len() as u32);
-                        for record in &q.history {
-                            wire::put_round_record(&mut buf, record);
-                        }
-                    }
-                    match report.epoch {
-                        Some(epoch) => {
-                            buf.push(1);
-                            put_u64(&mut buf, epoch);
-                        }
-                        None => buf.push(0),
-                    }
-                    match report.clearing_price {
-                        Some(price) => {
-                            buf.push(1);
-                            put_u64(&mut buf, price.to_bits());
-                        }
-                        None => buf.push(0),
-                    }
-                }
-            }
-        }
-        buf
-    }
-
-    /// Decodes one payload. `None` for unknown tags or malformed fields
-    /// (the caller treats both as end-of-valid-prefix).
-    fn decode(payload: &[u8]) -> Option<ExchangeEvent> {
-        let mut r = Reader::new(payload);
-        let event = match r.u8()? {
-            1 => ExchangeEvent::MarketRegistered {
-                market: MarketId(r.u64()? as usize),
-                eval_key: r.u64()?,
-                private: r.u8()? != 0,
-                listings: r.u32()?,
-                catalog: BundleMask(r.u64()?),
-                table_digest: r.u64()?,
-                name: r.str()?,
-            },
-            2 => ExchangeEvent::SellerRegistered {
-                seller: SellerId(r.u64()? as usize),
-                market: MarketId(r.u64()? as usize),
-                eval_key: r.u64()?,
-                private: r.u8()? != 0,
-                listings: r.u32()?,
-                catalog: BundleMask(r.u64()?),
-                table_digest: r.u64()?,
-                name: r.str()?,
-            },
-            3 => ExchangeEvent::SessionSubmitted {
-                session: SessionId(r.u64()?),
-                market: MarketId(r.u64()? as usize),
-                cfg_digest: r.u64()?,
-            },
-            4 => {
-                let demand = DemandId(r.u64()?);
-                let wanted = BundleMask(r.u64()?);
-                let probe_rounds = r.u32()?;
-                let cfg_digest = r.u64()?;
-                let epoch_mode = r.u8()? != 0;
-                let n = r.u32()? as usize;
-                let mut candidates = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    candidates.push((SellerId(r.u64()? as usize), SessionId(r.u64()?)));
-                }
-                ExchangeEvent::DemandSubmitted {
-                    demand,
-                    wanted,
-                    probe_rounds,
-                    cfg_digest,
-                    epoch_mode,
-                    candidates,
-                }
-            }
-            7 => ExchangeEvent::CourseServed {
-                eval_key: r.u64()?,
-                bundle: BundleMask(r.u64()?),
-                gain: r.f64()?,
-            },
-            8 => ExchangeEvent::QuoteRecorded {
-                demand: DemandId(r.u64()?),
-                slot: r.u32()?,
-                kind: QuoteKind::from_code(r.u8()?)?,
-                rounds: r.u32()?,
-            },
-            9 => {
-                let demand = DemandId(r.u64()?);
-                let winner = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u32()?),
-                    _ => return None,
-                };
-                ExchangeEvent::DemandSettled { demand, winner }
-            }
-            10 => ExchangeEvent::SessionConcluded {
-                session: SessionId(r.u64()?),
-                status: r.u16()?,
-                rounds: r.u32()?,
-                digest: r.u64()?,
-            },
-            15 => ExchangeEvent::DemandShed {
-                demand: DemandId(r.u64()?),
-                wanted: BundleMask(r.u64()?),
-                cfg_digest: r.u64()?,
-                queue_depth: r.u32()?,
-                retry_after: match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u32()?),
-                    _ => return None,
-                },
-            },
-            12 => ExchangeEvent::ClearingOpened {
-                epoch_size: r.u32()?,
-                capacity: r.u32()?,
-                max_rolls: r.u32()?,
-            },
-            13 => ExchangeEvent::EpochCleared {
-                record: read_epoch_record(&mut r)?,
-            },
-            14 => {
-                let next_session = r.u64()?;
-                let next_demand = r.u64()?;
-                let n_markets = r.u32()? as usize;
-                let mut markets = Vec::with_capacity(n_markets.min(1024));
-                for _ in 0..n_markets {
-                    let owner = match r.u8()? {
-                        0 => None,
-                        1 => Some(SellerId(r.u64()? as usize)),
-                        _ => return None,
-                    };
-                    markets.push(CheckpointMarket {
-                        owner,
-                        eval_key: r.u64()?,
-                        private: r.u8()? != 0,
-                        listings: r.u32()?,
-                        catalog: BundleMask(r.u64()?),
-                        table_digest: r.u64()?,
-                        name: r.str()?,
-                    });
-                }
-                let clearing = match r.u8()? {
-                    0 => None,
-                    1 => Some((r.u32()?, r.u32()?, r.u32()?)),
-                    _ => return None,
-                };
-                let n_epochs = r.u32()? as usize;
-                let mut epochs = Vec::with_capacity(n_epochs.min(1024));
-                for _ in 0..n_epochs {
-                    epochs.push(read_epoch_record(&mut r)?);
-                }
-                let n_courses = r.u32()? as usize;
-                let mut courses = Vec::with_capacity(n_courses.min(1024));
-                for _ in 0..n_courses {
-                    let eval_key = r.u64()?;
-                    let bundle = r.u64()?;
-                    courses.push(((eval_key, bundle), r.f64()?));
-                }
-                let n_sessions = r.u32()? as usize;
-                let mut sessions = Vec::with_capacity(n_sessions.min(1024));
-                for _ in 0..n_sessions {
-                    let session = SessionId(r.u64()?);
-                    let result = match r.u8()? {
-                        0 => {
-                            let outcome = wire::read_outcome(r.buf, &mut r.pos)?;
-                            // The stored digest must match the outcome just
-                            // decoded — tampered outcome bytes fail here
-                            // even under a refreshed frame checksum.
-                            if r.u64()? != wire::outcome_digest(&outcome) {
-                                return None;
-                            }
-                            Ok(Box::new(outcome))
-                        }
-                        1 => {
-                            let code = r.u8()?;
-                            Err(error_from_code(code, r.str()?)?)
-                        }
-                        _ => return None,
-                    };
-                    sessions.push((session, result));
-                }
-                let n_demands = r.u32()? as usize;
-                let mut demands = Vec::with_capacity(n_demands.min(1024));
-                for _ in 0..n_demands {
-                    let demand = DemandId(r.u64()?);
-                    let winner = match r.u8()? {
-                        0 => None,
-                        1 => Some(r.u64()? as usize),
-                        _ => return None,
-                    };
-                    let n_quotes = r.u32()? as usize;
-                    let mut quotes = Vec::with_capacity(n_quotes.min(1024));
-                    for _ in 0..n_quotes {
-                        let seller = SellerId(r.u64()? as usize);
-                        let seller_name = r.str()?;
-                        let session = SessionId(r.u64()?);
-                        let state = match r.u8()? {
-                            0 => QuoteState::Standing(wire::read_round_record(r.buf, &mut r.pos)?),
-                            1 => {
-                                let status = wire::status_from_code(r.u16()?)?;
-                                let last = match r.u8()? {
-                                    0 => None,
-                                    1 => Some(wire::read_round_record(r.buf, &mut r.pos)?),
-                                    _ => return None,
-                                };
-                                QuoteState::Closed { status, last }
-                            }
-                            2 => QuoteState::Error(r.str()?),
-                            _ => return None,
-                        };
-                        let n_history = r.u32()? as usize;
-                        let mut history = Vec::with_capacity(n_history.min(1024));
-                        for _ in 0..n_history {
-                            history.push(wire::read_round_record(r.buf, &mut r.pos)?);
-                        }
-                        quotes.push(CandidateQuote {
-                            seller,
-                            seller_name,
-                            session,
-                            state,
-                            history,
-                        });
-                    }
-                    let epoch = match r.u8()? {
-                        0 => None,
-                        1 => Some(r.u64()?),
-                        _ => return None,
-                    };
-                    let clearing_price = match r.u8()? {
-                        0 => None,
-                        1 => Some(r.f64()?),
-                        _ => return None,
-                    };
-                    demands.push(DemandReport {
-                        demand,
-                        winner,
-                        quotes,
-                        epoch,
-                        clearing_price,
-                    });
-                }
-                ExchangeEvent::Checkpoint {
-                    state: Box::new(CheckpointState {
-                        next_session,
-                        next_demand,
-                        markets,
-                        clearing,
-                        epochs,
-                        courses,
-                        sessions,
-                        demands,
-                    }),
-                }
-            }
-            _ => return None,
-        };
-        if !r.done() {
-            return None; // trailing garbage inside a framed payload
-        }
-        Some(event)
-    }
-
     /// Encodes the event as one complete frame (header + payload +
     /// checksum), exactly as [`Journal::append`] writes it.
     pub fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.payload();
-        let mut frame = Vec::with_capacity(HEADER + payload.len() + TRAILER);
-        frame.push(MAGIC);
-        frame.push(VERSION);
-        put_u32(&mut frame, payload.len() as u32);
-        frame.extend_from_slice(&payload);
-        let sum = wire::fnv64(&frame);
-        put_u64(&mut frame, sum);
+        let mut frame = Vec::with_capacity(64);
+        frame.extend_from_slice(&[MAGIC, VERSION, 0, 0, 0, 0]);
+        self.put_payload(&mut frame);
+        let len = u32::try_from(frame.len() - HEADER).expect("frame payloads fit in a u32");
+        frame[2..HEADER].copy_from_slice(&len.to_le_bytes());
+        wire::fnv64(&frame).put(&mut frame);
         frame
     }
 }
 
-/// Parses one frame at `bytes[..]`. `Ok((event, frame_len))` on success,
-/// `Err(())` when the prefix at this offset is torn, corrupt, or from an
+/// Parses one frame at `bytes[..]`: the event and the frame's length, or
+/// `None` when the prefix at this offset is torn, corrupt, or from an
 /// unknown version — the caller stops there (truncation rule).
-fn parse_frame(bytes: &[u8]) -> Result<(ExchangeEvent, usize), ()> {
-    if bytes.len() < HEADER {
-        return Err(());
+fn parse_frame(bytes: &[u8]) -> Option<(ExchangeEvent, usize)> {
+    let mut r = Reader::new(bytes);
+    let (magic, version, len): (u8, u8, u32) = r.get()?;
+    if magic != MAGIC || version != VERSION {
+        return None;
     }
-    if bytes[0] != MAGIC || bytes[1] != VERSION {
-        return Err(());
+    let payload = r.take(len as usize)?;
+    let end = HEADER + payload.len();
+    if r.get::<u64>()? != wire::fnv64(&bytes[..end]) {
+        return None;
     }
-    let len = u32::from_le_bytes(bytes[2..6].try_into().unwrap()) as usize;
-    let total = HEADER + len + TRAILER;
-    if bytes.len() < total {
-        return Err(());
-    }
-    let sum = wire::fnv64(&bytes[..HEADER + len]);
-    let recorded = u64::from_le_bytes(bytes[HEADER + len..total].try_into().unwrap());
-    if sum != recorded {
-        return Err(());
-    }
-    let event = ExchangeEvent::decode(&bytes[HEADER..HEADER + len]).ok_or(())?;
-    Ok((event, total))
+    Some((ExchangeEvent::decode(payload)?, end + TRAILER))
 }
 
 /// Decodes a journal's longest valid prefix. Returns the events plus the
@@ -1156,14 +614,9 @@ fn parse_frame(bytes: &[u8]) -> Result<(ExchangeEvent, usize), ()> {
 pub fn read_events(bytes: &[u8]) -> (Vec<ExchangeEvent>, usize) {
     let mut events = Vec::new();
     let mut pos = 0usize;
-    while pos < bytes.len() {
-        match parse_frame(&bytes[pos..]) {
-            Ok((event, len)) => {
-                events.push(event);
-                pos += len;
-            }
-            Err(()) => break,
-        }
+    while let Some((event, len)) = parse_frame(&bytes[pos..]) {
+        events.push(event);
+        pos += len;
     }
     (events, bytes.len() - pos)
 }
@@ -1175,14 +628,9 @@ pub fn read_events(bytes: &[u8]) -> (Vec<ExchangeEvent>, usize) {
 pub fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
     let mut offsets = Vec::new();
     let mut pos = 0usize;
-    while pos < bytes.len() {
-        match parse_frame(&bytes[pos..]) {
-            Ok((_, len)) => {
-                pos += len;
-                offsets.push(pos);
-            }
-            Err(()) => break,
-        }
+    while let Some((_, len)) = parse_frame(&bytes[pos..]) {
+        pos += len;
+        offsets.push(pos);
     }
     offsets
 }
@@ -1695,18 +1143,22 @@ fn catalog_of(spec: &MarketSpec) -> BundleMask {
     BundleMask::union_of(spec.listings.iter().map(|l| l.bundle))
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Verifies a re-supplied market spec against its recorded fingerprints.
 pub(crate) fn check_market_spec(
     what: &str,
     spec: &MarketSpec,
-    private: bool,
-    eval_key: u64,
-    listings: u32,
-    catalog: BundleMask,
-    table_digest: u64,
-    name: &str,
+    stamp: &CheckpointMarket,
 ) -> Result<(), RecoverError> {
-    if spec.name != name {
+    let &CheckpointMarket {
+        private,
+        eval_key,
+        listings,
+        catalog,
+        table_digest,
+        ref name,
+        ..
+    } = stamp;
+    if spec.name != *name {
         return Err(RecoverError::SpecMismatch(format!(
             "{what}: journal records name {name:?}, spec supplies {:?}",
             spec.name
@@ -2373,7 +1825,8 @@ mod tests {
             0x932328d151957a5c,
         ];
         let events = sample_events();
-        let tags: std::collections::HashSet<u8> = events.iter().map(|e| e.payload()[0]).collect();
+        let tags: std::collections::HashSet<u8> =
+            events.iter().map(|e| e.encode_frame()[HEADER]).collect();
         assert_eq!(tags.len(), 12, "every v2 tag is sampled");
         let got: Vec<u64> = events
             .iter()
@@ -2466,19 +1919,19 @@ mod tests {
         // Retired tags (5 and 6 with their v1 field widths, 11 with a
         // whole demand body) and unknown ones end the prefix even under a
         // valid checksum.
-        let demand = sample_events()[3].payload();
+        let demand = sample_events()[3].encode_frame();
         let retired = [
             [&[5][..], &[0; 8]].concat(),
             [&[6][..], &[0; 24]].concat(),
-            [&[11][..], &demand[1..]].concat(),
+            [&[11][..], &demand[HEADER + 1..demand.len() - TRAILER]].concat(),
             vec![200],
         ];
         for payload in retired {
             let mut payload_frame = vec![MAGIC, VERSION];
-            put_u32(&mut payload_frame, payload.len() as u32);
+            (payload.len() as u32).put(&mut payload_frame);
             payload_frame.extend_from_slice(&payload);
             let sum = wire::fnv64(&payload_frame);
-            put_u64(&mut payload_frame, sum);
+            sum.put(&mut payload_frame);
             let mut bytes = good.clone();
             bytes.extend_from_slice(&payload_frame);
             let (decoded, dropped) = read_events(&bytes);
