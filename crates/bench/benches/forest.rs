@@ -1,5 +1,6 @@
 //! Benchmark of the random-forest substrate (the Figure 2 base model):
-//! training and prediction on Titanic-shaped data.
+//! training and prediction on Titanic-shaped data, and one course fit at
+//! the exchange benchmark's forest cell shape.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -43,6 +44,39 @@ fn bench_forest(c: &mut Criterion) {
             })
         });
     }
+
+    // One course fit at the exchange benchmark's forest cell shape: 300 x 29
+    // input, 12 single-threaded trees of depth 6.
+    let cell = VflScenario::build(
+        &ds,
+        &assignment,
+        &ScenarioConfig {
+            max_train_rows: 300,
+            max_test_rows: 160,
+            seed: 2,
+            train_frac: 0.7,
+        },
+    )
+    .unwrap();
+    let (cell_train, _) = cell.joint_matrices(BundleMask::all(5)).unwrap();
+    assert_eq!(cell_train.shape(), (300, 29), "cell-shape input");
+    let cell_y = cell.y_train().to_vec();
+    group.bench_function("course_fit_300x29_depth6_12trees", |b| {
+        b.iter(|| {
+            let mut f = RandomForest::new(ForestConfig {
+                n_trees: 12,
+                max_depth: 6,
+                min_samples_leaf: 4,
+                max_features: MaxFeatures::Frac(0.7),
+                bootstrap: true,
+                n_threads: 1,
+                seed: 5,
+            });
+            f.fit(black_box(&cell_train), black_box(&cell_y)).unwrap();
+            black_box(f)
+        })
+    });
+
     let mut fitted = RandomForest::new(ForestConfig {
         n_trees: 20,
         ..Default::default()

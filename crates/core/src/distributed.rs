@@ -34,9 +34,9 @@ use crate::gain::GainProvider;
 use crate::listing::Listing;
 use crate::session::{NegotiationSession, SessionEffect, SessionEvent};
 use crate::strategy::{DataContext, DataResponse, DataStrategy, TaskStrategy};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::mpsc::sync_channel;
 use vfl_sim::protocol::{GainReportMsg, Message, OfferMsg, QuoteMsg};
 
 /// Runs a negotiation with the data party in its own thread. Produces the
@@ -55,12 +55,14 @@ pub fn run_bargaining_distributed<G: GainProvider + Sync + ?Sized>(
         return Err(MarketError::InvalidConfig("empty listing table".into()));
     }
     let cap = cfg.channel_capacity;
-    let (to_data, data_inbox): (Sender<Message>, Receiver<Message>) = bounded(cap);
-    let (to_task, task_inbox): (Sender<Message>, Receiver<Message>) = bounded(cap);
+    let (to_data, data_inbox) = sync_channel::<Message>(cap);
+    let (to_task, task_inbox) = sync_channel::<Message>(cap);
 
-    let result: Result<Outcome> = crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // ---------------- data-party thread ----------------
-        let data_handle = scope.spawn(|_| -> Result<()> {
+        // It owns its inbox and its sender (an mpsc endpoint is not
+        // shareable across threads); the references it uses are copied in.
+        let data_handle = scope.spawn(move || -> Result<()> {
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xda7a_0001);
             loop {
                 let msg = data_inbox
@@ -199,8 +201,6 @@ pub fn run_bargaining_distributed<G: GainProvider + Sync + ?Sized>(
             _ => outcome,
         }
     })
-    .expect("crossbeam scope failed");
-    result
 }
 
 #[cfg(test)]

@@ -105,7 +105,7 @@ impl BundleGainModel {
         for _ in 0..self.cfg.updates_per_round {
             let pooled = self.embedding.forward_mean(&batch);
             let (_, d_pooled) = self.net.train_batch_with_input_grad(&pooled, &targets);
-            self.embedding.backward_mean(&d_pooled);
+            self.embedding.backward_mean(d_pooled);
             self.embedding.step(&self.adam);
         }
         let pooled = self.embedding.forward_mean_inference(&batch);

@@ -1,11 +1,15 @@
 //! Random forest: bootstrap-sampled gini trees with feature subsampling,
-//! trained in parallel with crossbeam scoped threads. This is the paper's
+//! trained in parallel on `std::thread::scope` workers. This is the paper's
 //! tree-based VFL base model (§4.1.2).
+//!
+//! A fit sorts each feature once (`Presort`); every tree expands that
+//! order by its bootstrap counts and grows in its worker's reused
+//! `Samples` buffers.
 
 use crate::error::{MlError, Result};
 use crate::model::{check_fit_inputs, Classifier};
 use crate::rng::{bootstrap_indices, rng_from_seed};
-use crate::tree::{DecisionTree, MaxFeatures, TreeConfig};
+use crate::tree::{DecisionTree, MaxFeatures, Presort, Samples, TreeConfig};
 use vfl_tabular::Matrix;
 
 /// Random-forest hyper-parameters.
@@ -89,14 +93,12 @@ impl RandomForest {
         self.trees.len()
     }
 
+    /// Worker count: `n_threads`, or one per available core when it is 0
+    /// (the only case that asks the OS), capped at `n_trees`.
     fn resolve_threads(&self) -> usize {
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let t = if self.cfg.n_threads == 0 {
-            hw
-        } else {
-            self.cfg.n_threads
+        let t = match self.cfg.n_threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            t => t,
         };
         t.clamp(1, self.cfg.n_trees.max(1))
     }
@@ -107,60 +109,49 @@ impl Classifier for RandomForest {
         self.cfg.validate()?;
         check_fit_inputs(x, y)?;
         self.n_features = Some(x.cols());
+        let presort = Presort::new(x);
 
-        // Pre-draw bootstrap index sets sequentially so results do not
+        // Pre-draw bootstrap samples sequentially so results do not
         // depend on thread scheduling.
         let n = x.rows();
         let mut rng = rng_from_seed(self.cfg.seed);
-        let index_sets: Vec<Vec<usize>> = (0..self.cfg.n_trees)
-            .map(|_| {
-                if self.cfg.bootstrap {
-                    bootstrap_indices(n, &mut rng)
+        let mut tasks: Vec<(DecisionTree, Vec<u32>)> = (0..self.cfg.n_trees)
+            .map(|i| {
+                let counts = if self.cfg.bootstrap {
+                    presort.counts(&bootstrap_indices(n, &mut rng))
                 } else {
-                    (0..n).collect()
-                }
+                    vec![1; n]
+                };
+                (DecisionTree::new(self.cfg.tree_config(i)), counts)
             })
             .collect();
 
-        let n_threads = self.resolve_threads();
-        let mut tasks: Vec<(usize, DecisionTree, Vec<usize>)> = index_sets
-            .into_iter()
-            .enumerate()
-            .map(|(i, idx)| (i, DecisionTree::new(self.cfg.tree_config(i)), idx))
-            .collect();
-
-        if n_threads == 1 {
-            for (_, tree, idx) in &mut tasks {
-                tree.fit_on_indices(x, y, idx)?;
+        // Each worker fits one contiguous chunk of trees in its own buffers.
+        let fit_chunk = |chunk: &mut [(DecisionTree, Vec<u32>)]| -> Result<()> {
+            let mut samples = Samples::default();
+            for (tree, counts) in chunk {
+                tree.fit_presorted(y, &presort, counts, &mut samples)?;
             }
+            Ok(())
+        };
+        let n_threads = self.resolve_threads();
+        if n_threads == 1 {
+            fit_chunk(&mut tasks)?;
         } else {
-            // Split tasks into per-thread chunks; each worker fits its chunk.
             let chunk = tasks.len().div_ceil(n_threads);
-            let results: Vec<Result<()>> = crossbeam::thread::scope(|scope| {
+            let results: Vec<Result<()>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = tasks
                     .chunks_mut(chunk)
-                    .map(|chunk_tasks| {
-                        scope.spawn(move |_| {
-                            for (_, tree, idx) in chunk_tasks.iter_mut() {
-                                tree.fit_on_indices(x, y, idx)?;
-                            }
-                            Ok(())
-                        })
-                    })
+                    .map(|chunk_tasks| scope.spawn(|| fit_chunk(chunk_tasks)))
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("forest worker panicked"))
                     .collect()
-            })
-            .expect("crossbeam scope failed");
-            for r in results {
-                r?;
-            }
+            });
+            results.into_iter().collect::<Result<()>>()?;
         }
-
-        tasks.sort_by_key(|(i, _, _)| *i);
-        self.trees = tasks.into_iter().map(|(_, tree, _)| tree).collect();
+        self.trees = tasks.into_iter().map(|(tree, _)| tree).collect();
         Ok(())
     }
 

@@ -9,7 +9,7 @@
 use crate::error::{MlError, Result};
 use crate::model::{check_fit_inputs, Classifier};
 use crate::rng::rng_from_seed;
-use crate::tree::{DecisionTree, MaxFeatures, TreeConfig};
+use crate::tree::{DecisionTree, MaxFeatures, Presort, Samples, TreeConfig};
 use vfl_tabular::Matrix;
 
 /// Regression tree fitted to residuals: reuses the CART machinery by
@@ -151,6 +151,9 @@ impl Classifier for GradientBoosting {
 
         let mut rng = rng_from_seed(self.cfg.seed);
         let mut scores = vec![self.base_logit; n];
+        // The features never change between stages: sort them once.
+        let presort = Presort::new(x);
+        let mut samples = Samples::default();
         let subsample_k = ((n as f64) * self.cfg.subsample).round().max(1.0) as usize;
 
         for stage_idx in 0..self.cfg.n_stages {
@@ -178,7 +181,7 @@ impl Classifier for GradientBoosting {
                 min_impurity_decrease: 0.0,
                 seed: self.cfg.seed.wrapping_add(stage_idx as u64),
             });
-            tree.fit_on_indices(x, &signs, &rows)?;
+            tree.fit_presorted(&signs, &presort, &presort.counts(&rows), &mut samples)?;
 
             // Leaf values: mean residual per leaf (keyed by leaf probability).
             let mut sums: std::collections::BTreeMap<u64, (f64, usize)> =

@@ -1,4 +1,10 @@
-//! Element-wise activation layers.
+//! Element-wise activations, applied in place.
+//!
+//! An activation keeps no cache: its backward pass reads the output the
+//! forward pass wrote, which the [`Mlp`] workspace holds anyway as the next
+//! layer's input.
+//!
+//! [`Mlp`]: crate::nn::Mlp
 
 use vfl_tabular::Matrix;
 
@@ -43,53 +49,20 @@ impl Activation {
             Activation::Tanh => 1.0 - y * y,
         }
     }
-}
 
-/// Activation layer caching its output for the backward pass.
-#[derive(Debug, Clone)]
-pub struct ActLayer {
-    act: Activation,
-    output: Option<Matrix>,
-}
-
-impl ActLayer {
-    /// New activation layer.
-    pub fn new(act: Activation) -> Self {
-        ActLayer { act, output: None }
+    /// Forward pass in place: every element `x` becomes `act(x)`.
+    pub fn forward_inplace(&self, x: &mut Matrix) {
+        x.map_inplace(|v| self.apply(v));
     }
 
-    /// The wrapped activation kind.
-    pub fn kind(&self) -> Activation {
-        self.act
-    }
-
-    /// Forward pass with output caching.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut out = x.clone();
-        out.map_inplace(|v| self.act.apply(v));
-        self.output = Some(out.clone());
-        out
-    }
-
-    /// Forward pass without caching (inference).
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let mut out = x.clone();
-        out.map_inplace(|v| self.act.apply(v));
-        out
-    }
-
-    /// Backward pass: `dL/dx = dL/dy * act'(x)`.
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let y = self
-            .output
-            .as_ref()
-            .expect("activation backward before forward");
-        assert_eq!(y.shape(), d_out.shape(), "activation grad shape");
-        let mut dx = d_out.clone();
-        for (d, &o) in dx.as_mut_slice().iter_mut().zip(y.as_slice()) {
-            *d *= self.act.grad_from_output(o);
+    /// Backward pass in place: `grad` holds `dL/dy` on entry and
+    /// `dL/dx = dL/dy · act'(x)` on return, where `output` is the `y` the
+    /// forward pass produced.
+    pub fn backward_inplace(&self, output: &Matrix, grad: &mut Matrix) {
+        assert_eq!(output.shape(), grad.shape(), "activation grad shape");
+        for (d, &y) in grad.as_mut_slice().iter_mut().zip(output.as_slice()) {
+            *d *= self.grad_from_output(y);
         }
-        dx
     }
 }
 
@@ -97,25 +70,28 @@ impl ActLayer {
 mod tests {
     use super::*;
 
+    /// Forward then backward with `dL/dy = 1`: returns `(y, dL/dx)`.
+    fn run(act: Activation, x: &[f64]) -> (Matrix, Matrix) {
+        let mut y = Matrix::from_vec(1, x.len(), x.to_vec()).unwrap();
+        act.forward_inplace(&mut y);
+        let mut d = Matrix::filled(1, x.len(), 1.0);
+        act.backward_inplace(&y, &mut d);
+        (y, d)
+    }
+
     #[test]
     fn relu_clips_negatives() {
-        let mut layer = ActLayer::new(Activation::Relu);
-        let x = Matrix::from_vec(1, 3, vec![-1.0, 0.0, 2.0]).unwrap();
-        let y = layer.forward(&x);
+        let (y, dx) = run(Activation::Relu, &[-1.0, 0.0, 2.0]);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
-        let dx = layer.backward(&Matrix::filled(1, 3, 1.0));
         assert_eq!(dx.as_slice(), &[0.0, 0.0, 1.0]);
     }
 
     #[test]
     fn sigmoid_range_and_grad() {
-        let mut layer = ActLayer::new(Activation::Sigmoid);
-        let x = Matrix::from_vec(1, 3, vec![-50.0, 0.0, 50.0]).unwrap();
-        let y = layer.forward(&x);
+        let (y, dx) = run(Activation::Sigmoid, &[-50.0, 0.0, 50.0]);
         assert!(y.get(0, 0) < 1e-12);
         assert!((y.get(0, 1) - 0.5).abs() < 1e-12);
         assert!(y.get(0, 2) > 1.0 - 1e-12);
-        let dx = layer.backward(&Matrix::filled(1, 3, 1.0));
         // Max slope 0.25 at x = 0.
         assert!((dx.get(0, 1) - 0.25).abs() < 1e-12);
         assert!(dx.get(0, 0) < 1e-12);
@@ -123,19 +99,9 @@ mod tests {
 
     #[test]
     fn tanh_numerical_gradient() {
-        let mut layer = ActLayer::new(Activation::Tanh);
-        let x = Matrix::from_vec(1, 1, vec![0.7]).unwrap();
-        let _ = layer.forward(&x);
-        let dx = layer.backward(&Matrix::filled(1, 1, 1.0));
+        let (_, dx) = run(Activation::Tanh, &[0.7]);
         let eps = 1e-6;
         let num = ((0.7f64 + eps).tanh() - (0.7f64 - eps).tanh()) / (2.0 * eps);
         assert!((dx.get(0, 0) - num).abs() < 1e-9);
-    }
-
-    #[test]
-    fn inference_matches_forward() {
-        let mut layer = ActLayer::new(Activation::Tanh);
-        let x = Matrix::from_vec(2, 2, vec![-1.0, 0.5, 2.0, -0.2]).unwrap();
-        assert_eq!(layer.forward(&x), layer.forward_inference(&x));
     }
 }

@@ -1,18 +1,23 @@
 //! Fully connected layer with manual backprop and per-layer Adam state.
+//!
+//! The layer keeps no activations: the caller (an [`Mlp`] and its
+//! workspace) owns the input it fed forward and hands it back to the
+//! backward pass, so no batch is ever copied into the layer.
+//!
+//! [`Mlp`]: crate::nn::Mlp
 
 use crate::nn::optim::{AdamConfig, AdamState};
 use crate::rng::normal;
 use rand::rngs::StdRng;
 use vfl_tabular::Matrix;
 
-/// `y = x W + b` with cached activations for the backward pass.
+/// `y = x W + b` with its parameter gradients and Adam state.
 #[derive(Debug, Clone)]
 pub struct Linear {
     w: Matrix, // in_dim x out_dim
     b: Vec<f64>,
     dw: Matrix,
     db: Vec<f64>,
-    input: Option<Matrix>,
     opt_w: AdamState,
     opt_b: AdamState,
 }
@@ -30,7 +35,6 @@ impl Linear {
             b: vec![0.0; out_dim],
             dw: Matrix::zeros(in_dim, out_dim),
             db: vec![0.0; out_dim],
-            input: None,
             opt_w: AdamState::new(in_dim * out_dim),
             opt_b: AdamState::new(out_dim),
         }
@@ -51,41 +55,38 @@ impl Linear {
         self.w.rows() * self.w.cols() + self.b.len()
     }
 
-    /// Forward pass that caches the input for backprop.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let out = self.affine(x);
-        self.input = Some(x.clone());
+    /// `x W + b` as a new matrix.
+    pub fn forward(&self, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(x, &mut out);
         out
     }
 
-    /// Forward pass without caching (inference).
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        self.affine(x)
-    }
-
-    fn affine(&self, x: &Matrix) -> Matrix {
-        let mut out = x.matmul(&self.w).expect("linear: input width mismatch");
+    /// `x W + b` written into `out`, which is reshaped to `x.rows() x
+    /// out_dim` (reusing its allocation).
+    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
+        x.matmul_into(&self.w, out)
+            .expect("linear: input width mismatch");
         for r in 0..out.rows() {
             for (v, b) in out.row_mut(r).iter_mut().zip(&self.b) {
                 *v += b;
             }
         }
-        out
     }
 
-    /// Backward pass: consumes `d_out = dL/dy`, stores `dw`/`db`, returns
-    /// `dL/dx`.
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        self.backward_params(d_out);
-        d_out.matmul_t(&self.w).expect("linear: dx shape")
+    /// Parameter gradients for the input `x` that produced `d_out = dL/dy`:
+    /// `dw = xᵀ d_out` and `db` = column sums of `d_out`, written into the
+    /// layer's gradient storage.
+    pub fn backward_params(&mut self, x: &Matrix, d_out: &Matrix) {
+        x.t_matmul_into(d_out, &mut self.dw)
+            .expect("linear: grad shape");
+        d_out.col_sums_into(&mut self.db);
     }
 
-    /// Parameter-only backward pass: stores `dw`/`db` and skips `dL/dx`,
-    /// for a first layer whose input is data and has no gradient reader.
-    pub fn backward_params(&mut self, d_out: &Matrix) {
-        let x = self.input.as_ref().expect("linear backward before forward");
-        self.dw = x.t_matmul(d_out).expect("linear: grad shape");
-        self.db = d_out.col_sums();
+    /// Input gradient `dL/dx = d_out Wᵀ`, written into `dx` (reshaped to
+    /// `d_out.rows() x in_dim`).
+    pub fn backward_input_into(&self, d_out: &Matrix, dx: &mut Matrix) {
+        d_out.matmul_t_into(&self.w, dx).expect("linear: dx shape");
     }
 
     /// Applies one Adam step on the stored gradients.
@@ -114,7 +115,7 @@ mod tests {
     #[test]
     fn forward_is_affine() {
         let mut rng = rng_from_seed(1);
-        let mut layer = Linear::new(2, 1, &mut rng);
+        let layer = Linear::new(2, 1, &mut rng);
         let x = Matrix::from_rows(&[vec![1.0, 2.0], vec![0.0, 0.0]]).unwrap();
         let y = layer.forward(&x);
         let w = layer.weights();
@@ -129,9 +130,10 @@ mod tests {
         let mut layer = Linear::new(3, 2, &mut rng);
         let x = Matrix::from_rows(&[vec![0.5, -1.0, 2.0], vec![1.5, 0.3, -0.7]]).unwrap();
         // Loss = sum(y); dL/dy = ones.
-        let _ = layer.forward(&x);
         let dy = Matrix::filled(2, 2, 1.0);
-        let dx = layer.backward(&dy);
+        layer.backward_params(&x, &dy);
+        let mut dx = Matrix::zeros(0, 0);
+        layer.backward_input_into(&dy, &mut dx);
 
         // Numerical dL/dx.
         let eps = 1e-6;
@@ -141,8 +143,8 @@ mod tests {
                 xp.set(r, c, x.get(r, c) + eps);
                 let mut xm = x.clone();
                 xm.set(r, c, x.get(r, c) - eps);
-                let lp: f64 = layer.forward_inference(&xp).as_slice().iter().sum();
-                let lm: f64 = layer.forward_inference(&xm).as_slice().iter().sum();
+                let lp: f64 = layer.forward(&xp).as_slice().iter().sum();
+                let lm: f64 = layer.forward(&xm).as_slice().iter().sum();
                 let num = (lp - lm) / (2.0 * eps);
                 assert!((dx.get(r, c) - num).abs() < 1e-5, "dx[{r},{c}]");
             }
@@ -167,7 +169,7 @@ mod tests {
                 loss += e * e / 3.0;
                 dy.set(i, 0, 2.0 * e / 3.0);
             }
-            layer.backward(&dy);
+            layer.backward_params(&x, &dy);
             layer.step(&cfg);
             last = loss;
         }
@@ -178,8 +180,11 @@ mod tests {
     #[test]
     fn inference_equals_forward() {
         let mut rng = rng_from_seed(4);
-        let mut layer = Linear::new(4, 3, &mut rng);
+        let layer = Linear::new(4, 3, &mut rng);
         let x = Matrix::filled(2, 4, 0.3);
-        assert_eq!(layer.forward(&x), layer.forward_inference(&x));
+        // The training path writes into a reused buffer of another shape.
+        let mut out = Matrix::filled(5, 7, f64::NAN);
+        layer.forward_into(&x, &mut out);
+        assert_eq!(out, layer.forward(&x));
     }
 }

@@ -1,5 +1,6 @@
-//! Loss functions returning `(scalar loss, gradient w.r.t. the network
-//! output)`; gradients are already averaged over the batch.
+//! Loss functions: each returns the scalar loss and writes the gradient
+//! w.r.t. the network output into a caller-owned buffer; gradients are
+//! already averaged over the batch.
 
 use vfl_tabular::Matrix;
 
@@ -25,36 +26,48 @@ fn sigmoid(x: f64) -> f64 {
     }
 }
 
-/// Binary cross-entropy on raw logits (shape `n x 1`).
+/// Binary cross-entropy on raw logits (shape `n x 1`); writes the
+/// gradient into `grad` (reshaped to `n x 1`) and returns the loss.
 ///
 /// `loss = mean(softplus(z) - y * z)`, `dL/dz = (sigmoid(z) - y) / n`.
-pub fn bce_with_logits(logits: &Matrix, targets: &[u8]) -> (f64, Matrix) {
+pub fn bce_with_logits(logits: &Matrix, targets: &[u8], grad: &mut Matrix) -> f64 {
     assert_eq!(logits.cols(), 1, "bce expects a single output column");
     assert_eq!(logits.rows(), targets.len(), "bce target length");
     let n = targets.len().max(1) as f64;
-    let mut grad = Matrix::zeros(logits.rows(), 1);
+    grad.resize(logits.rows(), 1);
     let mut loss = 0.0;
-    for (i, &t) in targets.iter().enumerate() {
-        let z = logits.get(i, 0);
+    for ((g, &z), &t) in grad
+        .as_mut_slice()
+        .iter_mut()
+        .zip(logits.as_slice())
+        .zip(targets)
+    {
         loss += softplus(z) - t as f64 * z;
-        grad.set(i, 0, (sigmoid(z) - t as f64) / n);
+        *g = (sigmoid(z) - t as f64) / n;
     }
-    (loss / n, grad)
+    loss / n
 }
 
-/// Mean squared error on a real-valued output column (shape `n x 1`).
-pub fn mse_loss(pred: &Matrix, targets: &[f64]) -> (f64, Matrix) {
+/// Mean squared error on a real-valued output column (shape `n x 1`);
+/// writes the gradient into `grad` (reshaped to `n x 1`) and returns the
+/// loss.
+pub fn mse_loss(pred: &Matrix, targets: &[f64], grad: &mut Matrix) -> f64 {
     assert_eq!(pred.cols(), 1, "mse expects a single output column");
     assert_eq!(pred.rows(), targets.len(), "mse target length");
     let n = targets.len().max(1) as f64;
-    let mut grad = Matrix::zeros(pred.rows(), 1);
+    grad.resize(pred.rows(), 1);
     let mut loss = 0.0;
-    for (i, &t) in targets.iter().enumerate() {
-        let e = pred.get(i, 0) - t;
+    for ((g, &p), &t) in grad
+        .as_mut_slice()
+        .iter_mut()
+        .zip(pred.as_slice())
+        .zip(targets)
+    {
+        let e = p - t;
         loss += e * e;
-        grad.set(i, 0, 2.0 * e / n);
+        *g = 2.0 * e / n;
     }
-    (loss / n, grad)
+    loss / n
 }
 
 /// Sigmoid applied to a logits column, as probabilities.
@@ -69,10 +82,15 @@ pub fn probs_from_logits(logits: &Matrix) -> Vec<f64> {
 mod tests {
     use super::*;
 
+    fn bce(logits: &[f64], targets: &[u8]) -> (f64, Matrix) {
+        let logits = Matrix::from_vec(logits.len(), 1, logits.to_vec()).unwrap();
+        let mut grad = Matrix::zeros(0, 0);
+        (bce_with_logits(&logits, targets, &mut grad), grad)
+    }
+
     #[test]
     fn bce_loss_values() {
-        let logits = Matrix::from_vec(2, 1, vec![0.0, 0.0]).unwrap();
-        let (loss, grad) = bce_with_logits(&logits, &[1, 0]);
+        let (loss, grad) = bce(&[0.0, 0.0], &[1, 0]);
         assert!((loss - (2.0f64).ln()).abs() < 1e-12);
         assert!((grad.get(0, 0) + 0.25).abs() < 1e-12);
         assert!((grad.get(1, 0) - 0.25).abs() < 1e-12);
@@ -81,18 +99,16 @@ mod tests {
     #[test]
     fn bce_gradient_is_numerically_correct() {
         let z0 = 0.7;
-        let logits = Matrix::from_vec(1, 1, vec![z0]).unwrap();
-        let (_, grad) = bce_with_logits(&logits, &[1]);
+        let (_, grad) = bce(&[z0], &[1]);
         let eps = 1e-6;
-        let lp = bce_with_logits(&Matrix::from_vec(1, 1, vec![z0 + eps]).unwrap(), &[1]).0;
-        let lm = bce_with_logits(&Matrix::from_vec(1, 1, vec![z0 - eps]).unwrap(), &[1]).0;
+        let lp = bce(&[z0 + eps], &[1]).0;
+        let lm = bce(&[z0 - eps], &[1]).0;
         assert!((grad.get(0, 0) - (lp - lm) / (2.0 * eps)).abs() < 1e-6);
     }
 
     #[test]
     fn bce_extreme_logits_are_finite() {
-        let logits = Matrix::from_vec(2, 1, vec![1000.0, -1000.0]).unwrap();
-        let (loss, grad) = bce_with_logits(&logits, &[0, 1]);
+        let (loss, grad) = bce(&[1000.0, -1000.0], &[0, 1]);
         assert!(loss.is_finite());
         assert!(grad.as_slice().iter().all(|g| g.is_finite()));
     }
@@ -100,7 +116,9 @@ mod tests {
     #[test]
     fn mse_values_and_grad() {
         let pred = Matrix::from_vec(2, 1, vec![1.0, 3.0]).unwrap();
-        let (loss, grad) = mse_loss(&pred, &[0.0, 3.0]);
+        let mut grad = Matrix::filled(3, 2, f64::NAN);
+        let loss = mse_loss(&pred, &[0.0, 3.0], &mut grad);
+        assert_eq!(grad.shape(), (2, 1));
         assert!((loss - 0.5).abs() < 1e-12);
         assert!((grad.get(0, 0) - 1.0).abs() < 1e-12);
         assert_eq!(grad.get(1, 0), 0.0);

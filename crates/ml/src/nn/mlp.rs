@@ -1,10 +1,18 @@
-//! Multi-layer perceptron built from [`Linear`] and [`ActLayer`] blocks,
-//! with a classifier wrapper (the paper's 3-layer MLP base model, §4.1.2)
-//! and a regressor wrapper (the ΔG estimation networks, §3.5.1).
+//! Multi-layer perceptron built from [`Linear`] layers and an
+//! [`Activation`], with a classifier wrapper (the paper's 3-layer MLP base
+//! model, §4.1.2) and a regressor wrapper (the ΔG estimation networks,
+//! §3.5.1).
+//!
+//! Training runs in an [`MlpWorkspace`]: one buffer per layer boundary
+//! holds the layer's output after its activation, which is also the next
+//! layer's input, and one per boundary holds the gradient flowing back
+//! through it. Buffers are reshaped per batch and allocate only until
+//! they have seen the largest batch, so a fit allocates its workspace
+//! once.
 
 use crate::error::{MlError, Result};
 use crate::model::{check_fit_inputs, Classifier};
-use crate::nn::activation::{ActLayer, Activation};
+use crate::nn::activation::Activation;
 use crate::nn::linear::Linear;
 use crate::nn::loss::{bce_with_logits, mse_loss, probs_from_logits};
 use crate::nn::optim::AdamConfig;
@@ -12,124 +20,143 @@ use crate::rng::{rng_from_seed, shuffle};
 use rand::rngs::StdRng;
 use vfl_tabular::{Matrix, Standardizer};
 
-/// One block of the network. `Linear` is boxed: it carries weight/grad
-/// matrices and Adam state, dwarfing the activation variant.
-#[derive(Debug, Clone)]
-enum Block {
-    Linear(Box<Linear>),
-    Act(ActLayer),
-}
-
 /// A plain feed-forward stack: `dims = [in, h1, ..., out]` with the chosen
-/// activation between linear blocks (none after the output block).
+/// activation between linear layers (none after the output layer).
 #[derive(Debug, Clone)]
 pub struct Mlp {
-    blocks: Vec<Block>,
-    in_dim: usize,
-    out_dim: usize,
+    layers: Vec<Linear>,
+    act: Activation,
+}
+
+/// Reused training buffers for one [`Mlp`] (see the module doc).
+#[derive(Debug, Clone)]
+pub struct MlpWorkspace {
+    /// `outputs[l]`: layer `l`'s output after its activation (the last
+    /// layer has none), which layer `l + 1` reads as its input.
+    outputs: Vec<Matrix>,
+    /// `grads[l]`: `dL/d(input of layer l)`; `grads[L]`: `dL/d(output)`.
+    grads: Vec<Matrix>,
 }
 
 impl Mlp {
     /// Builds the stack. Panics if `dims` has fewer than two entries.
     pub fn new(dims: &[usize], hidden_act: Activation, rng: &mut StdRng) -> Self {
         assert!(dims.len() >= 2, "Mlp needs at least [in, out] dims");
-        let mut blocks = Vec::new();
-        for w in dims.windows(2).enumerate() {
-            let (i, pair) = w;
-            blocks.push(Block::Linear(Box::new(Linear::new(pair[0], pair[1], rng))));
-            if i + 2 < dims.len() {
-                blocks.push(Block::Act(ActLayer::new(hidden_act)));
-            }
-        }
         Mlp {
-            blocks,
-            in_dim: dims[0],
-            out_dim: *dims.last().expect("non-empty dims"),
+            layers: dims
+                .windows(2)
+                .map(|pair| Linear::new(pair[0], pair[1], rng))
+                .collect(),
+            act: hidden_act,
         }
     }
 
     /// Input width.
     pub fn in_dim(&self) -> usize {
-        self.in_dim
+        self.layers[0].in_dim()
     }
 
     /// Output width.
     pub fn out_dim(&self) -> usize {
-        self.out_dim
+        self.layers[self.layers.len() - 1].out_dim()
     }
 
     /// Total trainable parameters.
     pub fn n_params(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(|b| match b {
-                Block::Linear(l) => l.n_params(),
-                Block::Act(_) => 0,
-            })
-            .sum()
+        self.layers.iter().map(Linear::n_params).sum()
     }
 
-    /// Training forward pass (caches activations).
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for b in &mut self.blocks {
-            h = match b {
-                Block::Linear(l) => l.forward(&h),
-                Block::Act(a) => a.forward(&h),
-            };
+    /// A workspace sized for batches of up to `batch` rows.
+    pub fn workspace(&self, batch: usize) -> MlpWorkspace {
+        MlpWorkspace {
+            outputs: self
+                .layers
+                .iter()
+                .map(|l| Matrix::zeros(batch, l.out_dim()))
+                .collect(),
+            grads: self
+                .layers
+                .iter()
+                .map(|l| Matrix::zeros(batch, l.in_dim()))
+                .chain([Matrix::zeros(batch, self.out_dim())])
+                .collect(),
         }
-        h
     }
 
-    /// Inference forward pass (no caches, `&self`).
+    /// Training forward pass on the batch `x`: keeps every layer's output
+    /// in `ws` and returns the network output together with the buffer
+    /// (shaped like it) into which the caller writes `dL/d(output)` for
+    /// the backward pass.
+    pub fn forward<'w>(
+        &self,
+        x: &Matrix,
+        ws: &'w mut MlpWorkspace,
+    ) -> (&'w Matrix, &'w mut Matrix) {
+        let last = self.layers.len() - 1;
+        assert_eq!(ws.outputs.len(), last + 1, "workspace of another Mlp");
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = ws.outputs.split_at_mut(l);
+            let input = done.last().unwrap_or(x);
+            layer.forward_into(input, &mut rest[0]);
+            if l < last {
+                self.act.forward_inplace(&mut rest[0]);
+            }
+        }
+        let out = &ws.outputs[last];
+        let d_out = &mut ws.grads[last + 1];
+        d_out.resize(out.rows(), out.cols());
+        (out, d_out)
+    }
+
+    /// Inference forward pass (no workspace, `&self`).
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for b in &self.blocks {
-            h = match b {
-                Block::Linear(l) => l.forward_inference(&h),
-                Block::Act(a) => a.forward_inference(&h),
-            };
+        let mut h = self.layers[0].forward(x);
+        for layer in &self.layers[1..] {
+            self.act.forward_inplace(&mut h);
+            h = layer.forward(&h);
         }
         h
     }
 
-    /// Backward pass from `dL/d(output)`; returns `dL/d(input)`.
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        backprop(&mut self.blocks, d_out)
+    /// Backward pass for the batch `x` of the last [`Mlp::forward`] on
+    /// `ws`, from the `dL/d(output)` written there: fills every parameter
+    /// gradient and returns `dL/d(input)`.
+    pub fn backward<'w>(&mut self, x: &Matrix, ws: &'w mut MlpWorkspace) -> &'w Matrix {
+        self.backprop(x, ws, true);
+        &ws.grads[0]
     }
 
-    /// Backward pass that fills every parameter gradient but skips
-    /// `dL/d(input)`: when the input is data, the first linear block's
-    /// input gradient (its largest product) has no reader.
-    pub fn backward_params(&mut self, d_out: &Matrix) {
-        let (first, rest) = self
-            .blocks
-            .split_first_mut()
-            .expect("Mlp::new builds at least one block");
-        let d = backprop(rest, d_out);
-        match first {
-            Block::Linear(l) => l.backward_params(&d),
-            Block::Act(_) => unreachable!("Mlp::new starts with a linear block"),
-        }
+    /// Like [`Mlp::backward`] but skips `dL/d(input)`: when the input is
+    /// data, the first layer's input gradient (its largest product) has no
+    /// reader.
+    pub fn backward_params(&mut self, x: &Matrix, ws: &mut MlpWorkspace) {
+        self.backprop(x, ws, false);
     }
 
-    /// Adam step on every linear block.
-    pub fn step(&mut self, cfg: &AdamConfig) {
-        for b in &mut self.blocks {
-            if let Block::Linear(l) = b {
-                l.step(cfg);
+    /// Walks the layers in reverse, each gradient overwriting its buffer
+    /// in place.
+    fn backprop(&mut self, x: &Matrix, ws: &mut MlpWorkspace, input_grad: bool) {
+        for (l, layer) in self.layers.iter_mut().enumerate().rev() {
+            let input = if l == 0 { x } else { &ws.outputs[l - 1] };
+            let (below, above) = ws.grads.split_at_mut(l + 1);
+            let d_out = &above[0];
+            layer.backward_params(input, d_out);
+            if l > 0 || input_grad {
+                let dx = &mut below[l];
+                layer.backward_input_into(d_out, dx);
+                if l > 0 {
+                    self.act.backward_inplace(input, dx);
+                }
             }
         }
     }
-}
 
-/// Backpropagates `d_out` through `blocks` in reverse; returns the
-/// gradient with respect to the first block's input.
-fn backprop(blocks: &mut [Block], d_out: &Matrix) -> Matrix {
-    blocks.iter_mut().rev().fold(d_out.clone(), |d, b| match b {
-        Block::Linear(l) => l.backward(&d),
-        Block::Act(a) => a.backward(&d),
-    })
+    /// Adam step on every linear layer.
+    pub fn step(&mut self, cfg: &AdamConfig) {
+        for l in &mut self.layers {
+            l.step(cfg);
+        }
+    }
 }
 
 /// Mini-batch training hyper-parameters shared by the wrappers.
@@ -213,15 +240,20 @@ impl Classifier for MlpClassifier {
         let adam = AdamConfig::with_lr(self.train.lr);
 
         let n = xs.rows();
+        let batch = self.train.batch_size.min(n);
+        let mut ws = mlp.workspace(batch);
+        let mut xb = Matrix::zeros(batch, xs.cols());
+        let mut yb = Vec::with_capacity(batch);
         let mut order: Vec<usize> = (0..n).collect();
         for _ in 0..self.train.epochs {
             shuffle(&mut order, &mut rng);
             for chunk in order.chunks(self.train.batch_size) {
-                let xb = xs.select_rows(chunk)?;
-                let yb: Vec<u8> = chunk.iter().map(|&i| y[i]).collect();
-                let logits = mlp.forward(&xb);
-                let (_, grad) = bce_with_logits(&logits, &yb);
-                mlp.backward_params(&grad);
+                xs.select_rows_into(chunk, &mut xb)?;
+                yb.clear();
+                yb.extend(chunk.iter().map(|&i| y[i]));
+                let (logits, d_out) = mlp.forward(&xb, &mut ws);
+                bce_with_logits(logits, &yb, d_out);
+                mlp.backward_params(&xb, &mut ws);
                 mlp.step(&adam);
             }
         }
@@ -244,10 +276,12 @@ impl Classifier for MlpClassifier {
 }
 
 /// Online MLP regressor used by the ΔG estimators: callers own the input
-/// featurization; this wrapper owns the net, the optimizer, and MSE steps.
+/// featurization; this wrapper owns the net, its workspace, the optimizer,
+/// and MSE steps.
 #[derive(Debug, Clone)]
 pub struct MlpRegressor {
     mlp: Mlp,
+    ws: MlpWorkspace,
     adam: AdamConfig,
 }
 
@@ -258,8 +292,10 @@ impl MlpRegressor {
         dims.extend_from_slice(hidden);
         dims.push(1);
         let mut rng = rng_from_seed(seed);
+        let mlp = Mlp::new(&dims, Activation::Relu, &mut rng);
         MlpRegressor {
-            mlp: Mlp::new(&dims, Activation::Relu, &mut rng),
+            ws: mlp.workspace(0),
+            mlp,
             adam: AdamConfig::with_lr(lr),
         }
     }
@@ -271,21 +307,21 @@ impl MlpRegressor {
 
     /// One gradient step on a batch; returns the batch MSE before the step.
     pub fn train_batch(&mut self, x: &Matrix, targets: &[f64]) -> f64 {
-        let pred = self.mlp.forward(x);
-        let (loss, grad) = mse_loss(&pred, targets);
-        self.mlp.backward_params(&grad);
+        let (pred, d_out) = self.mlp.forward(x, &mut self.ws);
+        let loss = mse_loss(pred, targets, d_out);
+        self.mlp.backward_params(x, &mut self.ws);
         self.mlp.step(&self.adam);
         loss
     }
 
     /// Like [`Self::train_batch`] but also returns the gradient w.r.t. the
     /// *input* (needed to train an upstream embedding).
-    pub fn train_batch_with_input_grad(&mut self, x: &Matrix, targets: &[f64]) -> (f64, Matrix) {
-        let pred = self.mlp.forward(x);
-        let (loss, grad) = mse_loss(&pred, targets);
-        let dx = self.mlp.backward(&grad);
+    pub fn train_batch_with_input_grad(&mut self, x: &Matrix, targets: &[f64]) -> (f64, &Matrix) {
+        let (pred, d_out) = self.mlp.forward(x, &mut self.ws);
+        let loss = mse_loss(pred, targets, d_out);
+        self.mlp.backward(x, &mut self.ws);
         self.mlp.step(&self.adam);
-        (loss, dx)
+        (loss, &self.ws.grads[0])
     }
 
     /// Predictions for a batch.
@@ -339,13 +375,16 @@ mod tests {
         let mut rng = rng_from_seed(10);
         let mut full = Mlp::new(&[2, 9, 5, 1], Activation::Relu, &mut rng);
         let mut params_only = full.clone();
+        let (mut ws_full, mut ws_params) = (full.workspace(37), params_only.workspace(37));
         let adam = AdamConfig::with_lr(1e-2);
         for _ in 0..3 {
-            let (_, grad) = bce_with_logits(&full.forward(&x), &y);
-            full.backward(&grad);
+            let (logits, d_out) = full.forward(&x, &mut ws_full);
+            bce_with_logits(logits, &y, d_out);
+            full.backward(&x, &mut ws_full);
             full.step(&adam);
-            let (_, grad) = bce_with_logits(&params_only.forward(&x), &y);
-            params_only.backward_params(&grad);
+            let (logits, d_out) = params_only.forward(&x, &mut ws_params);
+            bce_with_logits(logits, &y, d_out);
+            params_only.backward_params(&x, &mut ws_params);
             params_only.step(&adam);
         }
         let bits = |m: &Mlp| -> Vec<u64> {
@@ -353,6 +392,23 @@ mod tests {
             out.as_slice().iter().map(|v| v.to_bits()).collect()
         };
         assert_eq!(bits(&full), bits(&params_only));
+    }
+
+    #[test]
+    fn training_forward_matches_inference_across_batch_sizes() {
+        // One workspace serves a large batch, a smaller one, then the large
+        // one again; every output equals the allocating inference pass.
+        let (x, _) = two_moons_ish(40, 11);
+        let mut rng = rng_from_seed(12);
+        let mlp = Mlp::new(&[2, 7, 3, 1], Activation::Tanh, &mut rng);
+        let mut ws = mlp.workspace(40);
+        for rows in [40usize, 13, 40] {
+            let idx: Vec<usize> = (0..rows).collect();
+            let xb = x.select_rows(&idx).unwrap();
+            let (out, d_out) = mlp.forward(&xb, &mut ws);
+            assert_eq!(d_out.shape(), (rows, 1));
+            assert_eq!(*out, mlp.forward_inference(&xb), "{rows} rows");
+        }
     }
 
     #[test]

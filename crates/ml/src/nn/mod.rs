@@ -9,7 +9,7 @@ pub mod loss;
 pub mod mlp;
 pub mod optim;
 
-pub use activation::{ActLayer, Activation};
+pub use activation::Activation;
 pub use embedding::Embedding;
 pub use linear::Linear;
 pub use loss::{bce_with_logits, mse_loss, probs_from_logits};

@@ -17,8 +17,14 @@
 //!   changes the bits; Rust never contracts `acc += x * y` on its own, and
 //!   the AVX2 instance enables `avx2` only, not `fma`.
 //!
-//! The body is written once (`#[inline(always)]`) and instantiated twice:
-//! a baseline build and an AVX2 build picked at run time.
+//! Transposed operands are read where they lie, never copied whole:
+//! [`Mode::TransA`] walks the rows of `Aᵀ` (each holds `MR` contiguous
+//! values of one column of `A`), and [`Mode::TransB`] packs one `k × NR`
+//! panel of `B` per column tile into a per-thread buffer. Neither changes
+//! which products are summed or in what order.
+//!
+//! The body is written once (`#[inline(always)]`) and instantiated twice
+//! per mode: a baseline build and an AVX2 build picked at run time.
 //!
 //! [`Matrix::matmul`]: crate::Matrix::matmul
 //! [`Matrix::t_matmul`]: crate::Matrix::t_matmul
@@ -29,86 +35,250 @@ const MR: usize = 4;
 /// Columns of a register tile.
 const NR: usize = 8;
 
-/// Row-major `c = a · b` for an `m × k` matrix `a` and a `k × n` matrix `b`.
-pub(crate) fn gemm(a: &[f64], b: &[f64], m: usize, k: usize, n: usize) -> Vec<f64> {
+/// How the kernel reads its operands. The product is always the `m × n`
+/// matrix `A · B` over inner dimension `k`; the mode says how `A` and `B`
+/// are stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// `a` holds `A` (`m × k`) and `b` holds `B` (`k × n`), row-major.
+    Plain,
+    /// `a` holds `Aᵀ` (`k × m`): the kernel reads the rows of `Aᵀ` in place.
+    TransA,
+    /// `b` holds `Bᵀ` (`n × k`): the kernel packs one `k × NR` panel of `B`
+    /// per column tile into a per-thread buffer.
+    TransB,
+}
+
+thread_local! {
+    /// The `TransB` panel, kept across calls so a packed product allocates
+    /// only the first time a thread meets a larger `k`.
+    static PANEL: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// Writes `c = A · B` into `c` (`m × n`, row-major), reading `a` and `b`
+/// as `mode` says. Every element of `c` is overwritten.
+pub(crate) fn gemm_into(
+    mode: Mode,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     assert_eq!(a.len(), m * k, "gemm: lhs length");
     assert_eq!(b.len(), k * n, "gemm: rhs length");
-    let mut c = vec![0.0; m * n];
+    assert_eq!(c.len(), m * n, "gemm: output length");
+    if mode != Mode::TransB {
+        dispatch(mode, a, b, c, m, k, n, &mut []);
+        return;
+    }
+    PANEL.with(|cell| {
+        let mut panel = cell.take();
+        panel.resize(panel.len().max(k * NR), 0.0);
+        dispatch(mode, a, b, c, m, k, n, &mut panel);
+        cell.set(panel);
+    });
+}
+
+/// Picks the instruction-set instance, then the operand mode.
+#[allow(clippy::too_many_arguments)]
+fn dispatch(
+    mode: Mode,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    panel: &mut [f64],
+) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `gemm_avx2` only requires the `avx2` target feature,
         // which the CPU was just detected to support.
-        unsafe { gemm_avx2(a, b, &mut c, m, k, n) };
-        return c;
+        unsafe { gemm_avx2(mode, a, b, c, m, k, n, panel) };
+        return;
     }
-    gemm_generic(a, b, &mut c, m, k, n);
-    c
+    gemm_generic(mode, a, b, c, m, k, n, panel);
 }
 
 /// The baseline instance (SSE2 on x86-64).
-fn gemm_generic(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    gemm_body(a, b, c, m, k, n);
+#[allow(clippy::too_many_arguments)]
+fn gemm_generic(
+    mode: Mode,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    panel: &mut [f64],
+) {
+    match mode {
+        Mode::Plain => gemm_body::<false, false>(a, b, c, m, k, n, panel),
+        Mode::TransA => gemm_body::<true, false>(a, b, c, m, k, n, panel),
+        Mode::TransB => gemm_body::<false, true>(a, b, c, m, k, n, panel),
+    }
 }
 
 /// The AVX2 instance: 4-wide vectors, still no FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn gemm_avx2(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    gemm_body(a, b, c, m, k, n);
+#[allow(clippy::too_many_arguments)]
+fn gemm_avx2(
+    mode: Mode,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    panel: &mut [f64],
+) {
+    match mode {
+        Mode::Plain => gemm_body::<false, false>(a, b, c, m, k, n, panel),
+        Mode::TransA => gemm_body::<true, false>(a, b, c, m, k, n, panel),
+        Mode::TransB => gemm_body::<false, true>(a, b, c, m, k, n, panel),
+    }
 }
 
-/// Walks `c` in `MR`-row blocks, then single rows for the remainder.
+/// Walks `c` in `MR`-row blocks (then single rows), or with `BT` in
+/// packed column blocks. `AT`: `a` holds `Aᵀ`; `BT`: `b` holds `Bᵀ`.
 #[inline(always)]
-fn gemm_body(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-    let mut i = 0;
-    while i + MR <= m {
-        row_block::<MR>(a, b, c, k, n, i);
-        i += MR;
-    }
-    while i < m {
-        row_block::<1>(a, b, c, k, n, i);
-        i += 1;
+#[allow(clippy::too_many_arguments)]
+fn gemm_body<const AT: bool, const BT: bool>(
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    panel: &mut [f64],
+) {
+    if BT {
+        let mut j = 0;
+        while j + NR <= n {
+            packed_col_block::<NR>(a, b, c, m, k, n, j, panel);
+            j += NR;
+        }
+        if j + 4 <= n {
+            packed_col_block::<4>(a, b, c, m, k, n, j, panel);
+            j += 4;
+        }
+        while j < n {
+            packed_col_block::<1>(a, b, c, m, k, n, j, panel);
+            j += 1;
+        }
+    } else {
+        let mut i = 0;
+        while i + MR <= m {
+            row_block::<MR, AT>(a, b, c, m, k, n, i);
+            i += MR;
+        }
+        while i < m {
+            row_block::<1, AT>(a, b, c, m, k, n, i);
+            i += 1;
+        }
     }
 }
 
 /// Rows `i..i + R` of `c` in `NR`-column tiles, then a 4-wide tile and
-/// single columns for the remainder.
+/// single columns for the remainder; `b` is read in place.
 #[inline(always)]
-fn row_block<const R: usize>(a: &[f64], b: &[f64], c: &mut [f64], k: usize, n: usize, i: usize) {
+#[allow(clippy::too_many_arguments)]
+fn row_block<const R: usize, const AT: bool>(
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    i: usize,
+) {
     let mut j = 0;
     while j + NR <= n {
-        tile::<R, NR>(a, b, c, k, n, i, j);
+        tile::<R, NR, AT>(a, b, n, j, c, m, k, n, i, j);
         j += NR;
     }
     if j + 4 <= n {
-        tile::<R, 4>(a, b, c, k, n, i, j);
+        tile::<R, 4, AT>(a, b, n, j, c, m, k, n, i, j);
         j += 4;
     }
     while j < n {
-        tile::<R, 1>(a, b, c, k, n, i, j);
+        tile::<R, 1, AT>(a, b, n, j, c, m, k, n, i, j);
         j += 1;
     }
 }
 
-/// One `R × C` block of `c`, accumulated in registers over ascending `p`.
+/// Columns `j..j + C` of `c` when `b` holds `Bᵀ`: packs the block's
+/// `k × C` slice of `B` once, so every tile reads it as contiguous `C`-wide
+/// rows, then walks the rows of `c` in `MR`-row tiles.
 #[inline(always)]
-fn tile<const R: usize, const C: usize>(
+#[allow(clippy::too_many_arguments)]
+fn packed_col_block<const C: usize>(
     a: &[f64],
     b: &[f64],
     c: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    j: usize,
+    panel: &mut [f64],
+) {
+    let panel = &mut panel[..k * C];
+    for q in 0..C {
+        for (p, &v) in b[(j + q) * k..][..k].iter().enumerate() {
+            panel[p * C + q] = v;
+        }
+    }
+    let mut i = 0;
+    while i + MR <= m {
+        tile::<MR, C, false>(a, panel, C, 0, c, m, k, n, i, j);
+        i += MR;
+    }
+    while i < m {
+        tile::<1, C, false>(a, panel, C, 0, c, m, k, n, i, j);
+        i += 1;
+    }
+}
+
+/// One `R × C` block of `c` at `(i, j)`, accumulated in registers over
+/// ascending `p`. Row `p` of the `B` block is `b[b0 + p·ldb..][..C]`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile<const R: usize, const C: usize, const AT: bool>(
+    a: &[f64],
+    b: &[f64],
+    ldb: usize,
+    b0: usize,
+    c: &mut [f64],
+    m: usize,
     k: usize,
     n: usize,
     i: usize,
     j: usize,
 ) {
-    let a_rows: [&[f64]; R] = std::array::from_fn(|r| &a[(i + r) * k..][..k]);
+    // Without `AT`, the `R` rows of `A` this tile reads.
+    let a_rows: [&[f64]; R] =
+        std::array::from_fn(|r| if AT { &[][..] } else { &a[(i + r) * k..][..k] });
     let mut acc = [[0.0f64; C]; R];
     for p in 0..k {
-        let b_row: &[f64; C] = b[p * n + j..][..C].try_into().expect("C-wide slice");
+        // Column `p` of the tile's rows of `A`; with `AT` it is row `p` of
+        // `Aᵀ`, `R` contiguous values.
+        let x: [f64; R] = if AT {
+            a[p * m + i..][..R].try_into().expect("R-wide slice")
+        } else {
+            let mut x = [0.0; R];
+            for r in 0..R {
+                x[r] = a_rows[r][p];
+            }
+            x
+        };
+        let b_row: &[f64; C] = b[b0 + p * ldb..][..C].try_into().expect("C-wide slice");
         for r in 0..R {
-            let x = a_rows[r][p];
             for q in 0..C {
-                acc[r][q] += x * b_row[q];
+                acc[r][q] += x[r] * b_row[q];
             }
         }
     }
@@ -216,26 +386,27 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// A kernel instance behind the `gemm` signature.
-    type Instance = fn(&[f64], &[f64], usize, usize, usize) -> Vec<f64>;
+    /// A kernel instance behind the `gemm_into` signature.
+    type Instance = fn(Mode, &[f64], &[f64], &mut [f64], usize, usize, usize);
+
+    /// A panel as large as any `TransB` product in these tests needs.
+    fn panel(k: usize) -> Vec<f64> {
+        vec![f64::NAN; k * NR]
+    }
 
     /// Every instance of the kernel this CPU can run.
     fn instances() -> Vec<(&'static str, Instance)> {
         let mut out: Vec<(&'static str, Instance)> = vec![
-            ("dispatch", gemm),
-            ("generic", |a, b, m, k, n| {
-                let mut c = vec![0.0; m * n];
-                gemm_generic(a, b, &mut c, m, k, n);
-                c
+            ("dispatch", gemm_into),
+            ("generic", |mode, a, b, c, m, k, n| {
+                gemm_generic(mode, a, b, c, m, k, n, &mut panel(k))
             }),
         ];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            out.push(("avx2", |a, b, m, k, n| {
-                let mut c = vec![0.0; m * n];
+            out.push(("avx2", |mode, a, b, c, m, k, n| {
                 // SAFETY: pushed only when the CPU supports `avx2`.
-                unsafe { gemm_avx2(a, b, &mut c, m, k, n) };
-                c
+                unsafe { gemm_avx2(mode, a, b, c, m, k, n, &mut panel(k)) }
             }));
         }
         out
@@ -274,25 +445,69 @@ mod tests {
                 let shape = format!("{m}x{k}x{n}");
                 assert_eq!(bits(&reference_t_matmul(&at, &b, m, k, n)), want, "{shape}");
                 assert_eq!(bits(&reference_matmul_t(&a, &bt, m, k, n)), want, "{shape}");
-                // ... and every kernel instance reproduces them,
+                // ... and every kernel instance reproduces them in every
+                // operand mode, over an output that starts dirty,
+                let modes = [
+                    (Mode::Plain, &a, &b),
+                    (Mode::TransA, &at, &b),
+                    (Mode::TransB, &a, &bt),
+                ];
                 for (name, f) in instances() {
-                    assert_eq!(bits(&f(&a, &b, m, k, n)), want, "{name} {shape}");
+                    for &(mode, lhs, rhs) in &modes {
+                        let mut c = vec![f64::NAN; m * n];
+                        f(mode, lhs, rhs, &mut c, m, k, n);
+                        assert_eq!(bits(&c), want, "{name} {mode:?} {shape}");
+                    }
                 }
-                // as do the three `Matrix` products through their
-                // transposed copies.
+                // as do the three `Matrix` products and their write-into
+                // forms, whose output buffer starts at another shape.
                 let mat = |rows, cols, v: &[f64]| Matrix::from_vec(rows, cols, v.to_vec()).unwrap();
                 let (am, bm) = (mat(m, k, &a), mat(k, n, &b));
+                let (atm, btm) = (mat(k, m, &at), mat(n, k, &bt));
                 let products = [
                     ("matmul", am.matmul(&bm)),
-                    ("t_matmul", mat(k, m, &at).t_matmul(&bm)),
-                    ("matmul_t", am.matmul_t(&mat(n, k, &bt))),
+                    ("t_matmul", atm.t_matmul(&bm)),
+                    ("matmul_t", am.matmul_t(&btm)),
                 ];
                 for (name, got) in products {
                     let got = got.unwrap();
                     assert_eq!(got.shape(), (m, n), "Matrix::{name} {shape}");
                     assert_eq!(bits(got.as_slice()), want, "Matrix::{name} {shape}");
                 }
+                type Into = fn(&Matrix, &Matrix, &mut Matrix) -> crate::Result<()>;
+                let into: [(&str, &Matrix, &Matrix, Into); 3] = [
+                    ("matmul_into", &am, &bm, Matrix::matmul_into),
+                    ("t_matmul_into", &atm, &bm, Matrix::t_matmul_into),
+                    ("matmul_t_into", &am, &btm, Matrix::matmul_t_into),
+                ];
+                for (name, lhs, rhs, f) in into {
+                    for (rows, cols) in [(0, 0), (m + 3, n + 1), (1, m * n)] {
+                        let mut out = Matrix::filled(rows, cols, f64::NAN);
+                        f(lhs, rhs, &mut out).unwrap();
+                        assert_eq!(out.shape(), (m, n), "Matrix::{name} {shape}");
+                        assert_eq!(bits(out.as_slice()), want, "Matrix::{name} {shape}");
+                    }
+                }
             }
+        }
+    }
+
+    #[test]
+    fn trans_b_panel_survives_shrinking_and_growing_k() {
+        // The per-thread panel is reused across calls: a product with a
+        // larger `k` must not read a smaller call's stale panel, nor a
+        // smaller `k` a larger one's.
+        let mut ops = Operands(0xb7);
+        for &(m, k, n) in &[(5, 3, 9), (6, 40, 11), (3, 2, 17), (9, 64, 8)] {
+            let a = ops.matrix(m * k);
+            let b = ops.matrix(k * n);
+            let mut c = vec![0.0; m * n];
+            gemm_into(Mode::TransB, &a, &transpose(&b, k, n), &mut c, m, k, n);
+            assert_eq!(
+                bits(&c),
+                bits(&reference_matmul(&a, &b, m, k, n)),
+                "{m}x{k}x{n}"
+            );
         }
     }
 
@@ -302,9 +517,14 @@ mod tests {
         // reference loops.
         let a = [-0.0, 2.0, -2.0, -0.0];
         let b = [1.0, 3.0, 3.0, 5.0];
+        // A 1 × 4 row and a 4 × 1 column are stored as their transposes,
+        // so the same slices serve every mode.
         for (name, f) in instances() {
-            let c = f(&a, &b, 1, 4, 1);
-            assert_eq!(c[0].to_bits(), 0, "{name}");
+            for mode in [Mode::Plain, Mode::TransA, Mode::TransB] {
+                let mut c = [f64::NAN];
+                f(mode, &a, &b, &mut c, 1, 4, 1);
+                assert_eq!(c[0].to_bits(), 0, "{name} {mode:?}");
+            }
         }
     }
 }

@@ -8,10 +8,12 @@
 //! products share one register-tiled kernel whose accumulation order is
 //! fixed: each output element sums its products in ascending inner index,
 //! starting from `+0.0`, without fused multiply-add — so the bits do not
-//! depend on the tiling or on which SIMD instance the CPU runs.
+//! depend on the tiling or on which SIMD instance the CPU runs. The kernel
+//! reads a transposed operand in place, and every product has a `*_into`
+//! form that writes into a reused matrix.
 
 use crate::error::{Result, TabularError};
-use crate::gemm::gemm;
+use crate::gemm::{gemm_into, Mode};
 
 /// Dense row-major matrix of `f64` values.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,22 +156,9 @@ impl Matrix {
 
     /// Returns a new matrix containing only the given rows (in order).
     pub fn select_rows(&self, indices: &[usize]) -> Result<Matrix> {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
-        for &i in indices {
-            if i >= self.rows {
-                return Err(TabularError::IndexOutOfBounds {
-                    context: "Matrix::select_rows",
-                    index: i,
-                    len: self.rows,
-                });
-            }
-            data.extend_from_slice(self.row(i));
-        }
-        Ok(Matrix {
-            rows: indices.len(),
-            cols: self.cols,
-            data,
-        })
+        let mut out = Matrix::zeros(0, 0);
+        self.select_rows_into(indices, &mut out)?;
+        Ok(out)
     }
 
     /// Returns a new matrix containing only the given columns (in order).
@@ -247,30 +236,42 @@ impl Matrix {
 
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
-        // Eight source rows at a time, so each output row receives one
-        // contiguous 8-element run per source column. Writing a single
-        // element per output row instead strides by `rows`, and at
-        // power-of-two widths those writes keep evicting each other.
-        const BLOCK: usize = 8;
         let (rows, cols) = self.shape();
         let mut out = Matrix::zeros(cols, rows);
-        let mut r = 0;
-        while r + BLOCK <= rows {
-            let src: [&[f64]; BLOCK] = std::array::from_fn(|i| self.row(r + i));
-            for c in 0..cols {
-                let dst = &mut out.data[c * rows + r..][..BLOCK];
-                for (d, s) in dst.iter_mut().zip(&src) {
-                    *d = s[c];
-                }
-            }
-            r += BLOCK;
-        }
-        for r in r..rows {
-            for (c, &v) in self.row(r).iter().enumerate() {
+        for (r, row) in self.iter_rows().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
                 out.data[c * rows + r] = v;
             }
         }
         out
+    }
+
+    /// Sets the shape to `rows x cols`, keeping the allocation: the first
+    /// `rows * cols` stored values stay in place and any new ones are zero.
+    /// Grows the storage only when it is too small, so a buffer sized once
+    /// for the largest shape is reshaped without allocating.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Writes the given rows (in order) into `out`, reshaping it to
+    /// `indices.len() x self.cols()`: [`Matrix::select_rows`] into a reused
+    /// buffer.
+    pub fn select_rows_into(&self, indices: &[usize], out: &mut Matrix) -> Result<()> {
+        if let Some(&i) = indices.iter().find(|&&i| i >= self.rows) {
+            return Err(TabularError::IndexOutOfBounds {
+                context: "Matrix::select_rows",
+                index: i,
+                len: self.rows,
+            });
+        }
+        out.resize(indices.len(), self.cols);
+        for (dst, &i) in out.data.chunks_exact_mut(self.cols.max(1)).zip(indices) {
+            dst.copy_from_slice(self.row(i));
+        }
+        Ok(())
     }
 
     /// `self * rhs`. Each output element sums its products in ascending
@@ -278,6 +279,14 @@ impl Matrix {
     /// product here is bit-identical to the plain triple loop (see the
     /// `gemm` module for the contract).
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_into(rhs, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::matmul`] written into `out`, which is reshaped to the
+    /// product's shape (reusing its allocation, see [`Matrix::resize`]).
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != rhs.rows {
             return Err(TabularError::ShapeMismatch {
                 context: "Matrix::matmul",
@@ -285,16 +294,30 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let data = gemm(&self.data, &rhs.data, self.rows, self.cols, rhs.cols);
-        Ok(Matrix {
-            rows: self.rows,
-            cols: rhs.cols,
-            data,
-        })
+        out.resize(self.rows, rhs.cols);
+        gemm_into(
+            Mode::Plain,
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+            self.rows,
+            self.cols,
+            rhs.cols,
+        );
+        Ok(())
     }
 
     /// `self^T * rhs`, summed in ascending row order of `self` and `rhs`.
+    /// The kernel reads the rows of `self` in place; no transpose is made.
     pub fn t_matmul(&self, rhs: &Matrix) -> Result<Matrix> {
+        let mut out = Matrix::zeros(0, 0);
+        self.t_matmul_into(rhs, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::t_matmul`] written into `out`, which is reshaped to the
+    /// product's shape.
+    pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.rows != rhs.rows {
             return Err(TabularError::ShapeMismatch {
                 context: "Matrix::t_matmul",
@@ -302,11 +325,30 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        self.transpose().matmul(rhs)
+        out.resize(self.cols, rhs.cols);
+        gemm_into(
+            Mode::TransA,
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+            self.cols,
+            self.rows,
+            rhs.cols,
+        );
+        Ok(())
     }
 
-    /// `self * rhs^T`, summed in ascending column order.
+    /// `self * rhs^T`, summed in ascending column order. The kernel packs
+    /// `rhs` one column tile at a time; no transpose is made.
     pub fn matmul_t(&self, rhs: &Matrix) -> Result<Matrix> {
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_t_into(rhs, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::matmul_t`] written into `out`, which is reshaped to the
+    /// product's shape.
+    pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != rhs.cols {
             return Err(TabularError::ShapeMismatch {
                 context: "Matrix::matmul_t",
@@ -314,7 +356,17 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        self.matmul(&rhs.transpose())
+        out.resize(self.rows, rhs.rows);
+        gemm_into(
+            Mode::TransB,
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+            self.rows,
+            self.cols,
+            rhs.rows,
+        );
+        Ok(())
     }
 
     /// Applies `f` to every element in place.
@@ -349,12 +401,20 @@ impl Matrix {
     /// Sum of every column, as a vector of length `cols`.
     pub fn col_sums(&self) -> Vec<f64> {
         let mut sums = vec![0.0; self.cols];
+        self.col_sums_into(&mut sums);
+        sums
+    }
+
+    /// [`Matrix::col_sums`] written into `sums` (length `cols`): each sum
+    /// starts at `+0.0` and adds the rows in order.
+    pub fn col_sums_into(&self, sums: &mut [f64]) {
+        assert_eq!(sums.len(), self.cols, "col_sums_into: output length");
+        sums.fill(0.0);
         for r in 0..self.rows {
             for (s, v) in sums.iter_mut().zip(self.row(r)) {
                 *s += v;
             }
         }
-        sums
     }
 
     /// Mean of every column, as a vector of length `cols`.
@@ -414,6 +474,30 @@ mod tests {
         let b = a.select_rows(&[2, 0]).unwrap();
         assert_eq!(b.row(0), &[5.0, 6.0]);
         assert_eq!(b.row(1), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn select_rows_into_reuses_the_buffer() {
+        let a = m(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let mut out = Matrix::zeros(4, 2);
+        let storage = out.as_slice().as_ptr();
+        a.select_rows_into(&[2, 0, 2], &mut out).unwrap();
+        assert_eq!(out, m(3, 2, &[5.0, 6.0, 1.0, 2.0, 5.0, 6.0]));
+        a.select_rows_into(&[1], &mut out).unwrap();
+        assert_eq!(out, m(1, 2, &[3.0, 4.0]));
+        a.select_rows_into(&[0, 1, 2, 0], &mut out).unwrap();
+        assert_eq!(out.shape(), (4, 2));
+        assert_eq!(out.as_slice().as_ptr(), storage, "no reallocation");
+        assert!(a.select_rows_into(&[0, 3], &mut out).is_err());
+    }
+
+    #[test]
+    fn resize_keeps_the_prefix_and_zero_fills() {
+        let mut a = m(2, 2, &[1.0, 2.0, 3.0, 4.0]);
+        a.resize(1, 3);
+        assert_eq!(a, m(1, 3, &[1.0, 2.0, 3.0]));
+        a.resize(2, 3);
+        assert_eq!(a, m(2, 3, &[1.0, 2.0, 3.0, 0.0, 0.0, 0.0]));
     }
 
     #[test]

@@ -157,10 +157,11 @@ impl GainOracle {
         if todo.is_empty() {
             return Ok(());
         }
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let n_threads = if n_threads == 0 { hw } else { n_threads }.clamp(1, todo.len());
+        let n_threads = match n_threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            t => t,
+        }
+        .clamp(1, todo.len());
 
         if n_threads == 1 {
             for b in todo {
@@ -169,11 +170,11 @@ impl GainOracle {
             return Ok(());
         }
         let chunk = todo.len().div_ceil(n_threads);
-        let results: Vec<Result<()>> = crossbeam::thread::scope(|scope| {
+        let results: Vec<Result<()>> = std::thread::scope(|scope| {
             let handles: Vec<_> = todo
                 .chunks(chunk)
                 .map(|bundles| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for &b in bundles {
                             self.gain(b)?;
                         }
@@ -185,8 +186,7 @@ impl GainOracle {
                 .into_iter()
                 .map(|h| h.join().expect("oracle worker panicked"))
                 .collect()
-        })
-        .expect("crossbeam scope failed");
+        });
         for r in results {
             r?;
         }
