@@ -115,11 +115,7 @@ fn gemm_generic(
     n: usize,
     panel: &mut [f64],
 ) {
-    match mode {
-        Mode::Plain => gemm_body::<false, false>(a, b, c, m, k, n, panel),
-        Mode::TransA => gemm_body::<true, false>(a, b, c, m, k, n, panel),
-        Mode::TransB => gemm_body::<false, true>(a, b, c, m, k, n, panel),
-    }
+    gemm_body(mode, a, b, c, m, k, n, panel);
 }
 
 /// The AVX2 instance: 4-wide vectors, still no FMA.
@@ -136,18 +132,14 @@ fn gemm_avx2(
     n: usize,
     panel: &mut [f64],
 ) {
-    match mode {
-        Mode::Plain => gemm_body::<false, false>(a, b, c, m, k, n, panel),
-        Mode::TransA => gemm_body::<true, false>(a, b, c, m, k, n, panel),
-        Mode::TransB => gemm_body::<false, true>(a, b, c, m, k, n, panel),
-    }
+    gemm_body(mode, a, b, c, m, k, n, panel);
 }
 
-/// Walks `c` in `MR`-row blocks (then single rows), or with `BT` in
-/// packed column blocks. `AT`: `a` holds `Aᵀ`; `BT`: `b` holds `Bᵀ`.
+/// The body of every instance: the operand mode picks the walk.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_body<const AT: bool, const BT: bool>(
+fn gemm_body(
+    mode: Mode,
     a: &[f64],
     b: &[f64],
     c: &mut [f64],
@@ -156,30 +148,52 @@ fn gemm_body<const AT: bool, const BT: bool>(
     n: usize,
     panel: &mut [f64],
 ) {
-    if BT {
-        let mut j = 0;
-        while j + NR <= n {
-            packed_col_block::<NR>(a, b, c, m, k, n, j, panel);
-            j += NR;
-        }
-        if j + 4 <= n {
-            packed_col_block::<4>(a, b, c, m, k, n, j, panel);
-            j += 4;
-        }
-        while j < n {
-            packed_col_block::<1>(a, b, c, m, k, n, j, panel);
-            j += 1;
-        }
-    } else {
-        let mut i = 0;
-        while i + MR <= m {
-            row_block::<MR, AT>(a, b, c, m, k, n, i);
-            i += MR;
-        }
-        while i < m {
-            row_block::<1, AT>(a, b, c, m, k, n, i);
-            i += 1;
-        }
+    match mode {
+        Mode::Plain => row_blocks::<false>(a, b, c, m, k, n),
+        Mode::TransA => row_blocks::<true>(a, b, c, m, k, n),
+        Mode::TransB => packed_col_blocks(a, b, c, m, k, n, panel),
+    }
+}
+
+/// Walks `c` in `MR`-row blocks, then single rows. `AT`: `a` holds `Aᵀ`.
+#[inline(always)]
+fn row_blocks<const AT: bool>(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+    let mut i = 0;
+    while i + MR <= m {
+        row_block::<MR, AT>(a, b, c, m, k, n, i);
+        i += MR;
+    }
+    while i < m {
+        row_block::<1, AT>(a, b, c, m, k, n, i);
+        i += 1;
+    }
+}
+
+/// Walks `c` in `NR`-column blocks, then a 4-wide block and single
+/// columns, packing each block's slice of `B` from the stored `Bᵀ`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn packed_col_blocks(
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    panel: &mut [f64],
+) {
+    let mut j = 0;
+    while j + NR <= n {
+        packed_col_block::<NR>(a, b, c, m, k, n, j, panel);
+        j += NR;
+    }
+    if j + 4 <= n {
+        packed_col_block::<4>(a, b, c, m, k, n, j, panel);
+        j += 4;
+    }
+    while j < n {
+        packed_col_block::<1>(a, b, c, m, k, n, j, panel);
+        j += 1;
     }
 }
 
