@@ -80,6 +80,23 @@ mod tests {
     }
 
     #[test]
+    fn inference_matches_forward() {
+        // Inference runs one sample at a time, training a whole batch:
+        // each row of the batched forward equals that row on its own.
+        let batch = [-60.0, -1.5, -0.0, 0.0, 0.25, 3.0, 60.0, -2.0, 1e-9];
+        for act in [Activation::Relu, Activation::Sigmoid, Activation::Tanh] {
+            let mut y = Matrix::from_vec(3, 3, batch.to_vec()).unwrap();
+            act.forward_inplace(&mut y);
+            for (i, row) in batch.chunks(3).enumerate() {
+                let mut one = Matrix::from_vec(1, 3, row.to_vec()).unwrap();
+                act.forward_inplace(&mut one);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(one.as_slice()), bits(y.row(i)), "{act:?} row {i}");
+            }
+        }
+    }
+
+    #[test]
     fn relu_clips_negatives() {
         let (y, dx) = run(Activation::Relu, &[-1.0, 0.0, 2.0]);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);

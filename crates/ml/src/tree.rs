@@ -686,6 +686,40 @@ mod tests {
     }
 
     #[test]
+    fn partition_by_moves_matches_front() {
+        let x = Matrix::from_rows(&[
+            vec![5.0, 4.0],
+            vec![2.0, 3.0],
+            vec![8.0, 2.0],
+            vec![1.0, 1.0],
+            vec![9.0, 0.0],
+        ])
+        .unwrap();
+        let y = [1, 0, 1, 0, 1];
+        let presort = Presort::new(&x);
+        let mut samples = Samples::default();
+        samples.fill(&presort, &presort.counts(&[0, 1, 2, 3, 4]));
+        // Feature 0 <= 4.5 matches rows 1 and 3, both negatives.
+        assert_eq!(samples.mark(&y, 0, 4.5, 0, 5), (2, 0));
+        samples.partition(2, 0, 5);
+        assert_eq!(samples.segment(0, 0, 5).0, &[3, 1, 0, 2, 4]);
+        // Feature 1 ran 4, 3, 2, 1, 0: the matches move to the front and
+        // the others keep their relative order behind them.
+        assert_eq!(
+            samples.segment(1, 0, 5),
+            (&[3, 1, 4, 2, 0][..], &[1.0, 3.0, 0.0, 2.0, 4.0][..])
+        );
+        // A sub-range moves its own matches and leaves the rest alone.
+        assert_eq!(samples.mark(&y, 0, 6.0, 2, 5), (1, 1));
+        samples.partition(2, 2, 5);
+        assert_eq!(samples.segment(0, 0, 5).0, &[3, 1, 0, 2, 4]);
+        assert_eq!(
+            samples.segment(1, 0, 5),
+            (&[3, 1, 0, 4, 2][..], &[1.0, 3.0, 4.0, 0.0, 2.0][..])
+        );
+    }
+
+    #[test]
     fn max_features_fraction_must_be_in_unit_interval() {
         for f in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
             let cfg = TreeConfig {
