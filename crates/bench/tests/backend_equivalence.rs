@@ -25,11 +25,12 @@
 //!   router never holds the state lock across that wait), and sessions
 //!   submitted from several threads while drains loop each get a unique
 //!   id, terminate exactly once, and are journaled before their
-//!   conclusion;
+//!   conclusion; every `metrics` snapshot taken mid-drain is consistent;
 //! - **fault injection** — a resolver that fails mid-drain fails exactly
 //!   the paying session (waitlisted rivals are woken once, retry, and
-//!   close normally; nothing is stranded, nothing re-trains); a course
-//!   that panics makes `drain` panic instead of hanging; crashes sealed
+//!   close normally; nothing is stranded, nothing re-trains), and so
+//!   does a course future dropped before it resolves; a course that
+//!   panics makes `drain` panic instead of hanging; crashes sealed
 //!   *inside* the course path and truncations of router journals recover
 //!   bit-identically;
 //! - **observe-only telemetry** — an attached telemetry changes no
@@ -51,15 +52,15 @@ use vfl_bench::worlds::{
 };
 use vfl_exchange::{
     frame_boundaries, named_scenarios, read_events, BestResponse, CourseFuture, CourseOrder,
-    CourseResolver, CrashPoint, Demand, DemandStatus, Exchange, ExchangeConfig, ExchangeEvent,
-    ExchangeTelemetry, Journal, LocalResolver, MarketSpec, MetricsSnapshot, ScenarioDriver,
-    ScenarioSpec, SellerSpec, SessionId, SessionOrder, SessionStatus, SettleMode,
+    CourseResolver, CrashPoint, Demand, DemandStatus, DrainReport, Exchange, ExchangeConfig,
+    ExchangeEvent, ExchangeTelemetry, Journal, LocalResolver, MarketSpec, MetricsSnapshot,
+    ScenarioDriver, ScenarioSpec, SellerSpec, SessionId, SessionOrder, SessionStatus, SettleMode,
     SimulatedRemoteResolver,
 };
 use vfl_market::session::wire::fnv64;
 use vfl_market::{
-    GainProvider, Listing, MarketConfig, MarketError, ReservedPrice, StrategicData, StrategicTask,
-    TableGainProvider,
+    GainProvider, Listing, MarketConfig, MarketError, Outcome, ReservedPrice, StrategicData,
+    StrategicTask, TableGainProvider,
 };
 use vfl_sim::BundleMask;
 
@@ -531,6 +532,99 @@ fn concurrent_submitters_and_drains_keep_ids_and_journal_order() {
     );
 }
 
+/// Every `metrics()` snapshot is one critical section's view: a reader
+/// polls it while a drain loop runs, a submitter adds plain sessions and
+/// demands (immediate and epoch), and courses resolve on a simulated
+/// remote, and no snapshot breaks a relation the exchange keeps between
+/// its counters. Counters read one at a time can pair an early value with
+/// a later one and break these.
+#[test]
+fn metrics_snapshots_are_consistent_mid_drain() {
+    const WORLD: usize = 1;
+    const PLAIN: usize = 24;
+    const DEMANDS: usize = 8;
+    let recorder = TrainingRecorder::default();
+    let exchange = Exchange::new(ExchangeConfig::default());
+    let market = exchange
+        .register_market(plain_market_spec(WORLD, &recorder))
+        .expect("register market");
+    for s in 0..n_sellers(WORLD) {
+        exchange
+            .register_seller(seller_spec(WORLD, s, &recorder))
+            .expect("register seller");
+    }
+    exchange
+        .open_clearing(clearing_for(WORLD))
+        .expect("open the clearing window");
+    exchange.set_course_resolver(Arc::new(SimulatedRemoteResolver::new(
+        Duration::from_micros(300),
+    )));
+
+    let check = |m: &MetricsSnapshot| {
+        assert!(
+            m.sessions_closed + m.sessions_failed + m.sessions_cancelled <= m.sessions_opened,
+            "more sessions ended than opened: {m:?}"
+        );
+        assert!(
+            m.deals_struck <= m.sessions_closed,
+            "more deals than closed sessions: {m:?}"
+        );
+        assert!(
+            m.demands_matched <= m.demands_settled && m.demands_settled <= m.demands_submitted,
+            "demand counters out of order: {m:?}"
+        );
+        assert!(
+            m.cache_hits + m.cache_misses <= m.courses_requested,
+            "more cache answers than course requests: {m:?}"
+        );
+    };
+    let running = AtomicBool::new(true);
+    let submitting = AtomicBool::new(true);
+    let snapshots = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut snapshots = 0usize;
+            while running.load(Ordering::SeqCst) {
+                check(&exchange.metrics());
+                snapshots += 1;
+            }
+            snapshots
+        });
+        let drainer = scope.spawn(|| {
+            while submitting.load(Ordering::SeqCst) {
+                exchange.drain(2);
+                std::thread::yield_now();
+            }
+        });
+        for k in 0..PLAIN {
+            exchange
+                .submit(market, plain_order(WORLD, k))
+                .expect("submit");
+            if k % (PLAIN / DEMANDS) == 0 {
+                exchange
+                    .submit_demand(demand_for(WORLD, k / (PLAIN / DEMANDS)))
+                    .expect("submit demand");
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        submitting.store(false, Ordering::SeqCst);
+        drainer.join().expect("drainer");
+        exchange.drain(2);
+        running.store(false, Ordering::SeqCst);
+        reader.join().expect("reader")
+    });
+    assert!(snapshots > 0, "the reader took snapshots mid-drain");
+
+    let last = exchange.metrics();
+    check(&last);
+    assert_eq!(last.demands_submitted, DEMANDS as u64);
+    assert_eq!(last.demands_settled, DEMANDS as u64, "every demand settled");
+    assert_eq!(
+        last.sessions_in_flight(),
+        0,
+        "every session ended after the final drain: {last:?}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection in the course path
 // ---------------------------------------------------------------------------
@@ -556,6 +650,41 @@ impl CourseResolver for FlakyResolver {
     }
 }
 
+/// Drains [`IDENTICAL_ORDERS`] identical orders (same seed) on one plain
+/// market through `resolver` on two course tasks, and returns the drain
+/// report, every session's outcome (errors as strings), and what the
+/// providers trained. Identical orders close identically on a clean run,
+/// so one faulted payer's rivals can be checked against any of them.
+fn drain_identical_orders(
+    resolver: Arc<dyn CourseResolver>,
+) -> (DrainReport, Vec<Result<Outcome, String>>, TrainingRecorder) {
+    let recorder = TrainingRecorder::default();
+    let exchange = Exchange::new(ExchangeConfig::default());
+    let market = exchange
+        .register_market(plain_market_spec(0, &recorder))
+        .expect("register market");
+    let sids: Vec<_> = (0..IDENTICAL_ORDERS)
+        .map(|_| exchange.submit(market, plain_order(0, 0)).expect("submit"))
+        .collect();
+    exchange.set_course_resolver(resolver);
+    let report = exchange.drain(2);
+    let outcomes = sids
+        .iter()
+        .map(|&sid| {
+            exchange
+                .take(sid)
+                .expect("terminal after drain")
+                .map(|b| *b)
+                .map_err(|e| e.to_string())
+        })
+        .collect();
+    (report, outcomes, recorder)
+}
+
+/// Sessions [`drain_identical_orders`] submits: all on the same first
+/// course, so every one but the payer waits on its claim.
+const IDENTICAL_ORDERS: usize = 4;
+
 /// A failed course resolution fails exactly the paying session; every
 /// rival parked on the course waitlist is woken exactly once, retries the
 /// claim, and closes normally (one of them becoming the new payer). No
@@ -563,34 +692,8 @@ impl CourseResolver for FlakyResolver {
 /// — and no course is trained twice.
 #[test]
 fn a_failed_course_resolution_fails_only_the_paying_session() {
-    const SESSIONS: usize = 4;
-    let run = |resolver: Arc<dyn CourseResolver>| {
-        let recorder = TrainingRecorder::default();
-        let exchange = Exchange::new(ExchangeConfig::default());
-        let market = exchange
-            .register_market(plain_market_spec(0, &recorder))
-            .expect("register market");
-        // Identical orders (same seed): every clean outcome is identical,
-        // so the failed payer's rivals can be checked against any of them.
-        let sids: Vec<_> = (0..SESSIONS)
-            .map(|_| exchange.submit(market, plain_order(0, 0)).expect("submit"))
-            .collect();
-        exchange.set_course_resolver(resolver);
-        let report = exchange.drain(2);
-        let outcomes: Vec<_> = sids
-            .iter()
-            .map(|&sid| {
-                exchange
-                    .take(sid)
-                    .expect("terminal after drain")
-                    .map(|b| *b)
-                    .map_err(|e| e.to_string())
-            })
-            .collect();
-        (report, outcomes, recorder)
-    };
-
-    let (clean_report, clean_outcomes, clean_recorder) = run(Arc::new(LocalResolver));
+    let (clean_report, clean_outcomes, clean_recorder) =
+        drain_identical_orders(Arc::new(LocalResolver));
     assert_eq!(clean_report.failed, 0);
     let clean_outcome = clean_outcomes[0].clone();
     for outcome in &clean_outcomes {
@@ -600,14 +703,14 @@ fn a_failed_course_resolution_fails_only_the_paying_session() {
         );
     }
 
-    let (report, outcomes, recorder) = run(Arc::new(FlakyResolver {
+    let (report, outcomes, recorder) = drain_identical_orders(Arc::new(FlakyResolver {
         fail_first: 1,
         seen: AtomicUsize::new(0),
     }));
     assert_eq!(report.failed, 1, "exactly the paying session fails");
     assert_eq!(
         report.closed + report.failed,
-        SESSIONS,
+        IDENTICAL_ORDERS,
         "no session stranded"
     );
     let (failed, closed): (Vec<_>, Vec<_>) = outcomes.iter().partition(|o| o.is_err());
@@ -702,6 +805,70 @@ fn a_panicking_course_propagates_out_of_drain() {
             "{tasks} course tasks: drain panicked with {message:?}"
         );
     }
+}
+
+/// A resolver whose first course future returns `Pending` without keeping
+/// its waker, so no wake can ever reach it and the course task drops it
+/// unresolved; every later course trains like [`LocalResolver`].
+#[derive(Debug, Default)]
+struct ForgetfulResolver {
+    seen: AtomicUsize,
+}
+
+impl CourseResolver for ForgetfulResolver {
+    fn resolve(&self, order: &CourseOrder) -> CourseFuture {
+        if self.seen.fetch_add(1, Ordering::SeqCst) == 0 {
+            Box::pin(std::future::pending())
+        } else {
+            LocalResolver.resolve(order)
+        }
+    }
+}
+
+/// A course future dropped before it resolves fails its paying session
+/// instead of hanging the drain: the payer's error names the dropped
+/// future, the claim is aborted, the waitlisted rivals wake, one of them
+/// pays the course again, and they all close exactly like a clean run.
+/// The drain runs on a watchdog thread, so a regression fails by timeout
+/// rather than hanging the suite.
+#[test]
+fn a_dropped_course_future_fails_its_session_not_the_drain() {
+    let (tx, rx) = mpsc::channel();
+    let watched = std::thread::spawn(move || {
+        let _ = tx.send(drain_identical_orders(Arc::new(
+            ForgetfulResolver::default(),
+        )));
+    });
+    let (report, outcomes, recorder) = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the drain hung on a dropped course future");
+    watched.join().expect("the watched drain thread");
+
+    let (_, clean_outcomes, clean_recorder) = drain_identical_orders(Arc::new(LocalResolver));
+    assert_eq!(report.failed, 1, "exactly the paying session fails");
+    assert_eq!(
+        report.closed + report.failed,
+        IDENTICAL_ORDERS,
+        "no session stranded"
+    );
+    let (failed, closed): (Vec<_>, Vec<_>) = outcomes.iter().partition(|o| o.is_err());
+    assert_eq!(failed.len(), 1);
+    let message = failed[0].as_ref().unwrap_err();
+    assert!(
+        message.contains("course future") && message.contains("dropped before it resolved"),
+        "the payer's error names the dropped future: {message}"
+    );
+    for outcome in closed {
+        assert_eq!(
+            outcome, &clean_outcomes[0],
+            "woken rivals close exactly like a clean run"
+        );
+    }
+    assert_eq!(
+        recorder.set(),
+        clean_recorder.set(),
+        "the retry pays exactly the clean run's courses"
+    );
 }
 
 /// Seals the journal at the `nth` crash point matching `pred` while the

@@ -299,21 +299,25 @@ mod tests {
     /// contenders really do observe `Busy` in between.
     #[test]
     fn concurrent_access_converges() {
-        let cache = parking_lot::Mutex::new(SharedGainCache::default());
+        let cache = std::sync::Mutex::new(SharedGainCache::default());
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for i in 0..100u64 {
                         let bundle = BundleMask::singleton((i % 2) as usize);
                         loop {
-                            let served = cache.lock().serve_softly(9, bundle);
+                            let served = crate::lock(&cache).serve_softly(9, bundle);
                             match served {
                                 SoftServe::Hit(g) => {
                                     assert_eq!(g, 0.1 * (i % 2 + 1) as f64);
                                     break;
                                 }
                                 SoftServe::Claimed => {
-                                    cache.lock().complete(9, bundle, 0.1 * (i % 2 + 1) as f64);
+                                    crate::lock(&cache).complete(
+                                        9,
+                                        bundle,
+                                        0.1 * (i % 2 + 1) as f64,
+                                    );
                                     break;
                                 }
                                 SoftServe::Busy => std::thread::yield_now(),
@@ -323,7 +327,7 @@ mod tests {
                 });
             }
         });
-        let cache = cache.into_inner();
+        let cache = cache.into_inner().unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.misses(), 2, "each key trained exactly once");
         assert_eq!(cache.hits(), 398);

@@ -42,22 +42,24 @@
 //!
 //! Everything the API and the router read or write — registries,
 //! sessions, the ΔG cache and its claims, the waitlist, the pending
-//! queue, the demand book, the clearing window, the epoch log, and the id
-//! and admission counters — is plain data in one `Core` behind one
-//! mutex. The router takes it once per slice, once per applied course,
-//! and once per idle flush, and never holds it while it waits for a
-//! course, calls the resolver, or runs a candidate factory, so external
-//! calls stay live for the whole of a drain. Each external call is one
-//! critical section, hence atomic to the router: a submission's journal
-//! record always precedes its first dispatch. Code that runs under the
-//! lock — strategies, match, clear and admission policies, the crash
-//! hook — must not call back into the exchange. The drain mutex is taken
-//! only by `drain`, always before the state lock.
+//! queue, the demand book, the clearing window, the epoch log, the id
+//! and admission counters, the metric counters, and the crash hook — is
+//! plain data in one `Core` behind one mutex. The router takes it once
+//! per slice, once per applied course, and once per idle flush, and
+//! never holds it while it waits for a course, calls the resolver, or
+//! runs a candidate factory, so external calls stay live for the whole
+//! of a drain. Each external call is one critical section, hence atomic
+//! to the router: a submission's journal record always precedes its
+//! first dispatch. Code that runs under the lock — strategies, match,
+//! clear and admission policies, the crash hook — must not call back
+//! into the exchange. The drain mutex is taken only by `drain`, always
+//! before the state lock. Every counter is bumped in the critical
+//! section that does what it counts, so a [`Exchange::metrics`]
+//! snapshot, itself one critical section, never shows a counter ahead
+//! of another that it implies.
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use vfl_market::session::wire;
 use vfl_market::{GainProvider, Listing, MarketError, Outcome, Result, RoundRecord};
@@ -70,11 +72,12 @@ use crate::journal::{
     check_market_spec, CheckpointMarket, CheckpointState, CrashHook, CrashPoint, ExchangeEvent,
     Journal, QuoteKind, RecoverError, ReplaySpec,
 };
+use crate::lock;
 use crate::matching::{
     Demand, DemandId, DemandReport, DemandState, DemandStatus, MatchBook, QuoteState,
     QuotingFactory, ReportOutcome, SellerId, SettleAction, Settlement,
 };
-use crate::metrics::{ExchangeMetrics, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use crate::session::{ActiveSession, Drive, MatchTag, SessionOrder};
 use crate::store::{SessionId, SessionStatus, SessionStore};
 use crate::telemetry::{ExchangeTelemetry, SliceTimer};
@@ -220,9 +223,33 @@ pub(crate) struct Core {
     /// Builds the course futures of every drain
     /// ([`Exchange::set_course_resolver`]); `None` is [`LocalResolver`].
     resolver: Option<Arc<dyn CourseResolver>>,
+    /// The exchange's counters, bumped in the critical section that does
+    /// what they count. The cache keeps its own hit and miss counts, so
+    /// this copy's `cache_hits` and `cache_misses` stay zero; read the
+    /// whole set through [`Core::metrics`].
+    pub(crate) counters: MetricsSnapshot,
+    /// Fault-injection observer ([`Exchange::set_crash_hook`]); fires
+    /// under this lock at every [`CrashPoint`].
+    crash_hook: Option<CrashHook>,
 }
 
 impl Core {
+    /// The counters with the cache's hit and miss counts filled in.
+    pub(crate) fn metrics(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            cache_hits: self.cache.hits(),
+            cache_misses: self.cache.misses(),
+            ..self.counters
+        }
+    }
+
+    /// Runs the crash hook, if one is installed, at `point`.
+    pub(crate) fn crash_point(&self, point: CrashPoint) {
+        if let Some(hook) = &self.crash_hook {
+            hook(&point);
+        }
+    }
+
     /// The next fresh session id.
     fn allocate_session(&mut self) -> SessionId {
         let id = SessionId(self.next_session);
@@ -479,14 +506,10 @@ fn build_candidates(demand: &Demand, candidates: &[Candidate]) -> Result<Vec<Act
 pub struct Exchange {
     /// The one state lock (see the module doc).
     pub(crate) state: Mutex<Core>,
-    metrics: ExchangeMetrics,
     /// Durable event journal, when the exchange was built with one
     /// ([`Exchange::with_journal`]); appends happen at the linearization
     /// points documented in [`crate::journal`].
     journal: Option<Arc<Journal>>,
-    /// Fault-injection observer (tests); fast-gated by `crash_armed`.
-    crash_hook: Mutex<Option<CrashHook>>,
-    crash_armed: AtomicBool,
     /// Telemetry sink, when attached ([`Exchange::with_telemetry`]).
     /// Strictly observe-only: written at the stage boundaries documented
     /// in [`crate::telemetry`], never read back by any exchange path.
@@ -567,10 +590,7 @@ impl Exchange {
     ) -> Self {
         Exchange {
             state: Mutex::default(),
-            metrics: ExchangeMetrics::default(),
             journal,
-            crash_hook: Mutex::new(None),
-            crash_armed: AtomicBool::new(false),
             telemetry,
             drain_lock: Mutex::new(()),
         }
@@ -583,7 +603,7 @@ impl Exchange {
     /// bytes do not depend on the resolver or its latency — only on what
     /// it returns (see [`crate::executor`]).
     pub fn set_course_resolver(&self, resolver: Arc<dyn CourseResolver>) {
-        self.state.lock().resolver = Some(resolver);
+        lock(&self.state).resolver = Some(resolver);
     }
 
     /// The attached telemetry sink, if any.
@@ -633,9 +653,7 @@ impl Exchange {
     /// instant would. Observability only: the in-memory run continues, so
     /// a test can compare it against the recovery of the sealed journal.
     pub fn set_crash_hook(&self, hook: Option<CrashHook>) {
-        let mut slot = self.crash_hook.lock();
-        self.crash_armed.store(hook.is_some(), Ordering::Relaxed);
-        *slot = hook;
+        lock(&self.state).crash_hook = hook;
     }
 
     /// Installs (or clears) the admission policy consulted by
@@ -648,22 +666,13 @@ impl Exchange {
     /// behaviorally invisible (the traffic tier proves journal-multiset
     /// equality against a detached exchange).
     pub fn set_admission(&self, policy: Option<Arc<dyn AdmissionPolicy>>) {
-        self.state.lock().admission = policy;
-    }
-
-    pub(crate) fn crash_point(&self, point: CrashPoint) {
-        if self.crash_armed.load(Ordering::Relaxed) {
-            let hook = self.crash_hook.lock().clone();
-            if let Some(hook) = hook {
-                hook(&point);
-            }
-        }
+        lock(&self.state).admission = policy;
     }
 
     /// Registers a market; heterogeneous scenarios (any dataset × base
     /// model mix) coexist in one exchange.
     pub fn register_market(&self, spec: MarketSpec) -> Result<MarketId> {
-        let mut core = self.state.lock();
+        let mut core = lock(&self.state);
         let (id, private) = core.push_market(spec)?;
         self.record_with(|| {
             let entry = &core.markets[id.0];
@@ -686,7 +695,7 @@ impl Exchange {
     /// with. Sellers are matched against demands by catalog overlap and
     /// scenario fingerprint (see [`Demand`]).
     pub fn register_seller(&self, spec: crate::matching::SellerSpec) -> Result<SellerId> {
-        let mut core = self.state.lock();
+        let mut core = lock(&self.state);
         let (id, private) = core.push_seller(spec)?;
         self.record_with(|| {
             let seller = &core.sellers[id.0];
@@ -713,7 +722,7 @@ impl Exchange {
     /// (`epoch_size`, `capacity`, `max_rolls`) is journaled so recovery
     /// can verify the re-supplied spec against it.
     pub fn open_clearing(&self, spec: ClearingSpec) -> Result<()> {
-        let mut core = self.state.lock();
+        let mut core = lock(&self.state);
         let spec = core.open_window(spec)?.spec();
         self.record_with(|| ExchangeEvent::ClearingOpened {
             epoch_size: spec.epoch_size as u32,
@@ -727,7 +736,7 @@ impl Exchange {
     /// demand matched/rolled/expired in which batch, and the uniform
     /// clearing price per seller market (see [`crate::clearing`]).
     pub fn epoch_history(&self) -> Vec<EpochRecord> {
-        self.state.lock().epoch_log.clone()
+        lock(&self.state).epoch_log.clone()
     }
 
     /// Appends a [`ExchangeEvent::Checkpoint`] frame — a wholesale
@@ -763,7 +772,7 @@ impl Exchange {
         // One critical section from the quiescence gate to the appended
         // frame: no submission can land between the snapshot and the
         // checkpoint record and be lost to a recovery that seeks past it.
-        let core = self.state.lock();
+        let core = lock(&self.state);
         let pending = core.pending.len();
         if pending > 0 {
             return Err(MarketError::InvalidConfig(format!(
@@ -833,11 +842,11 @@ impl Exchange {
         };
         // Checkpoint critical section: snapshot captured but not appended,
         // then appended + flushed but success not yet observed.
-        self.crash_point(CrashPoint::CheckpointSnapshotted);
+        core.crash_point(CrashPoint::CheckpointSnapshotted);
         journal.append(&ExchangeEvent::Checkpoint {
             state: Box::new(state),
         });
-        self.crash_point(CrashPoint::CheckpointRecorded);
+        core.crash_point(CrashPoint::CheckpointRecorded);
         if let Some(e) = journal.last_error() {
             return Err(MarketError::InvalidConfig(format!(
                 "checkpoint frame append failed: {e}"
@@ -860,7 +869,7 @@ impl Exchange {
         state: CheckpointState,
         spec: &mut ReplaySpec,
     ) -> std::result::Result<(), RecoverError> {
-        let mut core = self.state.lock();
+        let mut core = lock(&self.state);
         for (idx, stamp) in state.markets.iter().enumerate() {
             core.replay_registration("checkpoint", MarketId(idx), stamp, spec)?;
         }
@@ -900,18 +909,18 @@ impl Exchange {
 
     /// The market a registered seller trades on (`None` for unknown ids).
     pub fn seller_market(&self, id: SellerId) -> Option<MarketId> {
-        self.state.lock().sellers.get(id.0).map(|s| s.market)
+        lock(&self.state).sellers.get(id.0).map(|s| s.market)
     }
 
     /// Number of registered sellers.
     pub fn seller_count(&self) -> usize {
-        self.state.lock().sellers.len()
+        lock(&self.state).sellers.len()
     }
 
     /// Opens a negotiation on `market`. The session is validated and queued
     /// immediately; it runs during the next [`Self::drain`].
     pub fn submit(&self, market: MarketId, order: SessionOrder) -> Result<SessionId> {
-        let mut core = self.state.lock();
+        let mut core = lock(&self.state);
         let id = core.allocate_session();
         self.open_session(&mut core, id, market, order)?;
         Ok(id)
@@ -944,7 +953,7 @@ impl Exchange {
             cfg_digest,
         });
         core.enqueue([id], self.telemetry.as_deref());
-        ExchangeMetrics::incr(&self.metrics.sessions_opened);
+        core.counters.sessions_opened += 1;
         Ok(())
     }
 
@@ -958,7 +967,7 @@ impl Exchange {
         market: MarketId,
         order: SessionOrder,
     ) -> Result<()> {
-        let mut core = self.state.lock();
+        let mut core = lock(&self.state);
         if core.store.status(id).is_some() {
             return Err(MarketError::InvalidConfig(format!(
                 "journal records session {id} twice"
@@ -972,8 +981,9 @@ impl Exchange {
     /// (recovery): the training was paid for by the pre-crash run, so the
     /// resumed drain serves it as a hit and never re-trains it.
     pub(crate) fn preload_course(&self, eval_key: u64, bundle: BundleMask, gain: f64) {
-        self.state.lock().cache.insert(eval_key, bundle, gain);
-        ExchangeMetrics::incr(&self.metrics.courses_preloaded);
+        let mut core = lock(&self.state);
+        core.cache.insert(eval_key, bundle, gain);
+        core.counters.courses_preloaded += 1;
         self.record_with(|| ExchangeEvent::CourseServed {
             eval_key,
             bundle,
@@ -994,7 +1004,7 @@ impl Exchange {
     /// rejects the whole demand without opening any session.
     pub fn submit_demand(&self, demand: Demand) -> Result<DemandId> {
         let candidates = {
-            let mut core = self.state.lock();
+            let mut core = lock(&self.state);
             core.validate_demand(&demand)?;
             // Eligible sellers, in registration (= slot) order.
             let candidates: Vec<Candidate> = core
@@ -1037,14 +1047,14 @@ impl Exchange {
                         queue_depth: load.queue_depth as u32,
                         retry_after,
                     });
-                    ExchangeMetrics::incr(&self.metrics.demands_shed);
+                    core.counters.demands_shed += 1;
                     return Ok(did);
                 }
             }
             candidates
         };
         let sessions = build_candidates(&demand, &candidates)?;
-        let mut core = self.state.lock();
+        let mut core = lock(&self.state);
         let ids: Vec<SessionId> = sessions.iter().map(|_| core.allocate_session()).collect();
         let did = core.book.allocate();
         self.commit_demand(&mut core, did, ids, candidates, sessions, &demand);
@@ -1095,7 +1105,7 @@ impl Exchange {
                 session.stamp_enqueued(t.now_ns());
             }
             core.store.insert(sid, session);
-            ExchangeMetrics::incr(&self.metrics.sessions_opened);
+            core.counters.sessions_opened += 1;
         }
         self.record_with(|| ExchangeEvent::DemandSubmitted {
             demand: did,
@@ -1106,7 +1116,7 @@ impl Exchange {
             candidates: recorded,
         });
         core.enqueue(ids, self.telemetry.as_deref());
-        ExchangeMetrics::incr(&self.metrics.demands_submitted);
+        core.counters.demands_submitted += 1;
     }
 
     /// Recovery path of [`Self::submit_demand`]: re-opens a journaled
@@ -1122,7 +1132,7 @@ impl Exchange {
         recorded: &[(SellerId, SessionId)],
     ) -> Result<()> {
         let candidates = {
-            let core = self.state.lock();
+            let core = lock(&self.state);
             core.validate_demand(&demand)?;
             if recorded.is_empty() {
                 return Err(MarketError::InvalidConfig(
@@ -1157,7 +1167,7 @@ impl Exchange {
         };
         let sessions = build_candidates(&demand, &candidates)?;
         let ids: Vec<SessionId> = recorded.iter().map(|&(_, sid)| sid).collect();
-        let mut core = self.state.lock();
+        let mut core = lock(&self.state);
         for &id in &ids {
             core.bump_session(id);
         }
@@ -1179,7 +1189,7 @@ impl Exchange {
         queue_depth: u32,
         retry_after: Option<u32>,
     ) -> Result<()> {
-        let mut core = self.state.lock();
+        let mut core = lock(&self.state);
         if core.book.contains(did) {
             return Err(MarketError::InvalidConfig(format!(
                 "journal records demand {did} twice"
@@ -1193,55 +1203,50 @@ impl Exchange {
             queue_depth,
             retry_after,
         });
-        ExchangeMetrics::incr(&self.metrics.demands_shed);
+        core.counters.demands_shed += 1;
         Ok(())
     }
 
     /// Point-in-time status of a demand (`None` for unknown/taken ids).
     pub fn demand_status(&self, id: DemandId) -> Option<DemandStatus> {
-        self.state.lock().book.status(id)
+        lock(&self.state).book.status(id)
     }
 
     /// Removes a *settled* demand and returns its report; `None` while the
     /// demand is still matching (or for unknown ids). Candidate sessions
     /// stay in the store for [`Self::poll`]/[`Self::take`].
     pub fn take_demand(&self, id: DemandId) -> Option<DemandReport> {
-        self.state.lock().book.take(id)
+        lock(&self.state).book.take(id)
     }
 
     /// Number of demands currently stored (matching, or settled and not
     /// yet taken).
     pub fn demand_count(&self) -> usize {
-        self.state.lock().book.len()
+        lock(&self.state).book.len()
     }
 
     /// Point-in-time status of a session (`None` for unknown/evicted ids).
     pub fn poll(&self, id: SessionId) -> Option<SessionStatus> {
-        self.state.lock().store.status(id)
+        lock(&self.state).store.status(id)
     }
 
     /// Removes a *terminal* session and returns its outcome; `None` while
     /// the session is still live (or for unknown ids).
     pub fn take(&self, id: SessionId) -> Option<Result<Box<Outcome>>> {
-        self.state.lock().store.take_outcome(id)
+        lock(&self.state).store.take_outcome(id)
     }
 
-    /// Live counters plus cache statistics. The collection path is
-    /// generated from the counter list in [`crate::metrics`], so a new
-    /// counter shows up here (and in the telemetry export) without any
-    /// per-field plumbing.
+    /// Live counters plus cache statistics, read in one critical section
+    /// of the state lock, so every snapshot is a state the exchange was
+    /// actually in.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let (hits, misses) = {
-            let core = self.state.lock();
-            (core.cache.hits(), core.cache.misses())
-        };
-        self.metrics.snapshot(hits, misses)
+        lock(&self.state).metrics()
     }
 
     /// Number of sessions currently stored (queued, parked, or terminal
     /// and not yet taken).
     pub fn session_count(&self) -> usize {
-        self.state.lock().store.len()
+        lock(&self.state).store.len()
     }
 
     /// Runs every queued session to completion with `n_course_tasks`
@@ -1256,21 +1261,12 @@ impl Exchange {
     /// session stays suspended on its claim, so treat the exchange as
     /// failed afterwards.
     pub fn drain(&self, n_course_tasks: usize) -> DrainReport {
-        let _guard = self.drain_lock.lock();
-        let resolver = self.state.lock().resolver.clone();
+        let _guard = lock(&self.drain_lock);
+        let resolver = lock(&self.state).resolver.clone();
         self.route(
             n_course_tasks,
             resolver.as_deref().unwrap_or(&LocalResolver),
         )
-    }
-
-    /// Adds completed rounds to the metrics (no-op for zero).
-    fn add_rounds(&self, delta: usize) {
-        if delta > 0 {
-            self.metrics
-                .rounds_completed
-                .fetch_add(delta as u64, Ordering::Relaxed);
-        }
     }
 
     /// Requeues every session waiting on `(eval_key, bundle)`. Called by
@@ -1345,16 +1341,16 @@ impl Exchange {
     /// cancelled.
     fn apply_settlement(&self, core: &mut Core, demand: DemandId, settlement: Settlement) -> usize {
         let start = self.telemetry.as_deref().map(|t| t.now_ns());
-        ExchangeMetrics::incr(&self.metrics.demands_settled);
+        core.counters.demands_settled += 1;
         if settlement.matched {
-            ExchangeMetrics::incr(&self.metrics.demands_matched);
+            core.counters.demands_matched += 1;
         }
-        self.crash_point(CrashPoint::SettlementDecided(demand));
+        core.crash_point(CrashPoint::SettlementDecided(demand));
         self.record_with(|| ExchangeEvent::DemandSettled {
             demand,
             winner: settlement.winner.map(|w| w as u32),
         });
-        self.crash_point(CrashPoint::SettlementRecorded(demand));
+        core.crash_point(CrashPoint::SettlementRecorded(demand));
         let cancelled = self.apply_actions(core, settlement.actions);
         if let (Some(t), Some(start)) = (self.telemetry.as_deref(), start) {
             let now = t.now_ns();
@@ -1391,7 +1387,7 @@ impl Exchange {
                 SettleAction::Cancel(sid) => {
                     if let Some(mut session) = core.store.check_out(sid) {
                         let result = session.cancel();
-                        ExchangeMetrics::incr(&self.metrics.sessions_cancelled);
+                        core.counters.sessions_cancelled += 1;
                         match &result {
                             Ok(outcome) => self.record_with(|| ExchangeEvent::SessionConcluded {
                                 session: sid,
@@ -1432,19 +1428,15 @@ impl Exchange {
             let epoch = outcome.record.epoch;
             // Epoch critical section: decided but not recorded, then
             // recorded but not applied — both windows are injectable.
-            self.crash_point(CrashPoint::EpochDecided(epoch));
+            core.crash_point(CrashPoint::EpochDecided(epoch));
             self.record_with(|| ExchangeEvent::EpochCleared {
                 record: outcome.record.clone(),
             });
-            self.crash_point(CrashPoint::EpochRecorded(epoch));
+            core.crash_point(CrashPoint::EpochRecorded(epoch));
             core.epoch_log.push(outcome.record.clone());
-            ExchangeMetrics::incr(&self.metrics.epochs_cleared);
-            for _ in 0..outcome.rolled.len() {
-                ExchangeMetrics::incr(&self.metrics.demands_rolled);
-            }
-            for _ in 0..outcome.expired {
-                ExchangeMetrics::incr(&self.metrics.demands_expired);
-            }
+            core.counters.epochs_cleared += 1;
+            core.counters.demands_rolled += outcome.rolled.len() as u64;
+            core.counters.demands_expired += outcome.expired as u64;
             for &did in &outcome.rolled {
                 core.book.note_roll(did);
             }
@@ -1477,7 +1469,7 @@ impl Exchange {
         rounds_before: usize,
         timer: Option<SliceTimer>,
     ) {
-        self.add_rounds(session.rounds_so_far() - rounds_before);
+        core.counters.rounds_completed += (session.rounds_so_far() - rounds_before) as u64;
         if let (Some(t), Some(timer)) = (self.telemetry.as_deref(), timer) {
             timer.finish(t, session.rounds_so_far());
         }
@@ -1522,7 +1514,7 @@ impl Exchange {
             timer
         });
         if !resumed {
-            self.crash_point(CrashPoint::Dispatched(id));
+            core.crash_point(CrashPoint::Dispatched(id));
         }
         let market = session.market;
         let eval_key = core.markets[market.0].eval_key;
@@ -1572,7 +1564,7 @@ impl Exchange {
                         let serve_start = tele.map(|t| t.now_ns());
                         match core.cache.serve_softly(eval_key, bundle) {
                             SoftServe::Hit(g) => {
-                                ExchangeMetrics::incr(&self.metrics.courses_requested);
+                                core.counters.courses_requested += 1;
                                 if let (Some(t), Some(start)) = (tele, serve_start) {
                                     let served = t.now_ns() - start;
                                     t.stages.course_cache_hit.record(served);
@@ -1583,7 +1575,7 @@ impl Exchange {
                                 session.drive(Some(g))
                             }
                             SoftServe::Claimed => {
-                                ExchangeMetrics::incr(&self.metrics.courses_requested);
+                                core.counters.courses_requested += 1;
                                 // Suspend the session (checked in, off every
                                 // queue, holding the training claim) and hand
                                 // the order to the router. No settlement can
@@ -1604,7 +1596,7 @@ impl Exchange {
                                 // is outstanding. Park on the waitlist; the
                                 // router wakes us when it applies that course
                                 // (see the waitlist module).
-                                ExchangeMetrics::incr(&self.metrics.course_waits);
+                                core.counters.course_waits += 1;
                                 self.park(core, id, session, rounds_before, slice_timer.take());
                                 core.waitlist.enqueue((eval_key, bundle.0), id);
                                 if let Some(t) = tele {
@@ -1620,13 +1612,14 @@ impl Exchange {
             match step {
                 Ok(Drive::NeedGain) => continue,
                 Ok(Drive::Done(outcome)) => {
-                    ExchangeMetrics::incr(&self.metrics.sessions_closed);
+                    core.counters.sessions_closed += 1;
                     if outcome.is_success() {
-                        ExchangeMetrics::incr(&self.metrics.deals_struck);
+                        core.counters.deals_struck += 1;
                     }
                     // On completion the outcome absorbs the round records,
                     // so the terminal count is read off the outcome itself.
-                    self.add_rounds(outcome.n_rounds().saturating_sub(rounds_before));
+                    core.counters.rounds_completed +=
+                        outcome.n_rounds().saturating_sub(rounds_before) as u64;
                     if let (Some(t), Some(timer)) = (tele, slice_timer.take()) {
                         timer.finish(t, outcome.n_rounds());
                     }
@@ -1636,7 +1629,7 @@ impl Exchange {
                         last: outcome.final_record().copied(),
                     });
                     let history = tag.map(|_| outcome.rounds.clone());
-                    self.crash_point(CrashPoint::Concluding(id));
+                    core.crash_point(CrashPoint::Concluding(id));
                     self.record_with(|| ExchangeEvent::SessionConcluded {
                         session: id,
                         status: wire::status_code(outcome.status),
@@ -1656,15 +1649,16 @@ impl Exchange {
                     });
                 }
                 Err(e) => {
-                    ExchangeMetrics::incr(&self.metrics.sessions_failed);
-                    self.add_rounds(session.rounds_so_far().saturating_sub(rounds_before));
+                    core.counters.sessions_failed += 1;
+                    core.counters.rounds_completed +=
+                        session.rounds_so_far().saturating_sub(rounds_before) as u64;
                     if let (Some(t), Some(timer)) = (tele, slice_timer.take()) {
                         timer.finish(t, session.rounds_so_far());
                     }
                     let tag = session.match_tag().filter(|t| !t.released).copied();
                     let history = tag.map(|_| session.round_history());
                     let msg = e.to_string();
-                    self.crash_point(CrashPoint::Concluding(id));
+                    core.crash_point(CrashPoint::Concluding(id));
                     self.record_with(|| ExchangeEvent::SessionConcluded {
                         session: id,
                         status: wire::STATUS_HARD_ERROR,
@@ -1694,7 +1688,7 @@ impl Exchange {
 
 impl std::fmt::Debug for Exchange {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let core = self.state.lock();
+        let core = lock(&self.state);
         f.debug_struct("Exchange")
             .field("markets", &core.markets.len())
             .field("sellers", &core.sellers.len())
@@ -1709,7 +1703,7 @@ impl std::fmt::Debug for Exchange {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use vfl_market::{
         DataContext, DataResponse, DataStrategy, ReservedPrice, StrategicData, StrategicTask,
         TableGainProvider,
@@ -1793,7 +1787,7 @@ mod tests {
     fn waitlist_wake_never_drives_a_cancelled_session() {
         let cancel_side = |exchange: &Exchange, sid: SessionId| {
             // Exactly what `SettleAction::Cancel` does in `report_quote`.
-            let mut core = exchange.state.lock();
+            let mut core = lock(&exchange.state);
             let mut session = core
                 .store
                 .check_out(sid)
@@ -1804,7 +1798,7 @@ mod tests {
         let wake_side = |exchange: &Exchange, key: (u64, BundleMask)| {
             // Exactly what the router does after applying (or aborting)
             // the outstanding course this waiter parked on.
-            exchange.wake_course_waiters(&mut exchange.state.lock(), key.0, key.1);
+            exchange.wake_course_waiters(&mut lock(&exchange.state), key.0, key.1);
         };
         let run_schedule = |cancel_first: bool| {
             let exchange = Exchange::new(ExchangeConfig::default());
@@ -1817,14 +1811,12 @@ mod tests {
             // (checked in — `submit` left it Ready — then enqueued).
             let bundle = BundleMask::singleton(0);
             let key = (7u64, bundle);
-            exchange
-                .state
-                .lock()
+            lock(&exchange.state)
                 .waitlist
                 .enqueue((key.0, bundle.0), sid);
             // Drop the submit-time pending entry: the session's only route
             // back to the router is the waitlist wake under test.
-            exchange.state.lock().pending.clear();
+            lock(&exchange.state).pending.clear();
 
             if cancel_first {
                 cancel_side(&exchange, sid);
@@ -1839,11 +1831,11 @@ mod tests {
                 "wake-then-cancel"
             };
 
-            let woken: Vec<SessionId> = exchange.state.lock().pending.drain(..).collect();
+            let woken: Vec<SessionId> = lock(&exchange.state).pending.drain(..).collect();
             assert_eq!(woken, vec![sid], "schedule {schedule}: exactly one wake");
             // Dispatching the woken id must be a spurious no-op: the
             // session is terminal (cancelled), never driven.
-            let end = exchange.run_slice(&mut exchange.state.lock(), sid, None);
+            let end = exchange.run_slice(&mut lock(&exchange.state), sid, None);
             let SliceEnd::Notice(notice) = end else {
                 panic!("schedule {schedule}: a cancelled session needs no course");
             };
@@ -1869,7 +1861,7 @@ mod tests {
                 other => panic!("schedule {schedule}: unexpected status {other:?}"),
             }
             assert_eq!(
-                exchange.state.lock().waitlist.waiting(),
+                lock(&exchange.state).waitlist.waiting(),
                 0,
                 "schedule {schedule}"
             );

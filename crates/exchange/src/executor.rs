@@ -11,15 +11,18 @@
 //! exchange's [`CourseResolver`], which returns a [`CourseFuture`]. N
 //! **course tasks** (plain threads driving a hand-rolled waker/ready-queue
 //! executor — no runtime dependency) poll those futures to completion and
-//! post results on a completion board. This matches the paper's setting,
-//! where each ΔG is a VFL training run by the parties themselves: the
-//! exchange only orders quotes around trainings that run elsewhere.
+//! send each result on that course's own one-slot channel. This matches
+//! the paper's setting, where each ΔG is a VFL training run by the
+//! parties themselves: the exchange only orders quotes around trainings
+//! that run elsewhere.
 //!
 //! ## Why journal order is deterministic
 //!
 //! The router applies completions **strictly in request order**, one at
-//! a time, between slice runs: completion `k+1` is buffered until `k`
-//! has been applied, however quickly it resolved. Applying a completion
+//! a time, between slice runs: outstanding courses wait in a FIFO, and
+//! the router receives only from the oldest one's channel, so a later
+//! course's result waits in its channel until every earlier one has been
+//! applied, however quickly it resolved. Applying a completion
 //! is the course critical section, and `Exchange::apply_course` is its
 //! only copy: cache insert, `CourseTrained` crash point, `CourseServed`
 //! frame, `CourseRecorded` crash point, waitlist wake, then the payer
@@ -46,10 +49,15 @@
 //! while it waits for a completion or calls the resolver — so `submit`,
 //! `poll`, `take`, and `metrics` from other threads interleave between
 //! those steps. A course that panics is caught on its course task and
-//! posted to the board as the panic payload; when the router reaches it,
+//! sent on its channel as the panic payload; when the router reaches it,
 //! it closes the ready queue, joins the course tasks, and resumes the
 //! unwind, so `drain` panics with the provider's message instead of
-//! waiting forever for a result that will never be posted.
+//! waiting forever for a result that will never be sent. A course future
+//! dropped before it resolves (one that returned `Pending` without
+//! keeping its waker, so nothing can poll it again) drops its task and
+//! with it the channel's sending half; the router's receive then fails,
+//! and it applies that as the course's error: the paying session fails,
+//! the claim is aborted, and the waiters wake.
 //!
 //! ## Deadlock freedom
 //!
@@ -57,26 +65,27 @@
 //! outstanding completion — holding only the drain mutex and no session.
 //! Course futures never depend on each other or on router progress (a
 //! resolver sees only its own order), so the oldest completion always
-//! arrives, as a result or as a panic; timer-based resolvers get their
-//! wakes from the [`SimulatedRemoteResolver`] timer thread, which depends
-//! on nothing. Course tasks block only on the ready queue, which the
+//! arrives, as a result, as a panic, or as the closed channel of a
+//! dropped future; timer-based resolvers get their wakes from the
+//! [`SimulatedRemoteResolver`] timer thread, which depends on nothing. Course tasks block only on the ready queue, which the
 //! router closes at drain end. There is no cycle to deadlock on.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use vfl_market::{GainProvider, Result};
+use vfl_market::{GainProvider, MarketError, Result};
 use vfl_sim::BundleMask;
 
 use crate::exchange::{Core, DrainReport, Exchange, NoticeKind, SliceEnd};
 use crate::journal::{CrashPoint, ExchangeEvent};
+use crate::lock;
 use crate::store::SessionId;
 use vfl_telemetry::TraceKey;
 
@@ -155,32 +164,10 @@ impl Future for LazyGain {
 // that observes its deadline passed.
 // ---------------------------------------------------------------------
 
-struct TimerEntry {
-    deadline: Instant,
-    seq: u64,
-    waker: Waker,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.deadline, self.seq) == (other.deadline, other.seq)
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
-    }
-}
-
 struct TimerState {
-    heap: BinaryHeap<Reverse<TimerEntry>>,
-    next_seq: u64,
+    /// Registered wakers by deadline; wakers sharing a deadline fire
+    /// together.
+    wakers: BTreeMap<Instant, Vec<Waker>>,
     shutdown: bool,
 }
 
@@ -190,44 +177,36 @@ struct TimerShared {
 }
 
 impl TimerShared {
-    fn register(self: &Arc<Self>, deadline: Instant, waker: Waker) {
-        let mut state = self.state.lock().expect("timer lock poisoned");
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        state.heap.push(Reverse(TimerEntry {
-            deadline,
-            seq,
-            waker,
-        }));
+    fn register(&self, deadline: Instant, waker: Waker) {
+        lock(&self.state)
+            .wakers
+            .entry(deadline)
+            .or_default()
+            .push(waker);
         self.cv.notify_all();
     }
 
     fn run(self: Arc<Self>) {
-        let mut state = self.state.lock().expect("timer lock poisoned");
+        let mut state = lock(&self.state);
         loop {
             if state.shutdown {
                 return;
             }
             let now = Instant::now();
-            while state
-                .heap
-                .peek()
-                .is_some_and(|Reverse(e)| e.deadline <= now)
-            {
-                let Reverse(entry) = state.heap.pop().expect("peeked entry vanished");
+            while let Some(due) = state.wakers.first_entry().filter(|e| *e.key() <= now) {
                 // Waking under the lock is safe: the waker only pushes
                 // onto the course-task ready queue (a different lock).
-                entry.waker.wake();
+                due.remove().into_iter().for_each(Waker::wake);
             }
-            state = match state.heap.peek() {
-                Some(Reverse(e)) => {
-                    let wait = e.deadline.saturating_duration_since(now);
+            state = match state.wakers.keys().next() {
+                Some(&deadline) => {
+                    let wait = deadline.saturating_duration_since(now);
                     self.cv
                         .wait_timeout(state, wait)
-                        .expect("timer lock poisoned")
+                        .unwrap_or_else(PoisonError::into_inner)
                         .0
                 }
-                None => self.cv.wait(state).expect("timer lock poisoned"),
+                None => self.cv.wait(state).unwrap_or_else(PoisonError::into_inner),
             };
         }
     }
@@ -242,7 +221,7 @@ impl TimerShared {
 pub struct SimulatedRemoteResolver {
     latency: Duration,
     shared: Arc<TimerShared>,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl SimulatedRemoteResolver {
@@ -250,8 +229,7 @@ impl SimulatedRemoteResolver {
     pub fn new(latency: Duration) -> Self {
         let shared = Arc::new(TimerShared {
             state: Mutex::new(TimerState {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
+                wakers: BTreeMap::new(),
                 shutdown: false,
             }),
             cv: Condvar::new(),
@@ -261,7 +239,7 @@ impl SimulatedRemoteResolver {
         SimulatedRemoteResolver {
             latency,
             shared,
-            thread: Mutex::new(Some(thread)),
+            thread: Some(thread),
         }
     }
 
@@ -273,11 +251,9 @@ impl SimulatedRemoteResolver {
 
 impl Drop for SimulatedRemoteResolver {
     fn drop(&mut self) {
-        if let Ok(mut state) = self.shared.state.lock() {
-            state.shutdown = true;
-        }
+        lock(&self.shared.state).shutdown = true;
         self.shared.cv.notify_all();
-        if let Some(thread) = self.thread.lock().expect("timer handle poisoned").take() {
+        if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
     }
@@ -364,18 +340,14 @@ impl TaskQueue {
     }
 
     fn push(&self, task: Arc<CourseTask>) {
-        self.ready
-            .lock()
-            .expect("ready lock poisoned")
-            .tasks
-            .push_back(task);
+        lock(&self.ready).tasks.push_back(task);
         self.cv.notify_one();
     }
 
     /// Blocks for the next ready task; `None` once the queue is closed
     /// and empty (course tasks exit).
     fn pop(&self) -> Option<Arc<CourseTask>> {
-        let mut ready = self.ready.lock().expect("ready lock poisoned");
+        let mut ready = lock(&self.ready);
         loop {
             if let Some(task) = ready.tasks.pop_front() {
                 return Some(task);
@@ -383,23 +355,37 @@ impl TaskQueue {
             if ready.closed {
                 return None;
             }
-            ready = self.cv.wait(ready).expect("ready lock poisoned");
+            ready = self.cv.wait(ready).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     fn close(&self) {
-        self.ready.lock().expect("ready lock poisoned").closed = true;
+        lock(&self.ready).closed = true;
         self.cv.notify_all();
     }
 }
 
 /// A spawned course: the future slot is `None` after completion, so
-/// late (spurious) wakes re-poll nothing.
+/// late (spurious) wakes re-poll nothing. `done` is the sending half of
+/// the course's own channel; it drops with the task, so a future dropped
+/// unresolved closes the channel instead of leaving the router waiting.
 struct CourseTask {
-    seq: u64,
     future: Mutex<Option<CourseFuture>>,
     queue: Arc<TaskQueue>,
-    board: Arc<CompletionBoard>,
+    done: SyncSender<Completion>,
+}
+
+impl CourseTask {
+    /// A task for `future` plus the receiving half of its channel.
+    fn spawn(future: CourseFuture, queue: Arc<TaskQueue>) -> (Arc<Self>, Receiver<Completion>) {
+        let (done, completion) = sync_channel(1);
+        let task = CourseTask {
+            future: Mutex::new(Some(future)),
+            queue,
+            done,
+        };
+        (Arc::new(task), completion)
+    }
 }
 
 impl std::task::Wake for CourseTask {
@@ -416,65 +402,27 @@ fn course_worker(queue: Arc<TaskQueue>) {
         // Holding the slot across the poll serializes concurrent polls of
         // one task (a wake racing the poll just re-enqueues; the re-poll
         // finds either Pending again or an empty slot).
-        let mut slot = task.future.lock().expect("future slot poisoned");
+        let mut slot = lock(&task.future);
         if let Some(future) = slot.as_mut() {
-            // A panicking course is posted, not lost: the router waits for
-            // every sequence in order, so a course that unwound without
-            // posting would hang the drain.
-            match catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx))) {
-                Ok(Poll::Pending) => {}
-                Ok(Poll::Ready(result)) => {
-                    *slot = None;
-                    task.board.post(task.seq, Ok(result));
-                }
-                Err(payload) => {
-                    *slot = None;
-                    task.board.post(task.seq, Err(payload));
-                }
-            }
+            // A panicking course is sent as its payload, so the router
+            // resumes the panic instead of reporting a dropped future.
+            let polled = catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx)));
+            let completion = match polled {
+                Ok(Poll::Pending) => continue,
+                Ok(Poll::Ready(result)) => Ok(result),
+                Err(payload) => Err(payload),
+            };
+            *slot = None;
+            // The send fails only if the router unwound and dropped the
+            // receiver: then nobody waits for this result.
+            let _ = task.done.send(completion);
         }
     }
 }
 
-/// What a course task posts: the course's result, or the payload of the
+/// What a course task sends: the course's result, or the payload of the
 /// panic that unwound out of its poll.
 type Completion = std::thread::Result<Result<f64>>;
-
-/// Resolved course results, keyed by request sequence. The router only
-/// ever waits for the *oldest* outstanding sequence; later completions
-/// buffer here until their turn, which is what makes the applied order
-/// — and therefore the journal — independent of resolution order.
-struct CompletionBoard {
-    slots: Mutex<BTreeMap<u64, Completion>>,
-    cv: Condvar,
-}
-
-impl CompletionBoard {
-    fn new() -> Self {
-        CompletionBoard {
-            slots: Mutex::new(BTreeMap::new()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn post(&self, seq: u64, result: Completion) {
-        self.slots
-            .lock()
-            .expect("board lock poisoned")
-            .insert(seq, result);
-        self.cv.notify_all();
-    }
-
-    fn take(&self, seq: u64) -> Completion {
-        let mut slots = self.slots.lock().expect("board lock poisoned");
-        loop {
-            if let Some(result) = slots.remove(&seq) {
-                return result;
-            }
-            slots = self.cv.wait(slots).expect("board lock poisoned");
-        }
-    }
-}
 
 /// The course tasks of one drain. Dropping closes the ready queue and
 /// joins them — at drain end, and also when the router unwinds.
@@ -505,11 +453,11 @@ impl Drop for CourseTasks {
     }
 }
 
-/// One outstanding course: its sequence number, the suspended order,
-/// and the telemetry timestamp of its dispatch (for the `course_train`
-/// stage, which spans dispatch → applied).
+/// One outstanding course: the receiving half of its channel, the
+/// suspended order, and the telemetry timestamp of its dispatch (for the
+/// `course_train` stage, which spans dispatch → applied).
 struct OutstandingCourse {
-    seq: u64,
+    completion: Receiver<Completion>,
     order: CourseOrder,
     started_ns: Option<u64>,
 }
@@ -525,10 +473,8 @@ impl Exchange {
         let start = Instant::now();
 
         let tasks = CourseTasks::spawn(n_tasks);
-        let board = Arc::new(CompletionBoard::new());
         let mut overflow: VecDeque<SessionId> = VecDeque::new();
         let mut outstanding: VecDeque<OutstandingCourse> = VecDeque::new();
-        let mut next_seq = 0u64;
         let mut closed = 0usize;
         let mut failed = 0usize;
         let mut cancelled = 0usize;
@@ -540,18 +486,13 @@ impl Exchange {
                 match $end {
                     SliceEnd::NeedCourse(order) => {
                         let started_ns = self.telemetry.as_deref().map(|t| t.now_ns());
-                        let task = Arc::new(CourseTask {
-                            seq: next_seq,
-                            future: Mutex::new(Some(resolver.resolve(&order))),
-                            queue: tasks.queue.clone(),
-                            board: board.clone(),
-                        });
+                        let (task, completion) =
+                            CourseTask::spawn(resolver.resolve(&order), tasks.queue.clone());
                         outstanding.push_back(OutstandingCourse {
-                            seq: next_seq,
+                            completion,
                             order,
                             started_ns,
                         });
-                        next_seq += 1;
                         tasks.queue.push(task);
                     }
                     SliceEnd::Notice(notice) => {
@@ -573,7 +514,7 @@ impl Exchange {
             // course (if any) goes to the resolver.
             loop {
                 let end = {
-                    let mut core = self.state.lock();
+                    let mut core = lock(&self.state);
                     overflow.append(&mut core.pending);
                     if let Some(t) = self.telemetry.as_deref() {
                         t.queue_depth.set(overflow.len() as i64);
@@ -589,21 +530,26 @@ impl Exchange {
             // one, then give freshly woken work phase-1 priority again.
             // The wait happens outside the state lock.
             if let Some(course) = outstanding.pop_front() {
-                let result = match board.take(course.seq) {
-                    Ok(result) => result,
-                    Err(panic) => {
+                let result = match course.completion.recv() {
+                    Ok(Ok(result)) => result,
+                    Ok(Err(panic)) => {
                         drop(tasks);
                         resume_unwind(panic);
                     }
+                    Err(_) => Err(MarketError::Gain(format!(
+                        "course future for {} under evaluation key {:#x} was dropped \
+                         before it resolved",
+                        course.order.bundle, course.order.eval_key
+                    ))),
                 };
-                let end = self.apply_course(&mut self.state.lock(), course, result);
+                let end = self.apply_course(&mut lock(&self.state), course, result);
                 settle!(end);
                 continue;
             }
             // Phase 3: fully idle — flush the clearing window and
             // re-check, in the same critical section, for work it woke or
             // a concurrent submit raced in.
-            let mut core = self.state.lock();
+            let mut core = lock(&self.state);
             cancelled += self.drive_clearing(&mut core, true);
             if core.pending.is_empty() {
                 break;
@@ -652,7 +598,7 @@ impl Exchange {
                 // Course critical section: the training is paid but not yet
                 // journaled — a crash here loses the receipt, and recovery
                 // legitimately re-trains.
-                self.crash_point(CrashPoint::CourseTrained {
+                core.crash_point(CrashPoint::CourseTrained {
                     session,
                     eval_key,
                     bundle,
@@ -662,7 +608,7 @@ impl Exchange {
                     bundle,
                     gain: g,
                 });
-                self.crash_point(CrashPoint::CourseRecorded {
+                core.crash_point(CrashPoint::CourseRecorded {
                     session,
                     eval_key,
                     bundle,
@@ -710,18 +656,21 @@ mod tests {
         drop(resolver); // joins the timer thread — must not hang
     }
 
+    /// Per-course channels resolve in any order, and the router's FIFO of
+    /// receivers still hands results out in request order: each result
+    /// waits in its own channel until every earlier one was received.
     #[test]
     fn completion_board_buffers_out_of_order_results() {
-        let board = Arc::new(CompletionBoard::new());
-        let poster = board.clone();
+        let (senders, receivers): (Vec<SyncSender<Completion>>, VecDeque<_>) =
+            (0..3).map(|_| sync_channel(1)).unzip();
         let handle = std::thread::spawn(move || {
-            // Post in reverse: the taker must still see 0 first.
-            poster.post(2, Ok(Ok(2.0)));
-            poster.post(1, Ok(Ok(1.0)));
-            poster.post(0, Ok(Ok(0.0)));
+            // Resolve in reverse: the receiver must still see 0 first.
+            for (k, done) in senders.into_iter().enumerate().rev() {
+                done.send(Ok(Ok(k as f64))).unwrap();
+            }
         });
-        for seq in 0..3u64 {
-            assert_eq!(board.take(seq).unwrap().unwrap(), seq as f64);
+        for (k, completion) in receivers.into_iter().enumerate() {
+            assert_eq!(completion.recv().unwrap().unwrap().unwrap(), k as f64);
         }
         handle.join().unwrap();
     }
@@ -730,7 +679,6 @@ mod tests {
     fn course_tasks_drive_a_pending_future_to_completion() {
         use vfl_market::TableGainProvider;
         let queue = Arc::new(TaskQueue::new());
-        let board = Arc::new(CompletionBoard::new());
         let worker = {
             let queue = queue.clone();
             std::thread::spawn(move || course_worker(queue))
@@ -744,14 +692,9 @@ mod tests {
             provider: Arc::new(provider),
         };
         let started = Instant::now();
-        let task = Arc::new(CourseTask {
-            seq: 0,
-            future: Mutex::new(Some(resolver.resolve(&order))),
-            queue: queue.clone(),
-            board: board.clone(),
-        });
+        let (task, completion) = CourseTask::spawn(resolver.resolve(&order), queue.clone());
         queue.push(task);
-        assert_eq!(board.take(0).unwrap().unwrap(), 0.25);
+        assert_eq!(completion.recv().unwrap().unwrap().unwrap(), 0.25);
         assert!(
             started.elapsed() >= Duration::from_millis(2),
             "simulated latency was actually waited out"

@@ -121,16 +121,16 @@
 //! (checksums, digests, checkpoint/suffix consistency) and prints the
 //! settlement ledger an operator reconciles before switching.
 
-use parking_lot::Mutex;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use vfl_market::session::wire::{self, Reader, Wire};
 use vfl_market::wire_struct;
 use vfl_sim::BundleMask;
 
 use crate::clearing::{ClearingSpec, EpochEntry, EpochEntryKind, EpochRecord};
 use crate::exchange::{Exchange, ExchangeConfig, MarketId, MarketSpec};
+use crate::lock;
 use crate::matching::{
     CandidateQuote, Demand, DemandId, DemandReport, QuoteState, SellerId, SellerSpec,
 };
@@ -649,23 +649,23 @@ pub struct MemorySink {
 impl MemorySink {
     /// A point-in-time copy of everything appended so far.
     pub fn bytes(&self) -> Vec<u8> {
-        self.buf.lock().clone()
+        lock(&self.buf).clone()
     }
 
     /// Bytes appended so far.
     pub fn len(&self) -> usize {
-        self.buf.lock().len()
+        lock(&self.buf).len()
     }
 
     /// True before the first append.
     pub fn is_empty(&self) -> bool {
-        self.buf.lock().is_empty()
+        lock(&self.buf).is_empty()
     }
 }
 
 impl Write for MemorySink {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.buf.lock().extend_from_slice(buf);
+        lock(&self.buf).extend_from_slice(buf);
         Ok(buf.len())
     }
 
@@ -720,7 +720,7 @@ impl Journal {
             return;
         }
         let frame = event.encode_frame();
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         // Re-check under the sink lock: `seal` also takes it, so every
         // append either completed before the seal or observes it — no
         // frame can land "after the crash".
@@ -745,7 +745,7 @@ impl Journal {
     /// (taking the sink lock fences out appends already past the fast
     /// sealed-check; see [`Journal::append`]).
     pub fn seal(&self) {
-        let _sink = self.inner.lock();
+        let _sink = lock(&self.inner);
         self.sealed.store(true, Ordering::Release);
     }
 
@@ -761,7 +761,7 @@ impl Journal {
 
     /// The first sink error, if any append failed.
     pub fn last_error(&self) -> Option<String> {
-        self.inner.lock().error.clone()
+        lock(&self.inner).error.clone()
     }
 
     /// Rewrites this journal's content (`bytes`, a full snapshot of its
@@ -799,7 +799,7 @@ impl Journal {
         mut sink: Box<dyn Write + Send>,
         hook: Option<&CrashHook>,
     ) -> Result<(Arc<Journal>, CompactStats), CompactError> {
-        let _fence = self.inner.lock();
+        let _fence = lock(&self.inner);
         if self.sealed.load(Ordering::Acquire) {
             return Err(CompactError::Sealed);
         }
@@ -1268,9 +1268,7 @@ impl Exchange {
             match event {
                 ExchangeEvent::MarketRegistered { .. } | ExchangeEvent::SellerRegistered { .. } => {
                     let (market, stamp) = event.registration().expect("a registration event");
-                    exchange
-                        .state
-                        .lock()
+                    lock(&exchange.state)
                         .replay_registration("journal", market, &stamp, &mut spec)?;
                     exchange.record_with(|| event.clone());
                     match stamp.owner {
@@ -1303,7 +1301,7 @@ impl Exchange {
                     capacity,
                     max_rolls,
                 } => {
-                    exchange.state.lock().replay_clearing(
+                    lock(&exchange.state).replay_clearing(
                         "journal",
                         (epoch_size, capacity, max_rolls),
                         &mut spec,

@@ -160,7 +160,7 @@ pub use matching::{
     BestResponse, CandidateQuote, Demand, DemandId, DemandReport, DemandStatus, MatchPolicy,
     QuoteState, QuotingFactory, SellerId, SellerSpec, SettleMode, TaskFactory,
 };
-pub use metrics::{ExchangeMetrics, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use session::SessionOrder;
 pub use store::{SessionId, SessionStatus};
 pub use telemetry::{ExchangeTelemetry, QUEUE_DEPTH, STAGES, STAGE_FAMILY, WAITLIST_DEPTH};
@@ -169,6 +169,18 @@ pub use traffic::{
     CostWeightedAdmission, EpochTraffic, Hysteresis, QueueDepthAdmission, QuotaAdmission,
     RetryPolicy, ScenarioDriver, ScenarioOutcome, ScenarioSpec, TokenBucketAdmission,
 };
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering the guard if a holder panicked: the crate's
+/// one lock convention. A panic under a lock (say, a strategy or policy
+/// that panics under the state lock) propagates out of its own call;
+/// later calls see the data as that holder left it instead of panicking
+/// on the poison. A drain that panicked leaves the exchange failed (see
+/// [`Exchange::drain`]); the recovered guard lets callers still read it.
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[cfg(test)]
 mod tests {
@@ -179,6 +191,24 @@ mod tests {
         StrategicTask, TableGainProvider,
     };
     use vfl_sim::BundleMask;
+
+    #[test]
+    fn lock_returns_guard_directly() {
+        let m = Mutex::new(1u32);
+        *lock(&m) += 41;
+        assert_eq!(*lock(&m), 42);
+        // A holder that panics poisons the mutex; the helper still hands
+        // out the guard, with the data as the holder left it.
+        let poisoned = std::panic::catch_unwind(|| {
+            let mut guard = lock(&m);
+            *guard += 1;
+            panic!("holder dies with the lock held");
+        });
+        assert!(poisoned.is_err() && m.is_poisoned());
+        assert_eq!(*lock(&m), 43);
+        *lock(&m) += 1;
+        assert_eq!(m.into_inner().unwrap_or_else(PoisonError::into_inner), 44);
+    }
 
     fn table_market() -> (TableGainProvider, Arc<Vec<Listing>>, Vec<f64>) {
         let gains = vec![0.05, 0.12, 0.20, 0.30];

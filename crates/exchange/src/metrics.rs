@@ -1,51 +1,28 @@
-//! Per-exchange operational counters. All counters are relaxed atomics —
-//! they are observability, not synchronization — and a [`MetricsSnapshot`]
-//! is a consistent-enough point-in-time read for dashboards and benches.
-//! The exchange never branches on a counter; invariants that matter for
+//! Per-exchange operational counters. The counters are plain data in the
+//! exchange's state, bumped under the state lock in the critical section
+//! that does what they count, and [`crate::Exchange::metrics`] reads them
+//! together with the cache statistics in one critical section, so a
+//! [`MetricsSnapshot`] is a consistent point-in-time read: every relation
+//! the exchange keeps between its counters holds in every snapshot. The
+//! exchange never branches on a counter; invariants that matter for
 //! correctness (settlement once per demand, wake once per waiter) are
 //! enforced by the matching book and course waitlist, not here.
 //!
 //! The counter list is declared exactly once, in the
 //! `declare_exchange_metrics!` invocation below. The macro generates the
-//! live [`ExchangeMetrics`] struct, the [`MetricsSnapshot`] view (with
-//! `Default`, so test fixtures set only the fields they assert on), the
-//! snapshot collection path, and [`MetricsSnapshot::COUNTERS`] — the
-//! exported-name table the telemetry scrape and the export-completeness
-//! test both walk. Adding a counter is one new line here; no fixture,
-//! export, or test list needs editing.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! [`MetricsSnapshot`] struct (with `Default`, so the exchange starts from
+//! zero and test fixtures set only the fields they assert on) and
+//! [`MetricsSnapshot::COUNTERS`] — the exported-name table the telemetry
+//! scrape and the export-completeness test both walk. Adding a counter is
+//! one new line here; no fixture, export, or test list needs editing.
 
 /// Declares the full exchange counter set in one place. Each entry is
 /// `field_name: "help text",`; the exported Prometheus name is
 /// `vfl_exchange_<field_name>`. Cache hits/misses are appended by hand
-/// because their live cells are owned by the shared gain cache, not by
-/// [`ExchangeMetrics`] — they join the snapshot and export table all the
-/// same.
+/// because the shared gain cache counts them itself — they join the
+/// snapshot and export table all the same.
 macro_rules! declare_exchange_metrics {
     ($($field:ident : $help:literal,)+) => {
-        /// Live counters owned by an [`crate::Exchange`].
-        #[derive(Debug, Default)]
-        pub struct ExchangeMetrics {
-            $( #[doc = $help] pub(crate) $field: AtomicU64, )+
-        }
-
-        impl ExchangeMetrics {
-            pub(crate) fn incr(counter: &AtomicU64) {
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
-
-            /// Read every counter into a snapshot. Cache statistics live
-            /// on the shared gain cache, so the exchange passes them in.
-            pub(crate) fn snapshot(&self, cache_hits: u64, cache_misses: u64) -> MetricsSnapshot {
-                MetricsSnapshot {
-                    $( $field: self.$field.load(Ordering::Relaxed), )+
-                    cache_hits,
-                    cache_misses,
-                }
-            }
-        }
-
         /// Point-in-time view of an exchange's counters plus cache
         /// statistics. `Default` is all-zero, so fixtures write only the
         /// fields under test.
@@ -186,11 +163,18 @@ mod tests {
 
     #[test]
     fn live_counters_snapshot_through_the_generated_path() {
-        let live = ExchangeMetrics::default();
-        ExchangeMetrics::incr(&live.sessions_opened);
-        ExchangeMetrics::incr(&live.sessions_opened);
-        ExchangeMetrics::incr(&live.rounds_completed);
-        let snap = live.snapshot(4, 1);
+        use vfl_sim::BundleMask;
+        let mut core = crate::exchange::Core::default();
+        core.counters.sessions_opened += 2;
+        core.counters.rounds_completed += 1;
+        let (hit, missed) = (BundleMask::singleton(0), BundleMask::singleton(1));
+        core.cache.insert(3, hit, 0.5);
+        for _ in 0..4 {
+            core.cache.serve_softly(3, hit);
+        }
+        core.cache.serve_softly(3, missed);
+        core.cache.complete(3, missed, 0.25);
+        let snap = core.metrics();
         assert_eq!(snap.sessions_opened, 2);
         assert_eq!(snap.rounds_completed, 1);
         assert_eq!(snap.cache_hits, 4);
@@ -215,7 +199,7 @@ mod tests {
         }
         assert!(visited.contains(&("vfl_exchange_sessions_opened", 7)));
         assert!(visited.contains(&("vfl_exchange_cache_misses", 9)));
-        // 16 ExchangeMetrics counters + 2 cache counters.
+        // 16 exchange counters + 2 cache counters.
         assert_eq!(MetricsSnapshot::COUNTERS.len(), 18);
     }
 }

@@ -45,10 +45,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use vfl_market::{
@@ -59,6 +58,7 @@ use vfl_sim::BundleMask;
 
 use crate::clearing::{ClearingSpec, UniformPriceClearing};
 use crate::exchange::{Exchange, MarketSpec};
+use crate::lock;
 use crate::matching::{BestResponse, Demand, DemandId, DemandStatus, SellerSpec, SettleMode};
 use crate::metrics::MetricsSnapshot;
 
@@ -226,7 +226,7 @@ impl TokenBucketAdmission {
 
 impl AdmissionPolicy for TokenBucketAdmission {
     fn admit(&self, load: &AdmissionLoad) -> AdmissionDecision {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.refill(load.submission, self.capacity, self.refill_every);
         if st.tokens > 0 {
             st.tokens -= 1;
@@ -276,7 +276,7 @@ impl CostWeightedAdmission {
 impl AdmissionPolicy for CostWeightedAdmission {
     fn admit(&self, load: &AdmissionLoad) -> AdmissionDecision {
         let cost = (load.fan_out as u64).max(1);
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.refill(load.submission, self.capacity, self.refill_every);
         if st.tokens >= cost {
             st.tokens -= cost;
@@ -334,7 +334,7 @@ impl QuotaAdmission {
 impl AdmissionPolicy for QuotaAdmission {
     fn admit(&self, load: &AdmissionLoad) -> AdmissionDecision {
         let index = load.submission / self.window;
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if st.index != index {
             st.index = index;
             st.admitted.clear();

@@ -45,3 +45,12 @@ pub use histogram::{bucket_index, bucket_upper_edge, Histogram, HistogramSnapsho
 pub use metric::{Counter, Gauge};
 pub use registry::Registry;
 pub use trace::{TraceKey, TraceRing, TraceSpan};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering the guard if a holder panicked, so a panic
+/// while rendering or recording never turns every later scrape into a
+/// panic too.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

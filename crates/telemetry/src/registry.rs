@@ -16,9 +16,10 @@
 //! and the `+Inf` bucket, `_sum`, and `_count` are always present.
 
 use crate::histogram::{bucket_upper_edge, Histogram};
+use crate::lock;
 use crate::metric::{Counter, Gauge};
-use parking_lot::Mutex;
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
 /// Kind tag for a family; families are homogeneous.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,7 +145,7 @@ impl Registry {
         kind: Kind,
         make: impl FnOnce() -> Metric,
     ) -> Metric {
-        let mut families = self.families.lock();
+        let mut families = lock(&self.families);
         let family = match families.iter_mut().find(|f| f.name == name) {
             Some(family) => {
                 assert_eq!(
@@ -183,7 +184,7 @@ impl Registry {
     /// Render every family in the Prometheus text exposition format.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for family in self.families.lock().iter() {
+        for family in lock(&self.families).iter() {
             let _ = writeln!(out, "# HELP {} {}", family.name, escape_help(&family.help));
             let _ = writeln!(out, "# TYPE {} {}", family.name, family.kind.as_str());
             for series in &family.series {
@@ -264,7 +265,7 @@ impl Registry {
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();
-        for family in self.families.lock().iter() {
+        for family in lock(&self.families).iter() {
             for series in &family.series {
                 let id = json_string(&series_id(&family.name, &series.labels));
                 match &series.metric {

@@ -8,8 +8,9 @@
 //! is cold compared to every other cost on the path; the metric
 //! primitives stay lock-free and this is the one deliberate exception.
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
 /// Which entity a span belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,7 +62,7 @@ impl TraceRing {
 
     /// Append a span, evicting the oldest if the ring is full.
     pub fn record(&self, span: TraceSpan) {
-        let mut spans = self.spans.lock();
+        let mut spans = lock(&self.spans);
         if spans.len() == self.capacity {
             spans.pop_front();
         }
@@ -70,12 +71,12 @@ impl TraceRing {
 
     /// Number of spans currently held.
     pub fn len(&self) -> usize {
-        self.spans.lock().len()
+        lock(&self.spans).len()
     }
 
     /// True when no span has been recorded (or all were evicted).
     pub fn is_empty(&self) -> bool {
-        self.spans.lock().is_empty()
+        lock(&self.spans).is_empty()
     }
 
     /// Maximum spans held before eviction.
@@ -85,15 +86,13 @@ impl TraceRing {
 
     /// Copy of every held span, oldest first.
     pub fn snapshot(&self) -> Vec<TraceSpan> {
-        self.spans.lock().iter().copied().collect()
+        lock(&self.spans).iter().copied().collect()
     }
 
     /// Every held span for one entity, ordered by start time — the
     /// postmortem timeline readout.
     pub fn timeline(&self, key: TraceKey) -> Vec<TraceSpan> {
-        let mut spans: Vec<TraceSpan> = self
-            .spans
-            .lock()
+        let mut spans: Vec<TraceSpan> = lock(&self.spans)
             .iter()
             .filter(|s| s.key == key)
             .copied()
@@ -104,7 +103,7 @@ impl TraceRing {
 
     /// Drop every held span.
     pub fn clear(&self) {
-        self.spans.lock().clear();
+        lock(&self.spans).clear();
     }
 }
 

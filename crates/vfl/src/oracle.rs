@@ -5,33 +5,20 @@
 //! imperfect setting (where each query corresponds to actually running the
 //! VFL course of that round).
 //!
-//! The memo table is sharded (`CACHE_SHARDS` independent locks) so the
-//! parallel precompute pass and the `vfl-exchange` course tasks — many
-//! courses resolving against one oracle concurrently — never serialize
-//! behind a single global mutex.
+//! The memo table is one `HashMap` behind one mutex. The lock covers only
+//! the lookup and the insert: a miss trains outside it, so the parallel
+//! precompute pass and the `vfl-exchange` course tasks — many courses
+//! resolving against one oracle concurrently — serialize only on map
+//! operations, never on a training.
 
 use crate::bundle::{BundleCatalog, BundleMask};
 use crate::course::{performance_gain, run_course};
 use crate::error::Result;
 use crate::model_cfg::BaseModelConfig;
 use crate::scenario::VflScenario;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Number of independent cache shards. Course evaluation is the market's
-/// hot path: parallel precomputation and concurrent exchange sessions all
-/// query the same oracle, so the memo table is split into fixed-arity
-/// shards (each with its own lock) instead of one global mutex. 16 shards
-/// keep lock contention negligible up to far more workers than a laptop
-/// has cores, at ~the cost of one empty `HashMap` each.
-const CACHE_SHARDS: usize = 16;
-
-/// Fibonacci-hash a bundle mask onto a shard index (the shift only mixes
-/// high bits down; the modulo is what respects `CACHE_SHARDS`).
-fn shard_of(bundle: u64) -> usize {
-    (bundle.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize % CACHE_SHARDS
-}
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Memoizing ΔG oracle over one scenario + base model.
 pub struct GainOracle {
@@ -40,7 +27,7 @@ pub struct GainOracle {
     base: f64,
     seed: u64,
     repeats: usize,
-    cache: [Mutex<HashMap<u64, f64>>; CACHE_SHARDS],
+    cache: Mutex<HashMap<u64, f64>>,
     queries: AtomicU64,
 }
 
@@ -67,7 +54,7 @@ impl GainOracle {
             base,
             seed,
             repeats,
-            cache: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            cache: Mutex::default(),
             queries: AtomicU64::new(0),
         })
     }
@@ -116,32 +103,34 @@ impl GainOracle {
         self.queries.load(Ordering::Relaxed)
     }
 
+    /// The memo table, recovering it if a thread panicked while holding
+    /// the lock (the map is never left half-updated).
+    fn memo(&self) -> MutexGuard<'_, HashMap<u64, f64>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// ΔG for a bundle, training the joint model on a cache miss. The miss
-    /// path trains *outside* the shard lock, so concurrent misses on
+    /// path trains *outside* the memo lock, so concurrent misses on
     /// different bundles never serialize.
     pub fn gain(&self, bundle: BundleMask) -> Result<f64> {
-        let shard = &self.cache[shard_of(bundle.0)];
-        if let Some(&g) = shard.lock().get(&bundle.0) {
+        if let Some(g) = self.cached_gain(bundle) {
             return Ok(g);
         }
         let m = Self::measure(&self.scenario, &self.model, bundle, self.seed, self.repeats)?;
         let g = performance_gain(m, self.base);
         self.queries.fetch_add(1, Ordering::Relaxed);
-        shard.lock().insert(bundle.0, g);
+        self.memo().insert(bundle.0, g);
         Ok(g)
     }
 
     /// Cached ΔG if present (no training).
     pub fn cached_gain(&self, bundle: BundleMask) -> Option<f64> {
-        self.cache[shard_of(bundle.0)]
-            .lock()
-            .get(&bundle.0)
-            .copied()
+        self.memo().get(&bundle.0).copied()
     }
 
     /// Number of distinct bundles currently cached.
     pub fn cached_len(&self) -> usize {
-        self.cache.iter().map(|s| s.lock().len()).sum()
+        self.memo().len()
     }
 
     /// Precomputes ΔG for every bundle in the catalog using `n_threads`
@@ -270,7 +259,7 @@ mod tests {
         for &b in catalog.bundles() {
             assert!(o.cached_gain(b).is_some(), "missing {b}");
         }
-        assert_eq!(o.cached_len(), 31, "every bundle lands in some shard");
+        assert_eq!(o.cached_len(), 31, "every bundle lands in the memo");
         let gains = o.gains_for(&catalog).unwrap();
         assert_eq!(gains.len(), 31);
         let max = o.max_gain(&catalog).unwrap();
