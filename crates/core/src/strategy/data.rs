@@ -9,16 +9,6 @@ use crate::termination::{data_success, eq6_data_accepts};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-/// Selects the affordable listings (reserved price cleared by the quote).
-fn affordable_indices(ctx: &DataContext<'_>, listings: &[Listing]) -> Vec<usize> {
-    listings
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.reserved.admits(ctx.quote))
-        .map(|(i, _)| i)
-        .collect()
-}
-
 /// Cheapest listing by (base, rate) — the exploration fallback offer when
 /// nothing is affordable but Case VII forbids failing.
 fn cheapest_listing(listings: &[Listing]) -> usize {
@@ -34,26 +24,62 @@ fn cheapest_listing(listings: &[Listing]) -> usize {
         .expect("non-empty listings")
 }
 
-/// §3.4.1 bundle selection given per-listing gains: the affordable bundle
-/// whose gain lies nearest to but not above the target `(Ph - P0)/p`; if
-/// every affordable gain exceeds the target, the smallest-excess one
-/// (payment is capped at `Ph` either way — Case II branch 3 mirrored into
-/// the perfect setting).
-fn select_bundle(affordable: &[usize], gains: &[f64], target: f64) -> usize {
-    // Tiny slack so a bundle sitting exactly at the reconstructed target
-    // (cap - base)/rate is still treated as "not above" it.
-    let below = affordable
-        .iter()
-        .copied()
-        .filter(|&i| gains[i] <= target + 1e-9)
-        .max_by(|&a, &b| gains[a].partial_cmp(&gains[b]).expect("finite gains"));
-    below.unwrap_or_else(|| {
-        affordable
-            .iter()
-            .copied()
-            .min_by(|&a, &b| gains[a].partial_cmp(&gains[b]).expect("finite gains"))
-            .expect("non-empty affordable set")
-    })
+/// What a data party answers when no listing clears the quote: Case 1,
+/// relaxed to a cheapest-bundle offer during exploration (Case VII keeps
+/// the game alive to generate training samples).
+fn nothing_affordable(ctx: &DataContext<'_>, listings: &[Listing]) -> DataResponse {
+    if ctx.exploring {
+        DataResponse::Offer {
+            listing: cheapest_listing(listings),
+            is_final: false,
+        }
+    } else {
+        DataResponse::Withdraw
+    }
+}
+
+/// Rejects a gain table that is not aligned with the listing table.
+fn check_table(gains: &[f64], listings: &[Listing]) -> Result<()> {
+    if gains.len() == listings.len() {
+        return Ok(());
+    }
+    Err(MarketError::StrategyError(format!(
+        "gain table has {} entries for {} listings",
+        gains.len(),
+        listings.len()
+    )))
+}
+
+/// §3.4.1 bundle selection over one candidate set, fed in listing order:
+/// the bundle whose gain lies nearest to but not above the target; if
+/// every gain exceeds it, the smallest-excess one (payment is capped at
+/// `Ph` either way — Case II branch 3 mirrored into the perfect setting).
+///
+/// Ties follow `Iterator::max_by` / `min_by`: the **last** of equal gains
+/// below the target, the **first** of equal smallest excesses.
+#[derive(Default)]
+struct NearestBelow {
+    below: Option<(usize, f64)>,
+    lowest: Option<(usize, f64)>,
+}
+
+impl NearestBelow {
+    /// Offers listing `i` with `gain`; `ceiling` is the target plus the
+    /// slack that keeps a bundle sitting exactly at the reconstructed
+    /// target `(cap - base)/rate` "not above" it.
+    fn push(&mut self, i: usize, gain: f64, ceiling: f64) {
+        if gain <= ceiling && self.below.is_none_or(|(_, g)| gain >= g) {
+            self.below = Some((i, gain));
+        }
+        if self.lowest.is_none_or(|(_, g)| gain < g) {
+            self.lowest = Some((i, gain));
+        }
+    }
+
+    /// The selected listing; `None` when nothing was pushed.
+    fn pick(&self) -> Option<usize> {
+        self.below.or(self.lowest).map(|(i, _)| i)
+    }
 }
 
 /// The strategic data party with perfect performance information: it knows
@@ -62,12 +88,18 @@ fn select_bundle(affordable: &[usize], gains: &[f64], target: f64) -> usize {
 #[derive(Debug, Clone)]
 pub struct StrategicData {
     gains: Vec<f64>,
+    /// The best gain on offer (supply exhausted once it is offered).
+    best_overall: f64,
 }
 
 impl StrategicData {
     /// Builds from per-listing true gains (aligned with the listing table).
     pub fn with_gains(gains: Vec<f64>) -> Self {
-        StrategicData { gains }
+        let best_overall = gains.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        StrategicData {
+            gains,
+            best_overall,
+        }
     }
 
     /// The gains table (for inspection).
@@ -84,43 +116,33 @@ impl DataStrategy for StrategicData {
         cfg: &MarketConfig,
         _rng: &mut StdRng,
     ) -> Result<DataResponse> {
-        if self.gains.len() != listings.len() {
-            return Err(MarketError::StrategyError(format!(
-                "gain table has {} entries for {} listings",
-                self.gains.len(),
-                listings.len()
-            )));
-        }
-        let affordable = affordable_indices(ctx, listings);
-        if affordable.is_empty() {
-            // Case 1, relaxed to a cheapest-bundle offer during exploration
-            // (Case VII keeps the game alive to generate training samples).
-            return Ok(if ctx.exploring {
-                DataResponse::Offer {
-                    listing: cheapest_listing(listings),
-                    is_final: false,
-                }
-            } else {
-                DataResponse::Withdraw
-            });
-        }
+        check_table(&self.gains, listings)?;
+        let admits = |l: &Listing| l.reserved.admits(ctx.quote);
+        let Some(first) = listings.iter().position(admits) else {
+            return Ok(nothing_affordable(ctx, listings));
+        };
         let target = ctx.quote.target_gain();
+        let ceiling = target + 1e-9;
         // §3.3 makes the objective functions mutually known, so the seller
         // knows the buyer's break-even gain P0/(u - p): offering below it
         // triggers a certain Case 4 failure, which a rational seller avoids
         // whenever a viable bundle exists.
         let break_even = ctx.quote.break_even_gain(cfg.utility_rate);
-        let viable: Vec<usize> = affordable
-            .iter()
-            .copied()
-            .filter(|&i| self.gains[i] >= break_even)
-            .collect();
-        let candidates = if viable.is_empty() {
-            &affordable
-        } else {
-            &viable
-        };
-        let pick = select_bundle(candidates, &self.gains, target);
+        // One pass: every affordable listing, and the viable ones among them.
+        let mut affordable = NearestBelow::default();
+        let mut viable = NearestBelow::default();
+        for (i, (listing, &gain)) in listings.iter().zip(&self.gains).enumerate().skip(first) {
+            if admits(listing) {
+                affordable.push(i, gain, ceiling);
+                if gain >= break_even {
+                    viable.push(i, gain, ceiling);
+                }
+            }
+        }
+        let pick = viable
+            .pick()
+            .or(affordable.pick())
+            .expect("listing `first` is affordable");
         if ctx.exploring {
             return Ok(DataResponse::Offer {
                 listing: pick,
@@ -133,9 +155,8 @@ impl DataStrategy for StrategicData {
             // globally best bundle is already affordable and offered, no
             // escalation can improve the offer — close the deal (the perfect
             // -information mirror of Case II branch 2).
-            let best_overall = self.gains.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             data_success(ctx.quote, self.gains[pick], cfg.eps_data)
-                || self.gains[pick] >= best_overall
+                || self.gains[pick] >= self.best_overall
         } else {
             // Eq. 6: compare with a conservative estimate of next round. The
             // "target bundle" is the cheapest listing whose gain reaches the
@@ -194,25 +215,22 @@ impl DataStrategy for RandomBundleData {
         cfg: &MarketConfig,
         rng: &mut StdRng,
     ) -> Result<DataResponse> {
-        if self.gains.len() != listings.len() {
-            return Err(MarketError::StrategyError(format!(
-                "gain table has {} entries for {} listings",
-                self.gains.len(),
-                listings.len()
-            )));
+        check_table(&self.gains, listings)?;
+        let affordable = || {
+            listings
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.reserved.admits(ctx.quote))
+        };
+        let n = affordable().count();
+        if n == 0 {
+            return Ok(nothing_affordable(ctx, listings));
         }
-        let affordable = affordable_indices(ctx, listings);
-        if affordable.is_empty() {
-            return Ok(if ctx.exploring {
-                DataResponse::Offer {
-                    listing: cheapest_listing(listings),
-                    is_final: false,
-                }
-            } else {
-                DataResponse::Withdraw
-            });
-        }
-        let pick = affordable[rng.random_range(0..affordable.len())];
+        // Count, draw once, then index: the same single draw as picking
+        // from a collected list of the affordable indices.
+        let (pick, _) = affordable()
+            .nth(rng.random_range(0..n))
+            .expect("the draw is below the affordable count");
         let is_final = !ctx.exploring && data_success(ctx.quote, self.gains[pick], cfg.eps_data);
         Ok(DataResponse::Offer {
             listing: pick,
@@ -228,7 +246,9 @@ impl DataStrategy for RandomBundleData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
     use crate::price::{QuotedPrice, ReservedPrice};
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use vfl_sim::BundleMask;
 
@@ -413,11 +433,247 @@ mod tests {
 
     #[test]
     fn select_bundle_prefers_below_target() {
+        let one_pass = |gains: &[f64], ceiling: f64| {
+            let mut set = NearestBelow::default();
+            for (i, &g) in gains.iter().enumerate() {
+                set.push(i, g, ceiling);
+            }
+            set.pick().unwrap()
+        };
         let gains = vec![0.05, 0.12, 0.2, 0.3];
         let all: Vec<usize> = (0..4).collect();
-        assert_eq!(select_bundle(&all, &gains, 0.16), 1);
-        assert_eq!(select_bundle(&all, &gains, 0.2), 2);
-        // All above target: smallest excess.
-        assert_eq!(select_bundle(&all, &gains, 0.01), 0);
+        // The last target lies below every gain: smallest excess.
+        for (target, want) in [(0.16, 1), (0.2, 2), (0.01, 0)] {
+            assert_eq!(reference::select_bundle(&all, &gains, target), want);
+            assert_eq!(one_pass(&gains, target + 1e-9), want, "target {target}");
+        }
+        // Equal gains: the last of them below the target, the first of
+        // them when every gain exceeds it.
+        let tied = [0.1, 0.3, 0.1, 0.3];
+        assert_eq!(one_pass(&tied, 0.2), 2);
+        assert_eq!(one_pass(&tied, 0.05), 0);
+    }
+
+    /// Reference players: the same rules written with two collected
+    /// index lists per quote and a per-call supply maximum. The
+    /// `strategy_picks_` property test pins the live players to these,
+    /// tie order included.
+    mod reference {
+        use super::*;
+
+        pub fn affordable_indices(ctx: &DataContext<'_>, listings: &[Listing]) -> Vec<usize> {
+            listings
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.reserved.admits(ctx.quote))
+                .map(|(i, _)| i)
+                .collect()
+        }
+
+        pub fn select_bundle(affordable: &[usize], gains: &[f64], target: f64) -> usize {
+            let below = affordable
+                .iter()
+                .copied()
+                .filter(|&i| gains[i] <= target + 1e-9)
+                .max_by(|&a, &b| gains[a].partial_cmp(&gains[b]).expect("finite gains"));
+            below.unwrap_or_else(|| {
+                affordable
+                    .iter()
+                    .copied()
+                    .min_by(|&a, &b| gains[a].partial_cmp(&gains[b]).expect("finite gains"))
+                    .expect("non-empty affordable set")
+            })
+        }
+
+        pub fn strategic(
+            gains: &[f64],
+            ctx: &DataContext<'_>,
+            listings: &[Listing],
+            cfg: &MarketConfig,
+        ) -> DataResponse {
+            let affordable = affordable_indices(ctx, listings);
+            if affordable.is_empty() {
+                return if ctx.exploring {
+                    DataResponse::Offer {
+                        listing: cheapest_listing(listings),
+                        is_final: false,
+                    }
+                } else {
+                    DataResponse::Withdraw
+                };
+            }
+            let target = ctx.quote.target_gain();
+            let break_even = ctx.quote.break_even_gain(cfg.utility_rate);
+            let viable: Vec<usize> = affordable
+                .iter()
+                .copied()
+                .filter(|&i| gains[i] >= break_even)
+                .collect();
+            let candidates = if viable.is_empty() {
+                &affordable
+            } else {
+                &viable
+            };
+            let pick = select_bundle(candidates, gains, target);
+            if ctx.exploring {
+                return DataResponse::Offer {
+                    listing: pick,
+                    is_final: false,
+                };
+            }
+            let is_final = if cfg.data_cost.is_flat() {
+                let best_overall = gains.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                data_success(ctx.quote, gains[pick], cfg.eps_data) || gains[pick] >= best_overall
+            } else {
+                let target_reserve = listings
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| gains[*i] >= target)
+                    .min_by(|(_, a), (_, b)| {
+                        (a.reserved.base + a.reserved.rate)
+                            .partial_cmp(&(b.reserved.base + b.reserved.rate))
+                            .expect("finite reserves")
+                    })
+                    .map(|(_, l)| l.reserved)
+                    .unwrap_or(listings[pick].reserved);
+                eq6_data_accepts(
+                    ctx.quote,
+                    gains[pick],
+                    &target_reserve,
+                    ctx.cost_now,
+                    ctx.cost_next,
+                    cfg.eps_data_cost,
+                )
+            };
+            DataResponse::Offer {
+                listing: pick,
+                is_final,
+            }
+        }
+
+        pub fn random_bundle(
+            gains: &[f64],
+            ctx: &DataContext<'_>,
+            listings: &[Listing],
+            cfg: &MarketConfig,
+            rng: &mut StdRng,
+        ) -> DataResponse {
+            let affordable = affordable_indices(ctx, listings);
+            if affordable.is_empty() {
+                return if ctx.exploring {
+                    DataResponse::Offer {
+                        listing: cheapest_listing(listings),
+                        is_final: false,
+                    }
+                } else {
+                    DataResponse::Withdraw
+                };
+            }
+            let pick = affordable[rng.random_range(0..affordable.len())];
+            let is_final = !ctx.exploring && data_success(ctx.quote, gains[pick], cfg.eps_data);
+            DataResponse::Offer {
+                listing: pick,
+                is_final,
+            }
+        }
+    }
+
+    /// One generated quote against one listing table. Gains, reserves and
+    /// quote terms come from small grids, so equal gains, equal reserves,
+    /// quotes sitting exactly on a reserve and targets sitting exactly on
+    /// a gain all occur often.
+    #[derive(Debug)]
+    struct PickCase {
+        gains: Vec<f64>,
+        reserves: Vec<(f64, f64)>,
+        quote: (f64, f64, f64),
+        round: u32,
+        exploring: bool,
+        rising_cost: bool,
+        seed: u64,
+    }
+
+    fn pick_case() -> impl Strategy<Value = PickCase> {
+        (1usize..13)
+            .prop_flat_map(|n| {
+                (
+                    prop::collection::vec(0u8..7, n),
+                    prop::collection::vec((0u8..4, 0u8..4), n),
+                    (1u8..7, 0u8..6, 0u8..9),
+                    (1u32..6, any::<bool>(), any::<bool>(), any::<u64>()),
+                )
+            })
+            .prop_map(
+                |(levels, reserves, (rate, base, target), (round, exploring, rising, seed))| {
+                    let (rate, base) = (2.0 * rate as f64, 0.5 * base as f64);
+                    PickCase {
+                        gains: levels.iter().map(|&l| 0.05 * l as f64).collect(),
+                        reserves: reserves
+                            .iter()
+                            .map(|&(r, b)| (2.0 + 2.0 * r as f64, 0.5 + 0.5 * b as f64))
+                            .collect(),
+                        quote: (rate, base, base + rate * 0.05 * target as f64),
+                        round,
+                        exploring,
+                        rising_cost: rising,
+                        seed,
+                    }
+                },
+            )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Both one-pass players answer every quote exactly as the
+        /// two-`Vec` reference does — the same listing (tie order
+        /// included), the same finality, and for the random player the
+        /// same draws from the same seeded stream.
+        #[test]
+        fn strategy_picks_match_the_two_vec_reference(case in pick_case()) {
+            let listings: Vec<Listing> = case
+                .reserves
+                .iter()
+                .enumerate()
+                .map(|(i, &(rate, base))| Listing {
+                    bundle: BundleMask::singleton(i),
+                    reserved: ReservedPrice::new(rate, base).unwrap(),
+                })
+                .collect();
+            let (rate, base, cap) = case.quote;
+            let quote = QuotedPrice::new(rate, base, cap).unwrap();
+            let cfg = MarketConfig {
+                utility_rate: 20.0,
+                data_cost: if case.rising_cost {
+                    CostModel::Linear { a: 0.01 }
+                } else {
+                    CostModel::None
+                },
+                ..MarketConfig::default()
+            };
+            let ctx = DataContext::at_round(&cfg, case.round, case.exploring, &quote);
+            let mut rng = StdRng::seed_from_u64(case.seed);
+
+            let live = StrategicData::with_gains(case.gains.clone())
+                .respond(&ctx, &listings, &cfg, &mut rng)
+                .unwrap();
+            let want = reference::strategic(&case.gains, &ctx, &listings, &cfg);
+            prop_assert_eq!(live, want, "strategic player");
+
+            let mut ref_rng = StdRng::seed_from_u64(case.seed);
+            let mut live_rng = StdRng::seed_from_u64(case.seed);
+            let mut random = RandomBundleData::with_gains(case.gains.clone());
+            for draw in 0..3 {
+                let live = random.respond(&ctx, &listings, &cfg, &mut live_rng).unwrap();
+                let want =
+                    reference::random_bundle(&case.gains, &ctx, &listings, &cfg, &mut ref_rng);
+                prop_assert_eq!(live, want, "random player, draw {}", draw);
+            }
+            prop_assert_eq!(
+                live_rng.random::<u64>(),
+                ref_rng.random::<u64>(),
+                "random player RNG streams diverged"
+            );
+        }
     }
 }

@@ -11,7 +11,10 @@
 //! exchange's [`CourseResolver`], which returns a [`CourseFuture`]. N
 //! **course tasks** (plain threads driving a hand-rolled waker/ready-queue
 //! executor — no runtime dependency) poll those futures to completion and
-//! send each result on that course's own one-slot channel. This matches
+//! send each result on that course's own one-slot channel. They are
+//! spawned at the drain's first uncached course and joined at drain end,
+//! so a drain served wholly from the ΔG cache starts no thread (and a
+//! nonzero task count never queries the host's parallelism). This matches
 //! the paper's setting, where each ΔG is a VFL training run by the
 //! parties themselves: the exchange only orders quotes around trainings
 //! that run elsewhere.
@@ -466,13 +469,15 @@ impl Exchange {
     /// The router loop described in the module doc, run under the drain
     /// mutex by [`Exchange::drain`] (same contract).
     pub(crate) fn route(&self, course_tasks: usize, resolver: &dyn CourseResolver) -> DrainReport {
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let n_tasks = if course_tasks == 0 { hw } else { course_tasks }.max(1);
+        let n_tasks = match course_tasks {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         let start = Instant::now();
 
-        let tasks = CourseTasks::spawn(n_tasks);
+        // Spawned at the drain's first uncached course: a drain served
+        // wholly from the cache starts and joins no thread.
+        let mut tasks: Option<CourseTasks> = None;
         let mut overflow: VecDeque<SessionId> = VecDeque::new();
         let mut outstanding: VecDeque<OutstandingCourse> = VecDeque::new();
         let mut closed = 0usize;
@@ -486,14 +491,17 @@ impl Exchange {
                 match $end {
                     SliceEnd::NeedCourse(order) => {
                         let started_ns = self.telemetry.as_deref().map(|t| t.now_ns());
+                        let queue = &tasks
+                            .get_or_insert_with(|| CourseTasks::spawn(n_tasks))
+                            .queue;
                         let (task, completion) =
-                            CourseTask::spawn(resolver.resolve(&order), tasks.queue.clone());
+                            CourseTask::spawn(resolver.resolve(&order), queue.clone());
                         outstanding.push_back(OutstandingCourse {
                             completion,
                             order,
                             started_ns,
                         });
-                        tasks.queue.push(task);
+                        queue.push(task);
                     }
                     SliceEnd::Notice(notice) => {
                         cancelled += notice.cancelled;

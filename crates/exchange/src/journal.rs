@@ -122,7 +122,6 @@
 //! settlement ledger an operator reconciles before switching.
 
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use vfl_market::session::wire::{self, Reader, Wire};
 use vfl_market::wire_struct;
@@ -582,12 +581,19 @@ impl ExchangeEvent {
     /// checksum), exactly as [`Journal::append`] writes it.
     pub fn encode_frame(&self) -> Vec<u8> {
         let mut frame = Vec::with_capacity(64);
+        self.encode_frame_into(&mut frame);
+        frame
+    }
+
+    /// [`ExchangeEvent::encode_frame`] into `frame`, replacing its
+    /// content (the journal reuses one buffer for every append).
+    fn encode_frame_into(&self, frame: &mut Vec<u8>) {
+        frame.clear();
         frame.extend_from_slice(&[MAGIC, VERSION, 0, 0, 0, 0]);
-        self.put_payload(&mut frame);
+        self.put_payload(frame);
         let len = u32::try_from(frame.len() - HEADER).expect("frame payloads fit in a u32");
         frame[2..HEADER].copy_from_slice(&len.to_le_bytes());
-        wire::fnv64(&frame).put(&mut frame);
-        frame
+        wire::fnv64(frame).put(frame);
     }
 }
 
@@ -674,9 +680,15 @@ impl Write for MemorySink {
     }
 }
 
+/// Everything a journal append touches, under the one sink mutex.
 struct JournalInner {
     sink: Box<dyn Write + Send>,
     error: Option<String>,
+    sealed: bool,
+    /// Frames successfully appended.
+    records: u64,
+    /// The frame being appended, reused so an append allocates nothing.
+    frame: Vec<u8>,
 }
 
 /// The append-only event journal an [`Exchange`] records into.
@@ -690,17 +702,23 @@ struct JournalInner {
 /// crash-stop durability: sealed journals drop every further append.
 pub struct Journal {
     inner: Mutex<JournalInner>,
-    sealed: AtomicBool,
-    records: AtomicU64,
 }
 
 impl Journal {
     /// A journal writing frames into `sink` (a file, a socket, …).
     pub fn new(sink: Box<dyn Write + Send>) -> Self {
+        Journal::with_records(sink, 0)
+    }
+
+    fn with_records(sink: Box<dyn Write + Send>, records: u64) -> Self {
         Journal {
-            inner: Mutex::new(JournalInner { sink, error: None }),
-            sealed: AtomicBool::new(false),
-            records: AtomicU64::new(0),
+            inner: Mutex::new(JournalInner {
+                sink,
+                error: None,
+                sealed: false,
+                records,
+                frame: Vec::new(),
+            }),
         }
     }
 
@@ -716,25 +734,20 @@ impl Journal {
     /// into the drain; the first one is latched and readable via
     /// [`Journal::last_error`].
     pub fn append(&self, event: &ExchangeEvent) {
-        if self.sealed.load(Ordering::Acquire) {
+        // `seal` takes the same lock, so every append either completed
+        // before the seal or observes it — no frame can land "after the
+        // crash".
+        let inner = &mut *lock(&self.inner);
+        if inner.sealed || inner.error.is_some() {
             return;
         }
-        let frame = event.encode_frame();
-        let mut inner = lock(&self.inner);
-        // Re-check under the sink lock: `seal` also takes it, so every
-        // append either completed before the seal or observes it — no
-        // frame can land "after the crash".
-        if self.sealed.load(Ordering::Acquire) || inner.error.is_some() {
-            return;
-        }
+        event.encode_frame_into(&mut inner.frame);
         let result = inner
             .sink
-            .write_all(&frame)
+            .write_all(&inner.frame)
             .and_then(|()| inner.sink.flush());
         match result {
-            Ok(()) => {
-                self.records.fetch_add(1, Ordering::Relaxed);
-            }
+            Ok(()) => inner.records += 1,
             Err(e) => inner.error = Some(e.to_string()),
         }
     }
@@ -742,21 +755,20 @@ impl Journal {
     /// Freezes the journal: every subsequent append is dropped. This is
     /// the crash-simulation primitive — after `seal` returns, the sink
     /// holds exactly what a crash at this instant would have left durable
-    /// (taking the sink lock fences out appends already past the fast
-    /// sealed-check; see [`Journal::append`]).
+    /// (the flag sits under the sink lock, so an append either finished
+    /// before the seal or sees it).
     pub fn seal(&self) {
-        let _sink = lock(&self.inner);
-        self.sealed.store(true, Ordering::Release);
+        lock(&self.inner).sealed = true;
     }
 
     /// True once [`Journal::seal`] has run.
     pub fn is_sealed(&self) -> bool {
-        self.sealed.load(Ordering::Acquire)
+        lock(&self.inner).sealed
     }
 
     /// Frames successfully appended so far.
     pub fn records(&self) -> u64 {
-        self.records.load(Ordering::Relaxed)
+        lock(&self.inner).records
     }
 
     /// The first sink error, if any append failed.
@@ -799,15 +811,17 @@ impl Journal {
         mut sink: Box<dyn Write + Send>,
         hook: Option<&CrashHook>,
     ) -> Result<(Arc<Journal>, CompactStats), CompactError> {
-        let _fence = lock(&self.inner);
-        if self.sealed.load(Ordering::Acquire) {
+        // Held across the rewrite as the fence; the count is read through
+        // it (`records()` would take the lock again).
+        let fence = lock(&self.inner);
+        if fence.sealed {
             return Err(CompactError::Sealed);
         }
         let (events, _) = read_events(bytes);
-        if events.len() as u64 != self.records() {
+        if events.len() as u64 != fence.records {
             return Err(CompactError::StaleSnapshot {
                 snapshot: events.len(),
-                journal: self.records(),
+                journal: fence.records,
             });
         }
         let Some(at) = events
@@ -830,8 +844,7 @@ impl Journal {
                 .map_err(io)?;
             written += 1;
         }
-        let journal = Arc::new(Journal::new(sink));
-        journal.records.store(written, Ordering::Relaxed);
+        let journal = Arc::new(Journal::with_records(sink, written));
         Ok((
             journal,
             CompactStats {
