@@ -14,8 +14,14 @@ use rand::RngExt;
 /// Shared Eq. 5-conforming escalation: samples `quote_samples` coupled
 /// steps `t ∈ (0, step]` with `rate' = rate (1 + t)`, `cap' = cap (1 + t)`
 /// (clamped to the rate cap / budget), keeps candidates whose implied base
-/// stays above `min_base`, and returns the lowest-cap one. `None` when both
-/// ceilings are already binding.
+/// stays above `min_base`, and returns the lowest-cap one (the first of
+/// equal caps). `None` when both ceilings are already binding.
+///
+/// Only a cap strictly below the cheapest candidate so far can win, so a
+/// sample is tested on its cap first and most samples stop there. The
+/// cheapest candidate is kept as plain terms under the checks
+/// [`QuotedPrice::new`] makes, and only the winner becomes a
+/// [`QuotedPrice`].
 pub(crate) fn escalate_coupled(
     current: &QuotedPrice,
     target_gain: f64,
@@ -28,11 +34,14 @@ pub(crate) fn escalate_coupled(
     if current.rate >= rate_cap && current.cap >= cfg.budget {
         return None; // both ceilings hit: escalation impossible
     }
-    let mut best: Option<QuotedPrice> = None;
+    let (mut best_rate, mut best_base, mut best_cap) = (0.0, 0.0, f64::INFINITY);
     for _ in 0..cfg.quote_samples {
         let t = rng.random::<f64>() * step;
-        let rate = (current.rate * (1.0 + t)).min(rate_cap);
         let cap = (current.cap * (1.0 + t)).min(cfg.budget);
+        if cap >= best_cap {
+            continue;
+        }
+        let rate = (current.rate * (1.0 + t)).min(rate_cap);
         if rate <= current.rate && cap <= current.cap {
             continue;
         }
@@ -40,14 +49,19 @@ pub(crate) fn escalate_coupled(
         if base < min_base || base < 0.0 {
             continue;
         }
-        let Ok(candidate) = QuotedPrice::new(rate, base, cap) else {
+        // The rest of `QuotedPrice::new`'s checks: finite terms, a
+        // positive rate, `cap >= base` (a NaN fails every comparison).
+        if !(rate > 0.0 && cap >= base && rate.is_finite() && base.is_finite() && cap.is_finite()) {
             continue;
-        };
-        if best.as_ref().is_none_or(|b| candidate.cap < b.cap) {
-            best = Some(candidate);
         }
+        (best_rate, best_base, best_cap) = (rate, base, cap);
     }
-    best
+    // A kept cap is finite, so an infinite one means no candidate passed.
+    (best_cap < f64::INFINITY).then_some(QuotedPrice {
+        rate: best_rate,
+        base: best_base,
+        cap: best_cap,
+    })
 }
 
 /// The strategic task party: targets a performance gain ΔG*, opens with a
@@ -274,6 +288,7 @@ impl TaskStrategy for IncreasePriceTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn cfg() -> MarketConfig {
@@ -432,5 +447,134 @@ mod tests {
             }
         }
         assert!(drifted, "increase-price must not preserve Eq. 5");
+    }
+
+    /// The requote as it was before candidates became plain terms: one
+    /// `QuotedPrice::new` per sample. The `strategy_picks_` property test
+    /// pins the live requote to it.
+    fn reference_escalate_coupled(
+        current: &QuotedPrice,
+        target_gain: f64,
+        min_base: f64,
+        step: f64,
+        cfg: &MarketConfig,
+        rng: &mut StdRng,
+    ) -> Option<QuotedPrice> {
+        let rate_cap = cfg.effective_rate_cap();
+        if current.rate >= rate_cap && current.cap >= cfg.budget {
+            return None; // both ceilings hit: escalation impossible
+        }
+        let mut best: Option<QuotedPrice> = None;
+        for _ in 0..cfg.quote_samples {
+            let t = rng.random::<f64>() * step;
+            let rate = (current.rate * (1.0 + t)).min(rate_cap);
+            let cap = (current.cap * (1.0 + t)).min(cfg.budget);
+            if rate <= current.rate && cap <= current.cap {
+                continue;
+            }
+            let base = cap - rate * target_gain;
+            if base < min_base || base < 0.0 {
+                continue;
+            }
+            let Ok(candidate) = QuotedPrice::new(rate, base, cap) else {
+                continue;
+            };
+            if best.as_ref().is_none_or(|b| candidate.cap < b.cap) {
+                best = Some(candidate);
+            }
+        }
+        best
+    }
+
+    /// One requote: a quote on the Eq. 5 ray of `tg`, the player's
+    /// target and minimum base, and ceilings at most a few percent above
+    /// the quote. Terms come from small grids, so all of these occur
+    /// often: a rate cap at or below the quote's rate, a budget at the
+    /// quote's cap, both at once, candidates clamped to the same budget
+    /// (equal caps, different rates), targets off the quote's ray, and
+    /// minimum bases above the quote's base.
+    #[derive(Debug)]
+    struct RequoteCase {
+        quote: (f64, f64, f64),
+        target_gain: f64,
+        min_base: f64,
+        step: f64,
+        rate_cap: f64,
+        budget: f64,
+        samples: usize,
+        seed: u64,
+    }
+
+    fn requote_case() -> impl Strategy<Value = RequoteCase> {
+        (
+            (1u8..9, 0u8..5, 1u8..7),
+            (any::<bool>(), 0u8..9, 0u8..6),
+            (0usize..5, 0u8..5, 0u8..6),
+            (1usize..25, any::<u64>()),
+        )
+            .prop_map(
+                |(
+                    (rate, base, tg),
+                    (on_ray, target, min_base),
+                    (step, rate_cap, budget),
+                    (samples, seed),
+                )| {
+                    let (rate, base, tg) = (rate as f64, 0.5 * base as f64, 0.05 * tg as f64);
+                    let cap = base + rate * tg;
+                    // Ceiling factors: 0.9 (below the quote), 1 (binding),
+                    // then a few percent of headroom.
+                    let ceiling = |k: u8| {
+                        if k == 0 {
+                            0.9
+                        } else {
+                            1.0 + 0.03 * (k - 1) as f64
+                        }
+                    };
+                    RequoteCase {
+                        quote: (rate, base, cap),
+                        target_gain: if on_ray { tg } else { 0.05 * target as f64 },
+                        min_base: 0.25 * min_base as f64,
+                        step: [0.05, 0.1, 0.25, 0.5, 1.0][step],
+                        rate_cap: rate * ceiling(rate_cap),
+                        budget: cap * ceiling(budget).max(1.0),
+                        samples,
+                        seed,
+                    }
+                },
+            )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// The requote picks exactly what the per-sample `QuotedPrice`
+        /// reference picks — the same terms, bit for bit, the first of
+        /// equal caps — and leaves the player's RNG where the reference
+        /// leaves it.
+        #[test]
+        fn strategy_picks_requote_matches_reference(case in requote_case()) {
+            let (rate, base, cap) = case.quote;
+            let current = QuotedPrice::new(rate, base, cap).unwrap();
+            let cfg = MarketConfig {
+                utility_rate: 1000.0,
+                budget: case.budget,
+                rate_cap: case.rate_cap,
+                quote_samples: case.samples,
+                ..Default::default()
+            };
+            let mut live_rng = StdRng::seed_from_u64(case.seed);
+            let mut ref_rng = StdRng::seed_from_u64(case.seed);
+            let bits = |q: Option<QuotedPrice>| {
+                q.map(|q| [q.rate.to_bits(), q.base.to_bits(), q.cap.to_bits()])
+            };
+            let live = escalate_coupled(
+                &current, case.target_gain, case.min_base, case.step, &cfg, &mut live_rng,
+            );
+            let want = reference_escalate_coupled(
+                &current, case.target_gain, case.min_base, case.step, &cfg, &mut ref_rng,
+            );
+            prop_assert_eq!(bits(live), bits(want), "{:?}", case);
+            prop_assert_eq!(live_rng.random::<u64>(), ref_rng.random::<u64>(), "{:?}", case);
+        }
     }
 }
