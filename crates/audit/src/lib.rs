@@ -8,6 +8,10 @@
 //! replay cost. This crate is the cheap first look the `vfl-audit` binary
 //! exposes:
 //!
+//! - **format version** — a journal whose first frame carries another
+//!   format version is refused whole, with the message
+//!   [`vfl_exchange::Exchange::recover`] refuses it with (its digests
+//!   would not verify under this build's fold);
 //! - **frame walk** — decode the longest valid prefix
 //!   ([`vfl_exchange::read_events`] re-verifies every frame checksum on
 //!   the way), count frames per tag, report the torn-tail byte count;
@@ -41,8 +45,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use vfl_exchange::{
-    frame_boundaries, read_events, CheckpointState, DemandReport, ExchangeEvent, MarketId,
-    QuoteState, SellerId,
+    check_journal_version, frame_boundaries, read_events, CheckpointState, DemandReport,
+    ExchangeEvent, MarketId, QuoteState, SellerId,
 };
 use vfl_market::session::wire;
 use vfl_market::Outcome;
@@ -529,6 +533,15 @@ fn absorb_checkpoint(
 /// Audits one journal generation's bytes. Read-only and total: malformed
 /// bytes shrink the valid prefix, inconsistencies become violations.
 pub fn audit_bytes(bytes: &[u8]) -> JournalAudit {
+    // Another version's journal is not torn: refuse it whole rather than
+    // report every byte as a dropped tail.
+    if let Err(refused) = check_journal_version(bytes) {
+        return JournalAudit {
+            bytes: bytes.len(),
+            violations: vec![refused.to_string()],
+            ..JournalAudit::default()
+        };
+    }
     let (events, dropped_bytes) = read_events(bytes);
     debug_assert_eq!(frame_boundaries(bytes).len(), events.len());
     let mut audit = JournalAudit {
@@ -959,6 +972,28 @@ mod tests {
         }
         exchange.drain(1);
         sink.bytes()
+    }
+
+    /// A journal whose first frame carries another format version is
+    /// refused whole with recovery's message, not walked as an empty
+    /// torn prefix; this build's own journal still audits clean.
+    #[test]
+    fn journals_of_another_version_are_refused() {
+        let bytes = journal_with_checkpoint();
+        assert!(audit_bytes(&bytes).is_consistent());
+        let mut old = bytes.clone();
+        old[1] = 2;
+        let audit = audit_bytes(&old);
+        assert!(!audit.is_consistent());
+        let refused = check_journal_version(&old).unwrap_err().to_string();
+        assert!(refused.contains("journal format version 2"), "{refused}");
+        assert_eq!(audit.violations, vec![refused.clone()]);
+        assert_eq!(
+            (audit.frames, audit.dropped_bytes),
+            (0, 0),
+            "not a torn tail"
+        );
+        assert!(audit.render("old.bin").contains(&refused));
     }
 
     #[test]

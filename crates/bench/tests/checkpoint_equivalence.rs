@@ -36,9 +36,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use vfl_bench::exchange_setup::{CountingGainProvider, TrainingRecorder};
 use vfl_exchange::{
-    read_events, BestResponse, CrashPoint, Demand, DemandId, DemandReport, Exchange,
-    ExchangeConfig, ExchangeEvent, Journal, MarketId, MarketSpec, MemorySink, ReplaySpec,
-    SellerSpec, SessionId, SessionOrder, SettleMode,
+    check_journal_version, read_events, BestResponse, CrashPoint, Demand, DemandId, DemandReport,
+    Exchange, ExchangeConfig, ExchangeEvent, Journal, MarketId, MarketSpec, MemorySink,
+    RecoverError, ReplaySpec, SellerSpec, SessionId, SessionOrder, SettleMode,
 };
 use vfl_market::{
     DataStrategy, GainProvider, Listing, MarketConfig, MarketError, Outcome, ReservedPrice,
@@ -1142,11 +1142,13 @@ proptest! {
     }
 }
 
-/// Checked-in wire-format fixture: the exact v2 bytes of an
+/// Checked-in wire-format fixture: the exact v3 bytes of an
 /// immediate-mode and an epoch-mode `DemandSubmitted` frame (one tag, the
 /// mode is a field). If this test fails, the change broke decoding of
-/// every v2 journal already on disk; bump `VERSION` instead. The v1
-/// bytes of the first frame must no longer decode at all.
+/// every v3 journal already on disk; bump `VERSION` instead. The v1 and v2
+/// bytes of the first frame must no longer decode at all (the v2 bytes
+/// are the v3 ones with version byte 2 and their own checksum), and a
+/// journal starting with them is refused by recovery.
 #[test]
 fn pinned_frame_bytes_stay_decodable() {
     let immediate = ExchangeEvent::DemandSubmitted {
@@ -1169,14 +1171,14 @@ fn pinned_frame_bytes_stay_decodable() {
         candidates: vec![(vfl_exchange::SellerId(1), SessionId(12))],
     };
     let immediate_bytes: &[u8] = &[
-        234, 2, 66, 0, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 13,
+        234, 3, 66, 0, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 13,
         240, 237, 254, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0,
-        2, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 40, 246, 229, 96, 82, 29, 219, 242,
+        2, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 7, 25, 50, 105, 74, 8, 225, 234,
     ];
     let epoch_bytes: &[u8] = &[
-        234, 2, 50, 0, 0, 0, 4, 5, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 17,
+        234, 3, 50, 0, 0, 0, 4, 5, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 17,
         186, 221, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0,
-        76, 16, 89, 113, 232, 78, 174, 196,
+        255, 90, 4, 19, 127, 205, 60, 37,
     ];
     assert_eq!(
         immediate.encode_frame(),
@@ -1201,4 +1203,25 @@ fn pinned_frame_bytes_stay_decodable() {
         (vec![], v1_tag4_bytes.len()),
         "v1 frames are dropped whole"
     );
+    let v2_tag4_bytes: &[u8] = &[
+        234, 2, 66, 0, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 13,
+        240, 237, 254, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 40, 246, 229, 96, 82, 29, 219, 242,
+    ];
+    assert_eq!(
+        read_events(v2_tag4_bytes),
+        (vec![], v2_tag4_bytes.len()),
+        "v2 frames are dropped whole"
+    );
+    for old in [v1_tag4_bytes, v2_tag4_bytes] {
+        assert!(
+            matches!(
+                check_journal_version(old),
+                Err(RecoverError::InconsistentJournal(_))
+            ),
+            "version {} is refused",
+            old[1]
+        );
+    }
+    assert_eq!(check_journal_version(&journal), Ok(()));
 }

@@ -409,8 +409,9 @@ impl NegotiationSession {
 /// binary format that must stay decodable across releases and offline
 /// (the serde shim provides no real serialization). This module is the
 /// single authority for those encodings: a wire code per terminal status,
-/// a fixed-field-order FNV-1a digest for [`MarketConfig`] (the fold
-/// sequence is part of the format — reordering it breaks old digests), and a
+/// a fixed-field-order digest for [`MarketConfig`] folded one word per
+/// field by [`wire::fold_word`] (the fold and its sequence are part of the
+/// format — changing either breaks old digests), and a
 /// content digest for [`Outcome`] (status + round records + transcript,
 /// seller stamp included) that lets a replayed negotiation be checked
 /// against the journaled conclusion without persisting the outcome itself,
@@ -484,7 +485,7 @@ pub mod wire {
         })
     }
 
-    /// FNV-1a 64 over a byte slice — the journal's checksum primitive.
+    /// FNV-1a 64 over a byte slice — the journal's frame checksum.
     pub fn fnv64(bytes: &[u8]) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for &b in bytes {
@@ -494,30 +495,33 @@ pub mod wire {
         h
     }
 
-    /// Folds one 64-bit word into a running FNV-1a state (byte-wise, so a
-    /// digest built from words equals one built from the same bytes).
-    pub fn fnv64_fold(h: u64, word: u64) -> u64 {
-        let mut h = h;
-        for b in word.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+    /// The state every content digest starts from (FNV-1a's offset basis).
+    pub const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Folds one 64-bit word into a running content digest:
+    /// `mix(h ^ word)`, where `mix` multiplies by an odd constant and then
+    /// xors the high half into the low half. Both steps are bijections of
+    /// `u64`, so for a fixed word the fold is a bijection of the state and
+    /// for a fixed state a bijection of the word: two word sequences of
+    /// equal length that differ in any one word always fold to different
+    /// digests. This fold is journal format v3's; changing it changes
+    /// every journaled digest, which is a `VERSION` bump.
+    pub fn fold_word(h: u64, word: u64) -> u64 {
+        let x = (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^ (x >> 32)
     }
 
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
     fn fold_f64(h: u64, x: f64) -> u64 {
-        fnv64_fold(h, x.to_bits())
+        fold_word(h, x.to_bits())
     }
 
     fn fold_cost(h: u64, cost: CostModel) -> u64 {
         match cost {
-            CostModel::None => fnv64_fold(h, 0),
-            CostModel::Linear { a } => fold_f64(fnv64_fold(h, 1), a),
-            CostModel::Exponential { a } => fold_f64(fnv64_fold(h, 2), a),
-            CostModel::ScaledExponential { a, k } => fold_f64(fold_f64(fnv64_fold(h, 3), a), k),
-            CostModel::Constant { c } => fold_f64(fnv64_fold(h, 4), c),
+            CostModel::None => fold_word(h, 0),
+            CostModel::Linear { a } => fold_f64(fold_word(h, 1), a),
+            CostModel::Exponential { a } => fold_f64(fold_word(h, 2), a),
+            CostModel::ScaledExponential { a, k } => fold_f64(fold_f64(fold_word(h, 3), a), k),
+            CostModel::Constant { c } => fold_f64(fold_word(h, 4), c),
         }
     }
 
@@ -527,93 +531,97 @@ pub mod wire {
     /// value, or recovery refuses to silently re-run a *different*
     /// negotiation under a recorded id.
     pub fn config_digest(cfg: &MarketConfig) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = DIGEST_SEED;
         h = fold_f64(h, cfg.utility_rate);
         h = fold_f64(h, cfg.budget);
         h = fold_f64(h, cfg.eps_task);
         h = fold_f64(h, cfg.eps_data);
         h = fold_f64(h, cfg.eps_task_cost);
         h = fold_f64(h, cfg.eps_data_cost);
-        h = fnv64_fold(h, cfg.max_rounds as u64);
-        h = fnv64_fold(h, cfg.explore_rounds as u64);
-        h = fnv64_fold(h, cfg.quote_samples as u64);
+        h = fold_word(h, cfg.max_rounds as u64);
+        h = fold_word(h, cfg.explore_rounds as u64);
+        h = fold_word(h, cfg.quote_samples as u64);
         h = fold_f64(h, cfg.escalation_step);
         h = fold_f64(h, cfg.rate_cap);
         h = fold_cost(h, cfg.task_cost);
         h = fold_cost(h, cfg.data_cost);
-        h = fnv64_fold(h, cfg.seed);
-        h = fnv64_fold(h, cfg.channel_capacity as u64);
+        h = fold_word(h, cfg.seed);
+        h = fold_word(h, cfg.channel_capacity as u64);
         h
     }
 
     fn fold_message(h: u64, msg: &Message) -> u64 {
         match msg {
             Message::Quote(q) => {
-                let mut h = fnv64_fold(h, 1);
+                let mut h = fold_word(h, 1);
                 h = fold_f64(h, q.rate);
                 h = fold_f64(h, q.base);
                 h = fold_f64(h, q.cap);
-                fnv64_fold(h, q.round as u64)
+                fold_word(h, q.round as u64)
             }
             Message::Offer(OfferMsg::Bundle {
                 bundle,
                 is_final,
                 round,
             }) => {
-                let mut h = fnv64_fold(h, 2);
-                h = fnv64_fold(h, bundle.0);
-                h = fnv64_fold(h, *is_final as u64);
-                fnv64_fold(h, *round as u64)
+                let mut h = fold_word(h, 2);
+                h = fold_word(h, bundle.0);
+                h = fold_word(h, *is_final as u64);
+                fold_word(h, *round as u64)
             }
             Message::Offer(OfferMsg::Withdraw { round }) => {
-                fnv64_fold(fnv64_fold(h, 3), *round as u64)
+                fold_word(fold_word(h, 3), *round as u64)
             }
-            Message::GainReport(g) => {
-                fold_f64(fnv64_fold(fnv64_fold(h, 4), g.round as u64), g.gain)
-            }
+            Message::GainReport(g) => fold_f64(fold_word(fold_word(h, 4), g.round as u64), g.gain),
             Message::Settle(SettleMsg::Pay { amount, round }) => {
-                fold_f64(fnv64_fold(fnv64_fold(h, 5), *round as u64), *amount)
+                fold_f64(fold_word(fold_word(h, 5), *round as u64), *amount)
             }
             Message::Settle(SettleMsg::Abort { round }) => {
-                fnv64_fold(fnv64_fold(h, 6), *round as u64)
+                fold_word(fold_word(h, 6), *round as u64)
             }
         }
     }
 
     /// Content digest of a full [`Outcome`]: status code, every round
     /// record (all fields, bit patterns), every transcript message, and
-    /// the seller stamp. Two outcomes compare equal iff their digests do
-    /// (modulo the vanishing FNV collision probability), so a journal can
-    /// assert "replay reproduced the recorded conclusion" in 8 bytes.
+    /// the seller stamp, one [`fold_word`] per field. Outcomes that differ
+    /// in any single field always digest differently (the fold is a
+    /// bijection); other differences collide with vanishing probability.
+    /// So a journal can assert "replay reproduced the recorded conclusion"
+    /// in 8 bytes.
     pub fn outcome_digest(outcome: &Outcome) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv64_fold(h, status_code(outcome.status) as u64);
-        h = fnv64_fold(h, outcome.rounds.len() as u64);
+        let mut h = DIGEST_SEED;
+        h = fold_word(h, status_code(outcome.status) as u64);
+        h = fold_word(h, outcome.rounds.len() as u64);
         for r in &outcome.rounds {
-            h = fnv64_fold(h, r.round as u64);
+            h = fold_word(h, r.round as u64);
             h = fold_f64(h, r.quote.rate);
             h = fold_f64(h, r.quote.base);
             h = fold_f64(h, r.quote.cap);
-            h = fnv64_fold(h, r.listing as u64);
-            h = fnv64_fold(h, r.bundle.0);
+            h = fold_word(h, r.listing as u64);
+            h = fold_word(h, r.bundle.0);
             h = fold_f64(h, r.gain);
             h = fold_f64(h, r.payment);
             h = fold_f64(h, r.net_profit);
             h = fold_f64(h, r.cost_task);
             h = fold_f64(h, r.cost_data);
-            h = fnv64_fold(h, r.final_offer as u64);
+            h = fold_word(h, r.final_offer as u64);
         }
         for msg in outcome.transcript.messages() {
             h = fold_message(h, msg);
         }
         match outcome.transcript.seller() {
             Some(name) => {
-                h = fnv64_fold(h, name.len() as u64);
-                for &b in name.as_bytes() {
-                    h = fnv64_fold(h, b as u64);
+                // Length first, then the bytes eight to a little-endian
+                // word (the last one zero-padded).
+                h = fold_word(h, name.len() as u64);
+                for chunk in name.as_bytes().chunks(8) {
+                    let mut word = [0u8; 8];
+                    word[..chunk.len()].copy_from_slice(chunk);
+                    h = fold_word(h, u64::from_le_bytes(word));
                 }
             }
-            None => h = fnv64_fold(h, u64::MAX),
+            None => h = fold_word(h, u64::MAX),
         }
         h
     }
@@ -1311,13 +1319,242 @@ mod tests {
         assert_ne!(wire::outcome_digest(&a), wire::outcome_digest(&stamped));
     }
 
+    /// One bit of any single recorded field — a round record's field, a
+    /// field of any message variant, the status, a byte of the seller
+    /// stamp — always moves the digest.
+    #[test]
+    fn wire_outcome_digest_sees_every_field() {
+        let base = drive_manual(3);
+        assert!(base.rounds.len() >= 2, "several round records");
+        let digest = wire::outcome_digest(&base);
+        let flip = |x: f64| f64::from_bits(x.to_bits() ^ 1);
+        // Round records: every field of every record.
+        type RoundEdit = fn(&mut RoundRecord);
+        let round_edits: [(&str, RoundEdit); 12] = [
+            ("round", |r| r.round ^= 1),
+            ("rate", |r| {
+                r.quote.rate = f64::from_bits(r.quote.rate.to_bits() ^ 1)
+            }),
+            ("base", |r| {
+                r.quote.base = f64::from_bits(r.quote.base.to_bits() ^ 1)
+            }),
+            ("cap", |r| {
+                r.quote.cap = f64::from_bits(r.quote.cap.to_bits() ^ 1)
+            }),
+            ("listing", |r| r.listing ^= 1),
+            ("bundle", |r| r.bundle = BundleMask(r.bundle.0 ^ 1)),
+            ("gain", |r| r.gain = f64::from_bits(r.gain.to_bits() ^ 1)),
+            ("payment", |r| {
+                r.payment = f64::from_bits(r.payment.to_bits() ^ 1)
+            }),
+            ("net_profit", |r| {
+                r.net_profit = f64::from_bits(r.net_profit.to_bits() ^ 1)
+            }),
+            ("cost_task", |r| {
+                r.cost_task = f64::from_bits(r.cost_task.to_bits() ^ 1)
+            }),
+            ("cost_data", |r| {
+                r.cost_data = f64::from_bits(r.cost_data.to_bits() ^ 1)
+            }),
+            ("final_offer", |r| r.final_offer = !r.final_offer),
+        ];
+        for i in 0..base.rounds.len() {
+            for (field, edit) in round_edits {
+                let mut edited = base.clone();
+                edit(&mut edited.rounds[i]);
+                assert_ne!(wire::outcome_digest(&edited), digest, "round {i} {field}");
+            }
+        }
+        // Messages: one of each variant appended after the transcript, at
+        // the next round, then the same message with one field flipped
+        // (a flipped round stays at or after the last one).
+        let next = base.transcript.messages().last().unwrap().round() + 1;
+        let with_last = |msg: Message| {
+            let mut outcome = base.clone();
+            let mut transcript = Transcript::default();
+            for &m in base.transcript.messages() {
+                transcript.push(m);
+            }
+            transcript.push(msg);
+            outcome.transcript = transcript;
+            wire::outcome_digest(&outcome)
+        };
+        let quote = QuoteMsg {
+            rate: 6.5,
+            base: 0.9,
+            cap: 2.85,
+            round: next,
+        };
+        let bundle = (BundleMask(0b101), true, next);
+        let (gain, amount) = (0.3, 2.7);
+        let variants: Vec<(&str, Message, Vec<Message>)> = vec![
+            (
+                "quote",
+                Message::Quote(quote),
+                vec![
+                    Message::Quote(QuoteMsg {
+                        rate: flip(quote.rate),
+                        ..quote
+                    }),
+                    Message::Quote(QuoteMsg {
+                        base: flip(quote.base),
+                        ..quote
+                    }),
+                    Message::Quote(QuoteMsg {
+                        cap: flip(quote.cap),
+                        ..quote
+                    }),
+                    Message::Quote(QuoteMsg {
+                        round: next ^ 1,
+                        ..quote
+                    }),
+                ],
+            ),
+            (
+                "bundle offer",
+                Message::Offer(OfferMsg::Bundle {
+                    bundle: bundle.0,
+                    is_final: bundle.1,
+                    round: bundle.2,
+                }),
+                vec![
+                    Message::Offer(OfferMsg::Bundle {
+                        bundle: BundleMask(bundle.0 .0 ^ 1),
+                        is_final: bundle.1,
+                        round: bundle.2,
+                    }),
+                    Message::Offer(OfferMsg::Bundle {
+                        bundle: bundle.0,
+                        is_final: !bundle.1,
+                        round: bundle.2,
+                    }),
+                    Message::Offer(OfferMsg::Bundle {
+                        bundle: bundle.0,
+                        is_final: bundle.1,
+                        round: bundle.2 ^ 1,
+                    }),
+                ],
+            ),
+            (
+                "withdraw",
+                Message::Offer(OfferMsg::Withdraw { round: next }),
+                vec![Message::Offer(OfferMsg::Withdraw { round: next ^ 1 })],
+            ),
+            (
+                "gain report",
+                Message::GainReport(GainReportMsg { gain, round: next }),
+                vec![
+                    Message::GainReport(GainReportMsg {
+                        gain: flip(gain),
+                        round: next,
+                    }),
+                    Message::GainReport(GainReportMsg {
+                        gain,
+                        round: next ^ 1,
+                    }),
+                ],
+            ),
+            (
+                "pay",
+                Message::Settle(SettleMsg::Pay {
+                    amount,
+                    round: next,
+                }),
+                vec![
+                    Message::Settle(SettleMsg::Pay {
+                        amount: flip(amount),
+                        round: next,
+                    }),
+                    Message::Settle(SettleMsg::Pay {
+                        amount,
+                        round: next ^ 1,
+                    }),
+                ],
+            ),
+            (
+                "abort",
+                Message::Settle(SettleMsg::Abort { round: next }),
+                vec![Message::Settle(SettleMsg::Abort { round: next ^ 1 })],
+            ),
+        ];
+        for (variant, msg, flipped) in variants {
+            let d = with_last(msg);
+            for (i, other) in flipped.into_iter().enumerate() {
+                assert_ne!(with_last(other), d, "{variant} field {i}");
+            }
+        }
+        // The status: every other status digests differently.
+        let statuses = [1, 2, 10, 11, 12, 13, 14].map(|c| wire::status_from_code(c).unwrap());
+        for status in statuses.into_iter().filter(|&s| s != base.status) {
+            let edited = Outcome {
+                status,
+                ..base.clone()
+            };
+            assert_ne!(wire::outcome_digest(&edited), digest, "{status:?}");
+        }
+        // The seller stamp: present vs absent, and one bit of every byte
+        // of a name longer than one word.
+        let name = "data-party-7-of-12";
+        let mut stamped = base.clone();
+        stamped.transcript.set_seller(name);
+        let stamped_digest = wire::outcome_digest(&stamped);
+        assert_ne!(stamped_digest, digest, "stamp present");
+        for i in 0..name.len() {
+            let mut bytes = name.as_bytes().to_vec();
+            bytes[i] ^= 1;
+            let mut edited = base.clone();
+            edited
+                .transcript
+                .set_seller(String::from_utf8(bytes).unwrap());
+            assert_ne!(
+                wire::outcome_digest(&edited),
+                stamped_digest,
+                "seller byte {i}"
+            );
+        }
+    }
+
+    /// The v3 digests of a fixed negotiation and of the default config.
+    /// A change to the fold or to its field order fails here: that change
+    /// invalidates every journaled digest, so it needs a journal `VERSION`
+    /// bump, not new pins.
+    #[test]
+    fn wire_digests_match_the_v3_pins() {
+        assert_eq!(
+            wire::outcome_digest(&drive_manual(3)),
+            0xe2cf_c668_4ad6_f384
+        );
+        assert_eq!(
+            wire::config_digest(&MarketConfig::default()),
+            0x5765_531b_88b4_1b20
+        );
+    }
+
+    /// `fnv64` is FNV-1a 64 (published test vectors), and `fold_word` is
+    /// a bijection in the state and in the word: it can be undone for
+    /// either, given the other.
     #[test]
     fn wire_fnv_primitives_agree() {
-        let word = 0x1234_5678_9abc_def0u64;
-        assert_eq!(
-            wire::fnv64(&word.to_le_bytes()),
-            wire::fnv64_fold(0xcbf2_9ce4_8422_2325, word)
-        );
+        use rand::RngExt;
+        assert_eq!(wire::fnv64(b""), wire::DIGEST_SEED);
+        assert_eq!(wire::fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(wire::fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+        // The fold multiplies by an odd constant, then xor-shifts by half
+        // the width; undo both to recover `h ^ word`.
+        let k = 0x9e37_79b9_7f4a_7c15u64;
+        let mut k_inv = k; // Newton's iteration doubles the correct bits
+        for _ in 0..6 {
+            k_inv = k_inv.wrapping_mul(2u64.wrapping_sub(k.wrapping_mul(k_inv)));
+        }
+        assert_eq!(k.wrapping_mul(k_inv), 1);
+        let unmix = |y: u64| (y ^ (y >> 32)).wrapping_mul(k_inv);
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..1000 {
+            let (h, word): (u64, u64) = (rng.random(), rng.random());
+            let folded = wire::fold_word(h, word);
+            assert_eq!(unmix(folded) ^ word, h, "state from (digest, word)");
+            assert_eq!(unmix(folded) ^ h, word, "word from (digest, state)");
+        }
     }
 
     /// Encodes `v`, decodes it back, and checks every byte was consumed.

@@ -32,8 +32,28 @@
 //! [`vfl_market::session::wire::Wire`]: fixed-width little-endian
 //! integers, f64 as IEEE bit patterns, every id and `usize` as `u64`,
 //! strings as a `u32` byte length + UTF-8, options as a 0/1 marker byte.
-//! Version 2 is current; a frame of any other version ends the prefix.
 //! Tags and codes are never reused: tags 5, 6 and 11 are retired.
+//!
+//! ## Digests and versions
+//!
+//! Frames carry three content digests: a submission's config digest
+//! ([`vfl_market::session::wire::config_digest`]), a conclusion's outcome
+//! digest ([`vfl_market::session::wire::outcome_digest`]) and a
+//! registration's [`listing_table_digest`]. Each folds one 64-bit word per
+//! field (an f64 as its bit pattern) with
+//! [`vfl_market::session::wire::fold_word`], `h = mix(h ^ word)`, where
+//! `mix` is an odd multiply and a 32-bit xor-shift. Both are bijections,
+//! so a change to any single field always changes the digest. Only the
+//! frame checksum stays byte-wise FNV-1a.
+//!
+//! Version 3 is current. It has version 2's frame layout; only the digest
+//! fold changed (v2 folded every word byte by byte through FNV-1a), so a
+//! v2 journal's digests no longer verify. Readers therefore refuse a
+//! journal of another version outright: [`Exchange::recover`] returns
+//! [`RecoverError::InconsistentJournal`] naming both versions when the
+//! first frame carries the journal magic and another version byte, and
+//! `vfl-audit` reports the same message and exits non-zero. Within a
+//! journal, a frame of another version ends the prefix.
 //!
 //! ## Truncation rule
 //!
@@ -139,7 +159,7 @@ use crate::telemetry::ExchangeTelemetry;
 use vfl_market::{MarketError, Outcome};
 
 const MAGIC: u8 = 0xEA;
-const VERSION: u8 = 2;
+const VERSION: u8 = 3;
 const HEADER: usize = 6; // magic + version + u32 length
 const TRAILER: usize = 8; // fnv64 checksum
 
@@ -149,11 +169,11 @@ const TRAILER: usize = 8; // fnv64 checksum
 /// way the coarser count/catalog fingerprints cannot see (edited
 /// reserves, reordered listings with the same feature union).
 pub fn listing_table_digest(listings: &[vfl_market::Listing]) -> u64 {
-    let mut h = wire::fnv64(&[]);
+    let mut h = wire::DIGEST_SEED;
     for l in listings {
-        h = wire::fnv64_fold(h, l.bundle.0);
-        h = wire::fnv64_fold(h, l.reserved.rate.to_bits());
-        h = wire::fnv64_fold(h, l.reserved.base.to_bits());
+        h = wire::fold_word(h, l.bundle.0);
+        h = wire::fold_word(h, l.reserved.rate.to_bits());
+        h = wire::fold_word(h, l.reserved.base.to_bits());
     }
     h
 }
@@ -612,6 +632,20 @@ fn parse_frame(bytes: &[u8]) -> Option<(ExchangeEvent, usize)> {
         return None;
     }
     Some((ExchangeEvent::decode(payload)?, end + TRAILER))
+}
+
+/// Refuses a journal written in another format version: an error naming
+/// both versions when the first frame carries the journal magic and a
+/// version byte other than this build's. Such a journal is not torn —
+/// the truncation rule would drop all of it and recovery would build an
+/// empty exchange — so [`Exchange::recover`] and `vfl-audit` stop here.
+pub fn check_journal_version(bytes: &[u8]) -> Result<(), RecoverError> {
+    match *bytes {
+        [MAGIC, version, ..] if version != VERSION => Err(RecoverError::InconsistentJournal(
+            format!("journal format version {version}; this build reads version {VERSION} only"),
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// Decodes a journal's longest valid prefix. Returns the events plus the
@@ -1244,6 +1278,7 @@ impl Exchange {
         journal: Option<Arc<Journal>>,
         telemetry: Option<Arc<ExchangeTelemetry>>,
     ) -> Result<(Exchange, ReplayReport), RecoverError> {
+        check_journal_version(journal_bytes)?;
         let restore_start = telemetry.as_deref().map(|t| t.now_ns());
         let (mut events, dropped_bytes) = read_events(journal_bytes);
         let exchange = Exchange::build(cfg, journal, telemetry);
@@ -1813,12 +1848,47 @@ mod tests {
         assert_eq!(*frame_boundaries(&bytes).last().unwrap(), bytes.len());
     }
 
-    /// The v2 wire pins: fnv64 of every sample frame. A codec change
+    /// The v3 wire pins: fnv64 of every sample frame. A codec change
     /// that moves any byte of any tag fails here; such a change needs a
     /// `VERSION` bump, not new pins.
     #[test]
     fn sample_frames_match_pinned_fnv64() {
         const PINS: [u64; 15] = [
+            0x99f399afc952fd10,
+            0x4fd6f66964db6fe4,
+            0x4e30bea0c6a85198,
+            0x8b6c3007372d6a8f,
+            0x4aabcf33014cc133,
+            0x3aae901e5cae0024,
+            0xcc32e9c672ec12ff,
+            0xace1903b510a1674,
+            0x49d53ab7fb4b0cbf,
+            0x57c87ce3717dfbd3,
+            0x77a7e517362b06c4,
+            0xac1288c2f72bc615,
+            0xe55fec52aa782636,
+            0x7d82f1bd2a06a9e7,
+            0xa041cc91350dad2e,
+        ];
+        let events = sample_events();
+        let tags: std::collections::HashSet<u8> =
+            events.iter().map(|e| e.encode_frame()[HEADER]).collect();
+        assert_eq!(tags.len(), 12, "every v3 tag is sampled");
+        let got: Vec<u64> = events
+            .iter()
+            .map(|e| wire::fnv64(&e.encode_frame()))
+            .collect();
+        assert_eq!(got, PINS);
+    }
+
+    /// v3 changed the digest fold, not the frame layout: every v3 sample
+    /// frame, set back to version 2 with its one fold-computed field (the
+    /// checkpoint's embedded outcome digest) set to its v2 value and the
+    /// checksum recomputed, hashes to its v2 pin (the fnv64 of the frame
+    /// as v2 wrote it). So no other header or payload byte moved.
+    #[test]
+    fn sample_frames_differ_from_v2_only_in_version() {
+        const V2_PINS: [u64; 15] = [
             0x144f044254bddc20,
             0xee46f7e91ae136f6,
             0x865d6a8acd8c1781,
@@ -1835,15 +1905,74 @@ mod tests {
             0xfefc3bb239e0f609,
             0x932328d151957a5c,
         ];
-        let events = sample_events();
-        let tags: std::collections::HashSet<u8> =
-            events.iter().map(|e| e.encode_frame()[HEADER]).collect();
-        assert_eq!(tags.len(), 12, "every v2 tag is sampled");
-        let got: Vec<u64> = events
+        /// The v2 (byte-wise FNV-1a) digest of the sample checkpoint's
+        /// one outcome.
+        const V2_OUTCOME_DIGEST: u64 = 0xd1e0_5b43_d057_68eb;
+        let got: Vec<u64> = sample_events()
             .iter()
-            .map(|e| wire::fnv64(&e.encode_frame()))
+            .map(|e| {
+                let mut frame = e.encode_frame();
+                assert_eq!(frame[1], 3);
+                frame[1] = 2;
+                if let ExchangeEvent::Checkpoint { state } = e {
+                    let [(_, Ok(outcome)), (_, Err(_))] = &state.sessions[..] else {
+                        panic!("the sample checkpoint holds one outcome");
+                    };
+                    let v3 = wire::outcome_digest(outcome).to_le_bytes();
+                    let at: Vec<usize> = (0..frame.len() - 8)
+                        .filter(|&i| frame[i..i + 8] == v3)
+                        .collect();
+                    assert_eq!(at.len(), 1, "the digest appears once");
+                    frame[at[0]..at[0] + 8].copy_from_slice(&V2_OUTCOME_DIGEST.to_le_bytes());
+                }
+                let end = frame.len() - TRAILER;
+                let sum = wire::fnv64(&frame[..end]);
+                frame[end..].copy_from_slice(&sum.to_le_bytes());
+                wire::fnv64(&frame)
+            })
             .collect();
-        assert_eq!(got, PINS);
+        assert_eq!(got, V2_PINS);
+    }
+
+    /// Recovery refuses a journal whose first frame carries another
+    /// version, naming both, instead of dropping it whole as a torn tail
+    /// and building an empty exchange.
+    #[test]
+    fn recovery_refuses_journals_of_another_version() {
+        let mut bytes = Vec::new();
+        for e in sample_events() {
+            bytes.extend_from_slice(&e.encode_frame());
+        }
+        for version in [2, VERSION + 1] {
+            let mut other = bytes.clone();
+            other[1] = version;
+            let refused = check_journal_version(&other).unwrap_err();
+            let RecoverError::InconsistentJournal(msg) = &refused else {
+                panic!("expected InconsistentJournal, got {refused:?}");
+            };
+            assert!(msg.contains(&format!("version {version}")), "{msg}");
+            assert!(msg.contains(&format!("version {VERSION}")), "{msg}");
+            match Exchange::recover(
+                ExchangeConfig::default(),
+                &other,
+                ReplaySpec::default(),
+                None,
+            ) {
+                Err(e) => assert_eq!(e, refused),
+                Ok(_) => panic!("a version {version} journal recovered"),
+            }
+        }
+        // This build's frames, an empty journal, and bytes that are not a
+        // journal frame at all (the truncation rule handles those) pass.
+        assert_eq!(check_journal_version(&bytes), Ok(()));
+        assert_eq!(check_journal_version(&[]), Ok(()));
+        assert_eq!(check_journal_version(&[MAGIC]), Ok(()));
+        assert_eq!(check_journal_version(&[0, 2, 0, 0]), Ok(()));
+        let (_, report) =
+            Exchange::recover(ExchangeConfig::default(), &[], ReplaySpec::default(), None)
+                .map_err(|e| e.to_string())
+                .unwrap();
+        assert_eq!(report.events, 0);
     }
 
     #[test]

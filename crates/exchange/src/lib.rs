@@ -152,9 +152,10 @@ pub use executor::{
     CourseFuture, CourseOrder, CourseResolver, LocalResolver, SimulatedRemoteResolver,
 };
 pub use journal::{
-    frame_boundaries, listing_table_digest, read_events, CheckpointMarket, CheckpointState,
-    CompactError, CompactStats, CrashHook, CrashPoint, ExchangeEvent, Journal, MemorySink,
-    QuoteKind, RecordedConclusion, RecordedSettlement, RecoverError, ReplayReport, ReplaySpec,
+    check_journal_version, frame_boundaries, listing_table_digest, read_events, CheckpointMarket,
+    CheckpointState, CompactError, CompactStats, CrashHook, CrashPoint, ExchangeEvent, Journal,
+    MemorySink, QuoteKind, RecordedConclusion, RecordedSettlement, RecoverError, ReplayReport,
+    ReplaySpec,
 };
 pub use matching::{
     BestResponse, CandidateQuote, Demand, DemandId, DemandReport, DemandStatus, MatchPolicy,
