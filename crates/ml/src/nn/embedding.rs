@@ -14,6 +14,8 @@ pub struct Embedding {
     table: Matrix,
     grad: Matrix,
     opt: AdamState,
+    /// The last training batch's id lists, kept for backprop and refilled
+    /// in place by each [`Embedding::forward_mean`].
     cached_batch: Option<Vec<Vec<u32>>>,
 }
 
@@ -53,8 +55,8 @@ impl Embedding {
                     (id as usize) < self.table.rows(),
                     "embedding id out of range"
                 );
-                let src = self.table.row(id as usize).to_vec();
-                for (o, s) in out.row_mut(r).iter_mut().zip(&src) {
+                let src = self.table.row(id as usize);
+                for (o, s) in out.row_mut(r).iter_mut().zip(src) {
                     *o += s * inv;
                 }
             }
@@ -66,7 +68,12 @@ impl Embedding {
     pub fn forward_mean(&mut self, batch: &[Vec<u32>]) -> Matrix {
         let mut out = Matrix::zeros(batch.len(), self.dim());
         self.pool_into(batch, &mut out);
-        self.cached_batch = Some(batch.to_vec());
+        let cached = self.cached_batch.get_or_insert_with(Vec::new);
+        cached.resize_with(batch.len(), Vec::new);
+        for (kept, ids) in cached.iter_mut().zip(batch) {
+            kept.clear();
+            kept.extend_from_slice(ids);
+        }
         out
     }
 
@@ -79,21 +86,23 @@ impl Embedding {
 
     /// Scatters the pooled gradient back onto the table rows.
     pub fn backward_mean(&mut self, d_pooled: &Matrix) {
-        let batch = self
-            .cached_batch
+        let Embedding {
+            grad, cached_batch, ..
+        } = self;
+        let batch = cached_batch
             .as_ref()
             .expect("embedding backward before forward");
         assert_eq!(d_pooled.rows(), batch.len(), "embedding grad batch size");
-        assert_eq!(d_pooled.cols(), self.dim(), "embedding grad dim");
-        self.grad.scale(0.0);
+        assert_eq!(d_pooled.cols(), grad.cols(), "embedding grad dim");
+        grad.scale(0.0);
         for (r, ids) in batch.iter().enumerate() {
             if ids.is_empty() {
                 continue;
             }
             let inv = 1.0 / ids.len() as f64;
             for &id in ids {
-                let row = d_pooled.row(r).to_vec();
-                for (g, d) in self.grad.row_mut(id as usize).iter_mut().zip(&row) {
+                let row = d_pooled.row(r);
+                for (g, d) in grad.row_mut(id as usize).iter_mut().zip(row) {
                     *g += d * inv;
                 }
             }
