@@ -26,9 +26,8 @@
 //! (default 4); `ADMISSION_BENCH_MAX_QUEUE` sets the threshold bound
 //! (default 32); `ADMISSION_BENCH_REPS` sets the repetitions (default 3).
 
-use std::path::PathBuf;
 use std::sync::Arc;
-use vfl_bench::report::results_dir;
+use vfl_bench::report::write_bench_json;
 use vfl_exchange::{
     AdmissionPolicy, CostWeightedAdmission, Exchange, ExchangeConfig, ExchangeTelemetry,
     Hysteresis, QueueDepthAdmission, QuotaAdmission, ScenarioDriver, ScenarioSpec,
@@ -322,23 +321,5 @@ fn main() {
         quote_list(&bucket_wins),
         rows.join(",\n")
     );
-    let path = results_dir().join("BENCH_admission.json");
-    std::fs::write(&path, &json).expect("write BENCH_admission.json");
-    println!("\nwrote {}", path.display());
-    // Mirror into the repo-root results/ when it is a distinct directory
-    // (cargo bench runs with the package as cwd, so results_dir() resolves
-    // to crates/bench/results there).
-    let root = PathBuf::from("../../results");
-    let distinct = match (
-        path.parent().and_then(|p| p.canonicalize().ok()),
-        root.canonicalize().ok(),
-    ) {
-        (Some(a), Some(b)) => a != b,
-        _ => false,
-    };
-    if distinct {
-        let mirror = root.join("BENCH_admission.json");
-        std::fs::write(&mirror, &json).expect("write root BENCH_admission.json");
-        println!("wrote {}", mirror.display());
-    }
+    write_bench_json("admission", &json);
 }

@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 use vfl_bench::exchange_setup::{register_cell, strategic_order};
-use vfl_bench::report::results_dir;
+use vfl_bench::report::write_bench_json;
 use vfl_bench::{BaseModelKind, PreparedMarket, RunProfile};
 use vfl_exchange::{Exchange, ExchangeConfig, MetricsSnapshot};
 use vfl_tabular::DatasetId;
@@ -170,7 +170,5 @@ fn main() {
         hw,
         json_runs.join(",\n")
     );
-    let path = results_dir().join("BENCH_exchange.json");
-    std::fs::write(&path, json).expect("write BENCH_exchange.json");
-    println!("wrote {}", path.display());
+    write_bench_json("exchange", &json);
 }

@@ -20,10 +20,9 @@
 //! in `results/BENCH_executor.json`. `EXECUTOR_BENCH_SESSIONS` overrides
 //! the book size (default 48).
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vfl_bench::report::results_dir;
+use vfl_bench::report::write_bench_json;
 use vfl_exchange::{Exchange, ExchangeConfig, MarketSpec, SessionOrder, SimulatedRemoteResolver};
 use vfl_market::{
     Listing, MarketConfig, Outcome, ReservedPrice, StrategicData, StrategicTask, TableGainProvider,
@@ -172,23 +171,5 @@ fn main() {
          \"sweep\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
-    let path = results_dir().join("BENCH_executor.json");
-    std::fs::write(&path, &json).expect("write BENCH_executor.json");
-    println!("\nwrote {}", path.display());
-    // Mirror into the repo-root results/ when it is a distinct directory
-    // (cargo bench runs with the package as cwd, so results_dir() resolves
-    // to crates/bench/results there).
-    let root = PathBuf::from("../../results");
-    let distinct = match (
-        path.parent().and_then(|p| p.canonicalize().ok()),
-        root.canonicalize().ok(),
-    ) {
-        (Some(a), Some(b)) => a != b,
-        _ => false,
-    };
-    if distinct {
-        let mirror = root.join("BENCH_executor.json");
-        std::fs::write(&mirror, &json).expect("write root BENCH_executor.json");
-        println!("wrote {}", mirror.display());
-    }
+    write_bench_json("executor", &json);
 }

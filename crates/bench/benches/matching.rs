@@ -52,7 +52,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use vfl_bench::report::results_dir;
+use vfl_bench::report::write_bench_json;
 use vfl_exchange::{
     BestResponse, ClearPolicy, ClearingSpec, Demand, DemandId, Exchange, ExchangeConfig,
     MarketSpec, PerDemand, SellerSpec, SettleMode, UniformPriceClearing,
@@ -672,7 +672,5 @@ fn main() {
         json_sweep.join(",\n"),
         json_arms.join(",\n")
     );
-    let path = results_dir().join("BENCH_matching.json");
-    std::fs::write(&path, json).expect("write BENCH_matching.json");
-    println!("wrote {}", path.display());
+    write_bench_json("matching", &json);
 }

@@ -25,7 +25,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vfl_bench::exchange_setup::{CountingGainProvider, TrainingRecorder};
-use vfl_bench::report::results_dir;
+use vfl_bench::report::write_bench_json;
 use vfl_exchange::{
     read_events, BestResponse, Demand, DemandId, Exchange, ExchangeConfig, ExchangeEvent, Journal,
     MarketSpec, ReplaySpec, SellerSpec, SettleMode,
@@ -410,7 +410,5 @@ fn main() {
         json.trim_end().trim_end_matches('}').trim_end(),
         sweep_rows.join(",\n")
     );
-    let path = results_dir().join("BENCH_replay.json");
-    std::fs::write(&path, json).expect("write BENCH_replay.json");
-    println!("wrote {}", path.display());
+    write_bench_json("replay", &json);
 }

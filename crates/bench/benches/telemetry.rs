@@ -23,7 +23,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vfl_bench::exchange_setup::SpinGainProvider;
-use vfl_bench::report::results_dir;
+use vfl_bench::report::write_bench_json;
 use vfl_exchange::{Exchange, ExchangeConfig, ExchangeTelemetry, MarketSpec, SessionOrder, STAGES};
 use vfl_market::{
     GainProvider, Listing, MarketConfig, Outcome, ReservedPrice, StrategicData, StrategicTask,
@@ -223,7 +223,5 @@ fn main() {
         SPIN.as_micros(),
         stage_rows.join(",\n")
     );
-    let path = results_dir().join("BENCH_telemetry.json");
-    std::fs::write(&path, json).expect("write BENCH_telemetry.json");
-    println!("\nwrote {}", path.display());
+    write_bench_json("telemetry", &json);
 }

@@ -16,9 +16,8 @@
 //! `TRAFFIC_BENCH_SCALE` multiplies every scenario's tick count (default
 //! 4); `TRAFFIC_BENCH_MAX_QUEUE` sets the admission bound (default 32).
 
-use std::path::PathBuf;
 use std::sync::Arc;
-use vfl_bench::report::results_dir;
+use vfl_bench::report::write_bench_json;
 use vfl_exchange::{
     Exchange, ExchangeConfig, ExchangeTelemetry, QueueDepthAdmission, ScenarioDriver,
 };
@@ -101,23 +100,5 @@ fn main() {
          \"scenarios\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
-    let path = results_dir().join("BENCH_traffic.json");
-    std::fs::write(&path, &json).expect("write BENCH_traffic.json");
-    println!("\nwrote {}", path.display());
-    // Mirror into the repo-root results/ when it is a distinct directory
-    // (cargo bench runs with the package as cwd, so results_dir() resolves
-    // to crates/bench/results there).
-    let root = PathBuf::from("../../results");
-    let distinct = match (
-        path.parent().and_then(|p| p.canonicalize().ok()),
-        root.canonicalize().ok(),
-    ) {
-        (Some(a), Some(b)) => a != b,
-        _ => false,
-    };
-    if distinct {
-        let mirror = root.join("BENCH_traffic.json");
-        std::fs::write(&mirror, &json).expect("write root BENCH_traffic.json");
-        println!("wrote {}", mirror.display());
-    }
+    write_bench_json("traffic", &json);
 }

@@ -18,6 +18,26 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
+/// Writes a custom-harness bench's record `BENCH_<name>.json` into
+/// [`results_dir`], and mirrors it into the workspace root's `results/`
+/// when that is a different existing directory (`cargo bench` runs with
+/// the package as cwd, so [`results_dir`] is `crates/bench/results`
+/// there). Prints every path written; panics when a write fails.
+pub fn write_bench_json(name: &str, json: &str) {
+    let file = format!("BENCH_{name}.json");
+    let dir = results_dir();
+    let root = PathBuf::from("../../results");
+    let distinct = match (dir.canonicalize().ok(), root.canonicalize().ok()) {
+        (Some(a), Some(b)) => a != b,
+        _ => false,
+    };
+    let mirror = distinct.then(|| root.join(&file));
+    for target in std::iter::once(dir.join(&file)).chain(mirror) {
+        fs::write(&target, json).unwrap_or_else(|e| panic!("write {}: {e}", target.display()));
+        println!("wrote {}", target.display());
+    }
+}
+
 /// Writes a CSV file of string cells.
 pub fn write_csv(path: &Path, header: &[&str], rows: &[Vec<String>]) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {

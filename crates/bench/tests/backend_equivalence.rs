@@ -657,7 +657,12 @@ impl CourseResolver for FlakyResolver {
 /// so one faulted payer's rivals can be checked against any of them.
 fn drain_identical_orders(
     resolver: Arc<dyn CourseResolver>,
-) -> (DrainReport, Vec<Result<Outcome, String>>, TrainingRecorder) {
+) -> (
+    DrainReport,
+    Vec<Result<Outcome, String>>,
+    TrainingRecorder,
+    MetricsSnapshot,
+) {
     let recorder = TrainingRecorder::default();
     let exchange = Exchange::new(ExchangeConfig::default());
     let market = exchange
@@ -678,7 +683,7 @@ fn drain_identical_orders(
                 .map_err(|e| e.to_string())
         })
         .collect();
-    (report, outcomes, recorder)
+    (report, outcomes, recorder, exchange.metrics())
 }
 
 /// Sessions [`drain_identical_orders`] submits: all on the same first
@@ -686,13 +691,14 @@ fn drain_identical_orders(
 const IDENTICAL_ORDERS: usize = 4;
 
 /// A failed course resolution fails exactly the paying session; every
-/// rival parked on the course waitlist is woken exactly once, retries the
+/// rival waiting on the course's claim is woken exactly once, retries the
 /// claim, and closes normally (one of them becoming the new payer). No
 /// session is stranded — the drain terminates with all sessions terminal
-/// — and no course is trained twice.
+/// — no course is trained twice, and the failed course counts no cache
+/// miss.
 #[test]
 fn a_failed_course_resolution_fails_only_the_paying_session() {
-    let (clean_report, clean_outcomes, clean_recorder) =
+    let (clean_report, clean_outcomes, clean_recorder, clean_metrics) =
         drain_identical_orders(Arc::new(LocalResolver));
     assert_eq!(clean_report.failed, 0);
     let clean_outcome = clean_outcomes[0].clone();
@@ -703,7 +709,7 @@ fn a_failed_course_resolution_fails_only_the_paying_session() {
         );
     }
 
-    let (report, outcomes, recorder) = drain_identical_orders(Arc::new(FlakyResolver {
+    let (report, outcomes, recorder, metrics) = drain_identical_orders(Arc::new(FlakyResolver {
         fail_first: 1,
         seen: AtomicUsize::new(0),
     }));
@@ -739,6 +745,10 @@ fn a_failed_course_resolution_fails_only_the_paying_session() {
         recorder.set(),
         clean_recorder.set(),
         "the retry pays exactly the clean run's courses"
+    );
+    assert_eq!(
+        metrics.cache_misses, clean_metrics.cache_misses,
+        "only successful trainings are misses"
     );
 }
 
@@ -827,7 +837,7 @@ impl CourseResolver for ForgetfulResolver {
 
 /// A course future dropped before it resolves fails its paying session
 /// instead of hanging the drain: the payer's error names the dropped
-/// future, the claim is aborted, the waitlisted rivals wake, one of them
+/// future, the claim is aborted, its waiting rivals wake, one of them
 /// pays the course again, and they all close exactly like a clean run.
 /// The drain runs on a watchdog thread, so a regression fails by timeout
 /// rather than hanging the suite.
@@ -839,12 +849,12 @@ fn a_dropped_course_future_fails_its_session_not_the_drain() {
             ForgetfulResolver::default(),
         )));
     });
-    let (report, outcomes, recorder) = rx
+    let (report, outcomes, recorder, _) = rx
         .recv_timeout(Duration::from_secs(30))
         .expect("the drain hung on a dropped course future");
     watched.join().expect("the watched drain thread");
 
-    let (_, clean_outcomes, clean_recorder) = drain_identical_orders(Arc::new(LocalResolver));
+    let (_, clean_outcomes, clean_recorder, _) = drain_identical_orders(Arc::new(LocalResolver));
     assert_eq!(report.failed, 1, "exactly the paying session fails");
     assert_eq!(
         report.closed + report.failed,

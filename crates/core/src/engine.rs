@@ -17,8 +17,8 @@ use crate::error::Result;
 use crate::gain::GainProvider;
 use crate::listing::Listing;
 use crate::price::QuotedPrice;
-use crate::session::{NegotiationSession, SessionEffect, SessionEvent};
-use crate::strategy::{DataContext, DataStrategy, TaskStrategy};
+use crate::session::{Advance, NegotiationSession};
+use crate::strategy::{DataStrategy, TaskStrategy};
 use serde::{Deserialize, Serialize};
 use vfl_sim::protocol::Transcript;
 use vfl_sim::BundleMask;
@@ -141,10 +141,10 @@ impl Outcome {
 /// Runs one complete negotiation between a task strategy and a data
 /// strategy over a listing table, with realized gains served by `provider`.
 ///
-/// Thin driver over [`NegotiationSession`]: both parties run in this
-/// thread, the data party's draws are routed through the session RNG (the
-/// historic engine interleaved one stream), and each `AwaitGain` suspension
-/// is answered synchronously by `provider`.
+/// Thin driver over [`NegotiationSession::advance`]: both parties run in
+/// this thread, the data party's draws are routed through the session RNG
+/// (the historic engine interleaved one stream), and each course is
+/// answered synchronously by `provider`.
 pub fn run_bargaining<G: GainProvider + ?Sized>(
     provider: &G,
     listings: &[Listing],
@@ -153,27 +153,13 @@ pub fn run_bargaining<G: GainProvider + ?Sized>(
     cfg: &MarketConfig,
 ) -> Result<Outcome> {
     let mut session = NegotiationSession::new(*cfg)?;
-    let mut effect = session.step(SessionEvent::Start, listings, task)?;
+    let mut course = None;
     loop {
-        effect = match effect {
-            SessionEffect::AwaitOffer {
-                quote,
-                round,
-                exploring,
-            } => {
-                // Step 2: the data party responds.
-                let dctx = DataContext::at_round(cfg, round, exploring, &quote);
-                let response = data.respond(&dctx, listings, cfg, session.rng_mut())?;
-                session.step(SessionEvent::Offer(response), listings, task)?
-            }
-            SessionEffect::AwaitGain { bundle, .. } => {
-                // Step 3: the VFL course runs and the gain is realized.
-                let gain = provider.gain(bundle)?;
-                data.observe_course(bundle, gain);
-                session.step(SessionEvent::Gain(gain), listings, task)?
-            }
-            SessionEffect::Finished(outcome) => return Ok(*outcome),
-        };
+        match session.advance(course, listings, task, data)? {
+            // Step 3: the VFL course runs and the gain is realized.
+            Advance::NeedGain(bundle) => course = Some((bundle, provider.gain(bundle)?)),
+            Advance::Done(outcome) => return Ok(*outcome),
+        }
     }
 }
 

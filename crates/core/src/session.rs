@@ -45,7 +45,9 @@ use crate::error::{MarketError, Result};
 use crate::listing::Listing;
 use crate::payment::task_net_profit;
 use crate::price::QuotedPrice;
-use crate::strategy::{DataResponse, TaskContext, TaskDecision, TaskStrategy};
+use crate::strategy::{
+    DataContext, DataResponse, DataStrategy, TaskContext, TaskDecision, TaskStrategy,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vfl_sim::protocol::{GainReportMsg, Message, OfferMsg, QuoteMsg, SettleMsg, Transcript};
@@ -114,6 +116,16 @@ pub enum SessionPhase {
     AwaitingGain,
     /// Terminal: the outcome has been produced.
     Closed,
+}
+
+/// Where [`NegotiationSession::advance`] stopped.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Advance {
+    /// Step 3 is pending: run the VFL course for this bundle and pass its
+    /// realized ΔG to the next [`NegotiationSession::advance`].
+    NeedGain(BundleMask),
+    /// The negotiation closed; the outcome is yielded exactly once.
+    Done(Box<Outcome>),
 }
 
 /// A resumable negotiation. Owns the protocol bookkeeping (round counter,
@@ -209,6 +221,46 @@ impl NegotiationSession {
     /// True while `round` is inside the exploration window (Case VII).
     pub fn exploring(&self) -> bool {
         self.round <= self.cfg.explore_rounds
+    }
+
+    /// The in-process protocol driver: applies [`SessionEvent::Start`]
+    /// (`course = None`) or the realized ΔG of the pending course
+    /// (`Some((bundle, gain))`, after `data.observe_course`), answers
+    /// every [`SessionEffect::AwaitOffer`] with `data.respond` drawing
+    /// from this session's RNG, and stops at the next course or at the
+    /// close. [`crate::engine::run_bargaining`] serves each course from a
+    /// [`crate::GainProvider`]; the `vfl-exchange` runtime suspends the
+    /// session there and serves the course through its shared cache.
+    pub fn advance(
+        &mut self,
+        course: Option<(BundleMask, f64)>,
+        listings: &[Listing],
+        task: &mut dyn TaskStrategy,
+        data: &mut dyn DataStrategy,
+    ) -> Result<Advance> {
+        let mut effect = match course {
+            None => self.step(SessionEvent::Start, listings, task)?,
+            Some((bundle, gain)) => {
+                data.observe_course(bundle, gain);
+                self.step(SessionEvent::Gain(gain), listings, task)?
+            }
+        };
+        loop {
+            effect = match effect {
+                SessionEffect::AwaitOffer {
+                    quote,
+                    round,
+                    exploring,
+                } => {
+                    // Step 2: the data party responds.
+                    let dctx = DataContext::at_round(&self.cfg, round, exploring, &quote);
+                    let response = data.respond(&dctx, listings, &self.cfg, &mut self.rng)?;
+                    self.step(SessionEvent::Offer(response), listings, task)?
+                }
+                SessionEffect::AwaitGain { bundle, .. } => return Ok(Advance::NeedGain(bundle)),
+                SessionEffect::Finished(outcome) => return Ok(Advance::Done(outcome)),
+            };
+        }
     }
 
     /// Applies one event and returns the next effect. Feeding an event that

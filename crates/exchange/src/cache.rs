@@ -7,124 +7,144 @@
 //! share cache lines. Misses on the *same* key are deduplicated through
 //! the split-phase claim protocol (`SharedGainCache::serve_softly`): the
 //! first requester claims the key and suspends while its course resolves
-//! off-slot; later requesters see `SoftServe::Busy` and park on the
-//! exchange's course waitlist until the router applies the result
-//! (wake-on-insert; see `crate::waitlist`).
+//! off-slot; later requesters see `SoftServe::Busy` and wait on the claim
+//! itself until the router settles it (wake-on-insert, below).
 //!
 //! The cache is plain data: it lives in the exchange's state, behind the
 //! one state lock, and every call is a `&mut self` step of the router
 //! (or of a caller holding that lock). A lookup and the claim that
-//! follows a miss are therefore one atomic step.
+//! follows a miss are therefore one atomic step. It counts nothing: the
+//! router bumps the exchange's `cache_hits` and `cache_misses` counters
+//! where it serves a hit and where it applies a trained course.
+//!
+//! ## Wake protocol
+//!
+//! A claim owns its waiters, so a key's claim and the sessions parked
+//! behind it are one entry. Both sides run on the router under the state
+//! lock, one after the other, so the protocol is plain ordering:
+//!
+//! 1. Waiter (inside its slice): `serve_softly` answers `Busy` and
+//!    registers the caller on the claim in the same step; the slice then
+//!    checks the session back into the store, parked.
+//! 2. Router, applying the claim holder's course (between slices):
+//!    `complete` (success: the result lands) or `abort` (failure: nothing
+//!    lands) settles the claim and hands back its waiters, which the
+//!    router requeues before the payer resumes.
+//!
+//! A claim is settled only in step 2, never while a waiter is inside its
+//! slice, so a waiter cannot miss its wake, and each parked session is
+//! handed back exactly once. Woken waiters of a *failed* course retry,
+//! re-claim one at a time, and surface the provider error on their own
+//! sessions instead of sleeping forever.
 //!
 //! ## Invariants
 //!
 //! * A course never runs inside the cache; a training blocks only its
 //!   `(evaluation key, bundle)` claim, never a lookup.
 //! * At most one claim exists per key, and every claim is settled by
-//!   exactly one `SharedGainCache::complete` (success) or
-//!   `SharedGainCache::abort` (failure) — a failed training never
-//!   leaks its claim.
+//!   exactly one `complete` or `abort` — a leaked claim would park its
+//!   waiters forever.
 //! * Results are insert-once: a landed ΔG is immutable, so waiters woken
 //!   after the insert always read the landed value.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use vfl_sim::BundleMask;
 
-/// `(evaluation key, bundle) -> ΔG` map with hit/miss counters and a
-/// claim set that dedups overlapping trainings of the same key.
+use crate::store::SessionId;
+
+/// `(evaluation key, bundle) -> ΔG` map plus the claim set that dedups
+/// overlapping trainings of the same key, each claim with its waiters.
 #[derive(Debug, Default)]
 pub struct SharedGainCache {
     gains: HashMap<(u64, u64), f64>,
-    /// Keys whose course is claimed and not yet settled.
-    in_flight: HashSet<(u64, u64)>,
-    hits: u64,
-    misses: u64,
+    /// Keys whose course is claimed and not yet settled, each with the
+    /// sessions parked behind the claim (in arrival order).
+    claims: HashMap<(u64, u64), Vec<SessionId>>,
 }
 
 /// Outcome of [`SharedGainCache::serve_softly`] — the split-phase serve
 /// protocol. `Claimed` hands the caller the training claim *without*
 /// running the course: the session suspends and the router settles the
-/// claim when the course future resolves. Every claim must be settled
-/// with exactly one [`SharedGainCache::complete`] (success) or
-/// [`SharedGainCache::abort`] (failure) — a leaked claim parks that key's
-/// waiters forever.
+/// claim when the course future resolves (see the module doc).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum SoftServe {
-    /// Served from cache (hit counted).
+    /// Served from cache.
     Hit(f64),
     /// The caller now owns the in-flight training claim for this key.
     Claimed,
-    /// Another caller holds the claim — park on the waitlist.
+    /// Another caller holds the claim; this caller now waits on it.
     Busy,
 }
 
 impl SharedGainCache {
-    /// Cached ΔG for `bundle` under `eval_key`; counts a hit when present.
-    /// The cheap path — a slice resumes its session inline on a hit and
-    /// only suspends it when a miss forces a real course.
-    pub fn lookup(&mut self, eval_key: u64, bundle: BundleMask) -> Option<f64> {
-        let g = self.peek(eval_key, bundle);
-        if g.is_some() {
-            self.hits += 1;
-        }
-        g
-    }
-
-    /// Like [`Self::lookup`] but without touching the hit counter (for
-    /// budget checks that precede a real, counted request).
+    /// Cached ΔG for `bundle` under `eval_key`, if a course landed it.
     pub fn peek(&self, eval_key: u64, bundle: BundleMask) -> Option<f64> {
         self.gains.get(&(eval_key, bundle.0)).copied()
     }
 
-    /// Inserts a course result directly, bypassing the provider — the
-    /// journal-recovery preload path. Counts neither a hit nor a miss:
-    /// the training was paid for by a previous life of the exchange, and
-    /// the resumed drain will read it back as ordinary hits.
+    /// Inserts a course result directly, bypassing the claim protocol —
+    /// the recovery preload path: the training was paid for by a previous
+    /// life of the exchange, and the resumed drain reads it back as
+    /// ordinary hits.
     pub fn insert(&mut self, eval_key: u64, bundle: BundleMask, gain: f64) {
         self.gains.insert((eval_key, bundle.0), gain);
     }
 
-    /// Serves one course request without running the course: a hit
-    /// returns immediately, a cold key hands the caller the claim
-    /// ([`SoftServe::Claimed`]), a claimed key returns
-    /// [`SoftServe::Busy`]. The claim holder has the course resolved
-    /// however it likes and MUST settle the claim with [`Self::complete`]
-    /// or [`Self::abort`].
-    pub(crate) fn serve_softly(&mut self, eval_key: u64, bundle: BundleMask) -> SoftServe {
-        if let Some(g) = self.lookup(eval_key, bundle) {
-            SoftServe::Hit(g)
-        } else if self.in_flight.insert((eval_key, bundle.0)) {
-            SoftServe::Claimed
-        } else {
-            SoftServe::Busy
+    /// Serves one course request of session `caller` without running the
+    /// course: a hit returns immediately, a cold key hands the caller the
+    /// claim ([`SoftServe::Claimed`]), and a claimed key registers the
+    /// caller as one of the claim's waiters ([`SoftServe::Busy`]). The
+    /// claim holder has the course resolved however it likes and MUST
+    /// settle the claim with [`Self::complete`] or [`Self::abort`].
+    pub(crate) fn serve_softly(
+        &mut self,
+        eval_key: u64,
+        bundle: BundleMask,
+        caller: SessionId,
+    ) -> SoftServe {
+        if let Some(g) = self.peek(eval_key, bundle) {
+            return SoftServe::Hit(g);
+        }
+        match self.claims.entry((eval_key, bundle.0)) {
+            Entry::Vacant(claim) => {
+                claim.insert(Vec::new());
+                SoftServe::Claimed
+            }
+            Entry::Occupied(mut claim) => {
+                claim.get_mut().push(caller);
+                SoftServe::Busy
+            }
         }
     }
 
     /// Lands a successful training under a [`SoftServe::Claimed`] claim:
-    /// counts the miss, inserts the result, and releases the claim, so a
-    /// woken waiter that re-probes always finds the value.
-    pub(crate) fn complete(&mut self, eval_key: u64, bundle: BundleMask, gain: f64) {
-        self.misses += 1;
+    /// inserts the result and releases the claim, handing back its
+    /// waiters for the caller to requeue (each re-probe finds the value).
+    pub(crate) fn complete(
+        &mut self,
+        eval_key: u64,
+        bundle: BundleMask,
+        gain: f64,
+    ) -> Vec<SessionId> {
         self.insert(eval_key, bundle, gain);
-        self.in_flight.remove(&(eval_key, bundle.0));
+        self.claims
+            .remove(&(eval_key, bundle.0))
+            .unwrap_or_default()
     }
 
-    /// Releases a [`SoftServe::Claimed`] claim after a failed training.
-    /// Nothing is inserted and no miss is counted (only successful
-    /// trainings are misses); the next caller inherits a fresh claim and
-    /// retries.
-    pub(crate) fn abort(&mut self, eval_key: u64, bundle: BundleMask) {
-        self.in_flight.remove(&(eval_key, bundle.0));
+    /// Releases a [`SoftServe::Claimed`] claim after a failed training,
+    /// inserting nothing and handing back its waiters for the caller to
+    /// requeue: they retry, and the first inherits a fresh claim.
+    pub(crate) fn abort(&mut self, eval_key: u64, bundle: BundleMask) -> Vec<SessionId> {
+        self.claims
+            .remove(&(eval_key, bundle.0))
+            .unwrap_or_default()
     }
 
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
+    /// Sessions currently waiting on a claim (all keys).
+    pub fn waiting(&self) -> usize {
+        self.claims.values().map(Vec::len).sum()
     }
 
     /// Number of distinct `(evaluation key, bundle)` entries.
@@ -152,13 +172,15 @@ mod tests {
     use super::*;
     use vfl_market::{GainProvider, Result, TableGainProvider};
 
+    const S: SessionId = SessionId(0);
+
     /// Serves `(eval_key, bundle)` the way the exchange does: a claim is
     /// settled at once with `gain`.
     fn serve(cache: &mut SharedGainCache, eval_key: u64, bundle: BundleMask, gain: f64) -> f64 {
-        match cache.serve_softly(eval_key, bundle) {
+        match cache.serve_softly(eval_key, bundle, S) {
             SoftServe::Hit(g) => g,
             SoftServe::Claimed => {
-                cache.complete(eval_key, bundle, gain);
+                assert!(cache.complete(eval_key, bundle, gain).is_empty());
                 gain
             }
             SoftServe::Busy => panic!("no claim is outstanding"),
@@ -174,7 +196,7 @@ mod tests {
         bundle: BundleMask,
         provider: &dyn GainProvider,
     ) -> Result<f64> {
-        match cache.serve_softly(eval_key, bundle) {
+        match cache.serve_softly(eval_key, bundle, S) {
             SoftServe::Hit(g) => Ok(g),
             SoftServe::Claimed => match provider.gain(bundle) {
                 Ok(g) => {
@@ -198,34 +220,18 @@ mod tests {
     }
 
     #[test]
-    fn hits_and_misses_are_counted() {
-        let mut cache = SharedGainCache::default();
-        let b = BundleMask::singleton(0);
-        // A cold lookup counts nothing; a settled claim counts one miss.
-        assert_eq!(cache.lookup(7, b), None);
-        serve(&mut cache, 7, b, 0.1);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        // `peek` is the uncounted read; `lookup` counts a hit.
-        assert_eq!(cache.peek(7, b), Some(0.1));
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.lookup(7, b), Some(0.1));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
     fn serve_computes_once_then_hits() {
         let mut cache = SharedGainCache::default();
         let b = BundleMask::singleton(0);
+        assert_eq!(cache.peek(3, b), None);
         assert_eq!(serve(&mut cache, 3, b, 0.1), 0.1);
         assert_eq!(
             serve(&mut cache, 3, b, 0.9),
             0.1,
             "the landed value is served"
         );
-        assert_eq!(serve(&mut cache, 3, b, 0.9), 0.1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.serve_softly(3, b, S), SoftServe::Hit(0.1));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -233,8 +239,9 @@ mod tests {
         let mut cache = SharedGainCache::default();
         let b = BundleMask::singleton(1);
         serve(&mut cache, 1, b, 0.2);
-        serve(&mut cache, 2, b, 0.2);
-        assert_eq!(cache.misses(), 2, "distinct keys never share entries");
+        assert_eq!(cache.serve_softly(2, b, S), SoftServe::Claimed);
+        cache.complete(2, b, 0.4);
+        assert_eq!(cache.peek(1, b), Some(0.2), "distinct keys never share");
         assert_eq!(cache.len(), 2);
     }
 
@@ -244,8 +251,11 @@ mod tests {
         let p = provider();
         let unknown = BundleMask::singleton(5);
         assert!(train(&mut cache, 0, unknown, &p).is_err());
+        assert!(
+            cache.peek(0, unknown).is_none(),
+            "a failed course caches nothing"
+        );
         assert!(cache.is_empty());
-        assert_eq!(cache.misses(), 0, "only successful trainings are misses");
     }
 
     #[test]
@@ -259,8 +269,7 @@ mod tests {
         let mut fixed = p.clone();
         fixed.insert(unknown, 0.5);
         assert_eq!(train(&mut cache, 3, unknown, &fixed).unwrap(), 0.5);
-        assert_eq!(train(&mut cache, 3, unknown, &fixed).unwrap(), 0.5);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(cache.serve_softly(3, unknown, S), SoftServe::Hit(0.5));
     }
 
     #[test]
@@ -268,28 +277,35 @@ mod tests {
         let mut cache = SharedGainCache::default();
         let b = BundleMask::singleton(0);
         // Cold key: the first caller claims, contenders see Busy.
-        assert_eq!(cache.serve_softly(5, b), SoftServe::Claimed);
-        assert_eq!(cache.serve_softly(5, b), SoftServe::Busy);
-        // Completion lands the value, releases the claim, counts the miss.
+        assert_eq!(cache.serve_softly(5, b, S), SoftServe::Claimed);
+        assert_eq!(cache.serve_softly(5, b, SessionId(1)), SoftServe::Busy);
+        // Completion lands the value and releases the claim.
         cache.complete(5, b, 0.7);
-        assert_eq!(cache.serve_softly(5, b), SoftServe::Hit(0.7));
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.serve_softly(5, b, S), SoftServe::Hit(0.7));
     }
 
+    /// Every `Busy` caller is handed back exactly once, by whichever of
+    /// `complete` or `abort` settles its claim, and other keys' waiters
+    /// stay parked.
     #[test]
-    fn abort_releases_the_claim_without_counting_a_miss() {
+    fn busy_waiters_are_handed_back_exactly_once() {
         let mut cache = SharedGainCache::default();
-        let b = BundleMask::singleton(2);
-        assert_eq!(cache.serve_softly(6, b), SoftServe::Claimed);
-        cache.abort(6, b);
-        assert!(cache.peek(6, b).is_none(), "a failed course caches nothing");
-        assert!(cache.is_empty());
-        assert_eq!(cache.misses(), 0);
-        // The next caller inherits a fresh claim — nothing leaked.
-        assert_eq!(cache.serve_softly(6, b), SoftServe::Claimed);
-        cache.complete(6, b, 0.3);
-        assert_eq!(cache.peek(6, b), Some(0.3));
+        let (b1, b2) = (BundleMask::singleton(0), BundleMask::singleton(1));
+        assert_eq!(cache.serve_softly(7, b1, S), SoftServe::Claimed);
+        assert_eq!(cache.serve_softly(7, b2, S), SoftServe::Claimed);
+        assert_eq!(cache.serve_softly(7, b1, SessionId(1)), SoftServe::Busy);
+        assert_eq!(cache.serve_softly(7, b1, SessionId(2)), SoftServe::Busy);
+        assert_eq!(cache.serve_softly(7, b2, SessionId(3)), SoftServe::Busy);
+        assert_eq!(cache.waiting(), 3);
+        assert_eq!(cache.complete(7, b1, 0.1), vec![SessionId(1), SessionId(2)]);
+        assert_eq!(cache.waiting(), 1, "other keys' waiters stay parked");
+        assert!(
+            cache.abort(7, b1).is_empty(),
+            "a settled claim has no waiters"
+        );
+        assert_eq!(cache.abort(7, b2), vec![SessionId(3)]);
+        assert!(cache.complete(7, b2, 0.2).is_empty(), "handed back once");
+        assert_eq!(cache.waiting(), 0);
     }
 
     /// The claim set stays exact under contention: however requests
@@ -300,20 +316,23 @@ mod tests {
     #[test]
     fn concurrent_access_converges() {
         let cache = std::sync::Mutex::new(SharedGainCache::default());
+        let trained = std::sync::atomic::AtomicU64::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
+            for t in 0..4 {
+                let (cache, trained) = (&cache, &trained);
+                scope.spawn(move || {
                     for i in 0..100u64 {
                         let bundle = BundleMask::singleton((i % 2) as usize);
                         loop {
-                            let served = crate::lock(&cache).serve_softly(9, bundle);
+                            let served = crate::lock(cache).serve_softly(9, bundle, SessionId(t));
                             match served {
                                 SoftServe::Hit(g) => {
                                     assert_eq!(g, 0.1 * (i % 2 + 1) as f64);
                                     break;
                                 }
                                 SoftServe::Claimed => {
-                                    crate::lock(&cache).complete(
+                                    trained.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                                    crate::lock(cache).complete(
                                         9,
                                         bundle,
                                         0.1 * (i % 2 + 1) as f64,
@@ -329,7 +348,7 @@ mod tests {
         });
         let cache = cache.into_inner().unwrap();
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.misses(), 2, "each key trained exactly once");
-        assert_eq!(cache.hits(), 398);
+        assert_eq!(trained.into_inner(), 2, "each key trained exactly once");
+        assert_eq!(cache.waiting(), 0, "every claim settled");
     }
 }

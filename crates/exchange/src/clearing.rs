@@ -19,8 +19,8 @@
 //! submit_demand(settle = Epoch)        (window must be open)
 //!      │ fan-out + probe exactly as the matching tier (crate::matching)
 //!      ▼
-//! all candidates reported ──► demand parks READY in the ClearingWindow
-//!      │
+//! all candidates reported ──► demand is READY in the match book (its
+//!      │                       id waits in the ClearingWindow's queue)
 //!      ▼ trigger: the first `epoch_size` queued demands are all ready
 //!        (count trigger, fired inside the completing slice), or
 //!        the drain ran out of other work (idle flush, partial batch)
@@ -61,16 +61,18 @@
 //!
 //! ## Where epochs run
 //!
-//! The window is plain data in the exchange's state. Whole epochs —
-//! decision, journal records, and per-demand settlement — run only on
-//! the exchange's router under its state lock, one after another, so
-//! journal order is epoch order; `crates/exchange/src/exchange.rs` has
-//! the exchange-wide picture.
+//! The window is plain data in the exchange's state, and it keeps only
+//! the epoch order: each queued demand's config, quote table, readiness
+//! and roll count stay in the exchange's match book, which the window
+//! reads when an epoch fires. Whole epochs — decision, journal records,
+//! and per-demand settlement — run only on the exchange's router under
+//! its state lock, one after another, so journal order is epoch order;
+//! `crates/exchange/src/exchange.rs` has the exchange-wide picture.
 
 use std::collections::VecDeque;
 use vfl_market::{MarketConfig, MarketError, Result};
 
-use crate::matching::{CandidateQuote, DemandId, MatchPolicy, SellerId};
+use crate::matching::{CandidateQuote, DemandId, MatchBook, MatchPolicy, SellerId};
 
 /// Batch-size cap under which [`UniformPriceClearing`] runs its exact
 /// assignment search instead of the greedy (see the policy docs).
@@ -612,15 +614,6 @@ pub struct EpochRecord {
 // The window
 // ---------------------------------------------------------------------------
 
-/// A demand queued in the window: ready once all candidates reported.
-#[derive(Debug)]
-struct QueuedDemand {
-    id: DemandId,
-    cfg: MarketConfig,
-    rolls: u32,
-    quotes: Option<Vec<CandidateQuote>>,
-}
-
 /// One settled demand of an epoch, for the exchange to apply.
 pub(crate) struct SettledDemand {
     pub(crate) demand: DemandId,
@@ -640,8 +633,14 @@ pub(crate) struct EpochOutcome {
 }
 
 /// The epoch scheduler of the clearing tier: an ordered queue of
-/// epoch-mode demands, batched into deterministic epochs and crossed by
+/// epoch-mode demand ids, batched into deterministic epochs and crossed by
 /// the window's [`ClearPolicy`].
+///
+/// The window keeps only the epoch order. Everything else about a queued
+/// demand — its config, its quote table, whether every candidate has
+/// reported, and how often it was rolled — is the exchange's match
+/// book's, and each epoch's [`EpochDemand`]s are built from the book when
+/// the epoch fires.
 ///
 /// Owned by an [`crate::Exchange`]'s state (one window per exchange,
 /// opened with [`crate::Exchange::open_clearing`] before any epoch-mode
@@ -708,7 +707,8 @@ pub(crate) struct EpochOutcome {
 #[derive(Debug)]
 pub struct ClearingWindow {
     spec: ClearingSpec,
-    queue: VecDeque<QueuedDemand>,
+    /// Queued demands, in submission (= epoch-membership) order.
+    queue: VecDeque<DemandId>,
     next_epoch: u64,
 }
 
@@ -747,43 +747,29 @@ impl ClearingWindow {
         self.next_epoch = self.next_epoch.max(epoch);
     }
 
-    /// Queues a freshly submitted epoch-mode demand (submission order is
-    /// epoch-membership order; called before any candidate can report).
-    pub(crate) fn enqueue(&mut self, id: DemandId, cfg: MarketConfig) {
-        self.queue.push_back(QueuedDemand {
-            id,
-            cfg,
-            rolls: 0,
-            quotes: None,
-        });
-    }
-
-    /// Marks a queued demand ready with its full candidate quote table
-    /// (called by the slice whose report completed the demand).
-    pub(crate) fn mark_ready(&mut self, id: DemandId, quotes: Vec<CandidateQuote>) {
-        if let Some(entry) = self.queue.iter_mut().find(|q| q.id == id) {
-            debug_assert!(entry.quotes.is_none(), "a demand reports ready once");
-            entry.quotes = Some(quotes);
-        } else {
-            debug_assert!(false, "ready-marked demand {id} is not queued");
-        }
+    /// Queues a freshly submitted epoch-mode demand, already open in the
+    /// match book (submission order is epoch-membership order; called
+    /// before any candidate can report).
+    pub(crate) fn enqueue(&mut self, id: DemandId) {
+        self.queue.push_back(id);
     }
 
     /// Clears the next epoch if one is due: the first `epoch_size`
-    /// queued demands when all are ready (count trigger), or — with
-    /// `flush` — any non-empty all-ready remainder (the drain-idle
+    /// queued demands when all are ready in `book` (count trigger), or —
+    /// with `flush` — any non-empty all-ready remainder (the drain-idle
     /// trigger). Returns `None` when no epoch is due.
     ///
     /// The caller ([`crate::Exchange`]) runs it on the router under its
     /// state lock and journals each outcome before applying it; this
-    /// method only decides and updates the queue. The policy it consults
-    /// must not call back into the exchange.
-    pub(crate) fn clear_next(&mut self, flush: bool) -> Option<EpochOutcome> {
+    /// method decides, updates the queue, and counts each rolled demand's
+    /// roll in `book`. The policy it consults must not call back into the
+    /// exchange.
+    pub(crate) fn clear_next(&mut self, book: &mut MatchBook, flush: bool) -> Option<EpochOutcome> {
         let take = self.spec.epoch_size.min(self.queue.len());
         if take == 0 || (!flush && self.queue.len() < self.spec.epoch_size) {
             return None;
         }
-        if !self.queue.iter().take(take).all(|q| q.quotes.is_some()) {
+        if !self.queue.iter().take(take).all(|&id| book.ready(id)) {
             return None;
         }
         let epoch = self.next_epoch;
@@ -791,12 +777,7 @@ impl ClearingWindow {
             .queue
             .iter()
             .take(take)
-            .map(|q| EpochDemand {
-                demand: q.id,
-                cfg: q.cfg,
-                rolls: q.rolls,
-                quotes: q.quotes.clone().expect("checked ready"),
-            })
+            .map(|&id| book.epoch_demand(id).expect("checked ready"))
             .collect();
         let decision = self.spec.policy.clear(&EpochBatch {
             epoch,
@@ -887,22 +868,13 @@ impl ClearingWindow {
             }
         }
 
-        // Update the queue: settled demands leave, rolled demands keep
-        // their (front) positions with the roll counted.
-        let keep: std::collections::HashSet<DemandId> = rolled.iter().copied().collect();
-        for q in self.queue.iter_mut().take(take) {
-            if keep.contains(&q.id) {
-                q.rolls += 1;
-            }
-        }
-        let mut taken: Vec<QueuedDemand> = Vec::with_capacity(take);
-        for _ in 0..take {
-            taken.push(self.queue.pop_front().expect("batch came from the queue"));
-        }
-        for q in taken.into_iter().rev() {
-            if keep.contains(&q.id) {
-                self.queue.push_front(q);
-            }
+        // Update the queue: settled demands leave, rolled demands (batch
+        // order, like the queue) keep their front positions with the roll
+        // counted.
+        self.queue.drain(..take);
+        for &id in rolled.iter().rev() {
+            book.note_roll(id);
+            self.queue.push_front(id);
         }
         self.next_epoch += 1;
 
@@ -946,7 +918,7 @@ impl ClearingWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::{BestResponse, QuoteState, SellerId};
+    use crate::matching::{BestResponse, DemandState, QuoteState, SellerId, SettleMode};
     use crate::store::SessionId;
     use std::sync::Arc;
     use vfl_market::{QuotedPrice, RoundRecord};
@@ -1124,34 +1096,74 @@ mod tests {
         .unwrap()
     }
 
+    /// Opens epoch demand `id` in `book`, one candidate slot per quote,
+    /// and queues it in `w`, as `Exchange::submit_demand` does.
+    fn submit(book: &mut MatchBook, w: &mut ClearingWindow, id: u64, quotes: &[CandidateQuote]) {
+        let slots = quotes
+            .iter()
+            .map(|q| (q.seller, q.seller_name.clone(), q.session))
+            .collect();
+        book.open_at(
+            DemandId(id),
+            DemandState::new(MarketConfig::default(), SettleMode::Epoch, slots),
+        );
+        w.enqueue(DemandId(id));
+    }
+
+    /// Reports every candidate of demand `id`, which makes it ready.
+    fn report_all(book: &mut MatchBook, id: u64, quotes: Vec<CandidateQuote>) {
+        for (slot, q) in quotes.into_iter().enumerate() {
+            book.report(DemandId(id), slot, q.state, q.history);
+        }
+    }
+
+    /// [`submit`] and [`report_all`] at once: a demand that is ready the
+    /// moment it is queued.
+    fn submit_ready(
+        book: &mut MatchBook,
+        w: &mut ClearingWindow,
+        id: u64,
+        quotes: Vec<CandidateQuote>,
+    ) {
+        submit(book, w, id, &quotes);
+        report_all(book, id, quotes);
+    }
+
     #[test]
     fn epochs_fire_only_when_the_leading_batch_is_ready() {
-        let mut w = window(2, 1, u32::MAX);
-        w.enqueue(DemandId(0), MarketConfig::default());
-        w.enqueue(DemandId(1), MarketConfig::default());
-        assert!(w.clear_next(false).is_none(), "nothing ready yet");
+        let (mut book, mut w) = (MatchBook::default(), window(2, 1, u32::MAX));
+        let (d0, d1) = (vec![quote(1, 5.0)], vec![quote(0, 3.0)]);
+        submit(&mut book, &mut w, 0, &d0);
+        submit(&mut book, &mut w, 1, &d1);
+        assert!(
+            w.clear_next(&mut book, false).is_none(),
+            "nothing ready yet"
+        );
         // The SECOND demand readying first must not fire the epoch: the
         // batch is the first two queued demands, and d0 is not ready.
-        w.mark_ready(DemandId(1), vec![quote(0, 3.0)]);
-        assert!(w.clear_next(false).is_none());
-        w.mark_ready(DemandId(0), vec![quote(1, 5.0)]);
-        let outcome = w.clear_next(false).expect("both ready fires the epoch");
+        report_all(&mut book, 1, d1);
+        assert!(w.clear_next(&mut book, false).is_none());
+        report_all(&mut book, 0, d0);
+        let outcome = w
+            .clear_next(&mut book, false)
+            .expect("both ready fires the epoch");
         assert_eq!(outcome.record.epoch, 0);
         assert_eq!(outcome.settled.len(), 2, "distinct sellers: both match");
         assert_eq!(w.pending(), 0);
-        assert!(w.clear_next(true).is_none(), "queue drained");
+        assert!(w.clear_next(&mut book, true).is_none(), "queue drained");
     }
 
     #[test]
     fn partial_batches_fire_only_on_flush() {
-        let mut w = window(4, 1, u32::MAX);
-        w.enqueue(DemandId(0), MarketConfig::default());
-        w.mark_ready(DemandId(0), vec![quote(0, 3.0)]);
+        let (mut book, mut w) = (MatchBook::default(), window(4, 1, u32::MAX));
+        submit_ready(&mut book, &mut w, 0, vec![quote(0, 3.0)]);
         assert!(
-            w.clear_next(false).is_none(),
+            w.clear_next(&mut book, false).is_none(),
             "under-full epochs wait for the flush"
         );
-        let outcome = w.clear_next(true).expect("flush clears the remainder");
+        let outcome = w
+            .clear_next(&mut book, true)
+            .expect("flush clears the remainder");
         assert_eq!(outcome.settled.len(), 1);
     }
 
@@ -1159,37 +1171,37 @@ mod tests {
     fn contention_rolls_then_serves_across_epochs() {
         // Three demands, one seller, capacity 1: each flush epoch serves
         // exactly one and rolls the rest, in deterministic order.
-        let mut w = window(3, 1, u32::MAX);
+        let (mut book, mut w) = (MatchBook::default(), window(3, 1, u32::MAX));
         for (i, s) in [(0u64, 2.0), (1, 9.0), (2, 5.0)] {
-            w.enqueue(DemandId(i), MarketConfig::default());
-            w.mark_ready(DemandId(i), vec![quote(0, s)]);
+            submit_ready(&mut book, &mut w, i, vec![quote(0, s)]);
         }
-        let first = w.clear_next(true).expect("epoch 0");
+        let first = w.clear_next(&mut book, true).expect("epoch 0");
         assert_eq!(first.settled.len(), 1);
         assert_eq!(first.settled[0].demand, DemandId(1), "highest cross first");
         assert_eq!(first.rolled, vec![DemandId(0), DemandId(2)]);
-        let second = w.clear_next(true).expect("epoch 1");
+        let second = w.clear_next(&mut book, true).expect("epoch 1");
         assert_eq!(second.settled[0].demand, DemandId(2));
         assert_eq!(second.rolled, vec![DemandId(0)]);
-        let third = w.clear_next(true).expect("epoch 2");
+        let third = w.clear_next(&mut book, true).expect("epoch 2");
         assert_eq!(third.settled[0].demand, DemandId(0));
         assert!(third.rolled.is_empty());
-        assert!(w.clear_next(true).is_none());
+        assert!(w.clear_next(&mut book, true).is_none());
         assert_eq!(w.epochs(), 3);
         // The audit record kept batch order, not settlement order.
         assert_eq!(first.record.entries[0].kind, EpochEntryKind::Rolled);
         assert_eq!(first.record.entries[1].kind, EpochEntryKind::Matched);
         assert_eq!(first.record.entries[1].winner, Some(0));
+        // Each roll was counted in the book, once per epoch rolled past.
+        assert_eq!(book.epoch_demand(DemandId(0)).unwrap().rolls, 2);
+        assert_eq!(book.epoch_demand(DemandId(2)).unwrap().rolls, 1);
     }
 
     #[test]
     fn max_rolls_expires_contended_demands() {
-        let mut w = window(2, 1, 0);
-        w.enqueue(DemandId(0), MarketConfig::default());
-        w.enqueue(DemandId(1), MarketConfig::default());
-        w.mark_ready(DemandId(0), vec![quote(0, 2.0)]);
-        w.mark_ready(DemandId(1), vec![quote(0, 9.0)]);
-        let outcome = w.clear_next(false).expect("epoch fires");
+        let (mut book, mut w) = (MatchBook::default(), window(2, 1, 0));
+        submit_ready(&mut book, &mut w, 0, vec![quote(0, 2.0)]);
+        submit_ready(&mut book, &mut w, 1, vec![quote(0, 9.0)]);
+        let outcome = w.clear_next(&mut book, false).expect("epoch fires");
         // d1 wins the only seat; d0 would roll but has no patience left.
         assert_eq!(outcome.settled.len(), 2);
         assert_eq!(outcome.expired, 1);
@@ -1210,6 +1222,7 @@ mod tests {
     fn capacity_enforcement_demotes_policy_overcommits() {
         // PerDemand(BestResponse) matches both demands to seller 0; the
         // window keeps the earlier one and rolls the other.
+        let mut book = MatchBook::default();
         let mut w = ClearingWindow::new(ClearingSpec {
             epoch_size: 2,
             capacity: 1,
@@ -1217,11 +1230,9 @@ mod tests {
             policy: Arc::new(PerDemand(BestResponse)),
         })
         .unwrap();
-        w.enqueue(DemandId(0), MarketConfig::default());
-        w.enqueue(DemandId(1), MarketConfig::default());
-        w.mark_ready(DemandId(0), vec![quote(0, 2.0)]);
-        w.mark_ready(DemandId(1), vec![quote(0, 9.0)]);
-        let outcome = w.clear_next(false).expect("epoch fires");
+        submit_ready(&mut book, &mut w, 0, vec![quote(0, 2.0)]);
+        submit_ready(&mut book, &mut w, 1, vec![quote(0, 9.0)]);
+        let outcome = w.clear_next(&mut book, false).expect("epoch fires");
         assert_eq!(outcome.settled.len(), 1);
         assert_eq!(
             outcome.settled[0].demand,
@@ -1244,6 +1255,7 @@ mod tests {
                 }
             }
         }
+        let mut book = MatchBook::default();
         let mut w = ClearingWindow::new(ClearingSpec {
             epoch_size: 1,
             capacity: 1,
@@ -1251,13 +1263,15 @@ mod tests {
             policy: Arc::new(AlwaysRoll),
         })
         .unwrap();
-        w.enqueue(DemandId(0), MarketConfig::default());
-        w.mark_ready(DemandId(0), vec![quote(0, 5.0)]);
-        let outcome = w.clear_next(false).expect("epoch fires");
+        submit_ready(&mut book, &mut w, 0, vec![quote(0, 5.0)]);
+        let outcome = w.clear_next(&mut book, false).expect("epoch fires");
         assert_eq!(outcome.settled.len(), 1, "forced settlement");
         assert_eq!(outcome.settled[0].winner, None);
         assert_eq!(outcome.record.entries[0].kind, EpochEntryKind::Expired);
-        assert!(w.clear_next(true).is_none(), "the window drained");
+        assert!(
+            w.clear_next(&mut book, true).is_none(),
+            "the window drained"
+        );
     }
 
     #[test]

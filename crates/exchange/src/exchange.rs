@@ -1,6 +1,7 @@
 //! The marketplace engine: registered markets and sellers, the session
-//! store, the shared gain cache, the course waitlist, the matching book,
-//! and the drain that drives every queued session to completion.
+//! store, the shared gain cache and its claims, the matching book, the
+//! clearing window, and the drain that drives every queued session to
+//! completion.
 //!
 //! ## Execution model
 //!
@@ -15,7 +16,7 @@
 //!
 //! [`Exchange::drain`] runs the router of [`crate::executor`] on the
 //! calling thread: the router is the only thread that runs slices, so
-//! every journal frame, cache mutation, waitlist wake, and settlement
+//! every journal frame, cache mutation, course-waiter wake, and settlement
 //! happens on it, in an order that is a pure function of the submission
 //! sequence. `n` course tasks resolve trainings concurrently through the
 //! exchange's [`CourseResolver`] ([`Exchange::set_course_resolver`]).
@@ -27,36 +28,39 @@
 //! ## Parked sessions and drain termination
 //!
 //! Two kinds of session leave the ready queue without terminating: course
-//! waiters (parked on the `CourseWaitlist` (`waitlist` module) until the
-//! outstanding training of their `(evaluation key, bundle)` lands) and
-//! matching candidates parked at their probe horizon (until their demand
-//! settles). A course waiter's claim holder is an outstanding course the
-//! router will apply, and applying it wakes the waiters before the payer
-//! resumes; a parked candidate is woken or cancelled by the settlement
-//! that a later report or epoch triggers on the router. So when the
-//! router sees no ready session and no outstanding course, nothing parked
-//! can still be waiting on anything except the clearing window, which the
-//! idle flush empties. That is the drain-termination invariant.
+//! waiters (parked on the [`SharedGainCache`] claim of their `(evaluation
+//! key, bundle)` until its outstanding training is settled) and matching
+//! candidates parked at their probe horizon (until their demand settles).
+//! A course waiter's claim holder is an outstanding course the router
+//! will apply, and settling that claim hands back the waiters, which the
+//! router requeues before the payer resumes; a parked candidate is woken
+//! or cancelled by the settlement that a later report or epoch triggers
+//! on the router. So when the router sees no ready session and no
+//! outstanding course, nothing parked can still be waiting on anything
+//! except the clearing window, which the idle flush empties. That is the
+//! drain-termination invariant.
 //!
 //! ## State lock
 //!
-//! Everything the API and the router read or write — registries,
-//! sessions, the ΔG cache and its claims, the waitlist, the pending
-//! queue, the demand book, the clearing window, the epoch log, the id
-//! and admission counters, the metric counters, and the crash hook — is
-//! plain data in one `Core` behind one mutex. The router takes it once
-//! per slice, once per applied course, and once per idle flush, and
-//! never holds it while it waits for a course, calls the resolver, or
-//! runs a candidate factory, so external calls stay live for the whole
-//! of a drain. Each external call is one critical section, hence atomic
-//! to the router: a submission's journal record always precedes its
-//! first dispatch. Code that runs under the lock — strategies, match,
-//! clear and admission policies, the crash hook — must not call back
-//! into the exchange. The drain mutex is taken only by `drain`, always
-//! before the state lock. Every counter is bumped in the critical
-//! section that does what it counts, so a [`Exchange::metrics`]
-//! snapshot, itself one critical section, never shows a counter ahead
-//! of another that it implies.
+//! Everything the API and the router read or write is plain data in one
+//! `Core` behind one mutex, and each fact has one owner there:
+//! registries, sessions, the ΔG cache (whose claims own their course
+//! waiters), the pending queue, the match book (every demand's config,
+//! quote table, readiness and roll count), the clearing window (only the
+//! epoch order of its queued demands), the epoch log, the id and
+//! admission counters, the metric counters (cache hits and misses
+//! included), and the crash hook. The router takes it once per slice,
+//! once per applied course, and once per idle flush, and never holds it
+//! while it waits for a course, calls the resolver, or runs a candidate
+//! factory, so external calls stay live for the whole of a drain. Each
+//! external call is one critical section, hence atomic to the router: a
+//! submission's journal record always precedes its first dispatch. Code
+//! that runs under the lock — strategies, match, clear and admission
+//! policies, the crash hook — must not call back into the exchange. The
+//! drain mutex is taken only by `drain`, always before the state lock.
+//! Every counter is bumped in the critical section that does what it
+//! counts, so a [`Exchange::metrics`] snapshot, itself one critical
+//! section, never shows a counter ahead of another that it implies.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -82,7 +86,6 @@ use crate::session::{ActiveSession, Drive, MatchTag, SessionOrder};
 use crate::store::{SessionId, SessionStatus, SessionStore};
 use crate::telemetry::{ExchangeTelemetry, SliceTimer};
 use crate::traffic::{AdmissionDecision, AdmissionLoad, AdmissionPolicy};
-use crate::waitlist::CourseWaitlist;
 use vfl_telemetry::TraceKey;
 
 /// Opaque market handle returned by `register_market`.
@@ -197,7 +200,6 @@ pub(crate) struct Core {
     sellers: Vec<SellerEntry>,
     pub(crate) store: SessionStore,
     pub(crate) cache: SharedGainCache,
-    pub(crate) waitlist: CourseWaitlist,
     book: MatchBook,
     /// The clearing window, once [`Exchange::open_clearing`] ran (at most
     /// one per exchange; epoch-mode demands are rejected without it).
@@ -224,9 +226,7 @@ pub(crate) struct Core {
     /// ([`Exchange::set_course_resolver`]); `None` is [`LocalResolver`].
     resolver: Option<Arc<dyn CourseResolver>>,
     /// The exchange's counters, bumped in the critical section that does
-    /// what they count. The cache keeps its own hit and miss counts, so
-    /// this copy's `cache_hits` and `cache_misses` stay zero; read the
-    /// whole set through [`Core::metrics`].
+    /// what they count ([`Exchange::metrics`] copies them out).
     pub(crate) counters: MetricsSnapshot,
     /// Fault-injection observer ([`Exchange::set_crash_hook`]); fires
     /// under this lock at every [`CrashPoint`].
@@ -234,15 +234,6 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    /// The counters with the cache's hit and miss counts filled in.
-    pub(crate) fn metrics(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            ..self.counters
-        }
-    }
-
     /// Runs the crash hook, if one is installed, at `point`.
     pub(crate) fn crash_point(&self, point: CrashPoint) {
         if let Some(hook) = &self.crash_hook {
@@ -530,7 +521,7 @@ pub(crate) enum NoticeKind {
     /// The session needs another slice (one course was served).
     Yielded(SessionId),
     /// The session left the ready queue without terminating: it is parked
-    /// (course waitlist or probe horizon) and will be requeued by whoever
+    /// (course claim or probe horizon) and will be requeued by whoever
     /// wakes it — or the dispatched id turned out to be a spurious wake of
     /// an already-terminal session. Either way: nothing to requeue, nothing
     /// to count.
@@ -1092,7 +1083,7 @@ impl Exchange {
             core.clearing
                 .as_mut()
                 .expect("validated: epoch demands require an open window")
-                .enqueue(did, demand.cfg);
+                .enqueue(did);
         }
         for ((slot, mut session), &sid) in sessions.into_iter().enumerate().zip(&ids) {
             session.set_match_tag(MatchTag {
@@ -1236,11 +1227,10 @@ impl Exchange {
         lock(&self.state).store.take_outcome(id)
     }
 
-    /// Live counters plus cache statistics, read in one critical section
-    /// of the state lock, so every snapshot is a state the exchange was
-    /// actually in.
+    /// Live counters, read in one critical section of the state lock, so
+    /// every snapshot is a state the exchange was actually in.
     pub fn metrics(&self) -> MetricsSnapshot {
-        lock(&self.state).metrics()
+        lock(&self.state).counters
     }
 
     /// Number of sessions currently stored (queued, parked, or terminal
@@ -1269,11 +1259,10 @@ impl Exchange {
         )
     }
 
-    /// Requeues every session waiting on `(eval_key, bundle)`. Called by
+    /// Requeues the waiters a settled course claim handed back. Called by
     /// the router when it applies (or aborts) the training, before the
     /// payer resumes, so the drain-termination invariant holds.
-    pub(crate) fn wake_course_waiters(&self, core: &mut Core, eval_key: u64, bundle: BundleMask) {
-        let woken = core.waitlist.drain((eval_key, bundle.0));
+    pub(crate) fn wake_course_waiters(&self, core: &mut Core, woken: Vec<SessionId>) {
         if !woken.is_empty() {
             let tele = self.telemetry.as_deref();
             if let Some(t) = tele {
@@ -1286,10 +1275,10 @@ impl Exchange {
     /// Records a candidate quote (with its round history, for probe-spend
     /// accounting) and, when it completes the demand, either applies the
     /// settlement (immediate mode: wake the winner past its horizon,
-    /// cancel parked losers) or parks the demand ready in the clearing
-    /// window and drives any epoch that is now due. Runs inside the
-    /// reporting slice; returns how many sessions it cancelled so the
-    /// slice's notice can count them.
+    /// cancel parked losers) or leaves the demand ready in the book for
+    /// the clearing window and drives any epoch that is now due. Runs
+    /// inside the reporting slice; returns how many sessions it cancelled
+    /// so the slice's notice can count them.
     fn report_quote(
         &self,
         core: &mut Core,
@@ -1323,14 +1312,7 @@ impl Exchange {
             Some(ReportOutcome::Settled(settlement)) => {
                 self.apply_settlement(core, demand, settlement)
             }
-            Some(ReportOutcome::EpochReady(quotes)) => {
-                let Some(window) = core.clearing.as_mut() else {
-                    debug_assert!(false, "epoch demand {demand} without a window");
-                    return 0;
-                };
-                window.mark_ready(demand, quotes);
-                self.drive_clearing(core, false)
-            }
+            Some(ReportOutcome::EpochReady) => self.drive_clearing(core, false),
         }
     }
 
@@ -1423,7 +1405,11 @@ impl Exchange {
     /// Returns the sessions cancelled.
     pub(crate) fn drive_clearing(&self, core: &mut Core, flush: bool) -> usize {
         let mut cancelled = 0usize;
-        while let Some(outcome) = core.clearing.as_mut().and_then(|w| w.clear_next(flush)) {
+        while let Some(outcome) = core
+            .clearing
+            .as_mut()
+            .and_then(|w| w.clear_next(&mut core.book, flush))
+        {
             let epoch_start = self.telemetry.as_deref().map(|t| t.now_ns());
             let epoch = outcome.record.epoch;
             // Epoch critical section: decided but not recorded, then
@@ -1437,9 +1423,6 @@ impl Exchange {
             core.counters.epochs_cleared += 1;
             core.counters.demands_rolled += outcome.rolled.len() as u64;
             core.counters.demands_expired += outcome.expired as u64;
-            for &did in &outcome.rolled {
-                core.book.note_roll(did);
-            }
             for settled in &outcome.settled {
                 if let Some(settlement) =
                     core.book
@@ -1478,7 +1461,7 @@ impl Exchange {
 
     /// One slice of session `id`. Cheap work (strategy steps, cached
     /// course results) runs inline; the slice ends when the session
-    /// closes, parks (probe horizon or course waitlist), needs an uncached
+    /// closes, parks (probe horizon or course claim), needs an uncached
     /// course ([`SliceEnd::NeedCourse`], holding the training claim), or
     /// would need a second one after resuming. `resume` carries the
     /// result of the course the session suspended on: a resumed slice is
@@ -1493,9 +1476,10 @@ impl Exchange {
     ) -> SliceEnd {
         let plain = |kind: NoticeKind| SliceEnd::Notice(Notice { kind, cancelled: 0 });
         let Some(mut session) = core.store.check_out(id) else {
-            // Spurious wake: a course-waitlist or settlement wake raced the
+            // Spurious wake: a course-waiter or settlement wake raced the
             // session into a terminal state (e.g. a cancelled loser that
-            // was still on a waitlist). Nothing to run, nothing to count.
+            // was still waiting on a claim). Nothing to run, nothing to
+            // count.
             return plain(NoticeKind::Parked);
         };
         let resumed = resume.is_some();
@@ -1562,9 +1546,10 @@ impl Exchange {
                             return plain(NoticeKind::Yielded(id));
                         }
                         let serve_start = tele.map(|t| t.now_ns());
-                        match core.cache.serve_softly(eval_key, bundle) {
+                        match core.cache.serve_softly(eval_key, bundle, id) {
                             SoftServe::Hit(g) => {
                                 core.counters.courses_requested += 1;
+                                core.counters.cache_hits += 1;
                                 if let (Some(t), Some(start)) = (tele, serve_start) {
                                     let served = t.now_ns() - start;
                                     t.stages.course_cache_hit.record(served);
@@ -1593,12 +1578,12 @@ impl Exchange {
                             }
                             SoftServe::Busy => {
                                 // Another session's course for this exact key
-                                // is outstanding. Park on the waitlist; the
-                                // router wakes us when it applies that course
-                                // (see the waitlist module).
+                                // is outstanding, and the claim now holds us
+                                // as a waiter: park; the router wakes us when
+                                // it settles that claim (see the cache
+                                // module's wake protocol).
                                 core.counters.course_waits += 1;
                                 self.park(core, id, session, rounds_before, slice_timer.take());
-                                core.waitlist.enqueue((eval_key, bundle.0), id);
                                 if let Some(t) = tele {
                                     t.waitlist_depth.inc();
                                 }
@@ -1695,7 +1680,7 @@ impl std::fmt::Debug for Exchange {
             .field("sessions", &core.store.len())
             .field("demands", &core.book.len())
             .field("cache_entries", &core.cache.len())
-            .field("course_waiters", &core.waitlist.waiting())
+            .field("course_waiters", &core.cache.waiting())
             .finish()
     }
 }
@@ -1778,7 +1763,7 @@ mod tests {
     }
 
     /// A cancelled waiter is never driven: a
-    /// losing candidate can sit on the course waitlist when its demand
+    /// losing candidate can wait on a course claim when its demand
     /// settles, so the settlement's `Cancel` and the course's
     /// wake-on-insert both reach it. In either order, the wake must never
     /// drive the cancelled session — the woken dispatch finds a terminal
@@ -1795,10 +1780,12 @@ mod tests {
             let result = session.cancel();
             core.store.finish(sid, result);
         };
-        let wake_side = |exchange: &Exchange, key: (u64, BundleMask)| {
-            // Exactly what the router does after applying (or aborting)
-            // the outstanding course this waiter parked on.
-            exchange.wake_course_waiters(&mut lock(&exchange.state), key.0, key.1);
+        let wake_side = |exchange: &Exchange, bundle: BundleMask| {
+            // Exactly what the router does after applying the outstanding
+            // course this waiter parked on.
+            let mut core = lock(&exchange.state);
+            let woken = core.cache.complete(7, bundle, 0.05);
+            exchange.wake_course_waiters(&mut core, woken);
         };
         let run_schedule = |cancel_first: bool| {
             let exchange = Exchange::new(ExchangeConfig::default());
@@ -1807,22 +1794,28 @@ mod tests {
             let sid = exchange
                 .submit(market, counted_order(&gains, &calls))
                 .unwrap();
-            // Park the session on the waitlist as a Busy waiter would
-            // (checked in — `submit` left it Ready — then enqueued).
+            // Park the session on a real claim as a Busy waiter would:
+            // another session holds the claim on the key, and the serve
+            // that answers Busy registers `sid` on it (the session stays
+            // checked in — `submit` left it Ready).
             let bundle = BundleMask::singleton(0);
-            let key = (7u64, bundle);
-            lock(&exchange.state)
-                .waitlist
-                .enqueue((key.0, bundle.0), sid);
-            // Drop the submit-time pending entry: the session's only route
-            // back to the router is the waitlist wake under test.
-            lock(&exchange.state).pending.clear();
+            {
+                let mut core = lock(&exchange.state);
+                assert_eq!(
+                    core.cache.serve_softly(7, bundle, SessionId(99)),
+                    SoftServe::Claimed
+                );
+                assert_eq!(core.cache.serve_softly(7, bundle, sid), SoftServe::Busy);
+                // Drop the submit-time pending entry: the session's only
+                // route back to the router is the claim's wake under test.
+                core.pending.clear();
+            }
 
             if cancel_first {
                 cancel_side(&exchange, sid);
-                wake_side(&exchange, key);
+                wake_side(&exchange, bundle);
             } else {
-                wake_side(&exchange, key);
+                wake_side(&exchange, bundle);
                 cancel_side(&exchange, sid);
             }
             let schedule = if cancel_first {
@@ -1861,7 +1854,7 @@ mod tests {
                 other => panic!("schedule {schedule}: unexpected status {other:?}"),
             }
             assert_eq!(
-                lock(&exchange.state).waitlist.waiting(),
+                lock(&exchange.state).cache.waiting(),
                 0,
                 "schedule {schedule}"
             );

@@ -28,7 +28,7 @@
 //! applied, however quickly it resolved. Applying a completion
 //! is the course critical section, and `Exchange::apply_course` is its
 //! only copy: cache insert, `CourseTrained` crash point, `CourseServed`
-//! frame, `CourseRecorded` crash point, waitlist wake, then the payer
+//! frame, `CourseRecorded` crash point, course-waiter wake, then the payer
 //! resumes *in-slice* (no second dispatch crash point). Since every
 //! journal append and cache mutation happens on the router in an order
 //! that is a pure function of the FIFO session queue and the request
@@ -575,11 +575,11 @@ impl Exchange {
     }
 
     /// Applies one resolved course — the course critical section: cache
-    /// insert → `CourseTrained` → `CourseServed` frame → `CourseRecorded`
-    /// → waitlist wake, then the paying session resumes in-slice with the
-    /// result. A failed course releases the claim instead, wakes the
-    /// waiters (they retry and one inherits the claim), and fails the
-    /// payer.
+    /// insert and counted miss → `CourseTrained` → `CourseServed` frame →
+    /// `CourseRecorded` → the claim's waiters requeued, then the paying
+    /// session resumes in-slice with the result. A failed course releases
+    /// the claim instead, counts no miss, wakes the waiters (they retry
+    /// and one inherits the claim), and fails the payer.
     fn apply_course(
         &self,
         core: &mut Core,
@@ -597,7 +597,8 @@ impl Exchange {
         } = order;
         match result {
             Ok(g) => {
-                core.cache.complete(eval_key, bundle, g);
+                let waiters = core.cache.complete(eval_key, bundle, g);
+                core.counters.cache_misses += 1;
                 if let (Some(t), Some(start)) = (self.telemetry.as_deref(), started_ns) {
                     let now = t.now_ns();
                     t.stages.course_train.record(now - start);
@@ -622,12 +623,12 @@ impl Exchange {
                     bundle,
                 });
                 // Wake-on-insert, before the payer resumes.
-                self.wake_course_waiters(core, eval_key, bundle);
+                self.wake_course_waiters(core, waiters);
                 self.run_slice(core, session, Some(Ok(g)))
             }
             Err(e) => {
-                core.cache.abort(eval_key, bundle);
-                self.wake_course_waiters(core, eval_key, bundle);
+                let waiters = core.cache.abort(eval_key, bundle);
+                self.wake_course_waiters(core, waiters);
                 self.run_slice(core, session, Some(Err(e)))
             }
         }

@@ -13,12 +13,14 @@
 //!   [`vfl_market::session::NegotiationSession`]s to completion;
 //! * [`SharedGainCache`] — the exchange-wide ΔG memo: identical
 //!   (scenario, model, bundle) course queries across sessions hit the
-//!   cache, and overlapping misses on one key train it once;
+//!   cache, and overlapping misses on one key train it once while the
+//!   other requesters wait on the key's claim;
 //! * [`SessionStore`](store) — the session registry; the router checks
 //!   sessions out, drives them, and checks them back in within one slice.
-//!   It, the cache, the waitlist, the pending queue, and the demand book
-//!   are plain data behind the exchange's single state lock, so external
-//!   callers poll and take between the router's slices;
+//!   It, the cache, the pending queue, the demand book, and the clearing
+//!   window are plain data behind the exchange's single state lock, each
+//!   the one owner of its facts, so external callers poll and take
+//!   between the router's slices;
 //! * [`matching`] — the multi-seller tier: a task party posts a [`Demand`],
 //!   the exchange fans it out to every registered seller whose catalog
 //!   overlaps, probes the candidates concurrently, and settles by a
@@ -139,7 +141,6 @@ pub mod session;
 pub mod store;
 pub mod telemetry;
 pub mod traffic;
-mod waitlist;
 
 pub use cache::SharedGainCache;
 pub use clearing::{

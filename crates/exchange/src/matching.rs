@@ -54,6 +54,7 @@ use std::sync::Arc;
 use vfl_market::{DataStrategy, Listing, MarketConfig, OutcomeStatus, RoundRecord, TaskStrategy};
 use vfl_sim::BundleMask;
 
+use crate::clearing::EpochDemand;
 use crate::exchange::MarketSpec;
 use crate::store::SessionId;
 
@@ -403,10 +404,10 @@ pub(crate) enum ReportOutcome {
     /// [`SettleMode::Immediate`]: the per-demand policy ran inside the
     /// completing report; apply the settlement.
     Settled(Settlement),
-    /// [`SettleMode::Epoch`]: the demand is ready for clearing; hand its
-    /// full quote table to the window (the demand stays live — its
-    /// report is written later by [`MatchBook::settle_epoch`]).
-    EpochReady(Vec<CandidateQuote>),
+    /// [`SettleMode::Epoch`]: the demand is ready for clearing; an epoch
+    /// may now be due (the demand stays live — its report is written
+    /// later by [`MatchBook::settle_epoch`]).
+    EpochReady,
 }
 
 /// One candidate slot of a live demand.
@@ -686,13 +687,13 @@ impl MatchBook {
 
         // The candidate set is complete: exactly one report can observe
         // `reported == total`. Epoch-mode demands park here — the
-        // exchange hands their table to the clearing window, and the
-        // window's epoch is their linearization point instead.
-        let quotes = st.quotes();
+        // clearing window reads them back from this book when their
+        // epoch fires, and that epoch is their linearization point.
         let policy = match &st.settle {
             SettleMode::Immediate(policy) => policy.clone(),
-            SettleMode::Epoch => return Some(ReportOutcome::EpochReady(quotes)),
+            SettleMode::Epoch => return Some(ReportOutcome::EpochReady),
         };
+        let quotes = st.quotes();
         let winner = policy
             .select(&st.cfg, &quotes)
             .filter(|&i| i < quotes.len());
@@ -711,8 +712,29 @@ impl MatchBook {
         }))
     }
 
-    /// Counts one clearing-epoch roll against `demand` (observability:
-    /// [`DemandStatus::Clearing`] reports it).
+    /// True when epoch-mode `demand` is live and every candidate has
+    /// reported: the clearing window may batch it.
+    pub(crate) fn ready(&self, demand: DemandId) -> bool {
+        self.demands
+            .get(&demand.0)
+            .is_some_and(|st| st.report.is_none() && st.reported == st.slots.len())
+    }
+
+    /// The clearing window's view of a [`Self::ready`] demand: its config,
+    /// its rolls so far, and its full quote table.
+    pub(crate) fn epoch_demand(&self, demand: DemandId) -> Option<EpochDemand> {
+        let st = self.demands.get(&demand.0)?;
+        Some(EpochDemand {
+            demand,
+            cfg: st.cfg,
+            rolls: st.rolls,
+            quotes: st.quotes(),
+        })
+    }
+
+    /// Counts one clearing-epoch roll against `demand`: the window's
+    /// expiry test reads it back through [`Self::epoch_demand`], and
+    /// [`DemandStatus::Clearing`] reports it.
     pub(crate) fn note_roll(&mut self, demand: DemandId) {
         if let Some(st) = self.demands.get_mut(&demand.0) {
             st.rolls += 1;
@@ -975,18 +997,20 @@ mod tests {
             QuoteState::Standing(rec(5.0, 0.5)),
             vec![rec(5.0, 0.5)],
         );
-        let ReportOutcome::EpochReady(quotes) = book
-            .report(
-                id,
-                1,
-                QuoteState::Standing(rec(9.0, 0.5)),
-                vec![rec(9.0, 0.5)],
-            )
-            .expect("completing report yields the table")
-        else {
+        assert!(!book.ready(id), "one candidate still probing");
+        let Some(ReportOutcome::EpochReady) = book.report(
+            id,
+            1,
+            QuoteState::Standing(rec(9.0, 0.5)),
+            vec![rec(9.0, 0.5)],
+        ) else {
             panic!("epoch demands park instead of settling");
         };
-        assert_eq!(quotes.len(), 2);
+        assert!(book.ready(id));
+        let view = book.epoch_demand(id).expect("ready demands have a view");
+        assert_eq!((view.demand, view.rolls), (id, 0));
+        assert_eq!(view.quotes.len(), 2);
+        assert_eq!(view.quotes[1].session, SessionId(21));
         // Parked for clearing: visible as Clearing, not evictable yet.
         assert!(matches!(
             book.status(id),
@@ -998,6 +1022,7 @@ mod tests {
             book.status(id),
             Some(DemandStatus::Clearing { rolls: 1 })
         ));
+        assert_eq!(book.epoch_demand(id).unwrap().rolls, 1);
 
         // The epoch settles it with the winner the window assigned.
         let settlement = book
@@ -1005,6 +1030,7 @@ mod tests {
             .expect("epoch settlement");
         assert!(settlement.matched);
         assert_eq!(settlement.actions.len(), 2, "wake winner, cancel loser");
+        assert!(!book.ready(id), "a settled demand leaves the window");
         let report = book.take(id).expect("settled demands can be taken");
         assert_eq!(report.winner, Some(1));
         assert_eq!(report.epoch, Some(4));

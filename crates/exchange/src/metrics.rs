@@ -1,12 +1,13 @@
 //! Per-exchange operational counters. The counters are plain data in the
 //! exchange's state, bumped under the state lock in the critical section
-//! that does what they count, and [`crate::Exchange::metrics`] reads them
-//! together with the cache statistics in one critical section, so a
-//! [`MetricsSnapshot`] is a consistent point-in-time read: every relation
-//! the exchange keeps between its counters holds in every snapshot. The
-//! exchange never branches on a counter; invariants that matter for
-//! correctness (settlement once per demand, wake once per waiter) are
-//! enforced by the matching book and course waitlist, not here.
+//! that does what they count (the shared gain cache counts nothing: the
+//! router counts its hits and misses), and [`crate::Exchange::metrics`]
+//! reads them in one critical section, so a [`MetricsSnapshot`] is a
+//! consistent point-in-time read: every relation the exchange keeps
+//! between its counters holds in every snapshot. The exchange never
+//! branches on a counter; invariants that matter for correctness
+//! (settlement once per demand, wake once per waiter) are enforced by the
+//! matching book and the cache's claims, not here.
 //!
 //! The counter list is declared exactly once, in the
 //! `declare_exchange_metrics!` invocation below. The macro generates the
@@ -18,21 +19,14 @@
 
 /// Declares the full exchange counter set in one place. Each entry is
 /// `field_name: "help text",`; the exported Prometheus name is
-/// `vfl_exchange_<field_name>`. Cache hits/misses are appended by hand
-/// because the shared gain cache counts them itself — they join the
-/// snapshot and export table all the same.
+/// `vfl_exchange_<field_name>`.
 macro_rules! declare_exchange_metrics {
     ($($field:ident : $help:literal,)+) => {
-        /// Point-in-time view of an exchange's counters plus cache
-        /// statistics. `Default` is all-zero, so fixtures write only the
-        /// fields under test.
+        /// Point-in-time view of an exchange's counters. `Default` is
+        /// all-zero, so fixtures write only the fields under test.
         #[derive(Debug, Clone, Copy, PartialEq, Default)]
         pub struct MetricsSnapshot {
             $( #[doc = $help] pub $field: u64, )+
-            /// Shared-cache hits.
-            pub cache_hits: u64,
-            /// Shared-cache misses (each one paid a real course).
-            pub cache_misses: u64,
         }
 
         impl MetricsSnapshot {
@@ -42,19 +36,12 @@ macro_rules! declare_exchange_metrics {
             /// export-completeness test.
             pub const COUNTERS: &'static [(&'static str, &'static str)] = &[
                 $( (concat!("vfl_exchange_", stringify!($field)), $help), )+
-                ("vfl_exchange_cache_hits", "Shared-cache hits."),
-                (
-                    "vfl_exchange_cache_misses",
-                    "Shared-cache misses (each one paid a real course).",
-                ),
             ];
 
             /// Visit `(exported name, value)` for every counter, in
             /// [`Self::COUNTERS`] order.
             pub fn for_each_counter(&self, mut visit: impl FnMut(&'static str, u64)) {
                 $( visit(concat!("vfl_exchange_", stringify!($field)), self.$field); )+
-                visit("vfl_exchange_cache_hits", self.cache_hits);
-                visit("vfl_exchange_cache_misses", self.cache_misses);
             }
         }
     };
@@ -93,6 +80,10 @@ declare_exchange_metrics! {
         "Epoch demands that settled unmatched because they were rolled past the window's max_rolls (contention starvation made visible).",
     demands_shed:
         "Demands refused at submit_demand by the attached admission policy (load shedding under dispatcher backlog; journaled and recovered like any other terminal).",
+    cache_hits:
+        "Shared-cache hits.",
+    cache_misses:
+        "Shared-cache misses (each one paid a real course).",
 }
 
 impl MetricsSnapshot {
@@ -163,18 +154,15 @@ mod tests {
 
     #[test]
     fn live_counters_snapshot_through_the_generated_path() {
-        use vfl_sim::BundleMask;
-        let mut core = crate::exchange::Core::default();
-        core.counters.sessions_opened += 2;
-        core.counters.rounds_completed += 1;
-        let (hit, missed) = (BundleMask::singleton(0), BundleMask::singleton(1));
-        core.cache.insert(3, hit, 0.5);
-        for _ in 0..4 {
-            core.cache.serve_softly(3, hit);
+        let exchange = crate::Exchange::new(crate::ExchangeConfig::default());
+        {
+            let mut core = crate::lock(&exchange.state);
+            core.counters.sessions_opened += 2;
+            core.counters.rounds_completed += 1;
+            core.counters.cache_hits += 4;
+            core.counters.cache_misses += 1;
         }
-        core.cache.serve_softly(3, missed);
-        core.cache.complete(3, missed, 0.25);
-        let snap = core.metrics();
+        let snap = exchange.metrics();
         assert_eq!(snap.sessions_opened, 2);
         assert_eq!(snap.rounds_completed, 1);
         assert_eq!(snap.cache_hits, 4);
@@ -199,7 +187,17 @@ mod tests {
         }
         assert!(visited.contains(&("vfl_exchange_sessions_opened", 7)));
         assert!(visited.contains(&("vfl_exchange_cache_misses", 9)));
-        // 16 exchange counters + 2 cache counters.
+        // 16 exchange counters and the 2 cache counters, declared last.
         assert_eq!(MetricsSnapshot::COUNTERS.len(), 18);
+        assert_eq!(
+            &MetricsSnapshot::COUNTERS[16..],
+            &[
+                ("vfl_exchange_cache_hits", "Shared-cache hits."),
+                (
+                    "vfl_exchange_cache_misses",
+                    "Shared-cache misses (each one paid a real course)."
+                ),
+            ]
+        );
     }
 }

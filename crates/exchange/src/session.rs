@@ -19,10 +19,9 @@
 //!   must not be driven afterwards.
 
 use std::sync::Arc;
-use vfl_market::session::{NegotiationSession, SessionEffect, SessionEvent};
+use vfl_market::session::{Advance, NegotiationSession, SessionEffect, SessionEvent};
 use vfl_market::{
-    DataContext, DataStrategy, Listing, MarketConfig, MarketError, Outcome, Result, RoundRecord,
-    TaskStrategy,
+    DataStrategy, Listing, MarketConfig, MarketError, Outcome, Result, RoundRecord, TaskStrategy,
 };
 use vfl_sim::BundleMask;
 
@@ -72,8 +71,6 @@ pub(crate) struct ActiveSession {
     task: Box<dyn TaskStrategy + Send>,
     data: Box<dyn DataStrategy + Send>,
     listings: Arc<Vec<Listing>>,
-    cfg: MarketConfig,
-    started: bool,
     /// The bundle whose course result the session is parked on.
     pending: Option<BundleMask>,
     /// Matching-tier bookkeeping (`None` for plain `submit` sessions).
@@ -97,8 +94,6 @@ impl ActiveSession {
             task: order.task,
             data: order.data,
             listings,
-            cfg: order.cfg,
-            started: false,
             pending: None,
             match_tag: None,
             enqueued_ns: None,
@@ -190,55 +185,33 @@ impl ActiveSession {
         }
     }
 
-    /// Advances the session until it parks on a course or finishes. `gain`
+    /// Advances the session until it parks on a course or finishes, through
+    /// the same protocol driver as `vfl_market::run_bargaining`. `gain`
     /// must be `Some` exactly when the session is parked
     /// ([`Self::pending_bundle`] is `Some`) and carries that course's ΔG.
     pub(crate) fn drive(&mut self, gain: Option<f64>) -> Result<Drive> {
-        let mut effect = match (self.pending.take(), gain) {
-            (Some(bundle), Some(g)) => {
-                self.data.observe_course(bundle, g);
-                self.session
-                    .step(SessionEvent::Gain(g), &self.listings, self.task.as_mut())?
-            }
-            (None, None) => {
-                debug_assert!(!self.started, "un-parked sessions must be fresh");
-                self.started = true;
-                self.session
-                    .step(SessionEvent::Start, &self.listings, self.task.as_mut())?
-            }
+        let course = match (self.pending.take(), gain) {
+            (Some(bundle), Some(g)) => Some((bundle, g)),
+            // A second start is the session machine's own protocol error.
+            (None, None) => None,
             (pending, _) => {
                 self.pending = pending;
-                return Err(vfl_market::MarketError::StrategyError(
+                return Err(MarketError::StrategyError(
                     "exchange drive/park mismatch".into(),
                 ));
             }
         };
-        loop {
-            effect = match effect {
-                SessionEffect::AwaitOffer {
-                    quote,
-                    round,
-                    exploring,
-                } => {
-                    let dctx = DataContext::at_round(&self.cfg, round, exploring, &quote);
-                    let response = self.data.respond(
-                        &dctx,
-                        &self.listings,
-                        &self.cfg,
-                        self.session.rng_mut(),
-                    )?;
-                    self.session.step(
-                        SessionEvent::Offer(response),
-                        &self.listings,
-                        self.task.as_mut(),
-                    )?
-                }
-                SessionEffect::AwaitGain { bundle, .. } => {
-                    self.pending = Some(bundle);
-                    return Ok(Drive::NeedGain);
-                }
-                SessionEffect::Finished(outcome) => return Ok(Drive::Done(outcome)),
-            };
+        match self.session.advance(
+            course,
+            &self.listings,
+            self.task.as_mut(),
+            self.data.as_mut(),
+        )? {
+            Advance::NeedGain(bundle) => {
+                self.pending = Some(bundle);
+                Ok(Drive::NeedGain)
+            }
+            Advance::Done(outcome) => Ok(Drive::Done(outcome)),
         }
     }
 }

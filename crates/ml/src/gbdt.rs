@@ -23,24 +23,14 @@ use vfl_tabular::Matrix;
 #[derive(Debug, Clone)]
 struct BoostStage {
     tree: DecisionTree,
-    /// Leaf value per training row is captured as a per-leaf-probability
-    /// correction; at predict time the tree's leaf probability is mapped
-    /// through this table (probability bucket -> value).
-    leaf_values: Vec<(f64, f64)>, // (leaf_prob_key, value)
+    /// Value per node id ([`DecisionTree::leaf_index`]): each leaf's
+    /// (scaled) mean stage residual. Split nodes' slots are never read.
+    leaf_values: Vec<f64>,
 }
 
 impl BoostStage {
-    fn value_for(&self, leaf_prob: f64) -> f64 {
-        // Exact key match (leaf probabilities are identical f64s for all
-        // rows in one leaf); fall back to nearest.
-        let mut best = (f64::INFINITY, 0.0);
-        for &(key, value) in &self.leaf_values {
-            let d = (key - leaf_prob).abs();
-            if d < best.0 {
-                best = (d, value);
-            }
-        }
-        best.1
+    fn value_for(&self, row: &[f64]) -> f64 {
+        self.leaf_values[self.tree.leaf_index(row)]
     }
 }
 
@@ -130,8 +120,7 @@ impl GradientBoosting {
     fn raw_score(&self, row: &[f64]) -> f64 {
         let mut score = self.base_logit;
         for stage in &self.stages {
-            let leaf_prob = stage.tree.predict_row(row);
-            score += self.cfg.learning_rate * stage.value_for(leaf_prob);
+            score += self.cfg.learning_rate * stage.value_for(row);
         }
         score
     }
@@ -183,25 +172,30 @@ impl Classifier for GradientBoosting {
             });
             tree.fit_presorted(&signs, &presort, &presort.counts(&rows), &mut samples)?;
 
-            // Leaf values: mean residual per leaf (keyed by leaf probability).
-            let mut sums: std::collections::BTreeMap<u64, (f64, usize)> =
-                std::collections::BTreeMap::new();
+            // Leaf values: mean residual of each leaf's own stage rows. The
+            // tree was fit on exactly these rows, so every leaf holds at
+            // least one; only split nodes keep a count of 0.
+            let mut sums = vec![(0.0, 0usize); tree.n_nodes()];
             for &i in &rows {
-                let key = tree.predict_row(x.row(i)).to_bits();
-                let entry = sums.entry(key).or_insert((0.0, 0));
-                entry.0 += residuals[i];
-                entry.1 += 1;
+                let leaf = &mut sums[tree.leaf_index(x.row(i))];
+                leaf.0 += residuals[i];
+                leaf.1 += 1;
             }
-            let leaf_values: Vec<(f64, f64)> = sums
+            let leaf_values = sums
                 .into_iter()
-                .map(|(key, (sum, count))| (f64::from_bits(key), 4.0 * sum / count as f64))
+                .map(|(sum, count)| {
+                    if count == 0 {
+                        0.0
+                    } else {
+                        4.0 * sum / count as f64
+                    }
+                })
                 .collect();
             let stage = BoostStage { tree, leaf_values };
 
             // Update scores on all rows.
             for (i, score) in scores.iter_mut().enumerate() {
-                let leaf_prob = stage.tree.predict_row(x.row(i));
-                *score += self.cfg.learning_rate * stage.value_for(leaf_prob);
+                *score += self.cfg.learning_rate * stage.value_for(x.row(i));
             }
             self.stages.push(stage);
         }
@@ -250,6 +244,49 @@ mod tests {
             y.push(((a + b) % 2) as u8);
         }
         (Matrix::from_rows(&rows).unwrap(), y)
+    }
+
+    /// Every stage row's value is 4× the mean residual of the stage rows
+    /// in its own leaf, also where distinct leaves share a probability
+    /// (every pure leaf predicts exactly 0 or 1). Stage rows are redrawn
+    /// here exactly as `fit` draws them.
+    #[test]
+    fn stage_values_are_each_leafs_own_mean_residual() {
+        let (x, y) = blobs(200, 5);
+        let cfg = GbdtConfig {
+            n_stages: 6,
+            ..Default::default()
+        };
+        let mut g = GradientBoosting::new(cfg);
+        g.fit(&x, &y).unwrap();
+        let n = x.rows();
+        let k = ((n as f64) * cfg.subsample).round() as usize;
+        let mut rng = rng_from_seed(cfg.seed);
+        let mut scores = vec![g.base_logit; n];
+        for (s, stage) in g.stages.iter().enumerate() {
+            let rows = crate::rng::sample_without_replacement(n, k, &mut rng);
+            let mut leaves: std::collections::HashMap<usize, Vec<usize>> = Default::default();
+            for &i in &rows {
+                leaves
+                    .entry(stage.tree.leaf_index(x.row(i)))
+                    .or_default()
+                    .push(i);
+            }
+            for members in leaves.values() {
+                let residual = |i: usize| y[i] as f64 - sigmoid(scores[i]);
+                let mean = members.iter().map(|&i| residual(i)).sum::<f64>() / members.len() as f64;
+                for &i in members {
+                    let value = stage.value_for(x.row(i));
+                    assert!(
+                        (value - 4.0 * mean).abs() < 1e-12,
+                        "stage {s} row {i}: {value} vs 4 x {mean}"
+                    );
+                }
+            }
+            for (i, score) in scores.iter_mut().enumerate() {
+                *score += cfg.learning_rate * stage.value_for(x.row(i));
+            }
+        }
     }
 
     #[test]

@@ -489,11 +489,21 @@ impl DecisionTree {
 
     /// Probability of the positive class for one feature row.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
+        match self.nodes[self.leaf_index(row)] {
+            Node::Leaf { prob } => prob,
+            Node::Split { .. } => unreachable!("leaf_index ends on a leaf"),
+        }
+    }
+
+    /// Index of the leaf `row` lands in: a node id below
+    /// [`Self::n_nodes`], distinct for distinct leaves, so per-leaf values
+    /// can be kept in a `Vec` of `n_nodes` slots.
+    pub fn leaf_index(&self, row: &[f64]) -> usize {
         debug_assert!(!self.nodes.is_empty(), "predict on unfitted tree");
         let mut id = 0usize;
         loop {
             match &self.nodes[id] {
-                Node::Leaf { prob } => return *prob,
+                Node::Leaf { .. } => return id,
                 Node::Split {
                     feature,
                     threshold,
