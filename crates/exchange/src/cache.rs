@@ -284,6 +284,26 @@ mod tests {
         assert_eq!(cache.serve_softly(5, b, S), SoftServe::Hit(0.7));
     }
 
+    /// An aborted claim leaves no trace: nothing lands, no waiter stays
+    /// parked, and the next caller inherits a fresh claim. (Misses are
+    /// counted by the router only where a trained course is applied, so
+    /// a failed course is never a miss.)
+    #[test]
+    fn abort_releases_the_claim_without_counting_a_miss() {
+        let mut cache = SharedGainCache::default();
+        let b = BundleMask::singleton(2);
+        assert_eq!(cache.serve_softly(6, b, S), SoftServe::Claimed);
+        assert_eq!(cache.serve_softly(6, b, SessionId(1)), SoftServe::Busy);
+        assert_eq!(cache.abort(6, b), vec![SessionId(1)]);
+        assert!(cache.peek(6, b).is_none(), "a failed course caches nothing");
+        assert!(cache.is_empty());
+        assert_eq!(cache.waiting(), 0);
+        // The next caller inherits a fresh claim — nothing leaked.
+        assert_eq!(cache.serve_softly(6, b, SessionId(1)), SoftServe::Claimed);
+        assert!(cache.complete(6, b, 0.3).is_empty());
+        assert_eq!(cache.peek(6, b), Some(0.3));
+    }
+
     /// Every `Busy` caller is handed back exactly once, by whichever of
     /// `complete` or `abort` settles its claim, and other keys' waiters
     /// stay parked.
