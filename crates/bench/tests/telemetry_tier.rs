@@ -8,21 +8,23 @@
 //! export side: the Prometheus scrape must carry every
 //! exchange counter and the per-stage latency histograms with ordered
 //! quantiles, the depth gauges must return to zero at drain-idle, and
-//! recovery must time its two phases.
+//! recovery must time its two phases. The cost side: a warm demand drain
+//! stays within its clock-read budget.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vfl_exchange::{
     BestResponse, ClearingSpec, Demand, DemandId, Exchange, ExchangeConfig, ExchangeTelemetry,
     Journal, MarketSpec, MetricsSnapshot, ReplaySpec, SellerSpec, SessionId, SessionOrder,
-    SettleMode, UniformPriceClearing, STAGES, STAGE_FAMILY,
+    SettleMode, UniformPriceClearing, SAMPLE_STRIDE, STAGES, STAGE_FAMILY,
 };
 use vfl_market::{
     DataStrategy, Listing, MarketConfig, Outcome, ReservedPrice, StrategicData, StrategicTask,
     TableGainProvider,
 };
 use vfl_sim::BundleMask;
-use vfl_telemetry::TraceKey;
+use vfl_telemetry::{Clock, MonotonicClock, TraceKey};
 
 fn listings_and_gains(scale: f64) -> (Vec<Listing>, Vec<f64>) {
     let listings: Vec<Listing> = (0..4)
@@ -313,4 +315,93 @@ fn recovery_phases_are_timed() {
         let got = recovered.take(sid).expect("terminal").expect("no error");
         assert_eq!(*got, *want, "session {sid:?} diverged under telemetry");
     }
+}
+
+/// A real clock that counts its readings.
+#[derive(Debug, Default)]
+struct CountingClock {
+    inner: MonotonicClock,
+    reads: AtomicU64,
+}
+
+impl Clock for CountingClock {
+    fn now_ns(&self) -> u64 {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.now_ns()
+    }
+}
+
+/// The clock-read budget of the demand path: telemetry on a warm
+/// demand workload (the tier's two sellers and clearing window, both
+/// settle modes) may read the clock at most 16 times per admitted demand,
+/// and the sampled stages' counts stand for their events within one
+/// stride.
+#[test]
+fn demand_drain_stays_within_its_clock_read_budget() {
+    const WARMUP: u64 = 8;
+    const DEMANDS: u64 = 48;
+    let clock = Arc::new(CountingClock::default());
+    let tele = ExchangeTelemetry::with_clock(clock.clone(), 64);
+    let (journal, _sink) = Journal::in_memory();
+    let exchange = Exchange::with_journal_and_telemetry(
+        ExchangeConfig::default(),
+        journal.clone(),
+        tele.clone(),
+    );
+    exchange.register_seller(seller("weak", 0.4)).unwrap();
+    exchange.register_seller(seller("strong", 1.0)).unwrap();
+    exchange
+        .open_clearing(ClearingSpec {
+            epoch_size: 2,
+            capacity: 1,
+            max_rolls: u32::MAX,
+            policy: Arc::new(UniformPriceClearing::default()),
+        })
+        .unwrap();
+    let submit = |n: u64| {
+        for i in 0..n {
+            let settle = if i % 2 == 0 {
+                SettleMode::Immediate(Arc::new(BestResponse))
+            } else {
+                SettleMode::Epoch
+            };
+            exchange.submit_demand(demand(i % 4, settle)).unwrap();
+        }
+        let report = exchange.drain(1);
+        assert_eq!(report.failed, 0, "the budget workload must stay clean");
+    };
+    // A cold cache parks every candidate behind the few trainings, one
+    // wake per course; warm it first, as a demand stream runs warm.
+    submit(WARMUP);
+    let trainings = exchange.metrics().cache_misses;
+    clock.reads.store(0, Ordering::Relaxed);
+    submit(DEMANDS);
+    assert_eq!(
+        exchange.metrics().cache_misses,
+        trainings,
+        "the measured drain must run warm"
+    );
+
+    let metrics = exchange.metrics();
+    assert_eq!(metrics.demands_submitted, WARMUP + DEMANDS);
+    assert_eq!(metrics.demands_settled, WARMUP + DEMANDS);
+    let reads = clock.reads.load(Ordering::Relaxed);
+    let per_demand = reads as f64 / DEMANDS as f64;
+    eprintln!("clock reads: {reads} for {DEMANDS} demands ({per_demand:.2} per demand)");
+    assert!(
+        reads <= 16 * DEMANDS,
+        "{reads} clock reads for {DEMANDS} admitted demands ({per_demand:.2} each) break the \
+         budget of 16 per demand"
+    );
+
+    let within_one_stride = |stage: &str, events: u64| {
+        let count = tele.stage_snapshot(stage).expect("registered").count;
+        assert!(
+            (events..events + SAMPLE_STRIDE).contains(&count),
+            "{stage}: {count} samples stand for {events} events"
+        );
+    };
+    assert!(metrics.cache_hits > 0, "the workload must hit the cache");
+    within_one_stride("course_cache_hit", metrics.cache_hits);
+    within_one_stride("journal_append", journal.records());
 }

@@ -48,19 +48,19 @@
 //!   after the insert always read the landed value.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use vfl_sim::BundleMask;
 
 use crate::store::SessionId;
+use crate::IdMap;
 
 /// `(evaluation key, bundle) -> ΔG` map plus the claim set that dedups
 /// overlapping trainings of the same key, each claim with its waiters.
 #[derive(Debug, Default)]
 pub struct SharedGainCache {
-    gains: HashMap<(u64, u64), f64>,
+    gains: IdMap<(u64, u64), f64>,
     /// Keys whose course is claimed and not yet settled, each with the
     /// sessions parked behind the claim (in arrival order).
-    claims: HashMap<(u64, u64), Vec<SessionId>>,
+    claims: IdMap<(u64, u64), Vec<SessionId>>,
 }
 
 /// Outcome of [`SharedGainCache::serve_softly`] — the split-phase serve

@@ -84,7 +84,7 @@ use crate::matching::{
 use crate::metrics::MetricsSnapshot;
 use crate::session::{ActiveSession, Drive, MatchTag, SessionOrder};
 use crate::store::{SessionId, SessionStatus, SessionStore};
-use crate::telemetry::{ExchangeTelemetry, SliceTimer};
+use crate::telemetry::{ExchangeTelemetry, SliceTimer, Stage, StageTallies, SAMPLE_STRIDE};
 use crate::traffic::{AdmissionDecision, AdmissionLoad, AdmissionPolicy};
 use vfl_telemetry::TraceKey;
 
@@ -231,6 +231,9 @@ pub(crate) struct Core {
     /// Fault-injection observer ([`Exchange::set_crash_hook`]); fires
     /// under this lock at every [`CrashPoint`].
     crash_hook: Option<CrashHook>,
+    /// Stage samples not yet published into the attached telemetry's
+    /// shared histograms (see [`crate::telemetry`]); empty without one.
+    pub(crate) stages: StageTallies,
 }
 
 impl Core {
@@ -606,33 +609,43 @@ impl Exchange {
     /// registry plus the stage histograms and depth gauges. `None`
     /// without an attached telemetry sink.
     pub fn scrape(&self) -> Option<String> {
-        self.telemetry
-            .as_ref()
-            .map(|t| t.render_with(&self.metrics()))
+        let t = self.telemetry.as_deref()?;
+        Some(t.render_with(&self.publish_stages(t)))
     }
 
     /// JSON twin of [`Exchange::scrape`] (histograms carry
     /// count/sum/min/max and p50/p95/p99).
     pub fn scrape_json(&self) -> Option<String> {
-        self.telemetry
-            .as_ref()
-            .map(|t| t.render_json_with(&self.metrics()))
+        let t = self.telemetry.as_deref()?;
+        Some(t.render_json_with(&self.publish_stages(t)))
     }
 
-    /// Appends to the journal, building the event only when one is
-    /// attached (the no-journal hot path pays one branch). With
-    /// telemetry attached, the append — serialize, frame, sink write —
-    /// is timed into the `journal_append` stage.
-    pub(crate) fn record_with(&self, make: impl FnOnce() -> ExchangeEvent) {
-        if let Some(journal) = &self.journal {
-            match self.telemetry.as_deref() {
-                Some(t) => {
-                    let start = t.now_ns();
-                    journal.append(&make());
-                    t.stages.journal_append.record(t.now_ns() - start);
-                }
-                None => journal.append(&make()),
+    /// Publishes the stage tallies into `t` and copies the counters out,
+    /// in one critical section.
+    fn publish_stages(&self, t: &ExchangeTelemetry) -> MetricsSnapshot {
+        let mut core = lock(&self.state);
+        t.publish(&mut core.stages);
+        core.counters
+    }
+
+    /// Appends to the journal, building the event (from the locked
+    /// state) only when one is attached: the no-journal hot path pays
+    /// one branch. With telemetry attached, the first append and every
+    /// [`SAMPLE_STRIDE`]-th after it — serialize, frame, sink write — is
+    /// timed into the `journal_append` stage.
+    pub(crate) fn record_with(&self, core: &mut Core, make: impl FnOnce(&Core) -> ExchangeEvent) {
+        let Some(journal) = &self.journal else {
+            return;
+        };
+        match self.telemetry.as_deref() {
+            Some(t) if core.stages.append_sampler.tick() => {
+                let start = t.now_ns();
+                journal.append(&make(core));
+                let ns = t.now_ns() - start;
+                core.stages
+                    .record_n(Stage::JournalAppend, ns, SAMPLE_STRIDE);
             }
+            _ => journal.append(&make(core)),
         }
     }
 
@@ -665,7 +678,7 @@ impl Exchange {
     pub fn register_market(&self, spec: MarketSpec) -> Result<MarketId> {
         let mut core = lock(&self.state);
         let (id, private) = core.push_market(spec)?;
-        self.record_with(|| {
+        self.record_with(&mut core, |core| {
             let entry = &core.markets[id.0];
             ExchangeEvent::MarketRegistered {
                 market: id,
@@ -688,7 +701,7 @@ impl Exchange {
     pub fn register_seller(&self, spec: crate::matching::SellerSpec) -> Result<SellerId> {
         let mut core = lock(&self.state);
         let (id, private) = core.push_seller(spec)?;
-        self.record_with(|| {
+        self.record_with(&mut core, |core| {
             let seller = &core.sellers[id.0];
             let market = &core.markets[seller.market.0];
             ExchangeEvent::SellerRegistered {
@@ -715,10 +728,12 @@ impl Exchange {
     pub fn open_clearing(&self, spec: ClearingSpec) -> Result<()> {
         let mut core = lock(&self.state);
         let spec = core.open_window(spec)?.spec();
-        self.record_with(|| ExchangeEvent::ClearingOpened {
-            epoch_size: spec.epoch_size as u32,
-            capacity: spec.capacity,
-            max_rolls: spec.max_rolls,
+        let (epoch_size, capacity, max_rolls) =
+            (spec.epoch_size as u32, spec.capacity, spec.max_rolls);
+        self.record_with(&mut core, |_| ExchangeEvent::ClearingOpened {
+            epoch_size,
+            capacity,
+            max_rolls,
         });
         Ok(())
     }
@@ -892,7 +907,7 @@ impl Exchange {
         // Stamp the restored checkpoint into the fresh generation *after*
         // every check passed (the restore paths above journal nothing, so
         // this frame is the new journal's first — `[Checkpoint, suffix…]`).
-        self.record_with(|| ExchangeEvent::Checkpoint {
+        self.record_with(&mut core, |_| ExchangeEvent::Checkpoint {
             state: Box::new(state),
         });
         Ok(())
@@ -938,7 +953,7 @@ impl Exchange {
             session.stamp_enqueued(t.now_ns());
         }
         core.store.insert(id, session);
-        self.record_with(|| ExchangeEvent::SessionSubmitted {
+        self.record_with(core, |_| ExchangeEvent::SessionSubmitted {
             session: id,
             market,
             cfg_digest,
@@ -975,7 +990,7 @@ impl Exchange {
         let mut core = lock(&self.state);
         core.cache.insert(eval_key, bundle, gain);
         core.counters.courses_preloaded += 1;
-        self.record_with(|| ExchangeEvent::CourseServed {
+        self.record_with(&mut core, |_| ExchangeEvent::CourseServed {
             eval_key,
             bundle,
             gain,
@@ -1031,7 +1046,7 @@ impl Exchange {
                 if let AdmissionDecision::Shed { retry_after } = policy.admit(&load) {
                     let did = core.book.allocate();
                     core.book.open_shed_at(did, retry_after);
-                    self.record_with(|| ExchangeEvent::DemandShed {
+                    self.record_with(&mut core, |_| ExchangeEvent::DemandShed {
                         demand: did,
                         wanted: demand.wanted,
                         cfg_digest: wire::config_digest(&demand.cfg),
@@ -1085,6 +1100,8 @@ impl Exchange {
                 .expect("validated: epoch demands require an open window")
                 .enqueue(did);
         }
+        // One reading stamps the whole fan-out.
+        let enqueued = self.telemetry.as_deref().map(|t| t.now_ns());
         for ((slot, mut session), &sid) in sessions.into_iter().enumerate().zip(&ids) {
             session.set_match_tag(MatchTag {
                 demand: did,
@@ -1092,13 +1109,13 @@ impl Exchange {
                 probe_rounds: demand.probe_rounds,
                 released: false,
             });
-            if let Some(t) = self.telemetry.as_deref() {
-                session.stamp_enqueued(t.now_ns());
+            if let Some(now) = enqueued {
+                session.stamp_enqueued(now);
             }
             core.store.insert(sid, session);
             core.counters.sessions_opened += 1;
         }
-        self.record_with(|| ExchangeEvent::DemandSubmitted {
+        self.record_with(core, |_| ExchangeEvent::DemandSubmitted {
             demand: did,
             wanted: demand.wanted,
             probe_rounds: demand.probe_rounds,
@@ -1187,7 +1204,7 @@ impl Exchange {
             )));
         }
         core.book.open_shed_at(did, retry_after);
-        self.record_with(|| ExchangeEvent::DemandShed {
+        self.record_with(&mut core, |_| ExchangeEvent::DemandShed {
             demand: did,
             wanted,
             cfg_digest,
@@ -1278,7 +1295,8 @@ impl Exchange {
     /// cancel parked losers) or leaves the demand ready in the book for
     /// the clearing window and drives any epoch that is now due. Runs
     /// inside the reporting slice; returns how many sessions it cancelled
-    /// so the slice's notice can count them.
+    /// so the slice's notice can count them. `now` is the closing clock
+    /// reading of that slice, when telemetry took one.
     fn report_quote(
         &self,
         core: &mut Core,
@@ -1286,6 +1304,7 @@ impl Exchange {
         slot: usize,
         quote: QuoteState,
         history: Vec<RoundRecord>,
+        now: Option<u64>,
     ) -> usize {
         let kind = match &quote {
             QuoteState::Standing(_) => QuoteKind::Standing,
@@ -1294,23 +1313,26 @@ impl Exchange {
         };
         let rounds = history.len() as u32;
         let outcome = core.book.report(demand, slot, quote, history);
-        self.record_with(|| ExchangeEvent::QuoteRecorded {
+        self.record_with(core, |_| ExchangeEvent::QuoteRecorded {
             demand,
             slot: slot as u32,
             kind,
             rounds,
         });
-        if let Some(t) = self.telemetry.as_deref() {
+        let tele = self.telemetry.as_deref();
+        let now = tele.map(|t| now.unwrap_or_else(|| t.now_ns()));
+        if let (Some(t), Some(now)) = (tele, now) {
             // Point event on the demand's timeline: one candidate's
             // quote landed (slot index not carried — the timeline shows
             // cadence, the journal shows content).
-            let now = t.now_ns();
             t.span(TraceKey::Demand(demand.0), "quote_recorded", now, now);
         }
         match outcome {
             None => 0,
+            // The report made the decision, so the settlement's time
+            // counts from the report's reading.
             Some(ReportOutcome::Settled(settlement)) => {
-                self.apply_settlement(core, demand, settlement)
+                self.apply_settlement(core, demand, settlement, now).0
             }
             Some(ReportOutcome::EpochReady) => self.drive_clearing(core, false),
         }
@@ -1319,32 +1341,48 @@ impl Exchange {
     /// Journals and applies one demand's settlement: the decision is
     /// already made (and visible in the match book) but neither recorded
     /// nor applied — the two crash points bracket exactly the windows the
-    /// injectable-crash replay must survive. Returns the sessions
-    /// cancelled.
-    fn apply_settlement(&self, core: &mut Core, demand: DemandId, settlement: Settlement) -> usize {
-        let start = self.telemetry.as_deref().map(|t| t.now_ns());
+    /// injectable-crash replay must survive. The settlement is timed from
+    /// `start`, a clock reading the caller already holds (one is read
+    /// when it holds none). Returns the sessions cancelled and, with
+    /// telemetry attached, the closing reading.
+    fn apply_settlement(
+        &self,
+        core: &mut Core,
+        demand: DemandId,
+        settlement: Settlement,
+        start: Option<u64>,
+    ) -> (usize, Option<u64>) {
+        let tele = self.telemetry.as_deref();
+        let start = tele.map(|t| start.unwrap_or_else(|| t.now_ns()));
         core.counters.demands_settled += 1;
         if settlement.matched {
             core.counters.demands_matched += 1;
         }
         core.crash_point(CrashPoint::SettlementDecided(demand));
-        self.record_with(|| ExchangeEvent::DemandSettled {
+        self.record_with(core, |_| ExchangeEvent::DemandSettled {
             demand,
             winner: settlement.winner.map(|w| w as u32),
         });
         core.crash_point(CrashPoint::SettlementRecorded(demand));
-        let cancelled = self.apply_actions(core, settlement.actions);
-        if let (Some(t), Some(start)) = (self.telemetry.as_deref(), start) {
+        let cancelled = self.apply_actions(core, settlement.actions, start);
+        let end = tele.zip(start).map(|(t, start)| {
             let now = t.now_ns();
-            t.stages.settlement.record(now - start);
+            core.stages.record(Stage::Settlement, now - start);
             t.span(TraceKey::Demand(demand.0), "settlement", start, now);
-        }
-        cancelled
+            now
+        });
+        (cancelled, end)
     }
 
     /// Applies deferred wake/cancel actions to parked candidate sessions;
-    /// returns how many it cancelled.
-    fn apply_actions(&self, core: &mut Core, actions: Vec<SettleAction>) -> usize {
+    /// returns how many it cancelled. A woken winner's dispatch wait is
+    /// stamped with `now`, the settlement's opening clock reading.
+    fn apply_actions(
+        &self,
+        core: &mut Core,
+        actions: Vec<SettleAction>,
+        now: Option<u64>,
+    ) -> usize {
         let mut cancelled = 0usize;
         for action in actions {
             match action {
@@ -1353,12 +1391,12 @@ impl Exchange {
                     // nobody, reachable only through this settlement.
                     if let Some(mut session) = core.store.check_out(sid) {
                         session.release();
-                        if let Some(t) = self.telemetry.as_deref() {
+                        if let Some(now) = now {
                             // Re-stamp: the next dispatch-wait sample
                             // measures wake → dispatch, not submit →
                             // dispatch (the park was the demand's, not
                             // the queue's).
-                            session.stamp_enqueued(t.now_ns());
+                            session.stamp_enqueued(now);
                         }
                         core.store.check_in(sid, session);
                         core.enqueue([sid], self.telemetry.as_deref());
@@ -1371,13 +1409,15 @@ impl Exchange {
                         let result = session.cancel();
                         core.counters.sessions_cancelled += 1;
                         match &result {
-                            Ok(outcome) => self.record_with(|| ExchangeEvent::SessionConcluded {
-                                session: sid,
-                                status: wire::status_code(outcome.status),
-                                rounds: outcome.n_rounds() as u32,
-                                digest: wire::outcome_digest(outcome),
-                            }),
-                            Err(_) => self.record_with(|| ExchangeEvent::SessionConcluded {
+                            Ok(outcome) => {
+                                self.record_with(core, |_| ExchangeEvent::SessionConcluded {
+                                    session: sid,
+                                    status: wire::status_code(outcome.status),
+                                    rounds: outcome.n_rounds() as u32,
+                                    digest: wire::outcome_digest(outcome),
+                                })
+                            }
+                            Err(_) => self.record_with(core, |_| ExchangeEvent::SessionConcluded {
                                 session: sid,
                                 status: wire::STATUS_HARD_ERROR,
                                 rounds: 0,
@@ -1404,18 +1444,22 @@ impl Exchange {
     /// sequence), so journaled epoch order equals real epoch order.
     /// Returns the sessions cancelled.
     pub(crate) fn drive_clearing(&self, core: &mut Core, flush: bool) -> usize {
+        let tele = self.telemetry.as_deref();
         let mut cancelled = 0usize;
         while let Some(outcome) = core
             .clearing
             .as_mut()
             .and_then(|w| w.clear_next(&mut core.book, flush))
         {
-            let epoch_start = self.telemetry.as_deref().map(|t| t.now_ns());
+            let epoch_start = tele.map(|t| t.now_ns());
+            // Member settlements are timed back to back: each starts at
+            // the closing reading of the one before it.
+            let mut mark = epoch_start;
             let epoch = outcome.record.epoch;
             // Epoch critical section: decided but not recorded, then
             // recorded but not applied — both windows are injectable.
             core.crash_point(CrashPoint::EpochDecided(epoch));
-            self.record_with(|| ExchangeEvent::EpochCleared {
+            self.record_with(core, |_| ExchangeEvent::EpochCleared {
                 record: outcome.record.clone(),
             });
             core.crash_point(CrashPoint::EpochRecorded(epoch));
@@ -1428,14 +1472,22 @@ impl Exchange {
                     core.book
                         .settle_epoch(settled.demand, settled.winner, epoch, settled.price)
                 {
-                    cancelled += self.apply_settlement(core, settled.demand, settlement);
+                    let (c, end) = self.apply_settlement(core, settled.demand, settlement, mark);
+                    cancelled += c;
+                    mark = end;
                 } else {
                     debug_assert!(false, "cleared demand {} not in the book", settled.demand);
                 }
             }
-            if let (Some(t), Some(start)) = (self.telemetry.as_deref(), epoch_start) {
-                let now = t.now_ns();
-                t.stages.epoch_clear.record(now - start);
+            if let (Some(t), Some(start)) = (tele, epoch_start) {
+                // The last member settlement's closing reading ends the
+                // epoch too.
+                let now = if outcome.settled.is_empty() {
+                    t.now_ns()
+                } else {
+                    mark.unwrap_or(start)
+                };
+                core.stages.record(Stage::EpochClear, now - start);
                 t.span(TraceKey::Epoch(epoch), "epoch_clear", start, now);
             }
         }
@@ -1444,6 +1496,7 @@ impl Exchange {
 
     /// Ends a slice that leaves `session` live: counts the rounds it ran,
     /// closes the telemetry bracket, and checks it back into the store.
+    /// Returns the bracket's closing clock reading, if it took one.
     fn park(
         &self,
         core: &mut Core,
@@ -1451,12 +1504,23 @@ impl Exchange {
         session: Box<ActiveSession>,
         rounds_before: usize,
         timer: Option<SliceTimer>,
-    ) {
+    ) -> Option<u64> {
         core.counters.rounds_completed += (session.rounds_so_far() - rounds_before) as u64;
-        if let (Some(t), Some(timer)) = (self.telemetry.as_deref(), timer) {
-            timer.finish(t, session.rounds_so_far());
-        }
+        let closed = self.finish_slice(core, timer, session.rounds_so_far());
         core.store.check_in(id, session);
+        closed
+    }
+
+    /// Closes a slice's telemetry bracket at `rounds_end` rounds (see
+    /// [`SliceTimer::finish`]).
+    fn finish_slice(
+        &self,
+        core: &mut Core,
+        timer: Option<SliceTimer>,
+        rounds_end: usize,
+    ) -> Option<u64> {
+        let (t, timer) = self.telemetry.as_deref().zip(timer)?;
+        timer.finish(t, &mut core.stages, rounds_end)
     }
 
     /// One slice of session `id`. Cheap work (strategy steps, cached
@@ -1492,7 +1556,8 @@ impl Exchange {
             let timer = SliceTimer::start(t, session.rounds_so_far());
             if let Some(enqueued) = session.take_enqueued_ns() {
                 let now = timer.start_ns();
-                t.stages.dispatch_wait.record(now.saturating_sub(enqueued));
+                core.stages
+                    .record(Stage::DispatchWait, now.saturating_sub(enqueued));
                 t.span(TraceKey::Session(id.0), "dispatch_wait", enqueued, now);
             }
             timer
@@ -1516,13 +1581,14 @@ impl Exchange {
                     .standing_quote()
                     .expect("probe horizon implies a completed round");
                 let history = session.round_history();
-                self.park(core, id, session, rounds_before, slice_timer.take());
+                let closed = self.park(core, id, session, rounds_before, slice_timer.take());
                 let cancelled = self.report_quote(
                     core,
                     tag.demand,
                     tag.slot,
                     QuoteState::Standing(standing),
                     history,
+                    closed,
                 );
                 return SliceEnd::Notice(Notice {
                     kind: NoticeKind::Parked,
@@ -1545,17 +1611,22 @@ impl Exchange {
                             self.park(core, id, session, rounds_before, slice_timer.take());
                             return plain(NoticeKind::Yielded(id));
                         }
-                        let serve_start = tele.map(|t| t.now_ns());
+                        // A sampled hit is timed; the sampler counts hits only.
+                        let serve_start = tele
+                            .filter(|_| core.stages.hit_sampler.due())
+                            .map(|t| t.now_ns());
                         match core.cache.serve_softly(eval_key, bundle, id) {
                             SoftServe::Hit(g) => {
                                 core.counters.courses_requested += 1;
                                 core.counters.cache_hits += 1;
+                                core.stages.hit_sampler.tick();
                                 if let (Some(t), Some(start)) = (tele, serve_start) {
                                     let served = t.now_ns() - start;
-                                    t.stages.course_cache_hit.record(served);
-                                    if let Some(timer) = slice_timer.as_mut() {
-                                        timer.note_serve(served);
-                                    }
+                                    core.stages.record_n(
+                                        Stage::CourseCacheHit,
+                                        served,
+                                        SAMPLE_STRIDE,
+                                    );
                                 }
                                 session.drive(Some(g))
                             }
@@ -1605,9 +1676,7 @@ impl Exchange {
                     // so the terminal count is read off the outcome itself.
                     core.counters.rounds_completed +=
                         outcome.n_rounds().saturating_sub(rounds_before) as u64;
-                    if let (Some(t), Some(timer)) = (tele, slice_timer.take()) {
-                        timer.finish(t, outcome.n_rounds());
-                    }
+                    let closed = self.finish_slice(core, slice_timer.take(), outcome.n_rounds());
                     let tag = session.match_tag().filter(|t| !t.released).copied();
                     let quote = tag.map(|_| QuoteState::Closed {
                         status: outcome.status,
@@ -1615,7 +1684,7 @@ impl Exchange {
                     });
                     let history = tag.map(|_| outcome.rounds.clone());
                     core.crash_point(CrashPoint::Concluding(id));
-                    self.record_with(|| ExchangeEvent::SessionConcluded {
+                    self.record_with(core, |_| ExchangeEvent::SessionConcluded {
                         session: id,
                         status: wire::status_code(outcome.status),
                         rounds: outcome.n_rounds() as u32,
@@ -1624,7 +1693,7 @@ impl Exchange {
                     core.store.finish(id, Ok(outcome));
                     let cancelled = match (tag, quote, history) {
                         (Some(tag), Some(quote), Some(history)) => {
-                            self.report_quote(core, tag.demand, tag.slot, quote, history)
+                            self.report_quote(core, tag.demand, tag.slot, quote, history, closed)
                         }
                         _ => 0,
                     };
@@ -1637,14 +1706,13 @@ impl Exchange {
                     core.counters.sessions_failed += 1;
                     core.counters.rounds_completed +=
                         session.rounds_so_far().saturating_sub(rounds_before) as u64;
-                    if let (Some(t), Some(timer)) = (tele, slice_timer.take()) {
-                        timer.finish(t, session.rounds_so_far());
-                    }
+                    let closed =
+                        self.finish_slice(core, slice_timer.take(), session.rounds_so_far());
                     let tag = session.match_tag().filter(|t| !t.released).copied();
                     let history = tag.map(|_| session.round_history());
                     let msg = e.to_string();
                     core.crash_point(CrashPoint::Concluding(id));
-                    self.record_with(|| ExchangeEvent::SessionConcluded {
+                    self.record_with(core, |_| ExchangeEvent::SessionConcluded {
                         session: id,
                         status: wire::STATUS_HARD_ERROR,
                         rounds: session.rounds_so_far() as u32,
@@ -1658,6 +1726,7 @@ impl Exchange {
                             tag.slot,
                             QuoteState::Error(msg),
                             history,
+                            closed,
                         ),
                         _ => 0,
                     };

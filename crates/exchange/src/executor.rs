@@ -90,6 +90,7 @@ use crate::exchange::{Core, DrainReport, Exchange, NoticeKind, SliceEnd};
 use crate::journal::{CrashPoint, ExchangeEvent};
 use crate::lock;
 use crate::store::SessionId;
+use crate::telemetry::Stage;
 use vfl_telemetry::TraceKey;
 
 /// The boxed future one course resolution runs as. Resolves to the ΔG of
@@ -560,6 +561,11 @@ impl Exchange {
             let mut core = lock(&self.state);
             cancelled += self.drive_clearing(&mut core, true);
             if core.pending.is_empty() {
+                // Drain end: the first of the stage tallies' publish
+                // points (see crate::telemetry).
+                if let Some(t) = self.telemetry.as_deref() {
+                    t.publish(&mut core.stages);
+                }
                 break;
             }
         }
@@ -601,7 +607,7 @@ impl Exchange {
                 core.counters.cache_misses += 1;
                 if let (Some(t), Some(start)) = (self.telemetry.as_deref(), started_ns) {
                     let now = t.now_ns();
-                    t.stages.course_train.record(now - start);
+                    core.stages.record(Stage::CourseTrain, now - start);
                     t.span(TraceKey::Session(session.0), "course_train", start, now);
                 }
                 // Course critical section: the training is paid but not yet
@@ -612,7 +618,7 @@ impl Exchange {
                     eval_key,
                     bundle,
                 });
-                self.record_with(|| ExchangeEvent::CourseServed {
+                self.record_with(core, |_| ExchangeEvent::CourseServed {
                     eval_key,
                     bundle,
                     gain: g,

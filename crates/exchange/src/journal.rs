@@ -155,7 +155,7 @@ use crate::matching::{
 };
 use crate::session::SessionOrder;
 use crate::store::SessionId;
-use crate::telemetry::ExchangeTelemetry;
+use crate::telemetry::{ExchangeTelemetry, Stage};
 use vfl_market::{MarketError, Outcome};
 
 const MAGIC: u8 = 0xEA;
@@ -1309,16 +1309,19 @@ impl Exchange {
             events = suffix;
         }
         if let (Some(t), Some(start)) = (exchange.telemetry(), restore_start) {
-            t.stages.recovery_restore.record(t.now_ns() - start);
+            let ns = t.now_ns() - start;
+            lock(&exchange.state)
+                .stages
+                .record(Stage::RecoveryRestore, ns);
         }
         let replay_start = exchange.telemetry().map(|t| t.now_ns());
         for event in events {
             match event {
                 ExchangeEvent::MarketRegistered { .. } | ExchangeEvent::SellerRegistered { .. } => {
                     let (market, stamp) = event.registration().expect("a registration event");
-                    lock(&exchange.state)
-                        .replay_registration("journal", market, &stamp, &mut spec)?;
-                    exchange.record_with(|| event.clone());
+                    let mut core = lock(&exchange.state);
+                    core.replay_registration("journal", market, &stamp, &mut spec)?;
+                    exchange.record_with(&mut core, |_| event.clone());
                     match stamp.owner {
                         Some(_) => report.sellers += 1,
                         None => report.markets += 1,
@@ -1349,12 +1352,9 @@ impl Exchange {
                     capacity,
                     max_rolls,
                 } => {
-                    lock(&exchange.state).replay_clearing(
-                        "journal",
-                        (epoch_size, capacity, max_rolls),
-                        &mut spec,
-                    )?;
-                    exchange.record_with(|| event.clone());
+                    let mut core = lock(&exchange.state);
+                    core.replay_clearing("journal", (epoch_size, capacity, max_rolls), &mut spec)?;
+                    exchange.record_with(&mut core, |_| event.clone());
                     report.clearing_opened = true;
                 }
                 ExchangeEvent::DemandSubmitted {
@@ -1461,7 +1461,11 @@ impl Exchange {
             }
         }
         if let (Some(t), Some(start)) = (exchange.telemetry(), replay_start) {
-            t.stages.recovery_replay.record(t.now_ns() - start);
+            let ns = t.now_ns() - start;
+            let mut core = lock(&exchange.state);
+            core.stages.record(Stage::RecoveryReplay, ns);
+            // Recovery end: a publish point (see crate::telemetry).
+            t.publish(&mut core.stages);
         }
         Ok((exchange, report))
     }

@@ -165,14 +165,46 @@ pub use matching::{
 pub use metrics::MetricsSnapshot;
 pub use session::SessionOrder;
 pub use store::{SessionId, SessionStatus};
-pub use telemetry::{ExchangeTelemetry, QUEUE_DEPTH, STAGES, STAGE_FAMILY, WAITLIST_DEPTH};
+pub use telemetry::{
+    ExchangeTelemetry, QUEUE_DEPTH, SAMPLE_STRIDE, STAGES, STAGE_FAMILY, WAITLIST_DEPTH,
+};
 pub use traffic::{
     named_scenarios, AdmissionDecision, AdmissionLoad, AdmissionPolicy, Adversary, ArrivalProcess,
     CostWeightedAdmission, EpochTraffic, Hysteresis, QueueDepthAdmission, QuotaAdmission,
     RetryPolicy, ScenarioDriver, ScenarioOutcome, ScenarioSpec, TokenBucketAdmission,
 };
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// A `HashMap` keyed by the exchange's own ids (session and demand ids,
+/// `(evaluation key, bundle)` pairs), hashed with [`IdHasher`] instead of
+/// SipHash. The keys are issued or registered by the exchange, not chosen
+/// by an adversary, and no output depends on iteration order: every
+/// snapshot of these maps sorts.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// Multiply-rotate hash of a sequence of `u64` words: one rotate, xor and
+/// multiply per word.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
 
 /// Locks `mutex`, recovering the guard if a holder panicked: the crate's
 /// one lock convention. A panic under a lock (say, a strategy or policy

@@ -49,7 +49,6 @@
 //! The probe machinery, the wake/cancel fan-in, and everything below this
 //! module are identical in both modes — only *who decides, when* differs.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use vfl_market::{DataStrategy, Listing, MarketConfig, OutcomeStatus, RoundRecord, TaskStrategy};
 use vfl_sim::BundleMask;
@@ -57,6 +56,7 @@ use vfl_sim::BundleMask;
 use crate::clearing::EpochDemand;
 use crate::exchange::MarketSpec;
 use crate::store::SessionId;
+use crate::IdMap;
 
 /// Opaque data-party handle returned by [`crate::Exchange::register_seller`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -510,7 +510,8 @@ impl DemandState {
         }
     }
 
-    /// The full quote table (every slot must have reported).
+    /// The full quote table (every slot must have reported), copied: the
+    /// clearing window's read of a demand that stays live.
     fn quotes(&self) -> Vec<CandidateQuote> {
         self.slots
             .iter()
@@ -520,6 +521,22 @@ impl DemandState {
                 session: s.session,
                 state: s.quote.clone().expect("all slots reported"),
                 history: s.history.clone(),
+            })
+            .collect()
+    }
+
+    /// The full quote table (every slot must have reported), moved out of
+    /// the slots: the settling report's read, after which the slots are
+    /// dead (the report holds the table).
+    fn take_quotes(&mut self) -> Vec<CandidateQuote> {
+        self.slots
+            .iter_mut()
+            .map(|s| CandidateQuote {
+                seller: s.seller,
+                seller_name: std::mem::take(&mut s.name),
+                session: s.session,
+                state: s.quote.take().expect("all slots reported"),
+                history: std::mem::take(&mut s.history),
             })
             .collect()
     }
@@ -547,7 +564,7 @@ impl DemandState {
 /// plus the id counter. Plain data in the exchange's state.
 #[derive(Default)]
 pub(crate) struct MatchBook {
-    demands: HashMap<u64, DemandState>,
+    demands: IdMap<u64, DemandState>,
     next: u64,
 }
 
@@ -693,7 +710,7 @@ impl MatchBook {
             SettleMode::Immediate(policy) => policy.clone(),
             SettleMode::Epoch => return Some(ReportOutcome::EpochReady),
         };
-        let quotes = st.quotes();
+        let quotes = st.take_quotes();
         let winner = policy
             .select(&st.cfg, &quotes)
             .filter(|&i| i < quotes.len());
@@ -759,7 +776,7 @@ impl MatchBook {
         if st.report.is_some() {
             return None;
         }
-        let quotes = st.quotes();
+        let quotes = st.take_quotes();
         let winner = winner.filter(|&i| i < quotes.len());
         let actions = DemandState::actions(&quotes, winner);
         st.report = Some(DemandReport {

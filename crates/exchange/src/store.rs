@@ -16,10 +16,10 @@
 //! `check_out` against one returns `None`, which the dispatch path treats
 //! as a spurious wake, not an error.
 
-use std::collections::HashMap;
 use vfl_market::{MarketError, Outcome};
 
 use crate::session::ActiveSession;
+use crate::IdMap;
 
 /// Opaque session handle returned by `submit`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,7 +62,7 @@ enum Slot {
 /// `SessionId -> Slot` map.
 #[derive(Default)]
 pub(crate) struct SessionStore {
-    slots: HashMap<u64, Slot>,
+    slots: IdMap<u64, Slot>,
 }
 
 impl SessionStore {

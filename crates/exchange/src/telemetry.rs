@@ -21,10 +21,11 @@
 //! * **Never journaled.** Timing lives only in memory; journal frames
 //!   carry no clock readings, so replay determinism and the pinned wire
 //!   format are untouched.
-//! * **Lock order unchanged.** Recording is lock-free (relaxed atomics)
-//!   except the trace ring's own private mutex, which is a leaf: it may
-//!   be taken under the exchange's state lock, and nothing is acquired
-//!   under it.
+//! * **Lock order unchanged.** Stage samples are plain data under the
+//!   exchange's state lock (below); publishing them and recording gauges
+//!   is lock-free (relaxed atomics). The trace ring's own private mutex
+//!   is a leaf: it may be taken under the state lock, and nothing is
+//!   acquired under it.
 //!
 //! ## Stage histograms
 //!
@@ -34,25 +35,53 @@
 //! |---|---|
 //! | `dispatch_wait` | submit (or settlement wake) → the slice that picks the session up |
 //! | `course_train` | a shared-cache miss: the real model training behind a ΔG |
-//! | `course_cache_hit` | a shared-cache hit: the lookup under the held state lock |
-//! | `quote_round` | per-round protocol stepping (slice time minus course serves, amortized over the slice's completed rounds) |
+//! | `course_cache_hit` | a shared-cache hit: the lookup under the held state lock (sampled) |
+//! | `quote_round` | per-round protocol stepping (slice time amortized over the slice's completed rounds) |
 //! | `settlement` | one demand's settlement: decision record + wake/cancel side-effects |
 //! | `epoch_clear` | one clearing epoch: decision, record, every member settlement |
-//! | `journal_append` | one event's serialize + append (+ flush policy) |
+//! | `journal_append` | one event's serialize + append (+ flush policy) (sampled) |
 //! | `recovery_restore` | recovery's parse + checkpoint-restore phase |
 //! | `recovery_replay` | recovery's suffix-replay phase |
 //!
-//! `quote_round` is deliberately amortized — the per-round cost is
-//! reported as (slice protocol time ÷ rounds in the slice), recorded
-//! once per round — so the hot bargaining loop pays two clock reads per
-//! *slice*, not two per round.
+//! ## What a sample costs, and when it is visible
+//!
+//! Every stage sample is router data: the exchange's state keeps one
+//! plain [`HistogramTally`] per stage, written under the state lock the
+//! recording path already holds. The shared,
+//! wait-free histograms of the registry are written only when the
+//! exchange *publishes* its tallies, which it does at three points: when
+//! a drain ends, at every [`crate::Exchange::scrape`] /
+//! [`crate::Exchange::scrape_json`], and when recovery ends. So
+//! [`ExchangeTelemetry::stage_snapshot`] sees a sample only after one of
+//! those publish points; a drain in progress shows the samples of
+//! earlier drains.
+//!
+//! The clock is read sparingly:
+//!
+//! * `quote_round` is amortized — (slice time ÷ rounds in the slice),
+//!   recorded with weight = rounds — so the bargaining loop pays two
+//!   clock reads per *slice*, not two per round. The cache hits inside
+//!   the slice are part of its time, not subtracted from it.
+//! * `course_cache_hit` and `journal_append` are *sampled*: the first
+//!   event and every [`SAMPLE_STRIDE`]-th after it is timed and recorded
+//!   with weight [`SAMPLE_STRIDE`], so each stage's count runs at most
+//!   `SAMPLE_STRIDE − 1` ahead of the events it stands for, and a round
+//!   pays the hit's two reads only once in [`SAMPLE_STRIDE`] hits.
+//! * A demand's whole fan-out is stamped for `dispatch_wait` with one
+//!   reading. A `quote_recorded` trace point reuses the closing reading
+//!   of the slice that reported it, and the settlement that report
+//!   decides is timed from that same reading; an epoch's member
+//!   settlements are timed back to back from the epoch's opening
+//!   reading. A settlement's wake reuses its opening reading.
+//! * `course_train`, `dispatch_wait`, `settlement`, `epoch_clear` and the
+//!   two recovery stages keep one sample per event.
 
 use std::sync::Arc;
 
 use crate::metrics::MetricsSnapshot;
 use vfl_telemetry::{
-    Clock, Counter, Gauge, Histogram, HistogramSnapshot, MonotonicClock, Registry, TraceKey,
-    TraceRing, TraceSpan,
+    Clock, Counter, Gauge, Histogram, HistogramSnapshot, HistogramTally, MonotonicClock, Registry,
+    TraceKey, TraceRing, TraceSpan,
 };
 
 /// Exported name of the per-stage latency histogram family.
@@ -62,7 +91,8 @@ pub const QUEUE_DEPTH: &str = "vfl_exchange_queue_depth";
 /// Exported name of the course-waitlist depth gauge.
 pub const WAITLIST_DEPTH: &str = "vfl_exchange_waitlist_depth";
 
-/// Every stage label the exchange records, in pipeline order.
+/// Every stage label the exchange records, in pipeline order (the order
+/// of the crate-private `Stage`).
 pub const STAGES: &[&str] = &[
     "dispatch_wait",
     "course_train",
@@ -75,18 +105,67 @@ pub const STAGES: &[&str] = &[
     "recovery_replay",
 ];
 
-/// Per-stage histogram handles (all series of the [`STAGE_FAMILY`]).
-#[derive(Debug)]
-pub(crate) struct Stages {
-    pub(crate) dispatch_wait: Histogram,
-    pub(crate) course_train: Histogram,
-    pub(crate) course_cache_hit: Histogram,
-    pub(crate) quote_round: Histogram,
-    pub(crate) settlement: Histogram,
-    pub(crate) epoch_clear: Histogram,
-    pub(crate) journal_append: Histogram,
-    pub(crate) recovery_restore: Histogram,
-    pub(crate) recovery_replay: Histogram,
+/// One stage of [`STAGES`]; its discriminant is its index there.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stage {
+    DispatchWait,
+    CourseTrain,
+    CourseCacheHit,
+    QuoteRound,
+    Settlement,
+    EpochClear,
+    JournalAppend,
+    RecoveryRestore,
+    RecoveryReplay,
+}
+
+/// Events per timed sample on the sampled stages (`course_cache_hit`,
+/// `journal_append`); each sample is recorded with this weight.
+pub const SAMPLE_STRIDE: u64 = 16;
+
+/// The exchange's own per-stage samples: one plain tally per stage in its
+/// state, written under the state lock and published into the shared
+/// histograms by [`ExchangeTelemetry::publish`].
+#[derive(Debug, Default)]
+pub(crate) struct StageTallies {
+    tallies: [HistogramTally; STAGES.len()],
+    /// Cache hits seen, timed one in [`SAMPLE_STRIDE`].
+    pub(crate) hit_sampler: Sampler,
+    /// Journal appends seen, timed one in [`SAMPLE_STRIDE`].
+    pub(crate) append_sampler: Sampler,
+}
+
+impl StageTallies {
+    /// Records one event of `stage` that took `ns`.
+    pub(crate) fn record(&mut self, stage: Stage, ns: u64) {
+        self.tallies[stage as usize].record(ns);
+    }
+
+    /// Records `n` events of `stage` that took `ns` each.
+    pub(crate) fn record_n(&mut self, stage: Stage, ns: u64, n: u64) {
+        self.tallies[stage as usize].record_n(ns, n);
+    }
+}
+
+/// Picks which events of a sampled stage are timed: the first and every
+/// [`SAMPLE_STRIDE`]-th after it.
+#[derive(Debug, Default)]
+pub(crate) struct Sampler {
+    seen: u64,
+}
+
+impl Sampler {
+    /// True when the next event is one to time.
+    pub(crate) fn due(&self) -> bool {
+        self.seen.is_multiple_of(SAMPLE_STRIDE)
+    }
+
+    /// Counts one event; true when it is one to time.
+    pub(crate) fn tick(&mut self) -> bool {
+        let due = self.due();
+        self.seen += 1;
+        due
+    }
 }
 
 /// The telemetry sink an [`crate::Exchange`] records into. See the
@@ -100,7 +179,8 @@ pub struct ExchangeTelemetry {
     counters: Vec<Counter>,
     pub(crate) queue_depth: Gauge,
     pub(crate) waitlist_depth: Gauge,
-    pub(crate) stages: Stages,
+    /// The [`STAGE_FAMILY`] series, one per [`STAGES`] entry, in order.
+    stages: Vec<Histogram>,
     trace: TraceRing,
 }
 
@@ -135,19 +215,10 @@ impl ExchangeTelemetry {
             "Sessions parked on the course waitlist behind another session's outstanding course.",
         );
         let stage_help = "Per-stage exchange latency in nanoseconds (see the stage label).";
-        let stage =
-            |name: &str| registry.histogram_with(STAGE_FAMILY, stage_help, &[("stage", name)]);
-        let stages = Stages {
-            dispatch_wait: stage("dispatch_wait"),
-            course_train: stage("course_train"),
-            course_cache_hit: stage("course_cache_hit"),
-            quote_round: stage("quote_round"),
-            settlement: stage("settlement"),
-            epoch_clear: stage("epoch_clear"),
-            journal_append: stage("journal_append"),
-            recovery_restore: stage("recovery_restore"),
-            recovery_replay: stage("recovery_replay"),
-        };
+        let stages = STAGES
+            .iter()
+            .map(|&name| registry.histogram_with(STAGE_FAMILY, stage_help, &[("stage", name)]))
+            .collect();
         Arc::new(ExchangeTelemetry {
             clock,
             registry,
@@ -187,22 +258,19 @@ impl ExchangeTelemetry {
     }
 
     /// Point-in-time copy of one stage histogram (`None` for a name not
-    /// in [`STAGES`]).
+    /// in [`STAGES`]). It holds the samples of the last publish point (see
+    /// the module doc), not those an exchange has tallied since.
     pub fn stage_snapshot(&self, stage: &str) -> Option<HistogramSnapshot> {
-        let s = &self.stages;
-        let h = match stage {
-            "dispatch_wait" => &s.dispatch_wait,
-            "course_train" => &s.course_train,
-            "course_cache_hit" => &s.course_cache_hit,
-            "quote_round" => &s.quote_round,
-            "settlement" => &s.settlement,
-            "epoch_clear" => &s.epoch_clear,
-            "journal_append" => &s.journal_append,
-            "recovery_restore" => &s.recovery_restore,
-            "recovery_replay" => &s.recovery_replay,
-            _ => return None,
-        };
-        Some(h.snapshot())
+        let i = STAGES.iter().position(|&s| s == stage)?;
+        Some(self.stages[i].snapshot())
+    }
+
+    /// Folds every stage tally into the shared histograms and empties
+    /// them (see the module doc for the publish points).
+    pub(crate) fn publish(&self, tallies: &mut StageTallies) {
+        for (tally, histogram) in tallies.tallies.iter_mut().zip(&self.stages) {
+            tally.publish(histogram);
+        }
     }
 
     /// Bridges `snapshot`'s counters into the registry and renders the
@@ -236,16 +304,12 @@ impl ExchangeTelemetry {
 
 /// Per-slice timing state for `run_slice`: created at slice start,
 /// finished at every slice exit. Measures the whole slice with two clock
-/// reads and attributes it as `quote_round = (slice − course serves) ÷
-/// rounds`, recorded once per completed round — the amortization that
-/// keeps the bargaining loop's telemetry cost independent of round
-/// count.
+/// reads and attributes it as `quote_round = slice ÷ rounds`, recorded
+/// with weight = rounds — the amortization that keeps the bargaining
+/// loop's telemetry cost independent of round count.
 #[derive(Debug)]
 pub(crate) struct SliceTimer {
     start_ns: u64,
-    /// Course-serve time (hits + trainings) already attributed to its
-    /// own stages, excluded from `quote_round`.
-    serve_ns: u64,
     rounds0: usize,
 }
 
@@ -253,7 +317,6 @@ impl SliceTimer {
     pub(crate) fn start(t: &ExchangeTelemetry, rounds0: usize) -> Self {
         SliceTimer {
             start_ns: t.now_ns(),
-            serve_ns: 0,
             rounds0,
         }
     }
@@ -262,20 +325,23 @@ impl SliceTimer {
         self.start_ns
     }
 
-    /// Excludes an already-timed course serve from the protocol share.
-    pub(crate) fn note_serve(&mut self, ns: u64) {
-        self.serve_ns = self.serve_ns.saturating_add(ns);
-    }
-
-    /// Ends the slice: records the amortized per-round protocol cost.
-    pub(crate) fn finish(self, t: &ExchangeTelemetry, rounds_end: usize) {
+    /// Ends the slice: records the amortized per-round protocol cost and
+    /// returns the closing reading. A slice that completed no round
+    /// records nothing and reads no clock.
+    pub(crate) fn finish(
+        self,
+        t: &ExchangeTelemetry,
+        tallies: &mut StageTallies,
+        rounds_end: usize,
+    ) -> Option<u64> {
         let rounds = rounds_end.saturating_sub(self.rounds0) as u64;
         if rounds == 0 {
-            return;
+            return None;
         }
-        let total = t.now_ns().saturating_sub(self.start_ns);
-        let protocol = total.saturating_sub(self.serve_ns);
-        t.stages.quote_round.record_n(protocol / rounds, rounds);
+        let now = t.now_ns();
+        let total = now.saturating_sub(self.start_ns);
+        tallies.record_n(Stage::QuoteRound, total / rounds, rounds);
+        Some(now)
     }
 }
 
@@ -294,6 +360,36 @@ mod tests {
             assert_eq!(snap.count, 0);
         }
         assert!(t.stage_snapshot("no_such_stage").is_none());
+    }
+
+    #[test]
+    fn stage_discriminants_index_their_labels() {
+        let cases = [
+            (Stage::DispatchWait, "dispatch_wait"),
+            (Stage::CourseTrain, "course_train"),
+            (Stage::CourseCacheHit, "course_cache_hit"),
+            (Stage::QuoteRound, "quote_round"),
+            (Stage::Settlement, "settlement"),
+            (Stage::EpochClear, "epoch_clear"),
+            (Stage::JournalAppend, "journal_append"),
+            (Stage::RecoveryRestore, "recovery_restore"),
+            (Stage::RecoveryReplay, "recovery_replay"),
+        ];
+        assert_eq!(cases.len(), STAGES.len());
+        let t = ExchangeTelemetry::new();
+        let mut tallies = StageTallies::default();
+        for (i, &(stage, _)) in cases.iter().enumerate() {
+            tallies.record_n(stage, 10, i as u64 + 1);
+        }
+        t.publish(&mut tallies);
+        for (i, &(_, name)) in cases.iter().enumerate() {
+            assert_eq!(STAGES[i], name);
+            assert_eq!(
+                t.stage_snapshot(name).unwrap().count,
+                i as u64 + 1,
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -318,13 +414,20 @@ mod tests {
     fn slice_timer_amortizes_protocol_time_over_rounds() {
         let clock = Arc::new(VirtualClock::new());
         let t = ExchangeTelemetry::with_clock(clock.clone(), 16);
-        let mut timer = SliceTimer::start(&t, 2);
-        clock.advance(1_000);
-        timer.note_serve(400); // a timed course serve inside the slice
-        timer.finish(&t, 5); // 3 rounds completed this slice
+        let mut tallies = StageTallies::default();
+        let timer = SliceTimer::start(&t, 2);
+        clock.advance(600);
+        // 3 rounds completed this slice; the closing reading comes back.
+        assert_eq!(timer.finish(&t, &mut tallies, 5), Some(600));
+        assert_eq!(
+            t.stage_snapshot("quote_round").unwrap().count,
+            0,
+            "nothing is visible before a publish"
+        );
+        t.publish(&mut tallies);
         let snap = t.stage_snapshot("quote_round").unwrap();
         assert_eq!(snap.count, 3);
-        // (1000 - 400) / 3 = 200 per round.
+        // 600 / 3 = 200 per round.
         assert_eq!(snap.sum, 600);
         assert_eq!(snap.min, 200);
     }
@@ -333,10 +436,19 @@ mod tests {
     fn slice_timer_with_no_rounds_records_nothing() {
         let clock = Arc::new(VirtualClock::new());
         let t = ExchangeTelemetry::with_clock(clock.clone(), 16);
+        let mut tallies = StageTallies::default();
         let timer = SliceTimer::start(&t, 4);
         clock.advance(500);
-        timer.finish(&t, 4);
+        assert_eq!(timer.finish(&t, &mut tallies, 4), None);
+        t.publish(&mut tallies);
         assert_eq!(t.stage_snapshot("quote_round").unwrap().count, 0);
+    }
+
+    #[test]
+    fn sampler_times_the_first_event_and_every_stride_after() {
+        let mut sampler = Sampler::default();
+        let due: Vec<u64> = (0..40).filter(|_| sampler.tick()).collect();
+        assert_eq!(due, vec![0, SAMPLE_STRIDE, 2 * SAMPLE_STRIDE]);
     }
 
     #[test]

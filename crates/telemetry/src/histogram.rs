@@ -8,6 +8,10 @@
 //! on shared atomics, no lock, no allocation — so histograms can sit on
 //! the exchange hot path.
 //!
+//! A writer that owns its state outright can keep a [`HistogramTally`]
+//! instead — the same layout in plain integers — and publish it into a
+//! shared histogram now and then.
+//!
 //! Readout goes through [`Histogram::snapshot`], which copies the bucket
 //! array once; quantiles are then answered from the copy. A quantile
 //! estimate is the upper edge of the bucket holding the true sample
@@ -125,6 +129,87 @@ impl Histogram {
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         self.core.count.load(Ordering::Relaxed)
+    }
+}
+
+/// Single-owner, non-atomic twin of [`Histogram`]: the same bucket
+/// layout and aggregates in plain integers, for a writer that already
+/// owns its state (say, under a lock it holds anyway) and wants a sample
+/// to cost a few plain adds instead of five atomic read-modify-writes.
+/// [`HistogramTally::publish`] folds the tally into a shared
+/// [`Histogram`] and empties it; readers only ever see published
+/// samples.
+#[derive(Debug, Clone)]
+pub struct HistogramTally {
+    buckets: [u64; BUCKETS],
+    count: u64,
+    sum: u64,
+    /// Starts at `u64::MAX`, like [`Histogram`]'s.
+    min: u64,
+    max: u64,
+}
+
+impl Default for HistogramTally {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl HistogramTally {
+    /// An empty tally.
+    pub fn new() -> Self {
+        Self {
+            buckets: [0; BUCKETS],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+
+    /// Record one observation.
+    pub fn record(&mut self, value: u64) {
+        self.record_n(value, 1);
+    }
+
+    /// Record `n` observations of the same value (see
+    /// [`Histogram::record_n`]). No-op when `n == 0`.
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_index(value)] += n;
+        self.count += n;
+        self.sum = self.sum.wrapping_add(value.saturating_mul(n));
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    /// True when nothing was recorded since the last publish.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Adds every sample of this tally to `into` and empties the tally.
+    /// Publishing is as wait-free as recording (one relaxed RMW per
+    /// non-empty bucket plus the aggregates), so several owners may
+    /// publish into one shared histogram concurrently. An empty tally
+    /// touches nothing.
+    pub fn publish(&mut self, into: &Histogram) {
+        if self.is_empty() {
+            return;
+        }
+        let c = &into.core;
+        for (bucket, &n) in c.buckets.iter().zip(&self.buckets) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        c.count.fetch_add(self.count, Ordering::Relaxed);
+        c.sum.fetch_add(self.sum, Ordering::Relaxed);
+        c.min.fetch_min(self.min, Ordering::Relaxed);
+        c.max.fetch_max(self.max, Ordering::Relaxed);
+        *self = Self::new();
     }
 }
 
@@ -303,6 +388,75 @@ mod tests {
         );
         assert_eq!(snap.min, 0);
         assert_eq!(snap.max, (THREADS as u64 - 1) * 1_000 + 16 * 100);
+    }
+
+    #[test]
+    fn published_tally_equals_direct_recording() {
+        let samples = [0, 1, 3, 100, 100, 1_000, 77_777, u64::MAX / 2];
+        let direct = Histogram::new();
+        let shared = Histogram::new();
+        let mut tally = HistogramTally::new();
+        for &v in &samples {
+            direct.record(v);
+            tally.record(v);
+        }
+        direct.record_n(300, 16);
+        tally.record_n(300, 16);
+        tally.record_n(9, 0); // no-op
+        tally.publish(&shared);
+        assert!(tally.is_empty(), "publishing empties the tally");
+        assert_eq!(shared.snapshot(), direct.snapshot());
+        // A second round folds in on top of the first.
+        direct.record(5);
+        tally.record(5);
+        tally.publish(&shared);
+        assert_eq!(shared.snapshot(), direct.snapshot());
+    }
+
+    #[test]
+    fn empty_tally_publishes_nothing() {
+        let h = Histogram::new();
+        HistogramTally::new().publish(&h);
+        assert_eq!(h.snapshot(), Histogram::new().snapshot());
+        h.record(42);
+        let before = h.snapshot();
+        HistogramTally::new().publish(&h);
+        assert_eq!(
+            h.snapshot(),
+            before,
+            "an empty tally moves no min, max or bucket"
+        );
+    }
+
+    /// One shared histogram can serve two single-owner writers (two
+    /// exchanges on one telemetry sink): concurrent publishes lose no
+    /// sample.
+    #[test]
+    fn concurrent_publishes_lose_no_samples() {
+        const ROUNDS: u64 = 2_000;
+        let h = Histogram::new();
+        let direct = Histogram::new();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let (h, direct, barrier) = (&h, &direct, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let mut tally = HistogramTally::new();
+                    for i in 0..ROUNDS {
+                        let v = t * 10_000 + (i % 13) * 250;
+                        tally.record(v);
+                        direct.record(v);
+                        if i % 7 == 0 {
+                            tally.publish(h);
+                        }
+                    }
+                    tally.publish(h);
+                });
+            }
+        });
+        assert_eq!(h.snapshot(), direct.snapshot());
+        assert_eq!(h.snapshot().count, 2 * ROUNDS);
     }
 
     proptest! {

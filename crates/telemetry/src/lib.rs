@@ -10,6 +10,8 @@
 //!   relaxed RMW ops, no allocation, no lock); quantile readout
 //!   ([`HistogramSnapshot::quantile`], p50/p95/p99) walks the cumulative
 //!   bucket counts and is bounded by the true sample's bucket edges.
+//! * [`HistogramTally`] — the non-atomic, single-owner twin of a
+//!   histogram, published into a shared one in one pass.
 //! * [`Registry`] — owns labeled metric families and renders them as
 //!   Prometheus text exposition ([`Registry::render`]) or a JSON snapshot
 //!   ([`Registry::render_json`]). Registration is get-or-create, so any
@@ -41,7 +43,9 @@ mod registry;
 mod trace;
 
 pub use clock::{Clock, MonotonicClock, VirtualClock};
-pub use histogram::{bucket_index, bucket_upper_edge, Histogram, HistogramSnapshot, BUCKETS};
+pub use histogram::{
+    bucket_index, bucket_upper_edge, Histogram, HistogramSnapshot, HistogramTally, BUCKETS,
+};
 pub use metric::{Counter, Gauge};
 pub use registry::Registry;
 pub use trace::{TraceKey, TraceRing, TraceSpan};
