@@ -204,6 +204,20 @@ impl NegotiationSession {
         &self.rounds
     }
 
+    /// Reserves exactly the log of a session that stops after `rounds`
+    /// completed rounds (at most `max_rounds`): that many round records,
+    /// and three messages per round plus the next round's quote and offer
+    /// and the settlement. A session that ends there never reallocates
+    /// its log; one that runs on grows it as usual.
+    pub fn reserve_rounds(&mut self, rounds: u32) {
+        let rounds = rounds.min(self.cfg.max_rounds) as usize;
+        self.rounds
+            .reserve_exact(rounds.saturating_sub(self.rounds.len()));
+        let messages = 3 * rounds + 3;
+        self.transcript
+            .reserve_exact(messages.saturating_sub(self.transcript.len()));
+    }
+
     /// Stamps the quoting data party's identity on the transcript (see
     /// [`Transcript::set_seller`]); multi-seller marketplaces call this at
     /// fan-out so every candidate negotiation names its counterparty.

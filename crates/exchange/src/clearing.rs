@@ -316,44 +316,60 @@ struct Pair {
 
 /// Exact assignment search state (see [`UniformPriceClearing`] step 1).
 struct ExactSearch<'a> {
-    /// Per-demand candidate pairs, slots ascending.
-    options: &'a [Vec<Pair>],
+    /// Every candidate pair, demand-major with slots ascending.
+    pairs: &'a [Pair],
+    /// Demands in the batch.
+    demands: usize,
     /// Suffix sums of each demand's best surplus (upper-bound pruning).
     suffix_best: Vec<f64>,
-    /// Remaining per-seller capacity (dense index).
-    capacity: Vec<u32>,
+    /// Remaining per-seller capacity (dense index); every branch puts
+    /// back what it took.
+    capacity: &'a mut [u32],
     /// The incumbent: (total surplus, per-demand slot choice).
     best: (f64, Vec<Option<usize>>),
     current: Vec<Option<usize>>,
 }
 
-impl ExactSearch<'_> {
-    fn run(options: &[Vec<Pair>], capacity: Vec<u32>) -> Vec<Option<usize>> {
-        let mut suffix_best = vec![0.0; options.len() + 1];
-        for i in (0..options.len()).rev() {
-            let top = options[i].iter().map(|p| p.surplus).fold(0.0f64, f64::max);
+impl<'a> ExactSearch<'a> {
+    /// The best slot choice per demand; `capacity` ends as it started.
+    fn run(pairs: &'a [Pair], demands: usize, capacity: &'a mut [u32]) -> Vec<Option<usize>> {
+        let mut suffix_best = vec![0.0; demands + 1];
+        for i in (0..demands).rev() {
+            let top = Self::options(pairs, i)
+                .iter()
+                .map(|p| p.surplus)
+                .fold(0.0f64, f64::max);
             suffix_best[i] = suffix_best[i + 1] + top;
         }
         let mut search = ExactSearch {
-            options,
+            pairs,
+            demands,
             suffix_best,
             capacity,
             best: (f64::NEG_INFINITY, Vec::new()),
-            current: vec![None; options.len()],
+            current: vec![None; demands],
         };
         search.dfs(0, 0.0);
         search.best.1
     }
 
+    /// Demand `demand`'s pairs, slots ascending.
+    fn options(pairs: &[Pair], demand: usize) -> &[Pair] {
+        let lo = pairs.partition_point(|p| p.demand < demand);
+        let hi = pairs.partition_point(|p| p.demand <= demand);
+        &pairs[lo..hi]
+    }
+
     fn dfs(&mut self, demand: usize, total: f64) {
-        if demand == self.options.len() {
+        if demand == self.demands {
             // Strictly-better-only replacement: with options tried slots
             // ascending and "skip" last, equal-surplus solutions resolve
             // to the first one found — the lexicographically smallest,
             // match-preferring assignment (deterministic, and identical
             // to BestResponse's lowest-slot tie-break on one demand).
             if total > self.best.0 {
-                self.best = (total, self.current.clone());
+                self.best.0 = total;
+                self.best.1.clone_from(&self.current);
             }
             return;
         }
@@ -364,8 +380,7 @@ impl ExactSearch<'_> {
         if !self.best.1.is_empty() && total + self.suffix_best[demand] <= self.best.0 {
             return;
         }
-        for i in 0..self.options[demand].len() {
-            let p = self.options[demand][i];
+        for &p in Self::options(self.pairs, demand) {
             if self.capacity[p.seller] == 0 {
                 continue;
             }
@@ -379,52 +394,56 @@ impl ExactSearch<'_> {
     }
 }
 
+/// The position of `seller` in `sellers`, the distinct sellers of one
+/// batch: a linear scan, since an epoch involves a handful of sellers.
+fn seller_index(sellers: &[SellerId], seller: SellerId) -> Option<usize> {
+    sellers.iter().position(|&s| s == seller)
+}
+
 impl ClearPolicy for UniformPriceClearing {
     fn clear(&self, batch: &EpochBatch<'_>) -> EpochDecision {
         let demands = batch.demands;
-        // Dense seller index over the batch (seller ids may be sparse).
+        // Dense seller index over the batch (seller ids may be sparse), in
+        // first-seen order.
         let mut sellers: Vec<SellerId> = Vec::new();
-        let mut dense = std::collections::HashMap::new();
-        for d in demands {
-            for q in &d.quotes {
-                dense.entry(q.seller).or_insert_with(|| {
-                    sellers.push(q.seller);
-                    sellers.len() - 1
-                });
+        for q in demands.iter().flat_map(|d| &d.quotes) {
+            if seller_index(&sellers, q.seller).is_none() {
+                sellers.push(q.seller);
             }
         }
+        let dense = |seller: SellerId| seller_index(&sellers, seller).expect("indexed above");
         let mut capacity = vec![batch.capacity; sellers.len()];
-        let mut assigned: Vec<Option<usize>> = vec![None; demands.len()];
+        // Every demand starts unassigned (anything but a match); step 1
+        // writes its matches, step 2 decides the rest.
+        let mut assignments = vec![Assignment::NoMatch; demands.len()];
 
         // Step 1: welfare-maximizing assignment of the non-negative
         // crossed pairs (bid ≥ ask) under capacity.
-        let mut pos_options: Vec<Vec<Pair>> = vec![Vec::new(); demands.len()];
-        let mut n_pos = 0usize;
+        // Demand-major, slots ascending.
+        let mut pairs: Vec<Pair> = Vec::new();
         for (di, d) in demands.iter().enumerate() {
             for (slot, q) in d.quotes.iter().enumerate() {
                 if let Some(surplus) = q.buyer_surplus() {
                     if surplus >= 0.0 {
-                        pos_options[di].push(Pair {
+                        pairs.push(Pair {
                             demand: di,
                             slot,
-                            seller: dense[&q.seller],
+                            seller: dense(q.seller),
                             surplus,
                         });
-                        n_pos += 1;
                     }
                 }
             }
         }
-        if demands.len() <= EXACT_DEMANDS && n_pos <= EXACT_PAIRS {
-            let choice = ExactSearch::run(&pos_options, capacity.clone());
+        if demands.len() <= EXACT_DEMANDS && pairs.len() <= EXACT_PAIRS {
+            let choice = ExactSearch::run(&pairs, demands.len(), &mut capacity);
             for (di, slot) in choice.iter().enumerate() {
                 if let Some(slot) = slot {
-                    assigned[di] = Some(*slot);
-                    capacity[dense[&demands[di].quotes[*slot].seller]] -= 1;
+                    assignments[di] = Assignment::Match(*slot);
+                    capacity[dense(demands[di].quotes[*slot].seller)] -= 1;
                 }
             }
         } else {
-            let mut pairs: Vec<Pair> = pos_options.into_iter().flatten().collect();
             pairs.sort_by(|a, b| {
                 b.surplus
                     .total_cmp(&a.surplus)
@@ -432,18 +451,17 @@ impl ClearPolicy for UniformPriceClearing {
                     .then(a.slot.cmp(&b.slot))
             });
             for p in &pairs {
-                if assigned[p.demand].is_none() && capacity[p.seller] > 0 {
-                    assigned[p.demand] = Some(p.slot);
+                if !matches!(assignments[p.demand], Assignment::Match(_)) && capacity[p.seller] > 0
+                {
+                    assignments[p.demand] = Assignment::Match(p.slot);
                     capacity[p.seller] -= 1;
                 }
             }
         }
 
         // Step 2: best-available routing of the left-overs, batch order.
-        let mut assignments: Vec<Assignment> = Vec::with_capacity(demands.len());
-        for (di, d) in demands.iter().enumerate() {
-            if let Some(slot) = assigned[di] {
-                assignments.push(Assignment::Match(slot));
+        for (d, assignment) in demands.iter().zip(assignments.iter_mut()) {
+            if matches!(assignment, Assignment::Match(_)) {
                 continue;
             }
             // The demand's overall best-response slot (any sign), and its
@@ -455,26 +473,25 @@ impl ClearPolicy for UniformPriceClearing {
                 .filter_map(|(s, q)| q.buyer_surplus().map(|v| (s, v)))
                 .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
             let Some((best_slot, _)) = best_overall else {
-                assignments.push(Assignment::NoMatch); // nothing selectable
-                continue;
+                continue; // nothing selectable: stays NoMatch
             };
             let available = d
                 .quotes
                 .iter()
                 .enumerate()
                 .filter_map(|(s, q)| q.buyer_surplus().map(|v| (s, v, q.seller)))
-                .filter(|&(_, _, seller)| capacity[dense[&seller]] > 0)
+                .filter(|&(_, _, seller)| capacity[dense(seller)] > 0)
                 .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
-            match available {
+            *assignment = match available {
                 Some((slot, surplus, seller)) if surplus >= 0.0 || slot == best_slot => {
-                    capacity[dense[&seller]] -= 1;
-                    assignments.push(Assignment::Match(slot));
+                    capacity[dense(seller)] -= 1;
+                    Assignment::Match(slot)
                 }
                 // Every open candidate is a worse-than-best-response
                 // negative cross, or every candidate seller is full:
                 // wait for the next epoch instead of a bad trade.
-                _ => assignments.push(Assignment::Roll),
-            }
+                _ => Assignment::Roll,
+            };
         }
 
         let prices = uniform_prices(self.k, demands, &assignments);
@@ -531,8 +548,8 @@ pub fn uniform_prices(
     demands: &[EpochDemand],
     assignments: &[Assignment],
 ) -> Vec<(SellerId, f64)> {
-    let mut by_seller: std::collections::HashMap<SellerId, (f64, f64)> =
-        std::collections::HashMap::new();
+    // (seller, lowest bid, highest ask), one entry per matched seller.
+    let mut by_seller: Vec<(SellerId, f64, f64)> = Vec::new();
     for (d, a) in demands.iter().zip(assignments) {
         let Assignment::Match(slot) = *a else {
             continue;
@@ -543,17 +560,17 @@ pub fn uniform_prices(
         let Some((bid, ask)) = q.bid_ask() else {
             continue;
         };
-        by_seller
-            .entry(q.seller)
-            .and_modify(|(hi, lo)| {
+        match by_seller.iter_mut().find(|(s, _, _)| *s == q.seller) {
+            Some((_, hi, lo)) => {
                 *hi = hi.min(bid);
                 *lo = lo.max(ask);
-            })
-            .or_insert((bid, ask));
+            }
+            None => by_seller.push((q.seller, bid, ask)),
+        }
     }
     let mut prices: Vec<(SellerId, f64)> = by_seller
         .into_iter()
-        .map(|(seller, (hi, lo))| {
+        .map(|(seller, hi, lo)| {
             let price = if hi >= lo {
                 lo + k.clamp(0.0, 1.0) * (hi - lo)
             } else {
@@ -773,11 +790,13 @@ impl ClearingWindow {
             return None;
         }
         let epoch = self.next_epoch;
+        // The batch borrows each member's quote table from the book and
+        // hands it back below, before the exchange settles anything.
         let batch: Vec<EpochDemand> = self
             .queue
             .iter()
             .take(take)
-            .map(|&id| book.epoch_demand(id).expect("checked ready"))
+            .map(|&id| book.lend_epoch_demand(id).expect("checked ready"))
             .collect();
         let decision = self.spec.policy.clear(&EpochBatch {
             epoch,
@@ -791,8 +810,9 @@ impl ClearingWindow {
         // earliest), and expire rolls past max_rolls.
         let mut assignments = decision.assignments;
         assignments.resize(batch.len(), Assignment::NoMatch);
-        let mut used: std::collections::HashMap<SellerId, u32> = std::collections::HashMap::new();
-        let mut dispositions: Vec<(DemandId, EpochEntryKind, Option<u32>)> = Vec::new();
+        // Seats taken per seller this epoch.
+        let mut used: Vec<(SellerId, u32)> = Vec::new();
+        let mut entries: Vec<EpochEntry> = Vec::with_capacity(batch.len());
         let mut settled: Vec<SettledDemand> = Vec::new();
         let mut rolled: Vec<DemandId> = Vec::new();
         let mut expired = 0usize;
@@ -800,7 +820,14 @@ impl ClearingWindow {
             let resolved = match *assignment {
                 Assignment::Match(slot) => match d.quotes.get(slot) {
                     Some(q) if q.buyer_surplus().is_some() => {
-                        let seats = used.entry(q.seller).or_insert(0);
+                        let at = match used.iter().position(|&(s, _)| s == q.seller) {
+                            Some(at) => at,
+                            None => {
+                                used.push((q.seller, 0));
+                                used.len() - 1
+                            }
+                        };
+                        let seats = &mut used[at].1;
                         if *seats < self.spec.capacity {
                             *seats += 1;
                             Assignment::Match(slot)
@@ -820,7 +847,11 @@ impl ClearingWindow {
                         .iter()
                         .find(|&&(s, _)| s == seller)
                         .map(|&(_, p)| p);
-                    dispositions.push((d.demand, EpochEntryKind::Matched, Some(slot as u32)));
+                    entries.push(EpochEntry {
+                        demand: d.demand,
+                        kind: EpochEntryKind::Matched,
+                        winner: Some(slot as u32),
+                    });
                     settled.push(SettledDemand {
                         demand: d.demand,
                         winner: Some(slot),
@@ -828,7 +859,11 @@ impl ClearingWindow {
                     });
                 }
                 Assignment::Roll if d.rolls >= self.spec.max_rolls => {
-                    dispositions.push((d.demand, EpochEntryKind::Expired, None));
+                    entries.push(EpochEntry {
+                        demand: d.demand,
+                        kind: EpochEntryKind::Expired,
+                        winner: None,
+                    });
                     settled.push(SettledDemand {
                         demand: d.demand,
                         winner: None,
@@ -837,11 +872,19 @@ impl ClearingWindow {
                     expired += 1;
                 }
                 Assignment::Roll => {
-                    dispositions.push((d.demand, EpochEntryKind::Rolled, None));
+                    entries.push(EpochEntry {
+                        demand: d.demand,
+                        kind: EpochEntryKind::Rolled,
+                        winner: None,
+                    });
                     rolled.push(d.demand);
                 }
                 Assignment::NoMatch => {
-                    dispositions.push((d.demand, EpochEntryKind::Unmatched, None));
+                    entries.push(EpochEntry {
+                        demand: d.demand,
+                        kind: EpochEntryKind::Unmatched,
+                        winner: None,
+                    });
                     settled.push(SettledDemand {
                         demand: d.demand,
                         winner: None,
@@ -855,8 +898,8 @@ impl ClearingWindow {
         // to expire instead — a policy that wants a demand served later
         // must leave it room inside max_rolls, not stall the window.
         if settled.is_empty() {
-            for entry in &mut dispositions {
-                entry.1 = EpochEntryKind::Expired;
+            for entry in &mut entries {
+                entry.kind = EpochEntryKind::Expired;
             }
             for id in rolled.drain(..) {
                 settled.push(SettledDemand {
@@ -881,29 +924,26 @@ impl ClearingWindow {
         // Keep the ledger internally consistent: a seller whose matches
         // were all demoted by enforcement has no business carrying a
         // clearing price in this epoch's record.
-        let matched_sellers: std::collections::HashSet<SellerId> = batch
-            .iter()
-            .zip(dispositions.iter())
-            .filter(|(_, (_, kind, _))| *kind == EpochEntryKind::Matched)
-            .filter_map(|(d, (_, _, winner))| {
-                winner.and_then(|slot| d.quotes.get(slot as usize).map(|q| q.seller))
+        let matched = |seller: SellerId| {
+            batch.iter().zip(entries.iter()).any(|(d, entry)| {
+                entry.kind == EpochEntryKind::Matched
+                    && entry
+                        .winner
+                        .and_then(|slot| d.quotes.get(slot as usize))
+                        .is_some_and(|q| q.seller == seller)
             })
-            .collect();
+        };
         let prices: Vec<(SellerId, f64)> = decision
             .prices
             .into_iter()
-            .filter(|(seller, _)| matched_sellers.contains(seller))
+            .filter(|&(seller, _)| matched(seller))
             .collect();
+        for d in batch {
+            book.return_table(d);
+        }
         let record = EpochRecord {
             epoch,
-            entries: dispositions
-                .into_iter()
-                .map(|(demand, kind, winner)| EpochEntry {
-                    demand,
-                    kind,
-                    winner,
-                })
-                .collect(),
+            entries,
             prices,
         };
         Some(EpochOutcome {

@@ -51,12 +51,13 @@
 //! admission counters, the metric counters (cache hits and misses
 //! included), and the crash hook. The router takes it once per slice,
 //! once per applied course, and once per idle flush, and never holds it
-//! while it waits for a course, calls the resolver, or runs a candidate
-//! factory, so external calls stay live for the whole of a drain. Each
-//! external call is one critical section, hence atomic to the router: a
-//! submission's journal record always precedes its first dispatch. Code
-//! that runs under the lock — strategies, match, clear and admission
-//! policies, the crash hook — must not call back into the exchange. The
+//! while it waits for a course or calls the resolver, so external calls
+//! stay live for the whole of a drain. Each external call is one critical
+//! section, hence atomic to the router: a submission's journal record
+//! always precedes its first dispatch. Code that runs under the lock —
+//! strategies, a demand's task and quoting factories, match, clear and
+//! admission policies, the crash hook — must not call back into the
+//! exchange. The
 //! drain mutex is taken only by `drain`, always before the state lock.
 //! Every counter is bumped in the critical section that does what it
 //! counts, so a [`Exchange::metrics`] snapshot, itself one critical
@@ -70,13 +71,12 @@ use vfl_market::{GainProvider, Listing, MarketError, Outcome, Result, RoundRecor
 use vfl_sim::BundleMask;
 
 use crate::cache::{SharedGainCache, SoftServe};
-use crate::clearing::{ClearingSpec, ClearingWindow, EpochRecord};
+use crate::clearing::{ClearingSpec, ClearingWindow, EpochOutcome, EpochRecord};
 use crate::executor::{CourseOrder, CourseResolver, LocalResolver};
 use crate::journal::{
     check_market_spec, CheckpointMarket, CheckpointState, CrashHook, CrashPoint, ExchangeEvent,
     Journal, QuoteKind, RecoverError, ReplaySpec,
 };
-use crate::lock;
 use crate::matching::{
     Demand, DemandId, DemandReport, DemandState, DemandStatus, MatchBook, QuoteState,
     QuotingFactory, ReportOutcome, SellerId, SettleAction, Settlement,
@@ -86,6 +86,7 @@ use crate::session::{ActiveSession, Drive, MatchTag, SessionOrder};
 use crate::store::{SessionId, SessionStatus, SessionStore};
 use crate::telemetry::{ExchangeTelemetry, SliceTimer, Stage, StageTallies, SAMPLE_STRIDE};
 use crate::traffic::{AdmissionDecision, AdmissionLoad, AdmissionPolicy};
+use crate::{lock, IdMap};
 use vfl_telemetry::TraceKey;
 
 /// Opaque market handle returned by `register_market`.
@@ -190,7 +191,15 @@ struct SellerEntry {
     /// demands.
     scenario: Option<u64>,
     quoting: QuotingFactory,
+    /// The candidate tables handed out so far, by wanted mask: one shared
+    /// table per (seller, wanted mask) (see [`Core::table`]).
+    tables: IdMap<u64, Arc<Vec<Listing>>>,
 }
+
+/// Wanted masks whose tables a seller keeps; a seller that has handed
+/// out this many starts over, so a stream of ever-new masks cannot grow
+/// the exchange without bound.
+const TABLES_PER_SELLER: usize = 64;
 
 /// Everything the API and the router read or write, as plain data behind
 /// the exchange's one state lock (see the module doc).
@@ -251,6 +260,13 @@ impl Core {
         id
     }
 
+    /// The next `n` fresh session ids.
+    fn allocate_sessions(&mut self, n: usize) -> impl Iterator<Item = SessionId> {
+        let first = self.next_session;
+        self.next_session += n as u64;
+        (first..self.next_session).map(SessionId)
+    }
+
     /// Bumps the session-id counter past a replayed or restored `id`.
     fn bump_session(&mut self, id: SessionId) {
         self.next_session = self.next_session.max(id.0 + 1);
@@ -295,6 +311,7 @@ impl Core {
             catalog,
             scenario,
             quoting: spec.quoting,
+            tables: IdMap::default(),
         });
         Ok((id, private))
     }
@@ -423,23 +440,57 @@ impl Core {
         Ok(())
     }
 
-    /// Snapshots registered seller `seller` as a candidate for a demand
-    /// wanting `wanted` (`None` for unknown ids).
-    fn candidate(&self, seller: SellerId, wanted: BundleMask) -> Option<Candidate> {
-        let s = self.sellers.get(seller.0)?;
-        let table = self.markets[s.market.0]
-            .listings
-            .iter()
-            .filter(|l| l.bundle.intersects(wanted))
-            .copied()
-            .collect();
-        Some(Candidate {
-            seller,
-            name: s.name.clone(),
-            market: s.market,
-            quoting: s.quoting.clone(),
-            table: Arc::new(table),
-        })
+    /// The table seller `seller` negotiates over for a demand wanting
+    /// `wanted`: its listings that overlap `wanted`, in listing order
+    /// (`None` for unknown ids). The table depends on nothing else, so it
+    /// is built once and shared by every candidate with that (seller,
+    /// wanted mask) pair.
+    fn table(&mut self, seller: SellerId, wanted: BundleMask) -> Option<Arc<Vec<Listing>>> {
+        let s = self.sellers.get_mut(seller.0)?;
+        if let Some(table) = s.tables.get(&wanted.0) {
+            return Some(table.clone());
+        }
+        if s.tables.len() >= TABLES_PER_SELLER {
+            s.tables.clear();
+        }
+        let table: Arc<Vec<Listing>> = Arc::new(
+            self.markets[s.market.0]
+                .listings
+                .iter()
+                .filter(|l| l.bundle.intersects(wanted))
+                .copied()
+                .collect(),
+        );
+        s.tables.insert(wanted.0, table.clone());
+        Some(table)
+    }
+
+    /// Builds registered seller `seller`'s candidate session for `demand`:
+    /// its shared table, the demand's task factory, the seller's quoting
+    /// factory, and the seller tag, with a log reserved for the probe
+    /// horizon. Touches no other state.
+    fn candidate(&mut self, seller: SellerId, demand: &Demand) -> Result<ActiveSession> {
+        let table = self
+            .table(seller, demand.wanted)
+            .expect("candidate sellers are registered");
+        if table.is_empty() {
+            // Unreachable through `submit_demand` (eligibility implies
+            // overlap); a journal naming a non-overlapping seller is
+            // rejected here instead of failing at session start.
+            return Err(MarketError::InvalidConfig(format!(
+                "candidate seller {seller} has no listing overlapping the demand"
+            )));
+        }
+        let entry = &self.sellers[seller.0];
+        let order = SessionOrder {
+            cfg: demand.cfg,
+            task: (demand.task)(),
+            data: (entry.quoting)(table.as_slice()),
+        };
+        let mut session = ActiveSession::new(entry.market, table, order)?;
+        session.tag_seller(&entry.name);
+        session.reserve_probe_log(demand.probe_rounds);
+        Ok(session)
     }
 
     /// Queues ids for dispatch, keeping the queue-depth gauge current.
@@ -453,47 +504,6 @@ impl Core {
             t.queue_depth.set(self.pending.len() as i64);
         }
     }
-}
-
-/// One eligible seller of a demand, snapshotted under the state lock so
-/// its quoting factory can run outside it.
-struct Candidate {
-    seller: SellerId,
-    name: String,
-    market: MarketId,
-    quoting: QuotingFactory,
-    /// The wanted-overlapping subset of the seller's listings: the table
-    /// the candidate negotiates over.
-    table: Arc<Vec<Listing>>,
-}
-
-/// Builds one candidate session per snapshotted seller, each negotiating
-/// over the wanted-overlapping subset of its seller's catalog (the demand
-/// scopes the table, so a settled match can never deliver only
-/// unrequested features). Runs the caller's factories, so it touches no
-/// exchange state.
-fn build_candidates(demand: &Demand, candidates: &[Candidate]) -> Result<Vec<ActiveSession>> {
-    let mut sessions = Vec::with_capacity(candidates.len());
-    for c in candidates {
-        if c.table.is_empty() {
-            // Unreachable through `submit_demand` (eligibility implies
-            // overlap); a journal naming a non-overlapping seller is
-            // rejected here instead of failing at session start.
-            return Err(MarketError::InvalidConfig(format!(
-                "candidate seller {} has no listing overlapping the demand",
-                c.seller
-            )));
-        }
-        let order = SessionOrder {
-            cfg: demand.cfg,
-            task: (demand.task)(),
-            data: (c.quoting)(c.table.as_slice()),
-        };
-        let mut session = ActiveSession::new(c.market, c.table.clone(), order)?;
-        session.tag_seller(&c.name);
-        sessions.push(session);
-    }
-    Ok(sessions)
 }
 
 /// The concurrent multi-session marketplace engine.
@@ -1007,102 +1017,87 @@ impl Exchange {
     ///
     /// Validation is all-or-nothing: an invalid config or an ineligible
     /// demand (no overlapping seller, empty `wanted`, `probe_rounds == 0`)
-    /// rejects the whole demand without opening any session.
+    /// rejects the whole demand without opening any session. The whole
+    /// call is one critical section of the state lock, so the demand's
+    /// [`Demand::task`] factory and each candidate seller's
+    /// [`crate::SellerSpec::quoting`] factory run under it.
     pub fn submit_demand(&self, demand: Demand) -> Result<DemandId> {
-        let candidates = {
-            let mut core = lock(&self.state);
-            core.validate_demand(&demand)?;
-            // Eligible sellers, in registration (= slot) order.
-            let candidates: Vec<Candidate> = core
-                .sellers
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| {
-                    s.catalog.intersects(demand.wanted)
-                        && demand.scenario.is_none_or(|key| s.scenario == Some(key))
-                })
-                .filter_map(|(i, _)| core.candidate(SellerId(i), demand.wanted))
-                .collect();
-            if candidates.is_empty() {
-                return Err(MarketError::InvalidConfig(
-                    "no registered seller's catalog overlaps the demand".into(),
-                ));
-            }
-            // Admission gate: after validation and eligibility (a shed
-            // demand is a *valid* demand the exchange refused for load,
-            // not an error), before any session id or store slot is
-            // consumed — the session-id stream of admitted demands is
-            // untouched by shedding.
-            if let Some(policy) = core.admission.clone() {
-                let load = AdmissionLoad {
-                    queue_depth: core.pending.len(),
-                    sessions: core.store.len(),
-                    demands: core.book.len(),
-                    fan_out: candidates.len(),
-                    submission: core.admission_clock,
-                    scenario: demand.scenario,
-                };
-                core.admission_clock += 1;
-                if let AdmissionDecision::Shed { retry_after } = policy.admit(&load) {
-                    let did = core.book.allocate();
-                    core.book.open_shed_at(did, retry_after);
-                    self.record_with(&mut core, |_| ExchangeEvent::DemandShed {
-                        demand: did,
-                        wanted: demand.wanted,
-                        cfg_digest: wire::config_digest(&demand.cfg),
-                        queue_depth: load.queue_depth as u32,
-                        retry_after,
-                    });
-                    core.counters.demands_shed += 1;
-                    return Ok(did);
-                }
-            }
-            candidates
+        let mut guard = lock(&self.state);
+        let core = &mut *guard;
+        core.validate_demand(&demand)?;
+        let eligible = |s: &SellerEntry| {
+            s.catalog.intersects(demand.wanted)
+                && demand.scenario.is_none_or(|key| s.scenario == Some(key))
         };
-        let sessions = build_candidates(&demand, &candidates)?;
-        let mut core = lock(&self.state);
-        let ids: Vec<SessionId> = sessions.iter().map(|_| core.allocate_session()).collect();
+        let fan_out = core.sellers.iter().filter(|s| eligible(s)).count();
+        if fan_out == 0 {
+            return Err(MarketError::InvalidConfig(
+                "no registered seller's catalog overlaps the demand".into(),
+            ));
+        }
+        // Admission gate: after validation and eligibility (a shed
+        // demand is a *valid* demand the exchange refused for load, not
+        // an error), before any session id or store slot is consumed —
+        // the session-id stream of admitted demands is untouched by
+        // shedding.
+        if let Some(policy) = core.admission.clone() {
+            let load = AdmissionLoad {
+                queue_depth: core.pending.len(),
+                sessions: core.store.len(),
+                demands: core.book.len(),
+                fan_out,
+                submission: core.admission_clock,
+                scenario: demand.scenario,
+            };
+            core.admission_clock += 1;
+            if let AdmissionDecision::Shed { retry_after } = policy.admit(&load) {
+                let did = core.book.allocate();
+                core.book.open_shed_at(did, retry_after);
+                self.record_with(core, |_| ExchangeEvent::DemandShed {
+                    demand: did,
+                    wanted: demand.wanted,
+                    cfg_digest: wire::config_digest(&demand.cfg),
+                    queue_depth: load.queue_depth as u32,
+                    retry_after,
+                });
+                core.counters.demands_shed += 1;
+                return Ok(did);
+            }
+        }
+        // Every candidate is built before anything is committed, so a
+        // failing (or panicking) factory leaves no trace.
+        let mut sessions = Vec::with_capacity(fan_out);
+        for i in 0..core.sellers.len() {
+            // Eligible sellers, in registration (= slot) order.
+            if eligible(&core.sellers[i]) {
+                sessions.push((SellerId(i), core.candidate(SellerId(i), &demand)?));
+            }
+        }
         let did = core.book.allocate();
-        self.commit_demand(&mut core, did, ids, candidates, sessions, &demand);
+        let ids = core.allocate_sessions(fan_out);
+        self.commit_demand(core, did, &demand, sessions, ids);
         Ok(did)
     }
 
-    /// Commits a planned fan-out in one critical section: the demand
-    /// state, the clearing-window queue entry for epoch demands
-    /// (submission order is epoch-membership order), the tagged sessions,
-    /// the journal record — one event for the whole fan-out — and the
-    /// queued ids.
+    /// Commits a fan-out of built candidate sessions, in slot order and
+    /// under the session ids `ids`, in the caller's critical section: each
+    /// candidate's match tag, dispatch-wait stamp (one reading for the
+    /// whole fan-out), store slot and queue entry, then the demand state,
+    /// the clearing-window queue entry for epoch demands (submission order
+    /// is epoch-membership order) and the journal record — one event for
+    /// the whole fan-out.
     fn commit_demand(
         &self,
         core: &mut Core,
         did: DemandId,
-        ids: Vec<SessionId>,
-        candidates: Vec<Candidate>,
-        sessions: Vec<ActiveSession>,
         demand: &Demand,
+        sessions: Vec<(SellerId, ActiveSession)>,
+        ids: impl IntoIterator<Item = SessionId>,
     ) {
-        let slots: Vec<(SellerId, String, SessionId)> = candidates
-            .into_iter()
-            .zip(&ids)
-            .map(|(c, &sid)| (c.seller, c.name, sid))
-            .collect();
-        let recorded: Vec<(SellerId, SessionId)> = slots
-            .iter()
-            .map(|&(seller, _, sid)| (seller, sid))
-            .collect();
-        core.book.open_at(
-            did,
-            DemandState::new(demand.cfg, demand.settle.clone(), slots),
-        );
-        if demand.settle.is_epoch() {
-            core.clearing
-                .as_mut()
-                .expect("validated: epoch demands require an open window")
-                .enqueue(did);
-        }
-        // One reading stamps the whole fan-out.
+        let mut state =
+            DemandState::with_capacity(demand.cfg, demand.settle.clone(), sessions.len());
         let enqueued = self.telemetry.as_deref().map(|t| t.now_ns());
-        for ((slot, mut session), &sid) in sessions.into_iter().enumerate().zip(&ids) {
+        for (slot, ((seller, mut session), sid)) in sessions.into_iter().zip(ids).enumerate() {
             session.set_match_tag(MatchTag {
                 demand: did,
                 slot,
@@ -1112,18 +1107,29 @@ impl Exchange {
             if let Some(now) = enqueued {
                 session.stamp_enqueued(now);
             }
+            state.push_slot(seller, core.sellers[seller.0].name.clone(), sid);
             core.store.insert(sid, session);
+            core.pending.push_back(sid);
             core.counters.sessions_opened += 1;
         }
-        self.record_with(core, |_| ExchangeEvent::DemandSubmitted {
+        core.book.open_at(did, state);
+        if demand.settle.is_epoch() {
+            core.clearing
+                .as_mut()
+                .expect("validated: epoch demands require an open window")
+                .enqueue(did);
+        }
+        self.record_with(core, |core| ExchangeEvent::DemandSubmitted {
             demand: did,
             wanted: demand.wanted,
             probe_rounds: demand.probe_rounds,
             cfg_digest: wire::config_digest(&demand.cfg),
             epoch_mode: demand.settle.is_epoch(),
-            candidates: recorded,
+            candidates: core.book.candidates(did),
         });
-        core.enqueue(ids, self.telemetry.as_deref());
+        if let Some(t) = self.telemetry.as_deref() {
+            t.queue_depth.set(core.pending.len() as i64);
+        }
         core.counters.demands_submitted += 1;
     }
 
@@ -1139,47 +1145,40 @@ impl Exchange {
         demand: Demand,
         recorded: &[(SellerId, SessionId)],
     ) -> Result<()> {
-        let candidates = {
-            let core = lock(&self.state);
-            core.validate_demand(&demand)?;
-            if recorded.is_empty() {
-                return Err(MarketError::InvalidConfig(
-                    "journaled demand has an empty fan-out".into(),
-                ));
-            }
-            // Reject duplicate recorded ids instead of silently
-            // overwriting state (the store/book uniqueness guards are
-            // debug-only).
-            if core.book.contains(did) {
+        let mut guard = lock(&self.state);
+        let core = &mut *guard;
+        core.validate_demand(&demand)?;
+        if recorded.is_empty() {
+            return Err(MarketError::InvalidConfig(
+                "journaled demand has an empty fan-out".into(),
+            ));
+        }
+        // Reject duplicate recorded ids instead of silently overwriting
+        // state (the store/book uniqueness guards are debug-only).
+        if core.book.contains(did) {
+            return Err(MarketError::InvalidConfig(format!(
+                "journal records demand {did} twice"
+            )));
+        }
+        let mut sessions = Vec::with_capacity(recorded.len());
+        for &(seller, sid) in recorded {
+            if core.store.status(sid).is_some() {
                 return Err(MarketError::InvalidConfig(format!(
-                    "journal records demand {did} twice"
+                    "journal records candidate session {sid} twice"
                 )));
             }
-            for &(_, sid) in recorded {
-                if core.store.status(sid).is_some() {
-                    return Err(MarketError::InvalidConfig(format!(
-                        "journal records candidate session {sid} twice"
-                    )));
-                }
+            if core.sellers.get(seller.0).is_none() {
+                return Err(MarketError::InvalidConfig(format!(
+                    "journaled demand names unregistered seller {seller}"
+                )));
             }
-            recorded
-                .iter()
-                .map(|&(seller, _)| {
-                    core.candidate(seller, demand.wanted).ok_or_else(|| {
-                        MarketError::InvalidConfig(format!(
-                            "journaled demand names unregistered seller {seller}"
-                        ))
-                    })
-                })
-                .collect::<Result<Vec<Candidate>>>()?
-        };
-        let sessions = build_candidates(&demand, &candidates)?;
-        let ids: Vec<SessionId> = recorded.iter().map(|&(_, sid)| sid).collect();
-        let mut core = lock(&self.state);
-        for &id in &ids {
-            core.bump_session(id);
+            sessions.push((seller, core.candidate(seller, &demand)?));
         }
-        self.commit_demand(&mut core, did, ids, candidates, sessions, &demand);
+        for &(_, sid) in recorded {
+            core.bump_session(sid);
+        }
+        let ids = recorded.iter().map(|&(_, sid)| sid);
+        self.commit_demand(core, did, &demand, sessions, ids);
         Ok(())
     }
 
@@ -1215,16 +1214,20 @@ impl Exchange {
         Ok(())
     }
 
-    /// Point-in-time status of a demand (`None` for unknown/taken ids).
+    /// Point-in-time status of a demand (`None` for unknown/taken ids). A
+    /// settled demand's report is shared, not copied.
     pub fn demand_status(&self, id: DemandId) -> Option<DemandStatus> {
         lock(&self.state).book.status(id)
     }
 
     /// Removes a *settled* demand and returns its report; `None` while the
     /// demand is still matching (or for unknown ids). Candidate sessions
-    /// stay in the store for [`Self::poll`]/[`Self::take`].
+    /// stay in the store for [`Self::poll`]/[`Self::take`]. The report is
+    /// moved out, or copied when a [`DemandStatus::Settled`] handle to it
+    /// is still alive.
     pub fn take_demand(&self, id: DemandId) -> Option<DemandReport> {
-        lock(&self.state).book.take(id)
+        let report = lock(&self.state).book.take(id)?;
+        Some(Arc::unwrap_or_clone(report))
     }
 
     /// Number of demands currently stored (matching, or settled and not
@@ -1325,7 +1328,8 @@ impl Exchange {
             // Point event on the demand's timeline: one candidate's
             // quote landed (slot index not carried — the timeline shows
             // cadence, the journal shows content).
-            t.span(TraceKey::Demand(demand.0), "quote_recorded", now, now);
+            core.stages
+                .span(t, TraceKey::Demand(demand.0), "quote_recorded", now, now);
         }
         match outcome {
             None => 0,
@@ -1368,7 +1372,8 @@ impl Exchange {
         let end = tele.zip(start).map(|(t, start)| {
             let now = t.now_ns();
             core.stages.record(Stage::Settlement, now - start);
-            t.span(TraceKey::Demand(demand.0), "settlement", start, now);
+            core.stages
+                .span(t, TraceKey::Demand(demand.0), "settlement", start, now);
             now
         });
         (cancelled, end)
@@ -1446,7 +1451,12 @@ impl Exchange {
     pub(crate) fn drive_clearing(&self, core: &mut Core, flush: bool) -> usize {
         let tele = self.telemetry.as_deref();
         let mut cancelled = 0usize;
-        while let Some(outcome) = core
+        while let Some(EpochOutcome {
+            record,
+            settled,
+            rolled,
+            expired,
+        }) = core
             .clearing
             .as_mut()
             .and_then(|w| w.clear_next(&mut core.book, flush))
@@ -1455,19 +1465,19 @@ impl Exchange {
             // Member settlements are timed back to back: each starts at
             // the closing reading of the one before it.
             let mut mark = epoch_start;
-            let epoch = outcome.record.epoch;
+            let epoch = record.epoch;
             // Epoch critical section: decided but not recorded, then
             // recorded but not applied — both windows are injectable.
             core.crash_point(CrashPoint::EpochDecided(epoch));
             self.record_with(core, |_| ExchangeEvent::EpochCleared {
-                record: outcome.record.clone(),
+                record: record.clone(),
             });
             core.crash_point(CrashPoint::EpochRecorded(epoch));
-            core.epoch_log.push(outcome.record.clone());
+            core.epoch_log.push(record);
             core.counters.epochs_cleared += 1;
-            core.counters.demands_rolled += outcome.rolled.len() as u64;
-            core.counters.demands_expired += outcome.expired as u64;
-            for settled in &outcome.settled {
+            core.counters.demands_rolled += rolled.len() as u64;
+            core.counters.demands_expired += expired as u64;
+            for settled in &settled {
                 if let Some(settlement) =
                     core.book
                         .settle_epoch(settled.demand, settled.winner, epoch, settled.price)
@@ -1482,13 +1492,14 @@ impl Exchange {
             if let (Some(t), Some(start)) = (tele, epoch_start) {
                 // The last member settlement's closing reading ends the
                 // epoch too.
-                let now = if outcome.settled.is_empty() {
+                let now = if settled.is_empty() {
                     t.now_ns()
                 } else {
                     mark.unwrap_or(start)
                 };
                 core.stages.record(Stage::EpochClear, now - start);
-                t.span(TraceKey::Epoch(epoch), "epoch_clear", start, now);
+                core.stages
+                    .span(t, TraceKey::Epoch(epoch), "epoch_clear", start, now);
             }
         }
         cancelled
@@ -1558,7 +1569,8 @@ impl Exchange {
                 let now = timer.start_ns();
                 core.stages
                     .record(Stage::DispatchWait, now.saturating_sub(enqueued));
-                t.span(TraceKey::Session(id.0), "dispatch_wait", enqueued, now);
+                core.stages
+                    .span(t, TraceKey::Session(id.0), "dispatch_wait", enqueued, now);
             }
             timer
         });
@@ -1829,6 +1841,224 @@ mod tests {
                 calls: calls.clone(),
             }),
         }
+    }
+
+    /// A seller listing one bundle per mask of `bundles`, quoting with the
+    /// strategic data player.
+    fn masked_seller(name: &str, bundles: &[u64]) -> crate::matching::SellerSpec {
+        let listings: Vec<Listing> = bundles
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| Listing {
+                bundle: BundleMask(b),
+                reserved: ReservedPrice::new(5.0 + i as f64, 0.8).unwrap(),
+            })
+            .collect();
+        let provider = TableGainProvider::new(
+            listings
+                .iter()
+                .map(|l| (l.bundle, 0.05 * l.bundle.0.count_ones() as f64)),
+        );
+        crate::matching::SellerSpec {
+            market: MarketSpec {
+                provider: Arc::new(provider),
+                listings: Arc::new(listings),
+                evaluation_key: None,
+                name: name.into(),
+            },
+            quoting: Arc::new(|table: &[Listing]| {
+                Box::new(StrategicData::with_gains(vec![0.2; table.len()]))
+                    as Box<dyn vfl_market::DataStrategy + Send>
+            }),
+        }
+    }
+
+    fn wanting(wanted: u64, seed: u64) -> Demand {
+        Demand {
+            wanted: BundleMask(wanted),
+            scenario: None,
+            cfg: vfl_market::MarketConfig {
+                utility_rate: 900.0,
+                budget: 12.0,
+                rate_cap: 20.0,
+                seed,
+                ..vfl_market::MarketConfig::default()
+            },
+            task: Arc::new(|| Box::new(StrategicTask::new(0.30, 6.0, 0.9).unwrap())),
+            probe_rounds: 2,
+            settle: crate::matching::SettleMode::Immediate(Arc::new(crate::BestResponse)),
+        }
+    }
+
+    /// Each candidate's seller and table, in slot order.
+    type Tables = Vec<(SellerId, Arc<Vec<Listing>>)>;
+
+    /// A demand's candidate tables, read off its stored (not yet drained)
+    /// candidate sessions.
+    fn candidate_tables(exchange: &Exchange, did: DemandId) -> Tables {
+        let mut core = lock(&exchange.state);
+        let candidates = core.book.candidates(did);
+        candidates
+            .into_iter()
+            .map(|(seller, sid)| {
+                let session = core
+                    .store
+                    .check_out(sid)
+                    .expect("undrained candidates are ready");
+                let table = session.listings().clone();
+                core.store.check_in(sid, session);
+                (seller, table)
+            })
+            .collect()
+    }
+
+    /// Checks every demand's tables against its sellers' catalogs, and
+    /// that demands with one wanted mask share each seller's table.
+    fn check_tables(case: usize, catalogs: &[Vec<u64>], demands: &[(u64, Tables)]) {
+        for (wanted, tables) in demands {
+            let overlapping: Vec<SellerId> = (0..catalogs.len())
+                .filter(|&s| catalogs[s].iter().any(|&b| b & wanted != 0))
+                .map(SellerId)
+                .collect();
+            let sellers: Vec<SellerId> = tables.iter().map(|&(s, _)| s).collect();
+            assert_eq!(sellers, overlapping, "case {case}, wanted {wanted:#b}");
+            for (seller, table) in tables {
+                let bundles: Vec<u64> = table.iter().map(|l| l.bundle.0).collect();
+                let expected: Vec<u64> = catalogs[seller.0]
+                    .iter()
+                    .copied()
+                    .filter(|&b| b & wanted != 0)
+                    .collect();
+                assert_eq!(
+                    bundles, expected,
+                    "case {case}, {seller}, wanted {wanted:#b}"
+                );
+            }
+        }
+        for (i, (wanted, tables)) in demands.iter().enumerate() {
+            for (other, other_tables) in &demands[..i] {
+                if other != wanted {
+                    continue;
+                }
+                for ((seller, table), (_, other_table)) in tables.iter().zip(other_tables) {
+                    assert!(
+                        Arc::ptr_eq(table, other_table),
+                        "case {case}: {seller} built a second table for {wanted:#b}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Over random catalogs and wanted masks, every candidate negotiates
+    /// over its seller's listings filtered by overlap, in listing order;
+    /// demands with the same wanted mask share each seller's table; and
+    /// recovery rebuilds the same tables, shared the same way.
+    #[test]
+    fn candidate_tables_are_shared_per_seller_and_wanted_mask() {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        for case in 0..32 {
+            let catalogs: Vec<Vec<u64>> = (0..3)
+                .map(|_| {
+                    let mut bundles: Vec<u64> = Vec::new();
+                    while bundles.len() < rng.random_range(1..=5usize) {
+                        let b = rng.random_range(1u64..64);
+                        if !bundles.contains(&b) {
+                            bundles.push(b);
+                        }
+                    }
+                    bundles
+                })
+                .collect();
+            let masks: Vec<u64> = (0..3).map(|_| rng.random_range(1u64..64)).collect();
+            // Every mask twice, interleaved: the repeats must reuse tables.
+            let wanted: Vec<u64> = masks.iter().chain(&masks).copied().collect();
+
+            let (journal, sink) = Journal::in_memory();
+            let exchange = Exchange::with_journal(ExchangeConfig::default(), journal);
+            for (i, bundles) in catalogs.iter().enumerate() {
+                exchange
+                    .register_seller(masked_seller(&format!("s{i}"), bundles))
+                    .unwrap();
+            }
+            let mut submitted: Vec<(u64, u64, DemandId)> = Vec::new();
+            for (seed, &w) in wanted.iter().enumerate() {
+                match exchange.submit_demand(wanting(w, seed as u64)) {
+                    Ok(did) => submitted.push((w, seed as u64, did)),
+                    Err(_) => assert!(
+                        catalogs.iter().flatten().all(|&b| b & w == 0),
+                        "case {case}: a demand some seller overlaps was rejected"
+                    ),
+                }
+            }
+            let tables = |exchange: &Exchange| -> Vec<_> {
+                submitted
+                    .iter()
+                    .map(|&(w, _, did)| (w, candidate_tables(exchange, did)))
+                    .collect()
+            };
+            let live = tables(&exchange);
+            check_tables(case, &catalogs, &live);
+
+            let replayed: std::collections::HashMap<u64, (u64, u64)> = submitted
+                .iter()
+                .map(|&(w, seed, did)| (did.0, (w, seed)))
+                .collect();
+            let spec = ReplaySpec {
+                sellers: catalogs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, bundles)| masked_seller(&format!("s{i}"), bundles))
+                    .collect(),
+                demands: Box::new(move |did| {
+                    let (w, seed) = replayed[&did.0];
+                    wanting(w, seed)
+                }),
+                ..ReplaySpec::default()
+            };
+            let (recovered, _) =
+                Exchange::recover(ExchangeConfig::default(), &sink.bytes(), spec, None).unwrap();
+            let rebuilt = tables(&recovered);
+            check_tables(case, &catalogs, &rebuilt);
+            for ((_, a), (_, b)) in live.iter().zip(&rebuilt) {
+                let a: Vec<_> = a.iter().map(|(s, t)| (*s, t.as_slice())).collect();
+                let b: Vec<_> = b.iter().map(|(s, t)| (*s, t.as_slice())).collect();
+                assert_eq!(a, b, "case {case}: recovery built different tables");
+            }
+        }
+    }
+
+    /// A settled demand's status shares its report; taking the demand
+    /// while such a status is still held copies the report, equal to it.
+    #[test]
+    fn take_demand_copies_a_report_a_status_still_holds() {
+        let exchange = Exchange::new(ExchangeConfig::default());
+        exchange
+            .register_seller(masked_seller("low", &[0b01, 0b10]))
+            .unwrap();
+        exchange
+            .register_seller(masked_seller("high", &[0b10, 0b11]))
+            .unwrap();
+        let did = exchange.submit_demand(wanting(0b11, 5)).unwrap();
+        exchange.drain(1);
+        let Some(DemandStatus::Settled(held)) = exchange.demand_status(did) else {
+            panic!("the demand settles within one drain");
+        };
+        let Some(DemandStatus::Settled(again)) = exchange.demand_status(did) else {
+            panic!("a settled demand stays settled until taken");
+        };
+        assert!(Arc::ptr_eq(&held, &again), "a status read copies nothing");
+        drop(again);
+        let taken = exchange
+            .take_demand(did)
+            .expect("settled demands can be taken");
+        assert_eq!(taken, *held, "the clone fallback returns the same report");
+        assert_eq!(taken.quotes.len(), 2);
+        assert!(
+            exchange.demand_status(did).is_none(),
+            "taken demands are gone"
+        );
     }
 
     /// A cancelled waiter is never driven: a

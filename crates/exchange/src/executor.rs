@@ -608,7 +608,8 @@ impl Exchange {
                 if let (Some(t), Some(start)) = (self.telemetry.as_deref(), started_ns) {
                     let now = t.now_ns();
                     core.stages.record(Stage::CourseTrain, now - start);
-                    t.span(TraceKey::Session(session.0), "course_train", start, now);
+                    core.stages
+                        .span(t, TraceKey::Session(session.0), "course_train", start, now);
                 }
                 // Course critical section: the training is paid but not yet
                 // journaled — a crash here loses the receipt, and recovery

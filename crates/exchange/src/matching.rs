@@ -79,14 +79,16 @@ impl std::fmt::Display for DemandId {
 }
 
 /// Builds one fresh task-party strategy per fan-out session (candidates
-/// must not share mutable strategy state).
+/// must not share mutable strategy state). Runs under the exchange's
+/// state lock (see [`Demand::task`]).
 pub type TaskFactory = Arc<dyn Fn() -> Box<dyn TaskStrategy + Send> + Send + Sync>;
 
 /// Builds the seller's quoting strategy for each demand fanned out to it.
 /// The argument is the listing table the candidate session will negotiate
 /// over — the wanted-overlapping subset of the seller's catalog, in
 /// catalog order — so per-listing strategy state (e.g. a gain vector)
-/// must be built against *that* table, not the full catalog.
+/// must be built against *that* table, not the full catalog. Runs under
+/// the exchange's state lock (see [`SellerSpec::quoting`]).
 pub type QuotingFactory = Arc<dyn Fn(&[Listing]) -> Box<dyn DataStrategy + Send> + Send + Sync>;
 
 /// How a demand is settled once every candidate has reported.
@@ -127,6 +129,9 @@ pub struct SellerSpec {
     /// filter on), and display name.
     pub market: MarketSpec,
     /// Produces the seller's quoting strategy, fresh per candidate session.
+    /// [`crate::Exchange::submit_demand`] (and its recovery replay) runs it
+    /// under the exchange's state lock, so it must not call back into the
+    /// exchange — the same contract as [`crate::ClearPolicy`].
     pub quoting: QuotingFactory,
 }
 
@@ -157,6 +162,9 @@ pub struct Demand {
     /// direct 1×1 run with this config would.
     pub cfg: MarketConfig,
     /// Task-party strategy factory; invoked once per candidate seller.
+    /// [`crate::Exchange::submit_demand`] (and its recovery replay) runs it
+    /// under the exchange's state lock, so it must not call back into the
+    /// exchange — the same contract as [`crate::ClearPolicy`].
     pub task: TaskFactory,
     /// Quote rounds each candidate completes before settlement (≥ 1).
     /// Candidates that reach a protocol conclusion earlier report that
@@ -308,8 +316,9 @@ pub enum DemandStatus {
     /// session may still be live (running past its probe horizon) — poll it
     /// via [`crate::Exchange::poll`], or read it after
     /// [`crate::Exchange::drain`] returns, which guarantees every session
-    /// is terminal.
-    Settled(DemandReport),
+    /// is terminal. The report is the exchange's own, shared: reading a
+    /// status copies nothing.
+    Settled(Arc<DemandReport>),
     /// Refused at [`crate::Exchange::submit_demand`] by the attached
     /// [`crate::traffic::AdmissionPolicy`] (load shedding — the dispatcher
     /// was backed up). Terminal from birth: no candidate sessions were
@@ -410,25 +419,23 @@ pub(crate) enum ReportOutcome {
     EpochReady,
 }
 
-/// One candidate slot of a live demand.
-struct CandidateSlot {
-    seller: SellerId,
-    name: String,
-    session: SessionId,
-    quote: Option<QuoteState>,
-    history: Vec<RoundRecord>,
-}
-
 /// A live demand: its candidates, settle mode, and (after settlement)
 /// report. All mutation goes through [`MatchBook`].
 pub(crate) struct DemandState {
     cfg: MarketConfig,
     settle: SettleMode,
-    slots: Vec<CandidateSlot>,
+    /// The quote table, one row per candidate in slot (fan-out) order,
+    /// filled in as the candidates report. A row no candidate has
+    /// reported yet holds an empty `Error` state and an empty history,
+    /// which nothing reads: the table leaves this state only whole, when
+    /// the report that completes it (immediate mode) or the demand's
+    /// epoch moves it into the settled report.
+    quotes: Vec<CandidateQuote>,
+    /// Rows reported so far.
     reported: usize,
     /// Epochs this demand has been rolled past (epoch mode only).
     rolls: u32,
-    report: Option<DemandReport>,
+    report: Option<Arc<DemandReport>>,
     /// True for a demand refused at admission ([`DemandStatus::Shed`]).
     /// Shed states carry a winnerless report with an *empty* quote table —
     /// the one shape an admitted demand can never settle to (submission
@@ -442,30 +449,45 @@ pub(crate) struct DemandState {
 }
 
 impl DemandState {
-    pub(crate) fn new(
-        cfg: MarketConfig,
-        settle: SettleMode,
-        candidates: Vec<(SellerId, String, SessionId)>,
-    ) -> Self {
+    /// A demand with no candidate yet and room for `fan_out` of them
+    /// ([`DemandState::push_slot`] adds each).
+    pub(crate) fn with_capacity(cfg: MarketConfig, settle: SettleMode, fan_out: usize) -> Self {
         DemandState {
             cfg,
             settle,
-            slots: candidates
-                .into_iter()
-                .map(|(seller, name, session)| CandidateSlot {
-                    seller,
-                    name,
-                    session,
-                    quote: None,
-                    history: Vec::new(),
-                })
-                .collect(),
+            quotes: Vec::with_capacity(fan_out),
             reported: 0,
             rolls: 0,
             report: None,
             shed: false,
             retry_after: None,
         }
+    }
+
+    /// A demand with these `(seller, name, session)` candidates, in slot
+    /// order.
+    #[cfg(test)]
+    pub(crate) fn new(
+        cfg: MarketConfig,
+        settle: SettleMode,
+        candidates: Vec<(SellerId, String, SessionId)>,
+    ) -> Self {
+        let mut state = Self::with_capacity(cfg, settle, candidates.len());
+        for (seller, name, session) in candidates {
+            state.push_slot(seller, name, session);
+        }
+        state
+    }
+
+    /// Adds the next candidate's row, unreported (fan-out time only).
+    pub(crate) fn push_slot(&mut self, seller: SellerId, name: String, session: SessionId) {
+        self.quotes.push(CandidateQuote {
+            seller,
+            seller_name: name,
+            session,
+            state: QuoteState::Error(String::new()),
+            history: Vec::new(),
+        });
     }
 
     /// A state restored straight into its settled report — the checkpoint
@@ -484,10 +506,10 @@ impl DemandState {
         DemandState {
             cfg: MarketConfig::default(),
             settle,
-            slots: Vec::new(),
+            quotes: Vec::new(),
             reported: 0,
             rolls: 0,
-            report: Some(report),
+            report: Some(Arc::new(report)),
             shed,
             retry_after: None,
         }
@@ -508,37 +530,6 @@ impl DemandState {
                 clearing_price: None,
             })
         }
-    }
-
-    /// The full quote table (every slot must have reported), copied: the
-    /// clearing window's read of a demand that stays live.
-    fn quotes(&self) -> Vec<CandidateQuote> {
-        self.slots
-            .iter()
-            .map(|s| CandidateQuote {
-                seller: s.seller,
-                seller_name: s.name.clone(),
-                session: s.session,
-                state: s.quote.clone().expect("all slots reported"),
-                history: s.history.clone(),
-            })
-            .collect()
-    }
-
-    /// The full quote table (every slot must have reported), moved out of
-    /// the slots: the settling report's read, after which the slots are
-    /// dead (the report holds the table).
-    fn take_quotes(&mut self) -> Vec<CandidateQuote> {
-        self.slots
-            .iter_mut()
-            .map(|s| CandidateQuote {
-                seller: s.seller,
-                seller_name: std::mem::take(&mut s.name),
-                session: s.session,
-                state: s.quote.take().expect("all slots reported"),
-                history: std::mem::take(&mut s.history),
-            })
-            .collect()
     }
 
     /// The deferred wake/cancel actions a settlement with `winner`
@@ -615,13 +606,13 @@ impl MatchBook {
             Some(_) if st.shed => DemandStatus::Shed {
                 retry_after: st.retry_after,
             },
-            Some(report) => DemandStatus::Settled(report.clone()),
-            None if st.settle.is_epoch() && st.reported == st.slots.len() => {
+            Some(report) => DemandStatus::Settled(Arc::clone(report)),
+            None if st.settle.is_epoch() && st.reported == st.quotes.len() => {
                 DemandStatus::Clearing { rolls: st.rolls }
             }
             None => DemandStatus::Matching {
                 reported: st.reported,
-                total: st.slots.len(),
+                total: st.quotes.len(),
             },
         })
     }
@@ -633,7 +624,7 @@ impl MatchBook {
 
     /// Removes a *settled* demand and returns its report; `None` while the
     /// demand is still matching (live demands cannot be evicted).
-    pub(crate) fn take(&mut self, id: DemandId) -> Option<DemandReport> {
+    pub(crate) fn take(&mut self, id: DemandId) -> Option<Arc<DemandReport>> {
         self.demands.get(&id.0)?.report.as_ref()?;
         self.demands.remove(&id.0)?.report
     }
@@ -641,6 +632,16 @@ impl MatchBook {
     /// Number of demands currently stored (matching or settled-not-taken).
     pub(crate) fn len(&self) -> usize {
         self.demands.len()
+    }
+
+    /// Demand `id`'s `(seller, session)` fan-out, in slot order, while its
+    /// quote table is in the book (what its `DemandSubmitted` journal
+    /// frame records); empty for unknown ids and once the table has moved
+    /// into the report.
+    pub(crate) fn candidates(&self, id: DemandId) -> Vec<(SellerId, SessionId)> {
+        self.demands.get(&id.0).map_or_else(Vec::new, |st| {
+            st.quotes.iter().map(|q| (q.seller, q.session)).collect()
+        })
     }
 
     /// A sorted snapshot of every demand's settled report, for the
@@ -651,7 +652,7 @@ impl MatchBook {
         let mut live = 0usize;
         for st in self.demands.values() {
             match &st.report {
-                Some(report) => out.push(report.clone()),
+                Some(report) => out.push(DemandReport::clone(report)),
                 None => live += 1,
             }
         }
@@ -692,13 +693,12 @@ impl MatchBook {
     ) -> Option<ReportOutcome> {
         let st = self.demands.get_mut(&demand.0)?;
         debug_assert!(st.report.is_none(), "report after settlement");
-        debug_assert!(st.slots[slot].quote.is_none(), "double report for a slot");
-        if st.slots[slot].quote.is_none() {
-            st.reported += 1;
-        }
-        st.slots[slot].quote = Some(quote);
-        st.slots[slot].history = history;
-        if st.reported < st.slots.len() {
+        let row = &mut st.quotes[slot];
+        row.state = quote;
+        row.history = history;
+        st.reported += 1;
+        debug_assert!(st.reported <= st.quotes.len(), "double report for a slot");
+        if st.reported < st.quotes.len() {
             return None;
         }
 
@@ -710,18 +710,18 @@ impl MatchBook {
             SettleMode::Immediate(policy) => policy.clone(),
             SettleMode::Epoch => return Some(ReportOutcome::EpochReady),
         };
-        let quotes = st.take_quotes();
+        let quotes = std::mem::take(&mut st.quotes);
         let winner = policy
             .select(&st.cfg, &quotes)
             .filter(|&i| i < quotes.len());
         let actions = DemandState::actions(&quotes, winner);
-        st.report = Some(DemandReport {
+        st.report = Some(Arc::new(DemandReport {
             demand,
             winner,
             quotes,
             epoch: None,
             clearing_price: None,
-        });
+        }));
         Some(ReportOutcome::Settled(Settlement {
             matched: winner.is_some(),
             winner,
@@ -734,19 +734,41 @@ impl MatchBook {
     pub(crate) fn ready(&self, demand: DemandId) -> bool {
         self.demands
             .get(&demand.0)
-            .is_some_and(|st| st.report.is_none() && st.reported == st.slots.len())
+            .is_some_and(|st| st.report.is_none() && st.reported == st.quotes.len())
     }
 
-    /// The clearing window's view of a [`Self::ready`] demand: its config,
+    /// A copy of a [`Self::ready`] demand's clearing view: its config,
     /// its rolls so far, and its full quote table.
+    #[cfg(test)]
     pub(crate) fn epoch_demand(&self, demand: DemandId) -> Option<EpochDemand> {
         let st = self.demands.get(&demand.0)?;
         Some(EpochDemand {
             demand,
             cfg: st.cfg,
             rolls: st.rolls,
-            quotes: st.quotes(),
+            quotes: st.quotes.clone(),
         })
+    }
+
+    /// The clearing window's view of a [`Self::ready`] demand, with its
+    /// quote table moved out of the book for the epoch's decision; the
+    /// window hands the table back with [`Self::return_table`] before the
+    /// epoch settles anything.
+    pub(crate) fn lend_epoch_demand(&mut self, demand: DemandId) -> Option<EpochDemand> {
+        let st = self.demands.get_mut(&demand.0)?;
+        Some(EpochDemand {
+            demand,
+            cfg: st.cfg,
+            rolls: st.rolls,
+            quotes: std::mem::take(&mut st.quotes),
+        })
+    }
+
+    /// Puts back the quote table [`Self::lend_epoch_demand`] lent out.
+    pub(crate) fn return_table(&mut self, demand: EpochDemand) {
+        if let Some(st) = self.demands.get_mut(&demand.demand.0) {
+            st.quotes = demand.quotes;
+        }
     }
 
     /// Counts one clearing-epoch roll against `demand`: the window's
@@ -772,20 +794,20 @@ impl MatchBook {
         let st = self.demands.get_mut(&demand.0)?;
         debug_assert!(st.settle.is_epoch(), "immediate demands settle in report");
         debug_assert!(st.report.is_none(), "an epoch settles a demand once");
-        debug_assert_eq!(st.reported, st.slots.len(), "cleared before ready");
+        debug_assert_eq!(st.reported, st.quotes.len(), "cleared before ready");
         if st.report.is_some() {
             return None;
         }
-        let quotes = st.take_quotes();
+        let quotes = std::mem::take(&mut st.quotes);
         let winner = winner.filter(|&i| i < quotes.len());
         let actions = DemandState::actions(&quotes, winner);
-        st.report = Some(DemandReport {
+        st.report = Some(Arc::new(DemandReport {
             demand,
             winner,
             quotes,
             epoch: Some(epoch),
             clearing_price: winner.and(clearing_price),
-        });
+        }));
         Some(Settlement {
             matched: winner.is_some(),
             winner,

@@ -28,6 +28,9 @@ use vfl_sim::BundleMask;
 use crate::exchange::MarketId;
 use crate::matching::DemandId;
 
+/// The most rounds a candidate's log is reserved for up front.
+const RESERVED_ROUNDS: u32 = 64;
+
 /// Everything a submitter provides for one negotiation: the market-config
 /// template (seed included) and the two owned strategies.
 pub struct SessionOrder {
@@ -111,6 +114,12 @@ impl ActiveSession {
         self.enqueued_ns.take()
     }
 
+    /// The listing table the session negotiates over.
+    #[cfg(test)]
+    pub(crate) fn listings(&self) -> &Arc<Vec<Listing>> {
+        &self.listings
+    }
+
     /// The bundle this session is waiting on, if parked.
     pub(crate) fn pending_bundle(&self) -> Option<BundleMask> {
         self.pending
@@ -124,6 +133,15 @@ impl ActiveSession {
     /// Stamps the quoting data party's identity on the transcript.
     pub(crate) fn tag_seller(&mut self, name: &str) {
         self.session.tag_seller(name);
+    }
+
+    /// Reserves exactly the log of a candidate that parks at its
+    /// `probe_rounds` horizon, so a losing candidate never reallocates it.
+    /// Horizons past [`RESERVED_ROUNDS`] reserve that many rounds only: a
+    /// long horizon mostly serves candidates that conclude before it.
+    pub(crate) fn reserve_probe_log(&mut self, probe_rounds: u32) {
+        self.session
+            .reserve_rounds(probe_rounds.min(RESERVED_ROUNDS));
     }
 
     /// Attaches matching-tier bookkeeping (fan-out time only).
@@ -275,6 +293,59 @@ mod tests {
                 }
             };
             assert_eq!(outcome, reference, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_candidate_cancelled_at_its_horizon_fills_its_reserved_log_exactly() {
+        let (provider, listings, gains) = market();
+        for probe_rounds in 1..=3u32 {
+            let mut parked = 0;
+            for seed in 0..6 {
+                let order = SessionOrder {
+                    cfg: cfg(seed),
+                    task: Box::new(StrategicTask::new(0.30, 6.0, 0.9).unwrap()),
+                    data: Box::new(StrategicData::with_gains(gains.clone())),
+                };
+                let mut active = ActiveSession::new(MarketId(0), listings.clone(), order).unwrap();
+                active.reserve_probe_log(probe_rounds);
+                active.set_match_tag(MatchTag {
+                    demand: DemandId(0),
+                    slot: 0,
+                    probe_rounds,
+                    released: false,
+                });
+                let mut gain = None;
+                let closed_early = loop {
+                    if let Drive::Done(_) = active.drive(gain.take()).unwrap() {
+                        break true;
+                    }
+                    if active.probe_parked() {
+                        break false;
+                    }
+                    let bundle = active.pending_bundle().unwrap();
+                    gain = Some(provider.gain(bundle).unwrap());
+                };
+                if closed_early {
+                    continue;
+                }
+                parked += 1;
+                let outcome = active.cancel().unwrap();
+                let (rounds, messages) = (probe_rounds as usize, 3 * probe_rounds as usize + 3);
+                assert_eq!(outcome.rounds.len(), rounds, "seed {seed}");
+                assert_eq!(
+                    outcome.rounds.capacity(),
+                    rounds,
+                    "seed {seed}: records grew"
+                );
+                assert_eq!(outcome.transcript.len(), messages, "seed {seed}");
+                assert_eq!(
+                    outcome.transcript.capacity(),
+                    messages,
+                    "seed {seed}: transcript grew"
+                );
+            }
+            assert!(parked > 0, "horizon {probe_rounds}: no seed parked");
         }
     }
 

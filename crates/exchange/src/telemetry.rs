@@ -21,11 +21,11 @@
 //! * **Never journaled.** Timing lives only in memory; journal frames
 //!   carry no clock readings, so replay determinism and the pinned wire
 //!   format are untouched.
-//! * **Lock order unchanged.** Stage samples are plain data under the
-//!   exchange's state lock (below); publishing them and recording gauges
-//!   is lock-free (relaxed atomics). The trace ring's own private mutex
-//!   is a leaf: it may be taken under the state lock, and nothing is
-//!   acquired under it.
+//! * **Lock order unchanged.** Stage samples and trace spans are plain
+//!   data under the exchange's state lock (below); publishing the samples
+//!   and recording gauges is lock-free (relaxed atomics). The trace
+//!   ring's own private mutex is a leaf: publishing the spans takes it
+//!   once, under the state lock, and nothing is acquired under it.
 //!
 //! ## Stage histograms
 //!
@@ -45,16 +45,18 @@
 //!
 //! ## What a sample costs, and when it is visible
 //!
-//! Every stage sample is router data: the exchange's state keeps one
-//! plain [`HistogramTally`] per stage, written under the state lock the
-//! recording path already holds. The shared,
-//! wait-free histograms of the registry are written only when the
-//! exchange *publishes* its tallies, which it does at three points: when
-//! a drain ends, at every [`crate::Exchange::scrape`] /
-//! [`crate::Exchange::scrape_json`], and when recovery ends. So
-//! [`ExchangeTelemetry::stage_snapshot`] sees a sample only after one of
-//! those publish points; a drain in progress shows the samples of
-//! earlier drains.
+//! Every stage sample and trace span is router data: the exchange's
+//! state keeps one plain [`HistogramTally`] per stage and a buffer of
+//! spans, written under the state lock the recording path already
+//! holds. The shared, wait-free histograms of the registry and the
+//! [`TraceRing`] are written only when the exchange *publishes*, which
+//! it does at three points: when a drain ends, at every
+//! [`crate::Exchange::scrape`] / [`crate::Exchange::scrape_json`], and
+//! when recovery ends. So [`ExchangeTelemetry::stage_snapshot`] sees a
+//! sample, and [`ExchangeTelemetry::trace`] a span, only after one of
+//! those publish points; a drain in progress shows the samples and
+//! spans of earlier drains. The span buffer holds at most the ring's
+//! capacity, dropping its oldest span first as the ring would.
 //!
 //! The clock is read sparingly:
 //!
@@ -76,6 +78,7 @@
 //! * `course_train`, `dispatch_wait`, `settlement`, `epoch_clear` and the
 //!   two recovery stages keep one sample per event.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::metrics::MetricsSnapshot;
@@ -123,12 +126,16 @@ pub(crate) enum Stage {
 /// `journal_append`); each sample is recorded with this weight.
 pub const SAMPLE_STRIDE: u64 = 16;
 
-/// The exchange's own per-stage samples: one plain tally per stage in its
-/// state, written under the state lock and published into the shared
-/// histograms by [`ExchangeTelemetry::publish`].
+/// The exchange's own per-stage samples and trace spans: one plain tally
+/// per stage and a span buffer in its state, written under the state lock
+/// and published into the shared histograms and the trace ring by
+/// [`ExchangeTelemetry::publish`].
 #[derive(Debug, Default)]
 pub(crate) struct StageTallies {
     tallies: [HistogramTally; STAGES.len()],
+    /// Spans not yet published, oldest first; at most the trace ring's
+    /// capacity.
+    spans: VecDeque<TraceSpan>,
     /// Cache hits seen, timed one in [`SAMPLE_STRIDE`].
     pub(crate) hit_sampler: Sampler,
     /// Journal appends seen, timed one in [`SAMPLE_STRIDE`].
@@ -144,6 +151,27 @@ impl StageTallies {
     /// Records `n` events of `stage` that took `ns` each.
     pub(crate) fn record_n(&mut self, stage: Stage, ns: u64, n: u64) {
         self.tallies[stage as usize].record_n(ns, n);
+    }
+
+    /// Buffers one trace span for `t`'s ring, dropping the oldest
+    /// buffered span when the buffer already holds the ring's capacity.
+    pub(crate) fn span(
+        &mut self,
+        t: &ExchangeTelemetry,
+        key: TraceKey,
+        stage: &'static str,
+        start_ns: u64,
+        end_ns: u64,
+    ) {
+        if self.spans.len() >= t.trace.capacity() {
+            self.spans.pop_front();
+        }
+        self.spans.push_back(TraceSpan {
+            key,
+            stage,
+            start_ns,
+            end_ns,
+        });
     }
 }
 
@@ -235,7 +263,9 @@ impl ExchangeTelemetry {
         self.clock.now_ns()
     }
 
-    /// Records one trace span.
+    /// Records one trace span straight into the ring (the exchange itself
+    /// buffers its spans in its state; see the module doc).
+    #[cfg(test)]
     pub(crate) fn span(&self, key: TraceKey, stage: &'static str, start_ns: u64, end_ns: u64) {
         self.trace.record(TraceSpan {
             key,
@@ -265,11 +295,15 @@ impl ExchangeTelemetry {
         Some(self.stages[i].snapshot())
     }
 
-    /// Folds every stage tally into the shared histograms and empties
-    /// them (see the module doc for the publish points).
+    /// Folds every stage tally into the shared histograms and every
+    /// buffered span into the trace ring, and empties them (see the module
+    /// doc for the publish points).
     pub(crate) fn publish(&self, tallies: &mut StageTallies) {
         for (tally, histogram) in tallies.tallies.iter_mut().zip(&self.stages) {
             tally.publish(histogram);
+        }
+        if !tallies.spans.is_empty() {
+            self.trace.record_all(tallies.spans.drain(..));
         }
     }
 

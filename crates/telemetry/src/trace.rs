@@ -69,6 +69,18 @@ impl TraceRing {
         spans.push_back(span);
     }
 
+    /// Appends spans in order under one lock, evicting the oldest as
+    /// [`Self::record`] does.
+    pub fn record_all(&self, batch: impl IntoIterator<Item = TraceSpan>) {
+        let mut spans = lock(&self.spans);
+        for span in batch {
+            if spans.len() == self.capacity {
+                spans.pop_front();
+            }
+            spans.push_back(span);
+        }
+    }
+
     /// Number of spans currently held.
     pub fn len(&self) -> usize {
         lock(&self.spans).len()

@@ -100,6 +100,17 @@ impl Transcript {
         self.messages.push(msg);
     }
 
+    /// Reserves room for exactly `additional` more messages, so a caller
+    /// that knows how long the log will grow never reallocates it.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.messages.reserve_exact(additional);
+    }
+
+    /// Messages the log holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.messages.capacity()
+    }
+
     /// All messages in order.
     pub fn messages(&self) -> &[Message] {
         &self.messages
