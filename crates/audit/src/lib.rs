@@ -981,19 +981,26 @@ mod tests {
     fn journals_of_another_version_are_refused() {
         let bytes = journal_with_checkpoint();
         assert!(audit_bytes(&bytes).is_consistent());
-        let mut old = bytes.clone();
-        old[1] = 2;
-        let audit = audit_bytes(&old);
-        assert!(!audit.is_consistent());
-        let refused = check_journal_version(&old).unwrap_err().to_string();
-        assert!(refused.contains("journal format version 2"), "{refused}");
-        assert_eq!(audit.violations, vec![refused.clone()]);
-        assert_eq!(
-            (audit.frames, audit.dropped_bytes),
-            (0, 0),
-            "not a torn tail"
-        );
-        assert!(audit.render("old.bin").contains(&refused));
+        for version in [2, 3] {
+            let mut old = bytes.clone();
+            old[1] = version;
+            let audit = audit_bytes(&old);
+            assert!(!audit.is_consistent());
+            let refused = check_journal_version(&old).unwrap_err().to_string();
+            assert!(
+                refused.contains(&format!(
+                    "journal format version {version}; this build reads version 4 only"
+                )),
+                "{refused}"
+            );
+            assert_eq!(audit.violations, vec![refused.clone()]);
+            assert_eq!(
+                (audit.frames, audit.dropped_bytes),
+                (0, 0),
+                "not a torn tail"
+            );
+            assert!(audit.render("old.bin").contains(&refused));
+        }
     }
 
     #[test]

@@ -881,6 +881,130 @@ fn a_dropped_course_future_fails_its_session_not_the_drain() {
     );
 }
 
+/// Counts course-task exits: a thread that trained a course through a
+/// [`ThreadRecorder`] bumps the counter when the thread ends (its
+/// thread-locals drop before a join of it returns).
+struct ExitCount(Arc<AtomicUsize>);
+
+impl Drop for ExitCount {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+thread_local! {
+    static COURSE_TASK_EXIT: std::cell::RefCell<Option<ExitCount>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+/// A provider that records the thread of every training and arms that
+/// thread's [`ExitCount`]; with `panics` set, every training then panics.
+#[derive(Default)]
+struct ThreadRecorder {
+    threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    exits: Arc<AtomicUsize>,
+    panics: bool,
+}
+
+impl ThreadRecorder {
+    fn threads(&self) -> Vec<std::thread::ThreadId> {
+        self.threads.lock().unwrap().clone()
+    }
+}
+
+impl GainProvider for ThreadRecorder {
+    fn gain(&self, _bundle: BundleMask) -> vfl_market::Result<f64> {
+        self.threads
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+        COURSE_TASK_EXIT.with(|exit| {
+            exit.borrow_mut()
+                .get_or_insert_with(|| ExitCount(self.exits.clone()));
+        });
+        assert!(!self.panics, "recorded course panicked");
+        Ok(LIVE_GAIN)
+    }
+}
+
+/// A one-listing market like [`live_market`] whose one course, under
+/// `key`, trains on `provider`.
+fn recorded_market(
+    exchange: &Exchange,
+    provider: &Arc<ThreadRecorder>,
+    key: u64,
+) -> vfl_exchange::MarketId {
+    exchange
+        .register_market(MarketSpec {
+            provider: provider.clone(),
+            evaluation_key: Some(key),
+            ..live_market(&format!("recorded-{key}"))
+        })
+        .expect("register market")
+}
+
+/// The course tasks outlive a drain: two drains that train on one course
+/// task each run their course on the same thread (the second spawns
+/// none), a drain asking for another task count gets a fresh pool and
+/// joins the old one, and dropping the exchange joins the pool. A pool
+/// that leaks leaves its threads asleep and the exit count short.
+#[test]
+fn course_tasks_outlive_a_drain_and_join_when_the_exchange_drops() {
+    let provider = Arc::new(ThreadRecorder::default());
+    let exits = provider.exits.clone();
+    let exchange = Exchange::new(ExchangeConfig::default());
+    let drain_on_fresh_market = |key: u64, tasks: usize| {
+        let market = recorded_market(&exchange, &provider, key);
+        exchange.submit(market, live_order()).expect("submit");
+        let before = provider.threads().len();
+        let report = exchange.drain(tasks);
+        assert_eq!(report.closed, 1, "key {key:#x}");
+        let threads = provider.threads();
+        assert_eq!(threads.len(), before + 1, "key {key:#x} trained once");
+        threads[before]
+    };
+    let first = drain_on_fresh_market(1, 1);
+    let second = drain_on_fresh_market(2, 1);
+    assert_eq!(first, second, "the second drain reused the first's task");
+    assert_eq!(exits.load(Ordering::SeqCst), 0, "the pool outlives drains");
+    // A cache-served drain touches no thread.
+    let market = recorded_market(&exchange, &provider, 2);
+    exchange.submit(market, live_order()).expect("submit");
+    assert_eq!(exchange.drain(1).closed, 1);
+    assert_eq!(provider.threads().len(), 2, "served from the cache");
+    // Another task count: the one-task pool is joined, a fresh one runs.
+    let third = drain_on_fresh_market(3, 2);
+    assert_ne!(third, first, "a fresh pool for another task count");
+    assert_eq!(exits.load(Ordering::SeqCst), 1, "the old pool was joined");
+    drop(exchange);
+    assert_eq!(
+        exits.load(Ordering::SeqCst),
+        2,
+        "dropping the exchange joined its pool"
+    );
+}
+
+/// A course panic that unwinds out of `drain` closes and joins the
+/// pool on its way, before the exchange itself is dropped.
+#[test]
+fn a_panicking_course_joins_the_course_tasks() {
+    let provider = Arc::new(ThreadRecorder {
+        panics: true,
+        ..ThreadRecorder::default()
+    });
+    let exchange = Exchange::new(ExchangeConfig::default());
+    let market = recorded_market(&exchange, &provider, 1);
+    exchange.submit(market, live_order()).expect("submit");
+    let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exchange.drain(1)));
+    assert!(drained.is_err(), "the course panic propagated");
+    assert_eq!(provider.threads().len(), 1);
+    assert_eq!(
+        provider.exits.load(Ordering::SeqCst),
+        1,
+        "the unwind joined the course task"
+    );
+}
+
 /// Seals the journal at the `nth` crash point matching `pred` while the
 /// router drains, then proves the sealed journal recovers bit-identically
 /// — crash recovery inside the course path.

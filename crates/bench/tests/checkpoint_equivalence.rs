@@ -1142,13 +1142,14 @@ proptest! {
     }
 }
 
-/// Checked-in wire-format fixture: the exact v3 bytes of an
+/// Checked-in wire-format fixture: the exact v4 bytes of an
 /// immediate-mode and an epoch-mode `DemandSubmitted` frame (one tag, the
 /// mode is a field). If this test fails, the change broke decoding of
-/// every v3 journal already on disk; bump `VERSION` instead. The v1 and v2
-/// bytes of the first frame must no longer decode at all (the v2 bytes
-/// are the v3 ones with version byte 2 and their own checksum), and a
-/// journal starting with them is refused by recovery.
+/// every v4 journal already on disk; bump `VERSION` instead. The v1, v2
+/// and v3 bytes of the first frame must no longer decode at all (the v2
+/// and v3 bytes are the v4 ones with their own version byte and their
+/// byte-wise FNV-1a checksum), and a journal starting with them is
+/// refused by recovery.
 #[test]
 fn pinned_frame_bytes_stay_decodable() {
     let immediate = ExchangeEvent::DemandSubmitted {
@@ -1171,14 +1172,14 @@ fn pinned_frame_bytes_stay_decodable() {
         candidates: vec![(vfl_exchange::SellerId(1), SessionId(12))],
     };
     let immediate_bytes: &[u8] = &[
-        234, 3, 66, 0, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 13,
+        234, 4, 66, 0, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 13,
         240, 237, 254, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0,
-        2, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 7, 25, 50, 105, 74, 8, 225, 234,
+        2, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 173, 203, 198, 253, 230, 220, 217, 178,
     ];
     let epoch_bytes: &[u8] = &[
-        234, 3, 50, 0, 0, 0, 4, 5, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 17,
+        234, 4, 50, 0, 0, 0, 4, 5, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 17,
         186, 221, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0,
-        255, 90, 4, 19, 127, 205, 60, 37,
+        203, 223, 207, 225, 205, 14, 232, 252,
     ];
     assert_eq!(
         immediate.encode_frame(),
@@ -1213,7 +1214,28 @@ fn pinned_frame_bytes_stay_decodable() {
         (vec![], v2_tag4_bytes.len()),
         "v2 frames are dropped whole"
     );
-    for old in [v1_tag4_bytes, v2_tag4_bytes] {
+    let v3_tag4_bytes: &[u8] = &[
+        234, 3, 66, 0, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 13,
+        240, 237, 254, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 7, 25, 50, 105, 74, 8, 225, 234,
+    ];
+    assert_eq!(
+        read_events(v3_tag4_bytes),
+        (vec![], v3_tag4_bytes.len()),
+        "v3 frames are dropped whole"
+    );
+    for (version, old) in [(2, v2_tag4_bytes), (3, v3_tag4_bytes)] {
+        let body = old.len() - 8;
+        let mut v4_body = immediate_bytes[..body].to_vec();
+        v4_body[1] = version;
+        assert_eq!(old[..body], v4_body, "v{version} body is v4's");
+        assert_eq!(
+            old[body..],
+            vfl_market::session::wire::fnv64(&old[..body]).to_le_bytes(),
+            "v{version} trailer is byte-wise FNV-1a"
+        );
+    }
+    for old in [v1_tag4_bytes, v2_tag4_bytes, v3_tag4_bytes] {
         assert!(
             matches!(
                 check_journal_version(old),

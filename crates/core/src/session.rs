@@ -476,13 +476,13 @@ impl NegotiationSession {
 /// (the serde shim provides no real serialization). This module is the
 /// single authority for those encodings: a wire code per terminal status,
 /// a fixed-field-order digest for [`MarketConfig`] folded one word per
-/// field by [`wire::fold_word`] (the fold and its sequence are part of the
-/// format — changing either breaks old digests), and a
-/// content digest for [`Outcome`] (status + round records + transcript,
-/// seller stamp included) that lets a replayed negotiation be checked
-/// against the journaled conclusion without persisting the outcome itself,
-/// and the [`wire::Wire`] codec every journal frame and checkpoint is
-/// written with.
+/// field by the [`wire::Lanes`] folder (the fold, its lane layout and the
+/// word sequence are part of the format — changing any of them breaks
+/// old digests), a content digest for [`Outcome`] (status + round
+/// records + transcript, seller stamp included) that lets a replayed
+/// negotiation be checked against the journaled conclusion without
+/// persisting the outcome itself, and the [`wire::Wire`] codec every
+/// journal frame and checkpoint is written with.
 ///
 /// Codes are append-only: a code, once assigned, is never reused or
 /// renumbered (old journals must keep decoding).
@@ -551,7 +551,9 @@ pub mod wire {
         })
     }
 
-    /// FNV-1a 64 over a byte slice — the journal's frame checksum.
+    /// FNV-1a 64 over a byte slice: a plain byte fingerprint (tests hash
+    /// frames and rendered text with it). No journal byte uses it; the
+    /// frame checksum is a [`Lanes::bytes`] fold.
     pub fn fnv64(bytes: &[u8]) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for &b in bytes {
@@ -564,132 +566,247 @@ pub mod wire {
     /// The state every content digest starts from (FNV-1a's offset basis).
     pub const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-    /// Folds one 64-bit word into a running content digest:
+    /// Folds one 64-bit word into a running digest state:
     /// `mix(h ^ word)`, where `mix` multiplies by an odd constant and then
     /// xors the high half into the low half. Both steps are bijections of
     /// `u64`, so for a fixed word the fold is a bijection of the state and
-    /// for a fixed state a bijection of the word: two word sequences of
-    /// equal length that differ in any one word always fold to different
-    /// digests. This fold is journal format v3's; changing it changes
-    /// every journaled digest, which is a `VERSION` bump.
-    pub fn fold_word(h: u64, word: u64) -> u64 {
+    /// for a fixed state a bijection of the word. Every [`Lanes`] lane
+    /// and the lane join use it; changing it changes every journaled
+    /// digest, which is a `VERSION` bump.
+    pub const fn fold_word(h: u64, word: u64) -> u64 {
         let x = (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         x ^ (x >> 32)
     }
 
-    fn fold_f64(h: u64, x: f64) -> u64 {
-        fold_word(h, x.to_bits())
+    /// How many interleaved [`fold_word`] chains a [`Lanes`] fold keeps.
+    /// A format constant, like the fold itself: changing it changes every
+    /// digest and frame checksum, which is a journal `VERSION` bump.
+    pub const LANES: usize = 4;
+
+    /// The word folder behind every content digest and the journal's
+    /// frame checksum (journal format v4).
+    ///
+    /// Word `i` of the sequence folds into lane `i % LANES` with
+    /// [`fold_word`]; lane `k` starts from `fold_word(DIGEST_SEED, k)`.
+    /// [`Lanes::finish`] joins them: from [`DIGEST_SEED`] it folds the
+    /// word count, then lanes `0..LANES` in order. The lanes are
+    /// independent multiply chains, so a CPU runs them side by side
+    /// instead of waiting on one chain a word at a time; the lane layout
+    /// is part of the format.
+    ///
+    /// Two word sequences of equal length that differ in one word always
+    /// finish differently: that word's lane ends in a different state
+    /// (each fold is a bijection of the word, then of the state), the
+    /// join folds that lane as a word, and every later join step is a
+    /// bijection of the state. Other differences collide with vanishing
+    /// probability.
+    #[derive(Clone, Copy, Debug)]
+    pub struct Lanes {
+        /// The lane states, rotated so that `next[0]` is the lane the
+        /// next word folds into (the rotation is register renaming, not
+        /// an indexed store).
+        next: [u64; LANES],
+        words: u64,
     }
 
-    fn fold_cost(h: u64, cost: CostModel) -> u64 {
+    impl Default for Lanes {
+        fn default() -> Self {
+            Self::new()
+        }
+    }
+
+    impl Lanes {
+        /// An empty fold.
+        pub const fn new() -> Self {
+            Lanes {
+                next: [
+                    fold_word(DIGEST_SEED, 0),
+                    fold_word(DIGEST_SEED, 1),
+                    fold_word(DIGEST_SEED, 2),
+                    fold_word(DIGEST_SEED, 3),
+                ],
+                words: 0,
+            }
+        }
+
+        /// Folds the next word of the sequence.
+        #[inline(always)]
+        pub fn word(&mut self, word: u64) {
+            let [a, b, c, d] = self.next;
+            self.next = [b, c, d, fold_word(a, word)];
+            self.words += 1;
+        }
+
+        /// Folds an f64 as its IEEE bit pattern (one word).
+        #[inline(always)]
+        pub fn f64(&mut self, x: f64) {
+            self.word(x.to_bits());
+        }
+
+        /// Folds a byte string: its length, then its bytes eight to a
+        /// little-endian word, the last one zero-padded.
+        pub fn bytes(&mut self, bytes: &[u8]) {
+            let le = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("eight bytes"));
+            self.word(bytes.len() as u64);
+            let mut words = bytes.chunks_exact(8);
+            for w in &mut words {
+                self.word(le(w));
+            }
+            let tail = words.remainder().len();
+            if tail == 0 {
+                return;
+            }
+            // The tail as the top bytes of the string's last eight, shifted
+            // down (no byte copy, which would stall the word's load), or
+            // byte by byte when the whole string is shorter than a word.
+            let n = bytes.len();
+            self.word(if n >= 8 {
+                le(&bytes[n - 8..]) >> (8 * (8 - tail))
+            } else {
+                bytes.iter().rev().fold(0, |w, &b| (w << 8) | u64::from(b))
+            });
+        }
+
+        /// Joins the lanes into the digest.
+        pub fn finish(self) -> u64 {
+            // `next[j]` is lane `(words + j) % LANES`: rotate back to lane
+            // order with moves (a slice rotate would call memmove).
+            let [a, b, c, d] = self.next;
+            let lanes = match self.words % LANES as u64 {
+                0 => [a, b, c, d],
+                1 => [d, a, b, c],
+                2 => [c, d, a, b],
+                _ => [b, c, d, a],
+            };
+            lanes
+                .into_iter()
+                .fold(fold_word(DIGEST_SEED, self.words), fold_word)
+        }
+    }
+
+    fn fold_cost(d: &mut Lanes, cost: CostModel) {
         match cost {
-            CostModel::None => fold_word(h, 0),
-            CostModel::Linear { a } => fold_f64(fold_word(h, 1), a),
-            CostModel::Exponential { a } => fold_f64(fold_word(h, 2), a),
-            CostModel::ScaledExponential { a, k } => fold_f64(fold_f64(fold_word(h, 3), a), k),
-            CostModel::Constant { c } => fold_f64(fold_word(h, 4), c),
+            CostModel::None => d.word(0),
+            CostModel::Linear { a } => {
+                d.word(1);
+                d.f64(a);
+            }
+            CostModel::Exponential { a } => {
+                d.word(2);
+                d.f64(a);
+            }
+            CostModel::ScaledExponential { a, k } => {
+                d.word(3);
+                d.f64(a);
+                d.f64(k);
+            }
+            CostModel::Constant { c } => {
+                d.word(4);
+                d.f64(c);
+            }
         }
     }
 
     /// Content fingerprint of a [`MarketConfig`] (bit patterns of every
-    /// field, fixed order). A journaled submission stores this digest; at
-    /// replay time the recovering spec's config must produce the same
-    /// value, or recovery refuses to silently re-run a *different*
-    /// negotiation under a recorded id.
+    /// field, fixed order, one [`Lanes`] word each). A journaled
+    /// submission stores this digest; at replay time the recovering
+    /// spec's config must produce the same value, or recovery refuses to
+    /// silently re-run a *different* negotiation under a recorded id.
     pub fn config_digest(cfg: &MarketConfig) -> u64 {
-        let mut h = DIGEST_SEED;
-        h = fold_f64(h, cfg.utility_rate);
-        h = fold_f64(h, cfg.budget);
-        h = fold_f64(h, cfg.eps_task);
-        h = fold_f64(h, cfg.eps_data);
-        h = fold_f64(h, cfg.eps_task_cost);
-        h = fold_f64(h, cfg.eps_data_cost);
-        h = fold_word(h, cfg.max_rounds as u64);
-        h = fold_word(h, cfg.explore_rounds as u64);
-        h = fold_word(h, cfg.quote_samples as u64);
-        h = fold_f64(h, cfg.escalation_step);
-        h = fold_f64(h, cfg.rate_cap);
-        h = fold_cost(h, cfg.task_cost);
-        h = fold_cost(h, cfg.data_cost);
-        h = fold_word(h, cfg.seed);
-        h = fold_word(h, cfg.channel_capacity as u64);
-        h
+        let mut d = Lanes::new();
+        d.f64(cfg.utility_rate);
+        d.f64(cfg.budget);
+        d.f64(cfg.eps_task);
+        d.f64(cfg.eps_data);
+        d.f64(cfg.eps_task_cost);
+        d.f64(cfg.eps_data_cost);
+        d.word(cfg.max_rounds as u64);
+        d.word(cfg.explore_rounds as u64);
+        d.word(cfg.quote_samples as u64);
+        d.f64(cfg.escalation_step);
+        d.f64(cfg.rate_cap);
+        fold_cost(&mut d, cfg.task_cost);
+        fold_cost(&mut d, cfg.data_cost);
+        d.word(cfg.seed);
+        d.word(cfg.channel_capacity as u64);
+        d.finish()
     }
 
-    fn fold_message(h: u64, msg: &Message) -> u64 {
+    /// A message's words: a kind code, then its fields.
+    fn fold_message(d: &mut Lanes, msg: &Message) {
         match msg {
             Message::Quote(q) => {
-                let mut h = fold_word(h, 1);
-                h = fold_f64(h, q.rate);
-                h = fold_f64(h, q.base);
-                h = fold_f64(h, q.cap);
-                fold_word(h, q.round as u64)
+                d.word(1);
+                d.f64(q.rate);
+                d.f64(q.base);
+                d.f64(q.cap);
+                d.word(q.round as u64);
             }
             Message::Offer(OfferMsg::Bundle {
                 bundle,
                 is_final,
                 round,
             }) => {
-                let mut h = fold_word(h, 2);
-                h = fold_word(h, bundle.0);
-                h = fold_word(h, *is_final as u64);
-                fold_word(h, *round as u64)
+                d.word(2);
+                d.word(bundle.0);
+                d.word(*is_final as u64);
+                d.word(*round as u64);
             }
             Message::Offer(OfferMsg::Withdraw { round }) => {
-                fold_word(fold_word(h, 3), *round as u64)
+                d.word(3);
+                d.word(*round as u64);
             }
-            Message::GainReport(g) => fold_f64(fold_word(fold_word(h, 4), g.round as u64), g.gain),
+            Message::GainReport(g) => {
+                d.word(4);
+                d.word(g.round as u64);
+                d.f64(g.gain);
+            }
             Message::Settle(SettleMsg::Pay { amount, round }) => {
-                fold_f64(fold_word(fold_word(h, 5), *round as u64), *amount)
+                d.word(5);
+                d.word(*round as u64);
+                d.f64(*amount);
             }
             Message::Settle(SettleMsg::Abort { round }) => {
-                fold_word(fold_word(h, 6), *round as u64)
+                d.word(6);
+                d.word(*round as u64);
             }
         }
     }
 
-    /// Content digest of a full [`Outcome`]: status code, every round
-    /// record (all fields, bit patterns), every transcript message, and
-    /// the seller stamp, one [`fold_word`] per field. Outcomes that differ
-    /// in any single field always digest differently (the fold is a
-    /// bijection); other differences collide with vanishing probability.
-    /// So a journal can assert "replay reproduced the recorded conclusion"
-    /// in 8 bytes.
+    /// Content digest of a full [`Outcome`], one [`Lanes`] word per
+    /// field: the status code, the round count, every round record (all
+    /// fields, bit patterns), every transcript message, and the seller
+    /// stamp (its name as [`Lanes::bytes`], or `u64::MAX` when absent).
+    /// The word sequence and the lane layout are journal format v4.
+    /// Outcomes that differ in any single field always digest differently;
+    /// other differences collide with vanishing probability. So a journal
+    /// can assert "replay reproduced the recorded conclusion" in 8 bytes.
     pub fn outcome_digest(outcome: &Outcome) -> u64 {
-        let mut h = DIGEST_SEED;
-        h = fold_word(h, status_code(outcome.status) as u64);
-        h = fold_word(h, outcome.rounds.len() as u64);
+        let mut d = Lanes::new();
+        d.word(status_code(outcome.status) as u64);
+        d.word(outcome.rounds.len() as u64);
         for r in &outcome.rounds {
-            h = fold_word(h, r.round as u64);
-            h = fold_f64(h, r.quote.rate);
-            h = fold_f64(h, r.quote.base);
-            h = fold_f64(h, r.quote.cap);
-            h = fold_word(h, r.listing as u64);
-            h = fold_word(h, r.bundle.0);
-            h = fold_f64(h, r.gain);
-            h = fold_f64(h, r.payment);
-            h = fold_f64(h, r.net_profit);
-            h = fold_f64(h, r.cost_task);
-            h = fold_f64(h, r.cost_data);
-            h = fold_word(h, r.final_offer as u64);
+            d.word(r.round as u64);
+            d.f64(r.quote.rate);
+            d.f64(r.quote.base);
+            d.f64(r.quote.cap);
+            d.word(r.listing as u64);
+            d.word(r.bundle.0);
+            d.f64(r.gain);
+            d.f64(r.payment);
+            d.f64(r.net_profit);
+            d.f64(r.cost_task);
+            d.f64(r.cost_data);
+            d.word(r.final_offer as u64);
         }
         for msg in outcome.transcript.messages() {
-            h = fold_message(h, msg);
+            fold_message(&mut d, msg);
         }
         match outcome.transcript.seller() {
-            Some(name) => {
-                // Length first, then the bytes eight to a little-endian
-                // word (the last one zero-padded).
-                h = fold_word(h, name.len() as u64);
-                for chunk in name.as_bytes().chunks(8) {
-                    let mut word = [0u8; 8];
-                    word[..chunk.len()].copy_from_slice(chunk);
-                    h = fold_word(h, u64::from_le_bytes(word));
-                }
-            }
-            None => h = fold_word(h, u64::MAX),
+            Some(name) => d.bytes(name.as_bytes()),
+            None => d.word(u64::MAX),
         }
-        h
+        d.finish()
     }
 
     // -- the frame codec ----------------------------------------------------
@@ -1387,7 +1504,10 @@ mod tests {
 
     /// One bit of any single recorded field — a round record's field, a
     /// field of any message variant, the status, a byte of the seller
-    /// stamp — always moves the digest.
+    /// stamp — always moves the digest, in every [`wire::Lanes`] lane: the
+    /// twelve fields of every round record (first to last) span all four
+    /// lane positions, and each message and the stamp are tried behind
+    /// filler that shifts them by 0, 1, 2 and 3 words.
     #[test]
     fn wire_outcome_digest_sees_every_field() {
         let base = drive_manual(3);
@@ -1434,14 +1554,26 @@ mod tests {
         // Messages: one of each variant appended after the transcript, at
         // the next round, then the same message with one field flipped
         // (a flipped round stays at or after the last one).
-        let next = base.transcript.messages().last().unwrap().round() + 1;
-        let with_last = |msg: Message| {
+        let last = base.transcript.messages().last().unwrap().round();
+        let next = last + 1;
+        // Filler of 0, 5, 2 and 3 words (an abort is two words, a gain
+        // report three): every lane position modulo `LANES`.
+        assert_eq!(wire::LANES, 4);
+        let abort = Message::Settle(SettleMsg::Abort { round: last });
+        let report = Message::GainReport(GainReportMsg {
+            gain: 0.1,
+            round: last,
+        });
+        let fillers: [&[Message]; 4] = [&[], &[abort, report], &[abort], &[report]];
+        let with_tail = |filler: &[Message], msg: Option<Message>, seller: Option<&str>| {
             let mut outcome = base.clone();
             let mut transcript = Transcript::default();
-            for &m in base.transcript.messages() {
+            for &m in base.transcript.messages().iter().chain(filler).chain(&msg) {
                 transcript.push(m);
             }
-            transcript.push(msg);
+            if let Some(name) = seller {
+                transcript.set_seller(name);
+            }
             outcome.transcript = transcript;
             wire::outcome_digest(&outcome)
         };
@@ -1543,10 +1675,17 @@ mod tests {
                 vec![Message::Settle(SettleMsg::Abort { round: next ^ 1 })],
             ),
         ];
-        for (variant, msg, flipped) in variants {
-            let d = with_last(msg);
-            for (i, other) in flipped.into_iter().enumerate() {
-                assert_ne!(with_last(other), d, "{variant} field {i}");
+        for filler in fillers {
+            for (variant, msg, flipped) in &variants {
+                let d = with_tail(filler, Some(*msg), None);
+                for (i, &other) in flipped.iter().enumerate() {
+                    assert_ne!(
+                        with_tail(filler, Some(other), None),
+                        d,
+                        "{variant} field {i} behind {} filler messages",
+                        filler.len()
+                    );
+                }
             }
         }
         // The status: every other status digests differently.
@@ -1559,41 +1698,118 @@ mod tests {
             assert_ne!(wire::outcome_digest(&edited), digest, "{status:?}");
         }
         // The seller stamp: present vs absent, and one bit of every byte
-        // of a name longer than one word.
+        // of a name longer than one word, behind every filler.
         let name = "data-party-7-of-12";
-        let mut stamped = base.clone();
-        stamped.transcript.set_seller(name);
-        let stamped_digest = wire::outcome_digest(&stamped);
-        assert_ne!(stamped_digest, digest, "stamp present");
-        for i in 0..name.len() {
-            let mut bytes = name.as_bytes().to_vec();
-            bytes[i] ^= 1;
-            let mut edited = base.clone();
-            edited
-                .transcript
-                .set_seller(String::from_utf8(bytes).unwrap());
+        for filler in fillers {
+            let stamped_digest = with_tail(filler, None, Some(name));
             assert_ne!(
-                wire::outcome_digest(&edited),
                 stamped_digest,
-                "seller byte {i}"
+                with_tail(filler, None, None),
+                "stamp present"
             );
+            for i in 0..name.len() {
+                let mut bytes = name.as_bytes().to_vec();
+                bytes[i] ^= 1;
+                let edited = String::from_utf8(bytes).unwrap();
+                assert_ne!(
+                    with_tail(filler, None, Some(&edited)),
+                    stamped_digest,
+                    "seller byte {i} behind {} filler messages",
+                    filler.len()
+                );
+            }
         }
     }
 
-    /// The v3 digests of a fixed negotiation and of the default config.
-    /// A change to the fold or to its field order fails here: that change
-    /// invalidates every journaled digest, so it needs a journal `VERSION`
-    /// bump, not new pins.
+    /// The v4 digests of a fixed negotiation and of the default config.
+    /// A change to the fold, the lane layout or the field order fails
+    /// here: that change invalidates every journaled digest, so it needs a
+    /// journal `VERSION` bump, not new pins.
     #[test]
-    fn wire_digests_match_the_v3_pins() {
+    fn wire_digests_match_the_v4_pins() {
         assert_eq!(
             wire::outcome_digest(&drive_manual(3)),
-            0xe2cf_c668_4ad6_f384
+            0x6c26_31cb_5d3e_b786
         );
         assert_eq!(
             wire::config_digest(&MarketConfig::default()),
-            0x5765_531b_88b4_1b20
+            0x87d3_8022_045a_37f4
         );
+    }
+
+    /// [`wire::Lanes`] is the documented layout: word `i` folds into lane
+    /// `i % LANES` from lane seed `fold_word(DIGEST_SEED, k)`, and the
+    /// join folds the word count and then the lanes in order. Checked
+    /// against that plain indexed definition at every length up to 40,
+    /// and `bytes` against its length-then-zero-padded-words definition.
+    #[test]
+    fn wire_lanes_match_the_reference_layout() {
+        use rand::RngExt;
+        let reference = |words: &[u64]| {
+            let mut lanes: Vec<u64> = (0..wire::LANES as u64)
+                .map(|k| wire::fold_word(wire::DIGEST_SEED, k))
+                .collect();
+            for (i, &w) in words.iter().enumerate() {
+                lanes[i % wire::LANES] = wire::fold_word(lanes[i % wire::LANES], w);
+            }
+            let mut h = wire::fold_word(wire::DIGEST_SEED, words.len() as u64);
+            for lane in lanes {
+                h = wire::fold_word(h, lane);
+            }
+            h
+        };
+        let mut rng = StdRng::seed_from_u64(4);
+        for len in 0..40 {
+            let words: Vec<u64> = (0..len).map(|_| rng.random()).collect();
+            let mut d = wire::Lanes::new();
+            words.iter().for_each(|&w| d.word(w));
+            assert_eq!(d.finish(), reference(&words), "{len} words");
+            let bytes: Vec<u8> = (0..len).map(|_| rng.random::<u32>() as u8).collect();
+            let mut padded = bytes.clone();
+            padded.resize(bytes.len().div_ceil(8) * 8, 0);
+            let mut expect = vec![len as u64];
+            expect.extend(
+                padded
+                    .chunks(8)
+                    .map(|w| u64::from_le_bytes(w.try_into().unwrap())),
+            );
+            let mut d = wire::Lanes::new();
+            d.bytes(&bytes);
+            assert_eq!(d.finish(), reference(&expect), "{len} bytes");
+        }
+    }
+
+    /// The fold's law: two word sequences of equal length that differ in
+    /// one word never finish alike, whichever lane the word lands in. Also
+    /// words swapped between lanes, and sequences that differ only in
+    /// trailing zero words, digest differently.
+    #[test]
+    fn wire_lanes_separate_single_word_edits() {
+        use rand::RngExt;
+        let digest = |words: &[u64]| {
+            let mut d = wire::Lanes::new();
+            words.iter().for_each(|&w| d.word(w));
+            d.finish()
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        for len in 1..24 {
+            let words: Vec<u64> = (0..len).map(|_| rng.random()).collect();
+            let d = digest(&words);
+            for i in 0..len {
+                for _ in 0..8 {
+                    let mut edited = words.clone();
+                    edited[i] ^= rng.random::<u64>().max(1);
+                    assert_ne!(digest(&edited), d, "word {i} of {len}");
+                }
+                if i + 1 < len && words[i] != words[i + 1] {
+                    let mut swapped = words.clone();
+                    swapped.swap(i, i + 1);
+                    assert_ne!(digest(&swapped), d, "words {i}, {} swapped", i + 1);
+                }
+            }
+        }
+        assert_ne!(digest(&[]), digest(&[0]));
+        assert_ne!(digest(&[7]), digest(&[7, 0, 0, 0, 0]));
     }
 
     /// `fnv64` is FNV-1a 64 (published test vectors), and `fold_word` is

@@ -72,7 +72,7 @@ use vfl_sim::BundleMask;
 
 use crate::cache::{SharedGainCache, SoftServe};
 use crate::clearing::{ClearingSpec, ClearingWindow, EpochOutcome, EpochRecord};
-use crate::executor::{CourseOrder, CourseResolver, LocalResolver};
+use crate::executor::{CourseOrder, CourseResolver, CourseTasks, LocalResolver};
 use crate::journal::{
     check_market_spec, CheckpointMarket, CheckpointState, CrashHook, CrashPoint, ExchangeEvent,
     Journal, QuoteKind, RecoverError, ReplaySpec,
@@ -519,7 +519,9 @@ pub struct Exchange {
     /// in [`crate::telemetry`], never read back by any exchange path.
     pub(crate) telemetry: Option<Arc<ExchangeTelemetry>>,
     /// Held for the whole of [`Exchange::drain`]: one router at a time.
-    drain_lock: Mutex<()>,
+    /// It owns the course-task pool, which later drains of the same task
+    /// count reuse (see [`crate::executor`]).
+    drain_lock: Mutex<Option<CourseTasks>>,
 }
 
 /// What one slice did with its session, plus how many *other* sessions
@@ -596,7 +598,7 @@ impl Exchange {
             state: Mutex::default(),
             journal,
             telemetry,
-            drain_lock: Mutex::new(()),
+            drain_lock: Mutex::new(None),
         }
     }
 
@@ -984,7 +986,7 @@ impl Exchange {
         order: SessionOrder,
     ) -> Result<()> {
         let mut core = lock(&self.state);
-        if core.store.status(id).is_some() {
+        if core.store.contains(id) {
             return Err(MarketError::InvalidConfig(format!(
                 "journal records session {id} twice"
             )));
@@ -1162,7 +1164,7 @@ impl Exchange {
         }
         let mut sessions = Vec::with_capacity(recorded.len());
         for &(seller, sid) in recorded {
-            if core.store.status(sid).is_some() {
+            if core.store.contains(sid) {
                 return Err(MarketError::InvalidConfig(format!(
                     "journal records candidate session {sid} twice"
                 )));
@@ -1271,9 +1273,10 @@ impl Exchange {
     /// session stays suspended on its claim, so treat the exchange as
     /// failed afterwards.
     pub fn drain(&self, n_course_tasks: usize) -> DrainReport {
-        let _guard = lock(&self.drain_lock);
+        let mut pool = lock(&self.drain_lock);
         let resolver = lock(&self.state).resolver.clone();
         self.route(
+            &mut pool,
             n_course_tasks,
             resolver.as_deref().unwrap_or(&LocalResolver),
         )

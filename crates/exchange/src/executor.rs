@@ -11,13 +11,18 @@
 //! exchange's [`CourseResolver`], which returns a [`CourseFuture`]. N
 //! **course tasks** (plain threads driving a hand-rolled waker/ready-queue
 //! executor — no runtime dependency) poll those futures to completion and
-//! send each result on that course's own one-slot channel. They are
-//! spawned at the drain's first uncached course and joined at drain end,
-//! so a drain served wholly from the ΔG cache starts no thread (and a
-//! nonzero task count never queries the host's parallelism). This matches
-//! the paper's setting, where each ΔG is a VFL training run by the
-//! parties themselves: the exchange only orders quotes around trainings
-//! that run elsewhere.
+//! send each result on that course's own one-slot channel. The course
+//! tasks are a pool owned by the exchange's drain guard, so they outlive
+//! a drain: the pool is spawned at the first uncached course any drain
+//! meets, a later drain asking for the same task count reuses it (and
+//! spawns no thread), and a drain asking for another count closes and
+//! joins it and spawns a fresh one. A drain served wholly from the ΔG
+//! cache touches no thread (and a nonzero task count never queries the
+//! host's parallelism). Between drains the tasks sleep on the empty
+//! ready queue; the pool is closed and joined when the exchange drops or
+//! when the router unwinds. This matches the paper's setting, where each
+//! ΔG is a VFL training run by the parties themselves: the exchange only
+//! orders quotes around trainings that run elsewhere.
 //!
 //! ## Why journal order is deterministic
 //!
@@ -53,14 +58,14 @@
 //! `poll`, `take`, and `metrics` from other threads interleave between
 //! those steps. A course that panics is caught on its course task and
 //! sent on its channel as the panic payload; when the router reaches it,
-//! it closes the ready queue, joins the course tasks, and resumes the
-//! unwind, so `drain` panics with the provider's message instead of
-//! waiting forever for a result that will never be sent. A course future
-//! dropped before it resolves (one that returned `Pending` without
-//! keeping its waker, so nothing can poll it again) drops its task and
-//! with it the channel's sending half; the router's receive then fails,
-//! and it applies that as the course's error: the paying session fails,
-//! the claim is aborted, and the waiters wake.
+//! it resumes the unwind, which closes the ready queue and joins the
+//! course tasks on its way out, so `drain` panics with the provider's
+//! message instead of waiting forever for a result that will never be
+//! sent. A course future dropped before it resolves (one that returned
+//! `Pending` without keeping its waker, so nothing can poll it again)
+//! drops its task and with it the channel's sending half; the router's
+//! receive then fails, and it applies that as the course's error: the
+//! paying session fails, the claim is aborted, and the waiters wake.
 //!
 //! ## Deadlock freedom
 //!
@@ -70,8 +75,9 @@
 //! resolver sees only its own order), so the oldest completion always
 //! arrives, as a result, as a panic, or as the closed channel of a
 //! dropped future; timer-based resolvers get their wakes from the
-//! [`SimulatedRemoteResolver`] timer thread, which depends on nothing. Course tasks block only on the ready queue, which the
-//! router closes at drain end. There is no cycle to deadlock on.
+//! [`SimulatedRemoteResolver`] timer thread, which depends on nothing.
+//! Course tasks block only on the ready queue, which is closed when the
+//! pool is dropped. There is no cycle to deadlock on.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
@@ -428,14 +434,25 @@ fn course_worker(queue: Arc<TaskQueue>) {
 /// panic that unwound out of its poll.
 type Completion = std::thread::Result<Result<f64>>;
 
-/// The course tasks of one drain. Dropping closes the ready queue and
-/// joins them — at drain end, and also when the router unwinds.
-struct CourseTasks {
+/// The exchange's course-task pool, owned by its drain guard so that it
+/// outlives a drain. Dropping closes the ready queue and joins the tasks:
+/// when the exchange drops, when a drain needs another task count, and
+/// when the router unwinds.
+pub(crate) struct CourseTasks {
     queue: Arc<TaskQueue>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl CourseTasks {
+    /// The pool in `pool` when it has `n` tasks; otherwise a fresh one of
+    /// `n` tasks, after the old one (if any) is closed and joined.
+    fn reuse_or_spawn(pool: &mut Option<CourseTasks>, n: usize) -> &CourseTasks {
+        if pool.as_ref().is_some_and(|p| p.handles.len() != n) {
+            *pool = None;
+        }
+        pool.get_or_insert_with(|| CourseTasks::spawn(n))
+    }
+
     fn spawn(n: usize) -> Self {
         let queue = Arc::new(TaskQueue::new());
         let handles = (0..n)
@@ -466,19 +483,38 @@ struct OutstandingCourse {
     started_ns: Option<u64>,
 }
 
+/// Closes and joins the pool when the router unwinds (a course's panic
+/// resumed, or a slice's own), so no course task outlives a failed drain.
+struct JoinOnUnwind<'a>(&'a mut Option<CourseTasks>);
+
+impl Drop for JoinOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            *self.0 = None;
+        }
+    }
+}
+
 impl Exchange {
     /// The router loop described in the module doc, run under the drain
-    /// mutex by [`Exchange::drain`] (same contract).
-    pub(crate) fn route(&self, course_tasks: usize, resolver: &dyn CourseResolver) -> DrainReport {
+    /// mutex by [`Exchange::drain`] (same contract). `pool` is the drain
+    /// guard's course-task pool.
+    pub(crate) fn route(
+        &self,
+        pool: &mut Option<CourseTasks>,
+        course_tasks: usize,
+        resolver: &dyn CourseResolver,
+    ) -> DrainReport {
         let n_tasks = match course_tasks {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
         };
         let start = Instant::now();
 
-        // Spawned at the drain's first uncached course: a drain served
-        // wholly from the cache starts and joins no thread.
-        let mut tasks: Option<CourseTasks> = None;
+        // Spawned (or resized) at the drain's first uncached course: a
+        // drain served wholly from the cache touches no thread, and one
+        // that trains reuses an earlier drain's pool of its size.
+        let pool = JoinOnUnwind(pool);
         let mut overflow: VecDeque<SessionId> = VecDeque::new();
         let mut outstanding: VecDeque<OutstandingCourse> = VecDeque::new();
         let mut closed = 0usize;
@@ -492,9 +528,7 @@ impl Exchange {
                 match $end {
                     SliceEnd::NeedCourse(order) => {
                         let started_ns = self.telemetry.as_deref().map(|t| t.now_ns());
-                        let queue = &tasks
-                            .get_or_insert_with(|| CourseTasks::spawn(n_tasks))
-                            .queue;
+                        let queue = &CourseTasks::reuse_or_spawn(&mut *pool.0, n_tasks).queue;
                         let (task, completion) =
                             CourseTask::spawn(resolver.resolve(&order), queue.clone());
                         outstanding.push_back(OutstandingCourse {
@@ -541,10 +575,7 @@ impl Exchange {
             if let Some(course) = outstanding.pop_front() {
                 let result = match course.completion.recv() {
                     Ok(Ok(result)) => result,
-                    Ok(Err(panic)) => {
-                        drop(tasks);
-                        resume_unwind(panic);
-                    }
+                    Ok(Err(panic)) => resume_unwind(panic),
                     Err(_) => Err(MarketError::Gain(format!(
                         "course future for {} under evaluation key {:#x} was dropped \
                          before it resolved",
@@ -569,7 +600,6 @@ impl Exchange {
                 break;
             }
         }
-        drop(tasks);
 
         DrainReport {
             closed,

@@ -19,20 +19,25 @@
 //! Each event is one self-delimiting frame:
 //!
 //! ```text
-//! ┌──────┬─────────┬──────────────┬──────────────────┬────────────────┐
-//! │ 0xEJ │ version │ len: u32 LE  │ payload (len B)  │ fnv64: u64 LE  │
-//! │ 1 B  │ 1 B     │ 4 B          │ tag + fields     │ over bytes 0.. │
-//! └──────┴─────────┴──────────────┴──────────────────┴────────────────┘
+//! ┌──────┬─────────┬──────────────┬──────────────────┬─────────────────┐
+//! │ 0xEJ │ version │ len: u32 LE  │ payload (len B)  │ check: u64 LE   │
+//! │ 1 B  │ 1 B     │ 4 B          │ tag + fields     │ over bytes 0..  │
+//! └──────┴─────────┴──────────────┴──────────────────┴─────────────────┘
 //! ```
 //!
-//! The checksum is FNV-1a 64 ([`vfl_market::session::wire::fnv64`]) over
-//! the magic, version, length, and payload bytes. The payload is a tag
-//! byte and the variant's fields in the order the frame table
-//! ([`ExchangeEvent`]'s declaration) lists them, each encoded by
+//! The checksum is a word-wise fold over the magic, version, length, and
+//! payload bytes: their byte count first, then the bytes as 8-byte
+//! little-endian words with the tail zero-padded, folded by
+//! [`vfl_market::session::wire::Lanes`] (its [`bytes`] step). One byte
+//! flipped is one word changed, which the fold always detects. The
+//! payload is a tag byte and the variant's fields in the order the frame
+//! table ([`ExchangeEvent`]'s declaration) lists them, each encoded by
 //! [`vfl_market::session::wire::Wire`]: fixed-width little-endian
 //! integers, f64 as IEEE bit patterns, every id and `usize` as `u64`,
 //! strings as a `u32` byte length + UTF-8, options as a 0/1 marker byte.
 //! Tags and codes are never reused: tags 5, 6 and 11 are retired.
+//!
+//! [`bytes`]: vfl_market::session::wire::Lanes::bytes
 //!
 //! ## Digests and versions
 //!
@@ -40,20 +45,25 @@
 //! ([`vfl_market::session::wire::config_digest`]), a conclusion's outcome
 //! digest ([`vfl_market::session::wire::outcome_digest`]) and a
 //! registration's [`listing_table_digest`]. Each folds one 64-bit word per
-//! field (an f64 as its bit pattern) with
-//! [`vfl_market::session::wire::fold_word`], `h = mix(h ^ word)`, where
-//! `mix` is an odd multiply and a 32-bit xor-shift. Both are bijections,
-//! so a change to any single field always changes the digest. Only the
-//! frame checksum stays byte-wise FNV-1a.
+//! field (an f64 as its bit pattern) through the same lane folder as the
+//! checksum: word `i` goes to lane `i % LANES` (four lanes), each lane is
+//! a chain of [`vfl_market::session::wire::fold_word`], `h = mix(h ^
+//! word)`, where `mix` is an odd multiply and a 32-bit xor-shift, and the
+//! lanes are joined at the end. Both steps are bijections, so a change to
+//! any single field always changes the digest, and the four chains are
+//! independent, so the CPU overlaps them instead of waiting out one
+//! multiply per word.
 //!
-//! Version 3 is current. It has version 2's frame layout; only the digest
-//! fold changed (v2 folded every word byte by byte through FNV-1a), so a
-//! v2 journal's digests no longer verify. Readers therefore refuse a
-//! journal of another version outright: [`Exchange::recover`] returns
-//! [`RecoverError::InconsistentJournal`] naming both versions when the
-//! first frame carries the journal magic and another version byte, and
-//! `vfl-audit` reports the same message and exits non-zero. Within a
-//! journal, a frame of another version ends the prefix.
+//! Version 4 is current. It has version 2's and 3's frame layout and
+//! payloads; only computed words moved: the digests (v3 folded one chain,
+//! v2 folded every word byte by byte through FNV-1a) and the frame
+//! checksum (byte-wise FNV-1a through v3). So an older journal neither
+//! passes its checksums nor verifies its digests. Readers therefore
+//! refuse a journal of another version outright: [`Exchange::recover`]
+//! returns [`RecoverError::InconsistentJournal`] naming both versions
+//! when the first frame carries the journal magic and another version
+//! byte, and `vfl-audit` reports the same message and exits non-zero.
+//! Within a journal, a frame of another version ends the prefix.
 //!
 //! ## Truncation rule
 //!
@@ -159,9 +169,18 @@ use crate::telemetry::{ExchangeTelemetry, Stage};
 use vfl_market::{MarketError, Outcome};
 
 const MAGIC: u8 = 0xEA;
-const VERSION: u8 = 3;
+const VERSION: u8 = 4;
 const HEADER: usize = 6; // magic + version + u32 length
-const TRAILER: usize = 8; // fnv64 checksum
+const TRAILER: usize = 8; // frame checksum
+
+/// The frame checksum: a [`wire::Lanes`] fold of the frame's bytes
+/// (magic through payload) as [`wire::Lanes::bytes`] folds them — the
+/// length, then 8-byte little-endian words with the tail zero-padded.
+fn frame_checksum(frame: &[u8]) -> u64 {
+    let mut d = wire::Lanes::new();
+    d.bytes(frame);
+    d.finish()
+}
 
 /// Content fingerprint of a full listing table: every bundle's bits and
 /// both reserved-price components, folded in table order. Registration
@@ -169,13 +188,13 @@ const TRAILER: usize = 8; // fnv64 checksum
 /// way the coarser count/catalog fingerprints cannot see (edited
 /// reserves, reordered listings with the same feature union).
 pub fn listing_table_digest(listings: &[vfl_market::Listing]) -> u64 {
-    let mut h = wire::DIGEST_SEED;
+    let mut d = wire::Lanes::new();
     for l in listings {
-        h = wire::fold_word(h, l.bundle.0);
-        h = wire::fold_word(h, l.reserved.rate.to_bits());
-        h = wire::fold_word(h, l.reserved.base.to_bits());
+        d.word(l.bundle.0);
+        d.f64(l.reserved.rate);
+        d.f64(l.reserved.base);
     }
-    h
+    d.finish()
 }
 
 /// A candidate's reported shape, as journaled in
@@ -613,7 +632,7 @@ impl ExchangeEvent {
         self.put_payload(frame);
         let len = u32::try_from(frame.len() - HEADER).expect("frame payloads fit in a u32");
         frame[2..HEADER].copy_from_slice(&len.to_le_bytes());
-        wire::fnv64(frame).put(frame);
+        frame_checksum(frame).put(frame);
     }
 }
 
@@ -628,7 +647,7 @@ fn parse_frame(bytes: &[u8]) -> Option<(ExchangeEvent, usize)> {
     }
     let payload = r.take(len as usize)?;
     let end = HEADER + payload.len();
-    if r.get::<u64>()? != wire::fnv64(&bytes[..end]) {
+    if r.get::<u64>()? != frame_checksum(&bytes[..end]) {
         return None;
     }
     Some((ExchangeEvent::decode(payload)?, end + TRAILER))
@@ -1852,32 +1871,32 @@ mod tests {
         assert_eq!(*frame_boundaries(&bytes).last().unwrap(), bytes.len());
     }
 
-    /// The v3 wire pins: fnv64 of every sample frame. A codec change
-    /// that moves any byte of any tag fails here; such a change needs a
-    /// `VERSION` bump, not new pins.
+    /// The v4 wire pins: fnv64 of every sample frame, as a fingerprint of
+    /// its bytes. A codec change that moves any byte of any tag fails
+    /// here; such a change needs a `VERSION` bump, not new pins.
     #[test]
     fn sample_frames_match_pinned_fnv64() {
         const PINS: [u64; 15] = [
-            0x99f399afc952fd10,
-            0x4fd6f66964db6fe4,
-            0x4e30bea0c6a85198,
-            0x8b6c3007372d6a8f,
-            0x4aabcf33014cc133,
-            0x3aae901e5cae0024,
-            0xcc32e9c672ec12ff,
-            0xace1903b510a1674,
-            0x49d53ab7fb4b0cbf,
-            0x57c87ce3717dfbd3,
-            0x77a7e517362b06c4,
-            0xac1288c2f72bc615,
-            0xe55fec52aa782636,
-            0x7d82f1bd2a06a9e7,
-            0xa041cc91350dad2e,
+            0xaf804cdf948285a2,
+            0xb317a165ce14c40d,
+            0x3ee12f1e5cda7fb9,
+            0xa820db4df2a38d3a,
+            0xf5429858fb1a5bcd,
+            0xe3f089d1af63af1b,
+            0xcdbf33999d24fd26,
+            0x11b9dd8214be5ce6,
+            0x7722f1d5316c261b,
+            0x929d62cb78070e76,
+            0x2beac596cd5eb624,
+            0x40a0e6573d8d2002,
+            0xb627dc8b074d196f,
+            0x2acef012799390ab,
+            0x9de4dcc217ded9fa,
         ];
         let events = sample_events();
         let tags: std::collections::HashSet<u8> =
             events.iter().map(|e| e.encode_frame()[HEADER]).collect();
-        assert_eq!(tags.len(), 12, "every v3 tag is sampled");
+        assert_eq!(tags.len(), 12, "every v4 tag is sampled");
         let got: Vec<u64> = events
             .iter()
             .map(|e| wire::fnv64(&e.encode_frame()))
@@ -1885,11 +1904,13 @@ mod tests {
         assert_eq!(got, PINS);
     }
 
-    /// v3 changed the digest fold, not the frame layout: every v3 sample
-    /// frame, set back to version 2 with its one fold-computed field (the
-    /// checkpoint's embedded outcome digest) set to its v2 value and the
-    /// checksum recomputed, hashes to its v2 pin (the fnv64 of the frame
-    /// as v2 wrote it). So no other header or payload byte moved.
+    /// v3 and v4 changed computed words only, not the frame layout: every
+    /// v4 sample frame, set back to an older version with its one
+    /// fold-computed payload field (the checkpoint's embedded outcome
+    /// digest) set to that version's value and its trailer recomputed as
+    /// that version did (byte-wise FNV-1a), hashes to that version's pin
+    /// (the fnv64 of the frame as it wrote it). So no other header or
+    /// payload byte moved.
     #[test]
     fn sample_frames_differ_from_v2_only_in_version() {
         const V2_PINS: [u64; 15] = [
@@ -1909,33 +1930,78 @@ mod tests {
             0xfefc3bb239e0f609,
             0x932328d151957a5c,
         ];
-        /// The v2 (byte-wise FNV-1a) digest of the sample checkpoint's
-        /// one outcome.
+        const V3_PINS: [u64; 15] = [
+            0x99f399afc952fd10,
+            0x4fd6f66964db6fe4,
+            0x4e30bea0c6a85198,
+            0x8b6c3007372d6a8f,
+            0x4aabcf33014cc133,
+            0x3aae901e5cae0024,
+            0xcc32e9c672ec12ff,
+            0xace1903b510a1674,
+            0x49d53ab7fb4b0cbf,
+            0x57c87ce3717dfbd3,
+            0x77a7e517362b06c4,
+            0xac1288c2f72bc615,
+            0xe55fec52aa782636,
+            0x7d82f1bd2a06a9e7,
+            0xa041cc91350dad2e,
+        ];
+        /// The v2 (byte-wise FNV-1a) and v3 (one `fold_word` chain)
+        /// digests of the sample checkpoint's one outcome.
         const V2_OUTCOME_DIGEST: u64 = 0xd1e0_5b43_d057_68eb;
-        let got: Vec<u64> = sample_events()
-            .iter()
-            .map(|e| {
-                let mut frame = e.encode_frame();
-                assert_eq!(frame[1], 3);
-                frame[1] = 2;
-                if let ExchangeEvent::Checkpoint { state } = e {
-                    let [(_, Ok(outcome)), (_, Err(_))] = &state.sessions[..] else {
-                        panic!("the sample checkpoint holds one outcome");
-                    };
-                    let v3 = wire::outcome_digest(outcome).to_le_bytes();
-                    let at: Vec<usize> = (0..frame.len() - 8)
-                        .filter(|&i| frame[i..i + 8] == v3)
-                        .collect();
-                    assert_eq!(at.len(), 1, "the digest appears once");
-                    frame[at[0]..at[0] + 8].copy_from_slice(&V2_OUTCOME_DIGEST.to_le_bytes());
+        const V3_OUTCOME_DIGEST: u64 = 0x609c_87ea_8472_c165;
+        let as_version = |version: u8, outcome_digest: u64| -> Vec<u64> {
+            sample_events()
+                .iter()
+                .map(|e| {
+                    let mut frame = e.encode_frame();
+                    assert_eq!(frame[1], VERSION);
+                    frame[1] = version;
+                    if let ExchangeEvent::Checkpoint { state } = e {
+                        let [(_, Ok(outcome)), (_, Err(_))] = &state.sessions[..] else {
+                            panic!("the sample checkpoint holds one outcome");
+                        };
+                        let v4 = wire::outcome_digest(outcome).to_le_bytes();
+                        let at: Vec<usize> = (0..frame.len() - 8)
+                            .filter(|&i| frame[i..i + 8] == v4)
+                            .collect();
+                        assert_eq!(at.len(), 1, "the digest appears once");
+                        frame[at[0]..at[0] + 8].copy_from_slice(&outcome_digest.to_le_bytes());
+                    }
+                    let end = frame.len() - TRAILER;
+                    let sum = wire::fnv64(&frame[..end]);
+                    frame[end..].copy_from_slice(&sum.to_le_bytes());
+                    wire::fnv64(&frame)
+                })
+                .collect()
+        };
+        assert_eq!(as_version(2, V2_OUTCOME_DIGEST), V2_PINS);
+        assert_eq!(as_version(3, V3_OUTCOME_DIGEST), V3_PINS);
+    }
+
+    /// The v4 trailer catches every single-byte corruption and every
+    /// truncation of every sample frame: a flipped byte of the header,
+    /// payload or trailer, or a cut anywhere, never parses.
+    #[test]
+    fn parse_frame_rejects_every_byte_flip_and_truncation() {
+        for (k, e) in sample_events().iter().enumerate() {
+            let frame = e.encode_frame();
+            assert_eq!(parse_frame(&frame).map(|(_, n)| n), Some(frame.len()));
+            for cut in 0..frame.len() {
+                assert!(parse_frame(&frame[..cut]).is_none(), "frame {k} cut {cut}");
+            }
+            for i in 0..frame.len() {
+                for bit in [0x01, 0x80, 0xff] {
+                    let mut flipped = frame.clone();
+                    flipped[i] ^= bit;
+                    assert!(
+                        parse_frame(&flipped).is_none(),
+                        "frame {k} byte {i} ^ {bit:#04x}"
+                    );
                 }
-                let end = frame.len() - TRAILER;
-                let sum = wire::fnv64(&frame[..end]);
-                frame[end..].copy_from_slice(&sum.to_le_bytes());
-                wire::fnv64(&frame)
-            })
-            .collect();
-        assert_eq!(got, V2_PINS);
+            }
+        }
     }
 
     /// Recovery refuses a journal whose first frame carries another
@@ -1947,7 +2013,7 @@ mod tests {
         for e in sample_events() {
             bytes.extend_from_slice(&e.encode_frame());
         }
-        for version in [2, VERSION + 1] {
+        for version in [2, 3, VERSION + 1] {
             let mut other = bytes.clone();
             other[1] = version;
             let refused = check_journal_version(&other).unwrap_err();
@@ -1956,6 +2022,12 @@ mod tests {
             };
             assert!(msg.contains(&format!("version {version}")), "{msg}");
             assert!(msg.contains(&format!("version {VERSION}")), "{msg}");
+            if version == 3 {
+                assert_eq!(
+                    msg,
+                    "journal format version 3; this build reads version 4 only"
+                );
+            }
             match Exchange::recover(
                 ExchangeConfig::default(),
                 &other,
@@ -2074,7 +2146,7 @@ mod tests {
             let mut payload_frame = vec![MAGIC, VERSION];
             (payload.len() as u32).put(&mut payload_frame);
             payload_frame.extend_from_slice(&payload);
-            let sum = wire::fnv64(&payload_frame);
+            let sum = frame_checksum(&payload_frame);
             sum.put(&mut payload_frame);
             let mut bytes = good.clone();
             bytes.extend_from_slice(&payload_frame);

@@ -98,6 +98,12 @@ impl SessionStore {
         self.slots.insert(id.0, slot);
     }
 
+    /// Whether `id` has a slot in any state. Unlike [`Self::status`], it
+    /// copies nothing (a terminal slot's status clones its outcome).
+    pub(crate) fn contains(&self, id: SessionId) -> bool {
+        self.slots.contains_key(&id.0)
+    }
+
     /// Point-in-time status for `poll`.
     pub(crate) fn status(&self, id: SessionId) -> Option<SessionStatus> {
         Some(match self.slots.get(&id.0)? {
